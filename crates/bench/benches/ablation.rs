@@ -4,7 +4,8 @@
 //!   "searching in the target node buffer is performed in binary fashion to
 //!   improve the performance");
 //! * **batched vs per-pattern** occurrence scans (the paper defers repeated
-//!   occurrences to one final backbone scan);
+//!   occurrences to one final backbone scan), against the link-tree walk
+//!   that replaced both on the reference layout (DESIGN.md §16);
 //! * **compact vs reference** layout query cost (the §5 layout trades a
 //!   little indirection for 4× less space);
 //! * **RT migration** exposure: building on repeat-rich vs random text.
@@ -13,7 +14,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use genseq::{iid_sequence, rng};
 use spine::occurrences::{find_all_ends, find_all_ends_batch, Target};
 use spine::ops::SpineOps;
-use spine::{CompactSpine, Spine};
+use spine::{CompactSpine, PrefixView, Spine};
 use spine_bench::Dataset;
 use strindex::{Alphabet, Code, StringIndex};
 
@@ -41,9 +42,11 @@ fn target_buffer(c: &mut Criterion) {
     // A short, frequent pattern: many occurrences → big buffer.
     let pat = &d.seq[..4].to_vec(); // short ⇒ thousands of occurrences ⇒ big buffer
     let first = s.locate(pat).unwrap();
+    // A whole-text prefix view has no child lists, so it runs the §4 scan.
+    let scan = PrefixView::new(&s, s.len());
     let mut g = c.benchmark_group("target-buffer");
     g.sample_size(10);
-    g.bench_function("binary-search", |b| b.iter(|| find_all_ends(&s, pat).len()));
+    g.bench_function("binary-search", |b| b.iter(|| find_all_ends(&scan, pat).len()));
     g.bench_function("linear-scan", |b| {
         b.iter(|| occurrences_linear(&s, first, pat.len() as u32).len())
     });
@@ -59,13 +62,17 @@ fn batched_occurrences(c: &mut Criterion) {
         .iter()
         .map(|p| Target { first_end: s.locate(p).unwrap(), len: p.len() as u32 })
         .collect();
+    let scan = PrefixView::new(&s, s.len());
     let mut g = c.benchmark_group("occurrence-scans");
     g.sample_size(10);
     g.bench_function("one-scan-per-pattern", |b| {
-        b.iter(|| pats.iter().map(|p| find_all_ends(&s, p).len()).sum::<usize>())
+        b.iter(|| pats.iter().map(|p| find_all_ends(&scan, p).len()).sum::<usize>())
     });
     g.bench_function("single-batched-scan", |b| {
-        b.iter(|| find_all_ends_batch(&s, &targets).values().map(Vec::len).sum::<usize>())
+        b.iter(|| find_all_ends_batch(&scan, &targets).values().map(Vec::len).sum::<usize>())
+    });
+    g.bench_function("link-tree-walk-per-pattern", |b| {
+        b.iter(|| pats.iter().map(|p| find_all_ends(&s, p).len()).sum::<usize>())
     });
     g.finish();
 }

@@ -1,5 +1,5 @@
-//! Criterion bench: serial one-scan-per-pattern querying vs the concurrent
-//! batched engine (the micro-scale companion of `exp serve`).
+//! Criterion bench: serial per-pattern querying vs the concurrent batched
+//! engine (the micro-scale companion of `exp serve`).
 
 use std::sync::Arc;
 

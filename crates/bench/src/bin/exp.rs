@@ -738,7 +738,7 @@ fn serve(opts: &Opts) {
             engine.drain()
         });
         let hits: usize = results.iter().map(|r| r.expect_ends().len()).sum();
-        assert_eq!(hits, serial_hits, "engine answers diverge from serial scan");
+        assert_eq!(hits, serial_hits, "engine answers diverge from serial queries");
         let m = engine.metrics();
         let qps = workload.len() as f64 / secs(t).max(1e-9);
         rows.push(
@@ -751,7 +751,7 @@ fn serve(opts: &Opts) {
         );
     }
     print_table(
-        "Serve — batched-concurrent throughput vs serial scan (hc21-sim)",
+        "Serve — batched-concurrent throughput vs serial queries (hc21-sim)",
         &rows,
         opts.json,
     );

@@ -11,8 +11,8 @@
 //! budget whenever the edge's character differs from the pattern's. Because
 //! every valid path ends at the *first occurrence* of its spelled string,
 //! each surviving leaf of the DFS identifies one distinct approximate match
-//! string; its remaining occurrences come from the usual batched backbone
-//! scan.
+//! string; its remaining occurrences come from the usual batched
+//! enumeration (link-tree walks, or one backbone scan).
 //!
 //! The cost is O(σ^k · |p|) paths in the worst case — the standard bound for
 //! trie-backtracking k-mismatch search — fine for the small `k` used in
@@ -114,7 +114,7 @@ pub fn find_all_hamming<S: SpineOps + ?Sized>(
         }
     }
     // Expand every distinct matched string to all its occurrences in one
-    // backbone scan.
+    // batch.
     let targets: Vec<Target> =
         leaves.keys().map(|&first_end| Target { first_end, len: pattern.len() as u32 }).collect();
     let occs = find_all_ends_batch(s, &targets);

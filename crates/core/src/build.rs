@@ -115,23 +115,25 @@ impl Spine {
         Ok(())
     }
 
-    /// Heap bytes split by edge kind (capacity-based, consistent with
-    /// [`Spine::heap_bytes`]).
+    /// Heap bytes split by edge kind, consistent with [`Spine::heap_bytes`]:
+    /// edges count by length (they are exact-length slices) and the
+    /// link-child list ids count with the links.
     pub fn mem_breakdown(&self) -> MemBreakdown {
         let n = self.nodes.len() as u64;
         let ribs: u64 = self
             .nodes
             .iter()
-            .map(|nd| nd.ribs.capacity() as u64 * std::mem::size_of::<Rib>() as u64)
+            .map(|nd| nd.ribs.len() as u64 * std::mem::size_of::<Rib>() as u64)
             .sum();
         let extribs: u64 = self
             .nodes
             .iter()
-            .map(|nd| nd.extribs.capacity() as u64 * std::mem::size_of::<Extrib>() as u64)
+            .map(|nd| nd.extribs.len() as u64 * std::mem::size_of::<Extrib>() as u64)
             .sum();
         MemBreakdown {
             vertebrae: n * std::mem::size_of::<Code>() as u64,
-            links: n * (std::mem::size_of::<NodeId>() as u64 + std::mem::size_of::<u32>() as u64),
+            // link + LEL, plus first_child + next_sibling.
+            links: n * 4 * std::mem::size_of::<NodeId>() as u64,
             ribs,
             extribs,
         }
@@ -190,7 +192,8 @@ impl Spine {
             }
         }
         if prev == ROOT {
-            // First character: link to root with LEL 0 (already the default).
+            // First character: link to root with LEL 0.
+            self.set_link(t, ROOT, 0);
             if O::ENABLED {
                 o.event(BuildEvent::FirstChar);
                 o.event(BuildEvent::LinkSet { dest: ROOT, lel: 0 });
@@ -230,7 +233,7 @@ impl Spine {
                 }
                 None => {
                     // CASE 3: first-time extension — create a rib.
-                    self.nodes[cur as usize].ribs.push(Rib { cl: c, dest: t, pt: l });
+                    self.nodes[cur as usize].push_rib(Rib { cl: c, dest: t, pt: l });
                     if O::ENABLED {
                         o.event(BuildEvent::RibCreated { pt: l });
                     }
@@ -283,7 +286,7 @@ impl Spine {
             last_pt = e.pt;
         }
         // Chain exhausted: record the new extension from the chain's end.
-        self.nodes[last_dest as usize].extribs.push(Extrib { prt, pt: l, dest: t });
+        self.nodes[last_dest as usize].push_extrib(Extrib { prt, pt: l, dest: t });
         self.set_link(t, last_dest, last_pt + 1);
         if O::ENABLED {
             o.event(BuildEvent::ExtribCreated { prt, pt: l });
@@ -295,11 +298,16 @@ impl Spine {
         }
     }
 
+    /// Set `node`'s link and push `node` onto `dest`'s link-child list.
+    /// Nodes are linked in creation order, so siblings stay in descending
+    /// id order.
     #[inline]
     fn set_link(&mut self, node: NodeId, dest: NodeId, lel: u32) {
+        let next_sibling = std::mem::replace(&mut self.nodes[dest as usize].first_child, node);
         let n = &mut self.nodes[node as usize];
         n.link = dest;
         n.lel = lel;
+        n.next_sibling = next_sibling;
     }
 }
 
@@ -335,6 +343,10 @@ impl crate::ops::SpineOps for Spine {
 
     fn backbone_packing(&self) -> Option<u32> {
         self.packed.as_ref().map(|p| p.bits())
+    }
+
+    fn link_tree(&self) -> Option<&[Node]> {
+        Some(&self.nodes)
     }
 
     #[inline]

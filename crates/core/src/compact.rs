@@ -19,7 +19,9 @@
 //!   RT holding its edges; when a node gains an edge it *migrates* to the
 //!   next table (the free slot it leaves is recycled through a free list —
 //!   the paper claims this movement cost is negligible, and the ablation
-//!   bench measures it).
+//!   bench measures it). A node that outgrows the last table widens that
+//!   table's rows instead: extrib chains can collide at one node beyond the
+//!   (σ−1)+4 edges the last class holds.
 //!
 //! Construction is online and identical in logic to [`crate::build`]; the
 //! two representations are checked edge-for-edge against each other by the
@@ -146,6 +148,18 @@ impl RtTable {
         self.free.push(i);
     }
 
+    /// Re-stride every row to `cap` slots, each row's slots staying at
+    /// their positions (the overflow-table keys stay valid).
+    fn widen(&mut self, cap: usize) {
+        debug_assert!(cap > self.cap);
+        let mut slots = vec![EMPTY_SLOT; self.rows.len() * cap];
+        for (i, row) in self.slots.chunks_exact(self.cap).enumerate() {
+            slots[i * cap..i * cap + self.cap].copy_from_slice(row);
+        }
+        self.slots = slots;
+        self.cap = cap;
+    }
+
     fn live_rows(&self) -> usize {
         self.rows.len() - self.free.len()
     }
@@ -192,7 +206,8 @@ pub struct CompactSpine {
     /// Rib-Table reference.
     ptrs: Vec<u32>,
     /// Rib tables by fan-out class (RT1..RT4; the last class is sized for
-    /// the alphabet's full edge complement plus extrib slack).
+    /// the alphabet's full edge complement plus extrib slack, and widens
+    /// when a row outgrows it).
     rts: Vec<RtTable>,
     /// Overflow for LEL values ≥ 2¹⁶−1, keyed by node.
     lel_overflow: FxHashMap<u32, u32>,
@@ -439,6 +454,13 @@ impl CompactSpine {
             }
             Some((class, idx)) => {
                 let used = self.rts[class].rows[idx as usize].2 as usize;
+                if used == self.rts[class].cap && class + 1 == self.rts.len() {
+                    // No larger class to migrate to (the class field has
+                    // two bits): the row outgrows the last class by
+                    // widening it. Rare — on 1 Mi-symbol DNA at most one
+                    // node, when any, exceeds (σ−1)+4 edges.
+                    self.rts[class].widen(used + 1);
+                }
                 if used < self.rts[class].cap {
                     let base = idx as usize * self.rts[class].cap;
                     self.rts[class].slots[base + used] = slot;
@@ -448,10 +470,6 @@ impl CompactSpine {
                     // Migrate to the next class (slot order preserved so the
                     // overflow-table keys stay valid).
                     let next = class + 1;
-                    assert!(
-                        next < self.rts.len(),
-                        "node fan-out exceeded the largest rib-table class"
-                    );
                     let (_, ld, _) = self.rts[class].rows[idx as usize];
                     let nidx = self.rts[next].alloc(node, ld);
                     let src = idx as usize * self.rts[class].cap;

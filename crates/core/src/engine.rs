@@ -8,10 +8,12 @@
 //! * a **worker pool** of OS threads sharing one [`Arc`]-held index;
 //! * a **bounded admission queue** that coalesces submitted patterns — each
 //!   worker drains up to [`EngineConfig::batch_max`] requests per wakeup and
-//!   resolves them through a *single* backbone scan
-//!   ([`crate::occurrences::find_all_ends_batch`]), exactly the batching
-//!   opportunity §4 of the paper identifies for multi-pattern workloads.
-//!   When the queue is at [`EngineConfig::queue_capacity`], the
+//!   resolves them together ([`crate::occurrences::find_all_ends_batch`]).
+//!   In-memory structures with link-child lists answer each pattern with
+//!   its own output-sensitive link-tree walk; the page-resident and compact
+//!   structures share a *single* backbone scan across the batch, the
+//!   batching opportunity §4 of the paper identifies for multi-pattern
+//!   workloads. When the queue is at [`EngineConfig::queue_capacity`], the
 //!   [`ShedPolicy`] decides whether a new submission blocks for space or is
 //!   shed with [`SubmitError::Overloaded`];
 //! * **per-request deadlines** ([`QueryEngine::submit_with_deadline`]):
@@ -35,11 +37,13 @@
 //!   built with [`QueryEngine::new`] record nothing and pay nothing.
 //!
 //! Any [`ServeIndex`] works. Every [`FallibleSpineOps`] engine is one for
-//! free (a blanket impl coalesces the batch into a single backbone scan):
-//! the reference [`crate::Spine`], the §5 [`crate::CompactSpine`], a
-//! [`GeneralizedSpine`] over many documents, or a page-resident
-//! [`crate::DiskSpine`] — whose storage faults degrade the affected
-//! requests to [`QueryOutcome::Failed`] instead of tearing down the server.
+//! free (a blanket impl locates the batch, then enumerates it: link-tree
+//! walks where the structure keeps child lists, one shared backbone scan
+//! otherwise): the reference [`crate::Spine`], the §5
+//! [`crate::CompactSpine`], a [`GeneralizedSpine`] over many documents, or
+//! a page-resident [`crate::DiskSpine`] — whose storage faults degrade the
+//! affected requests to [`QueryOutcome::Failed`] instead of tearing down
+//! the server.
 //! Composite indexes like the segmented LSM store
 //! ([`crate::SegmentedSpine`]) implement [`ServeIndex`] directly and answer
 //! with document-level matches ([`QueryOutcome::DoneDocs`]). For corpora
@@ -114,8 +118,7 @@ impl std::error::Error for SubmitError {}
 pub struct EngineConfig {
     /// Worker threads in the pool (clamped to ≥ 1).
     pub workers: usize,
-    /// Most requests one worker coalesces into a single backbone scan
-    /// (clamped to ≥ 1).
+    /// Most requests one worker coalesces into one batch (clamped to ≥ 1).
     pub batch_max: usize,
     /// Most requests the admission queue holds before the [`ShedPolicy`]
     /// applies (clamped to ≥ 1).
@@ -220,7 +223,7 @@ impl QueryResult {
 /// Batch statistics for one worker thread.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerMetrics {
-    /// Backbone scans this worker performed (= coalesced batches).
+    /// Coalesced batches this worker answered.
     pub batches: u64,
     /// Individual queries answered.
     pub queries: u64,
@@ -266,7 +269,7 @@ impl MetricsSnapshot {
         self.workers.iter().map(|w| w.batches).sum()
     }
 
-    /// Mean queries per backbone scan — the coalescing factor. 0 when idle.
+    /// Mean queries per batch — the coalescing factor. 0 when idle.
     pub fn mean_batch(&self) -> f64 {
         let b = self.batches();
         if b == 0 {
@@ -326,8 +329,10 @@ impl WorkerStats {
 /// patterns, one outcome per pattern, in order.
 ///
 /// Every [`FallibleSpineOps`] engine gets this for free via a blanket impl
-/// that resolves the whole batch with one shared backbone scan
-/// ([`crate::occurrences::try_find_all_ends_batch`]) and answers in
+/// that enumerates the whole batch at once
+/// ([`crate::occurrences::try_find_all_ends_batch`]: a link-tree walk per
+/// pattern where the structure keeps child lists, one shared backbone scan
+/// for page-resident and compact structures) and answers in
 /// concatenation coordinates ([`QueryOutcome::Done`]). Composite stores
 /// (the segmented LSM index) implement it directly and answer per document
 /// ([`QueryOutcome::DoneDocs`]). Either way the engine's queueing,
@@ -347,8 +352,7 @@ pub trait ServeIndex: Send + Sync {
 }
 
 /// The batching path every single-backbone engine shares: locate each
-/// pattern's valid path, then answer all located patterns with one shared
-/// backbone scan.
+/// pattern's valid path, then enumerate all located patterns together.
 impl<S: FallibleSpineOps + Send + Sync> ServeIndex for S {
     fn answer_patterns(&self, patterns: &[&[Code]]) -> Vec<QueryOutcome> {
         let located: Vec<Located> = patterns
@@ -379,7 +383,7 @@ impl<S: FallibleSpineOps + Send + Sync> ServeIndex for S {
             .iter()
             .map(|l| match (l, &scanned) {
                 // The empty pattern ends at every node (serial
-                // `find_all_ends` agrees: its scan accepts all of 0..=n).
+                // `find_all_ends` agrees: it accepts all of 0..=n).
                 (Located::Empty, _) => {
                     QueryOutcome::Done((0..=self.text_len() as NodeId).collect())
                 }
@@ -445,7 +449,7 @@ struct EngineTelemetry {
     result_merge: Arc<Histogram>,
     /// Submit → publish, per query ("engine.query_latency").
     query_latency: Arc<Histogram>,
-    /// Requests coalesced per backbone scan ("engine.batch_size").
+    /// Requests coalesced per batch ("engine.batch_size").
     batch_size: Arc<Histogram>,
     /// Rolling qps/quantile window fed per published query
     /// ([`QueryEngine::with_observability`]).
@@ -852,8 +856,7 @@ impl<S: ServeIndex + 'static> Drop for QueryEngine<S> {
 
 /// One worker: wait for work, coalesce up to `batch_max` live requests
 /// (finalizing expired ones as [`QueryOutcome::TimedOut`] on the way),
-/// resolve them in a single backbone scan, publish results, repeat until
-/// shutdown.
+/// resolve them as one batch, publish results, repeat until shutdown.
 ///
 /// A panic inside [`answer_batch`] (e.g. an index whose accessors panic) is
 /// caught here just long enough to fail the batch's requests and restore the
@@ -1037,13 +1040,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".into())
 }
 
-/// Per-request fate after the locate phase, before the shared scan.
+/// Per-request fate after the locate phase, before enumeration.
 enum Located {
-    /// Empty pattern: answered positionally, no scan needed.
+    /// Empty pattern: answered positionally, no enumeration needed.
     Empty,
     /// Pattern does not occur; answers with no occurrences.
     Absent,
-    /// First occurrence found; the shared scan resolves the rest.
+    /// First occurrence found; enumeration resolves the rest.
     At(Target),
     /// Storage failure during the valid-path walk.
     Error(String),

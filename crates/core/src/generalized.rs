@@ -227,6 +227,10 @@ impl SpineOps for GeneralizedSpine {
     fn label_run(&self, node: NodeId, pattern: &strindex::PackedText, from: usize) -> usize {
         self.spine.label_run(node, pattern, from)
     }
+
+    fn link_tree(&self) -> Option<&[crate::node::Node]> {
+        self.spine.link_tree()
+    }
 }
 
 #[cfg(test)]

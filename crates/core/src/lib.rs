@@ -51,8 +51,8 @@
 //!
 //! Modules: [`build`] (online construction), [`search`] (valid-path
 //! traversal), [`engine`] (concurrent batched query serving),
-//! [`occurrences`] (the all-occurrence backbone scan),
-//! [`matching`] (matching statistics & maximal matches), [`compact`] (the
+//! [`occurrences`] (all-occurrence enumeration: link-tree walk or backbone
+//! scan), [`matching`] (matching statistics & maximal matches), [`compact`] (the
 //! §5 Link-Table/Rib-Table layout, < 12 bytes per character), [`disk`]
 //! (page-resident engine), [`generalized`] (multi-string indexes),
 //! [`segments`] (crash-safe LSM of immutable sealed segments with atomic

@@ -15,8 +15,9 @@
 //! [`strindex::Counters`]).
 //!
 //! Occurrence expansion is deferred: all right-maximal matches are first
-//! collected, then *one* backbone scan resolves every repetition
-//! ([`crate::occurrences::find_all_ends_batch`]).
+//! collected, then one batch resolves every repetition
+//! ([`crate::occurrences::find_all_ends_batch`]: a link-tree walk per
+//! match on the reference layout, *one* backbone scan on the others).
 //!
 //! Generic over [`SpineOps`]: shared by the reference, compact, and disk
 //! representations.

@@ -49,6 +49,13 @@ pub struct Extrib {
 /// and its character label is `nodes[i + 1].vertebra_cl` (the paper's
 /// "implicit vertebra edge" optimization, valid because creation order and
 /// logical order coincide).
+///
+/// Links form a tree rooted at [`ROOT`] (every link points upstream). Each
+/// node heads an intrusive list of its *link children* — the nodes whose
+/// link points here — threaded through `first_child` / `next_sibling`, so
+/// occurrence enumeration can walk the tree downward instead of scanning
+/// the backbone (DESIGN.md §16). Edges are exact-length boxed slices: most
+/// nodes hold zero to two of each, and a `Vec` would reserve four.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Node {
     /// Character label of the *incoming* vertebra — i.e. text character `i`
@@ -59,17 +66,50 @@ pub struct Node {
     pub link: NodeId,
     /// Longest Early-terminating suffix Length — the link's label.
     pub lel: u32,
+    /// Newest node whose link points here, or [`NO_CHILD`].
+    pub first_child: NodeId,
+    /// Next older node sharing this node's link destination, or
+    /// [`NO_CHILD`]. Siblings run in descending id order.
+    pub next_sibling: NodeId,
     /// Outgoing ribs (unordered; at most `alphabet.size() - 1` of them,
     /// e.g. ≤ 3 for DNA).
-    pub ribs: Vec<Rib>,
+    pub ribs: Box<[Rib]>,
     /// Outgoing extribs. Usually empty or a single element; distinct PRTs
     /// when several chains pass through (see DESIGN.md on chain collisions).
-    pub extribs: Vec<Extrib>,
+    pub extribs: Box<[Extrib]>,
+}
+
+/// End of a link-child list. The root is never a link child, so its id is
+/// free to mean "none".
+pub const NO_CHILD: NodeId = ROOT;
+
+/// Append `item` to an exact-length boxed slice (one reallocation).
+fn push_exact<T>(slot: &mut Box<[T]>, item: T) {
+    let mut v = std::mem::take(slot).into_vec();
+    v.reserve_exact(1);
+    v.push(item);
+    *slot = v.into_boxed_slice();
 }
 
 impl Node {
     pub(crate) fn new(vertebra_cl: Code) -> Self {
-        Node { vertebra_cl, link: ROOT, lel: 0, ribs: Vec::new(), extribs: Vec::new() }
+        Node {
+            vertebra_cl,
+            link: ROOT,
+            lel: 0,
+            first_child: NO_CHILD,
+            next_sibling: NO_CHILD,
+            ribs: Box::default(),
+            extribs: Box::default(),
+        }
+    }
+
+    pub(crate) fn push_rib(&mut self, rib: Rib) {
+        push_exact(&mut self.ribs, rib);
+    }
+
+    pub(crate) fn push_extrib(&mut self, extrib: Extrib) {
+        push_exact(&mut self.extribs, extrib);
     }
 
     /// Find this node's rib for character `c`, if any.
@@ -99,8 +139,8 @@ mod tests {
     #[test]
     fn rib_lookup_by_character() {
         let mut n = Node::new(0);
-        n.ribs.push(Rib { cl: 2, dest: 7, pt: 3 });
-        n.ribs.push(Rib { cl: 1, dest: 9, pt: 1 });
+        n.push_rib(Rib { cl: 2, dest: 7, pt: 3 });
+        n.push_rib(Rib { cl: 1, dest: 9, pt: 1 });
         assert_eq!(n.rib(1).unwrap().dest, 9);
         assert_eq!(n.rib(2).unwrap().pt, 3);
         assert!(n.rib(0).is_none());
@@ -110,9 +150,16 @@ mod tests {
     #[test]
     fn extrib_lookup_by_prt() {
         let mut n = Node::new(0);
-        n.extribs.push(Extrib { prt: 1, pt: 4, dest: 12 });
+        n.push_extrib(Extrib { prt: 1, pt: 4, dest: 12 });
         assert_eq!(n.extrib(1).unwrap().pt, 4);
         assert!(n.extrib(2).is_none());
         assert_eq!(n.fanout(), 1);
+    }
+
+    #[test]
+    fn node_is_56_bytes() {
+        // Two `Vec` headers (48 B) plus the scalar fields made a 64-byte
+        // node; boxed slices pay for the two child-list ids and shrink it.
+        assert_eq!(std::mem::size_of::<Node>(), 56);
     }
 }

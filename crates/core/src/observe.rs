@@ -153,7 +153,8 @@ impl BuildPhase {
 pub struct MemBreakdown {
     /// Bytes holding vertebra character labels.
     pub vertebrae: u64,
-    /// Bytes holding upstream links and their LELs.
+    /// Bytes holding upstream links and their LELs (and, in the reference
+    /// layout, the link-child list ids).
     pub links: u64,
     /// Bytes holding ribs.
     pub ribs: u64,

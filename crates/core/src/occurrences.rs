@@ -1,19 +1,30 @@
-//! All-occurrence enumeration via the backbone scan (Section 4).
+//! All-occurrence enumeration (Section 4): from a pattern's first
+//! occurrence to all of them.
 //!
 //! After the valid path locates the *first* occurrence of a pattern, every
-//! further occurrence is found with the link property: a link from `j` to
+//! further occurrence follows from the link property: a link from `j` to
 //! `k` with LEL `v` means the length-`v` strings ending at `j` and `k` are
-//! equal. So a single downstream scan suffices: node `j` ends an occurrence
-//! of a length-`L` pattern iff `lel(j) ≥ L` and `link(j)` points at an
-//! already-discovered occurrence end (checked by binary search in the
-//! paper's *target node buffer*).
+//! equal. Two enumerations use it, and return the same ends:
 //!
-//! Scanning the backbone once per pattern would be wasteful, so the batched
-//! entry point ([`find_all_ends_batch`]) resolves any number of patterns in
-//! one pass — exactly the deferral the paper describes for the maximal-match
-//! workload.
+//! * **The link-tree walk** (structures whose
+//!   [`link_tree`](crate::ops::SpineOps::link_tree) returns the nodes: the
+//!   reference [`crate::Spine`] and [`crate::GeneralizedSpine`]). Links
+//!   form a tree, and every link child of a non-root node carries a larger
+//!   LEL than that node's own link. So the ends of `w` are `fo(w)` plus the
+//!   whole subtrees under those link children of `fo(w)` whose LEL is at
+//!   least `|w|`: O(occ + σ·|w|) work, then a sort (DESIGN.md §16).
+//! * **The paper's backbone scan** (everything else: the §5 compact
+//!   layout, sealed page-resident segments, prefix views). Node `j > fo(w)`
+//!   ends an occurrence iff `lel(j) ≥ |w|` and `link(j)` points at an
+//!   already-discovered end (binary search in the paper's *target node
+//!   buffer*): O(n − fo(w)) link reads. The batched entry point
+//!   ([`find_all_ends_batch`]) resolves any number of patterns in one pass,
+//!   the deferral the paper describes for the maximal-match workload.
+//!
+//! Every entry point picks per structure, so callers never choose. The
+//! scan stays the tests' reference for the walk.
 
-use crate::node::NodeId;
+use crate::node::{Node, NodeId, NO_CHILD};
 use crate::ops::{FallibleSpineOps, Infallible, SpineOps};
 use crate::search::try_locate_traced;
 use crate::trace::{NoTrace, TraceEvent, TraceSink};
@@ -34,7 +45,7 @@ pub fn try_find_all_ends<S: FallibleSpineOps + ?Sized>(
 }
 
 /// [`try_find_all_ends`] with a [`TraceSink`] attached: the valid-path walk
-/// and the backbone scan both report their decisions. This is the traversal
+/// and the enumeration both report their decisions. This is the traversal
 /// behind `explain` ([`crate::trace::explain`]).
 pub fn try_find_all_ends_traced<S: FallibleSpineOps + ?Sized, T: TraceSink + ?Sized>(
     s: &S,
@@ -47,8 +58,8 @@ pub fn try_find_all_ends_traced<S: FallibleSpineOps + ?Sized, T: TraceSink + ?Si
     try_occurrences_from_traced(s, sink, first, pattern.len() as u32)
 }
 
-/// Single-target scan: all nodes ending an occurrence of the length-`len`
-/// string whose first occurrence ends at `first`.
+/// Single target: all nodes ending an occurrence of the length-`len`
+/// string whose first occurrence ends at `first`, ascending.
 pub fn occurrences_from<S: SpineOps + ?Sized>(s: &S, first: NodeId, len: u32) -> Vec<NodeId> {
     try_occurrences_from(&Infallible(s), first, len).expect("in-memory SPINE ops are infallible")
 }
@@ -63,10 +74,10 @@ pub fn try_occurrences_from<S: FallibleSpineOps + ?Sized>(
 }
 
 /// [`try_occurrences_from`] with a [`TraceSink`] attached: emits one
-/// [`TraceEvent::ScanStart`] for the backbone range, one
-/// [`TraceEvent::Occurrence`] per link-accepted end, and (for page-resident
-/// structures) a single [`TraceEvent::PageFetches`] aggregating the scan's
-/// buffer-pool traffic.
+/// [`TraceEvent::ScanStart`], then one [`TraceEvent::Occurrence`] per
+/// further end in ascending order, and (for page-resident structures) a
+/// single [`TraceEvent::PageFetches`] aggregating the scan's buffer-pool
+/// traffic. The link-tree walk and the scan emit the same events.
 pub fn try_occurrences_from_traced<S: FallibleSpineOps + ?Sized, T: TraceSink + ?Sized>(
     s: &S,
     sink: &mut T,
@@ -76,6 +87,16 @@ pub fn try_occurrences_from_traced<S: FallibleSpineOps + ?Sized, T: TraceSink + 
     let n = s.text_len() as NodeId;
     if T::ENABLED {
         sink.event(TraceEvent::ScanStart { from: first + 1, to: n, len });
+    }
+    if let Some(nodes) = s.link_tree() {
+        let ends = walk_link_tree(nodes, first, len);
+        if T::ENABLED {
+            for &j in &ends[1..] {
+                let node = &nodes[j as usize];
+                sink.event(TraceEvent::Occurrence { node: j, link: node.link, lel: node.lel });
+            }
+        }
+        return Ok(ends);
     }
     let before = if T::ENABLED { s.storage_counters() } else { None };
     let _scan = ScanGuard::enter(s, first + 1);
@@ -93,6 +114,44 @@ pub fn try_occurrences_from_traced<S: FallibleSpineOps + ?Sized, T: TraceSink + 
         sink.event(e);
     }
     Ok(buffer)
+}
+
+/// The ends of the length-`len` string whose first occurrence ends at
+/// `first`, ascending, by walking the link tree: `first` itself, then the
+/// whole subtree under every link child of `first` with LEL ≥ `len`.
+///
+/// Below an accepted child no LEL needs checking: a link child of a
+/// non-root node always carries a larger LEL than the node's own link
+/// (the LET suffix of the child first occurs ending at the parent, so the
+/// parent's own LET suffix is shorter). The walk rejects at most
+/// (σ−1)·`len` children of `first`: a rejected child's LEL is below
+/// `len`, and each LEL value admits at most σ−1 children, one per
+/// character preceding that suffix.
+fn walk_link_tree(nodes: &[Node], first: NodeId, len: u32) -> Vec<NodeId> {
+    let mut ends = vec![first];
+    let mut c = nodes[first as usize].first_child;
+    while c != NO_CHILD {
+        let child = &nodes[c as usize];
+        if child.lel >= len {
+            ends.push(c);
+        }
+        c = child.next_sibling;
+    }
+    // Breadth-first below the accepted children, with `ends` as the queue.
+    let mut i = 1;
+    while i < ends.len() {
+        let parent = &nodes[ends[i] as usize];
+        let mut c = parent.first_child;
+        while c != NO_CHILD {
+            let child = &nodes[c as usize];
+            debug_assert!(child.lel > parent.lel, "link-tree LELs rise below a non-root node");
+            ends.push(c);
+            c = child.next_sibling;
+        }
+        i += 1;
+    }
+    ends.sort_unstable();
+    ends
 }
 
 /// Pairs [`FallibleSpineOps::scan_begin`] with a guaranteed
@@ -122,12 +181,13 @@ pub struct Target {
     pub len: u32,
 }
 
-/// Resolve many targets in a single backbone scan.
+/// Resolve many targets: one link-tree walk each on structures that keep
+/// child lists, otherwise a single shared backbone scan.
 ///
 /// Returns, for each target (keyed by value, deduplicated), the ascending
-/// list of occurrence-end nodes. The scan is O(n + total occurrences): each
-/// node consults a hash map from "node already in some target buffer" to the
-/// targets that buffered it.
+/// list of occurrence-end nodes. The shared scan is O(n + total
+/// occurrences): each node consults a hash map from "node already in some
+/// target buffer" to the targets that buffered it.
 pub fn find_all_ends_batch<S: SpineOps + ?Sized>(
     s: &S,
     targets: &[Target],
@@ -142,6 +202,12 @@ pub fn try_find_all_ends_batch<S: FallibleSpineOps + ?Sized>(
     targets: &[Target],
 ) -> Result<FxHashMap<Target, Vec<NodeId>>> {
     let mut result: FxHashMap<Target, Vec<NodeId>> = FxHashMap::default();
+    if let Some(nodes) = s.link_tree() {
+        for &t in targets {
+            result.entry(t).or_insert_with(|| walk_link_tree(nodes, t.first_end, t.len));
+        }
+        return Ok(result);
+    }
     // node id -> indices of targets whose buffer contains that node.
     let mut buffered: FxHashMap<NodeId, Vec<u32>> = FxHashMap::default();
     let mut uniq: Vec<Target> = Vec::new();
@@ -161,9 +227,6 @@ pub fn try_find_all_ends_batch<S: FallibleSpineOps + ?Sized>(
     let _scan = ScanGuard::enter(s, start);
     for j in start..=n {
         let (dest, lel) = s.try_link_of(j)?;
-        if lel == 0 {
-            continue;
-        }
         let Some(hits) = buffered.get(&dest) else {
             continue;
         };
@@ -188,12 +251,35 @@ pub fn try_find_all_ends_batch<S: FallibleSpineOps + ?Sized>(
 mod tests {
     use super::*;
     use crate::build::Spine;
+    use crate::node::ROOT;
+    use crate::prefix::PrefixView;
     use strindex::{Alphabet, StringIndex};
 
     fn paper_spine() -> (Alphabet, Spine) {
         let a = Alphabet::dna();
         let s = Spine::build_from_bytes(a.clone(), b"AACCACAACA").unwrap();
         (a, s)
+    }
+
+    #[test]
+    fn walk_matches_scan_for_every_target() {
+        let a = Alphabet::dna();
+        let s = Spine::build_from_bytes(a, b"AACCACAACAGGTTACGACGACCAAAAACACA").unwrap();
+        // A whole-text prefix view keeps no child lists, so it scans.
+        let scan = PrefixView::new(&s, s.len());
+        assert!(SpineOps::link_tree(&s).is_some() && scan.link_tree().is_none());
+        let n = s.len() as NodeId;
+        for first in 0..=n {
+            for len in 0..=first {
+                assert_eq!(
+                    occurrences_from(&s, first, len),
+                    occurrences_from(&scan, first, len),
+                    "target ({first}, {len})"
+                );
+            }
+        }
+        // The empty pattern's walk from the root reaches every node.
+        assert_eq!(occurrences_from(&s, ROOT, 0), (0..=n).collect::<Vec<_>>());
     }
 
     #[test]

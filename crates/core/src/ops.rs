@@ -16,8 +16,13 @@
 //! [`crate::occurrences::try_find_all_ends`]) are written once against the
 //! fallible surface, and the infallible entry points delegate through the
 //! [`Infallible`] adapter.
+//!
+//! Both surfaces share one optional accessor, `link_tree`: structures that
+//! keep their nodes in memory with link-child lists (the reference
+//! [`crate::Spine`] and [`crate::GeneralizedSpine`]) return them, and
+//! occurrence enumeration walks the link tree instead of scanning.
 
-use crate::node::NodeId;
+use crate::node::{Node, NodeId};
 use strindex::{Code, Counters, PackedText, Result};
 
 /// Read access to a SPINE structure. Node ids are `0..=text_len()`, with 0
@@ -68,6 +73,15 @@ pub trait SpineOps {
             }
         }
         k
+    }
+
+    /// All nodes, root first, when this structure keeps them in memory
+    /// with their link-child lists ([`Node::first_child`],
+    /// [`Node::next_sibling`]). Occurrence enumeration then walks the link
+    /// tree in O(occ + σ·|w|) ([`crate::occurrences`]); `None`, the
+    /// default, means "no child lists" and keeps the §4 backbone scan.
+    fn link_tree(&self) -> Option<&[Node]> {
+        None
     }
 }
 
@@ -139,6 +153,12 @@ pub trait FallibleSpineOps {
     /// The sequential scan announced by [`scan_begin`](Self::scan_begin)
     /// ended (including by error — callers pair the two with a guard).
     fn scan_end(&self) {}
+
+    /// [`SpineOps::link_tree`] counterpart: in-memory nodes with link-child
+    /// lists, or `None` (the default) to enumerate with the §4 scan.
+    fn link_tree(&self) -> Option<&[Node]> {
+        None
+    }
 }
 
 /// Adapter viewing any infallible [`SpineOps`] as a [`FallibleSpineOps`]
@@ -185,6 +205,11 @@ impl<S: SpineOps + ?Sized> FallibleSpineOps for Infallible<'_, S> {
     #[inline]
     fn try_label_run(&self, node: NodeId, pattern: &PackedText, from: usize) -> Result<usize> {
         Ok(self.0.label_run(node, pattern, from))
+    }
+
+    #[inline]
+    fn link_tree(&self) -> Option<&[Node]> {
+        self.0.link_tree()
     }
 }
 
@@ -236,6 +261,11 @@ macro_rules! fallible_from_spine_ops {
                 from: usize,
             ) -> Result<usize> {
                 Ok(SpineOps::label_run(self, node, pattern, from))
+            }
+
+            #[inline]
+            fn link_tree(&self) -> Option<&[Node]> {
+                SpineOps::link_tree(self)
             }
         }
     )*};

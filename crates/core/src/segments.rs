@@ -1084,7 +1084,8 @@ impl SegmentedSpine {
 
 /// Queries resolve against a snapshot, component by component: the
 /// memtable and each segment run the shared single-backbone batch path
-/// (locate once, one backbone scan per component), then concatenation
+/// (locate once, then link-tree walks in the memtable and one backbone
+/// scan per sealed segment), then concatenation
 /// ends are localized to `(doc, offset)`, filtered through the snapshot's
 /// tombstones and retired flags, and merged. Failures are per-pattern: a
 /// storage fault in one segment fails the patterns it was resolving, not

@@ -170,21 +170,13 @@ impl Spine {
         self.nodes.iter().filter(|n| n.extribs.len() > 1).count() as u64
     }
 
-    /// Total heap bytes of the reference representation (node vector plus
-    /// per-node rib/extrib vectors).
+    /// Total heap bytes of the reference representation: the node vector
+    /// (child-list ids inline) plus the exact-length rib/extrib slices,
+    /// which [`Spine::mem_breakdown`] counts the same way.
     pub fn heap_bytes(&self) -> usize {
         let nodes = self.nodes.capacity() * std::mem::size_of::<crate::node::Node>();
-        let ribs: usize = self
-            .nodes
-            .iter()
-            .map(|n| n.ribs.capacity() * std::mem::size_of::<crate::node::Rib>())
-            .sum();
-        let extribs: usize = self
-            .nodes
-            .iter()
-            .map(|n| n.extribs.capacity() * std::mem::size_of::<crate::node::Extrib>())
-            .sum();
-        nodes + ribs + extribs
+        let mem = self.mem_breakdown();
+        nodes + (mem.ribs + mem.extribs) as usize
     }
 }
 

@@ -114,18 +114,21 @@ pub enum TraceEvent {
         /// The character whose chain was exhausted.
         ch: Code,
     },
-    /// The all-occurrence backbone scan began over `from..=to` for a
-    /// pattern of length `len` (first occurrence already buffered).
+    /// Occurrence enumeration began for a pattern of length `len` (first
+    /// occurrence already buffered). The §4 scan reads `from..=to`; on
+    /// structures that walk the link tree ([`crate::ops::SpineOps::link_tree`])
+    /// the range is reported but not read.
     ScanStart {
-        /// First scanned node (first occurrence end + 1).
+        /// First node the scan reads (first occurrence end + 1).
         from: NodeId,
-        /// Last scanned node (the backbone tail).
+        /// Last node the scan reads (the backbone tail).
         to: NodeId,
         /// Pattern length the scan matches against LELs.
         len: u32,
     },
-    /// The scan accepted `node` as an occurrence end: its link reaches an
+    /// Enumeration accepted `node` as an occurrence end: its link reaches an
     /// already-buffered end (`link`) with `lel ≥` the pattern length.
+    /// Emitted in ascending node order by both the scan and the walk.
     Occurrence {
         /// The accepted occurrence end.
         node: NodeId,
@@ -343,8 +346,8 @@ impl QueryTrace {
                 TraceEvent::ScanStart { from, to, len } => {
                     let _ = writeln!(
                         out,
-                        "  scan     backbone {from}..={to}: accept node j when \
-                         LEL(j) >= {len} and link(j) hits the target buffer"
+                        "  enum     accept node j when LEL(j) >= {len} and link(j) is an \
+                         accepted end (scan range {from}..={to}; unread by a link-tree walk)"
                     );
                 }
                 TraceEvent::Occurrence { node, link, lel } => {

@@ -11,10 +11,15 @@
 //!    longest early-terminating suffix, with LEL = that suffix's length;
 //! 3. every rib/extrib destination equals the first-occurrence end of the
 //!    string it lets a maximal valid path spell;
-//! 4. extrib chains have strictly increasing PTs and consistent PRTs.
+//! 4. extrib chains have strictly increasing PTs and consistent PRTs;
+//! 5. the link-child lists thread the link tree: every non-root node
+//!    appears exactly once, in its link destination's list; siblings run
+//!    in descending id order; and a child's LEL exceeds its parent's own
+//!    LEL when the parent is not the root (the lemma the occurrence walk
+//!    relies on, DESIGN.md §16).
 
 use crate::build::Spine;
-use crate::node::ROOT;
+use crate::node::{NO_CHILD, ROOT};
 use strindex::Code;
 
 /// A violated invariant, with enough context to debug it.
@@ -113,7 +118,47 @@ impl Spine {
                 }
             }
         }
+        self.verify_link_tree(&mut out);
         out
+    }
+
+    /// Invariant 5: the link-child lists.
+    fn verify_link_tree(&self, out: &mut Vec<Violation>) {
+        let nodes = self.nodes();
+        let mut listed = vec![0u32; nodes.len()];
+        for (p, parent) in nodes.iter().enumerate() {
+            let mut bad = |what: String| out.push(Violation { node: p as u32, what });
+            let mut prev = None;
+            let mut c = parent.first_child;
+            while c != NO_CHILD {
+                let Some(child) = nodes.get(c as usize) else {
+                    bad(format!("child {c} is not a node"));
+                    break;
+                };
+                if prev.is_some_and(|prev| c >= prev) {
+                    // Also stops a cyclic list.
+                    bad(format!("sibling {c} does not descend from {prev:?}"));
+                    break;
+                }
+                if child.link as usize != p {
+                    bad(format!("child {c} links to {}, not here", child.link));
+                }
+                if p != ROOT as usize && child.lel <= parent.lel {
+                    bad(format!("child {c} LEL {} not above own LEL {}", child.lel, parent.lel));
+                }
+                listed[c as usize] += 1;
+                prev = Some(c);
+                c = child.next_sibling;
+            }
+        }
+        for (i, &times) in listed.iter().enumerate().skip(1) {
+            if times != 1 {
+                out.push(Violation {
+                    node: i as u32,
+                    what: format!("listed {times} times among link children"),
+                });
+            }
+        }
     }
 }
 
@@ -155,6 +200,22 @@ mod tests {
         let mut s = Spine::build_from_bytes(Alphabet::dna(), b"AACCACAACA").unwrap();
         s.nodes[8].lel = 1; // truth is 2
         assert!(!s.verify().is_empty());
+    }
+
+    #[test]
+    fn corrupted_child_lists_are_caught() {
+        let build = || Spine::build_from_bytes(Alphabet::dna(), b"AACCACAACA").unwrap();
+        let mut s = build();
+        // Node 9 links to 3; node 6 is its older sibling there.
+        assert_eq!((s.nodes[3].first_child, s.nodes[9].next_sibling), (9, 6));
+        s.nodes[9].next_sibling = NO_CHILD; // drops node 6 from the list
+        assert!(s.verify().iter().any(|v| v.node == 6));
+        let mut s = build();
+        s.nodes[6].next_sibling = 9; // ascending sibling, and a cycle
+        assert!(!s.verify().is_empty());
+        let mut s = build();
+        s.nodes[3].lel = 2; // its children 6 (LEL 2) and 4 (LEL 1) no longer rise
+        assert!(s.verify().iter().any(|v| v.what.contains("not above own LEL")));
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Batched pattern search over a FASTA file (or a generated sequence).
 //!
 //! Demonstrates the paper's deferred-occurrence technique: the first
-//! occurrence of every pattern is located through the index, then a single
-//! sequential backbone scan resolves all repetitions of all patterns at
-//! once.
+//! occurrence of every pattern is located through the index, then one
+//! batch resolves all repetitions of all patterns. On the reference layout
+//! the batch walks each pattern's link subtree; the compact and disk
+//! layouts share a single sequential backbone scan.
 //!
 //! ```sh
 //! cargo run --release --example pattern_search [file.fasta] [pattern ...]
@@ -63,11 +64,11 @@ fn main() -> strindex::Result<()> {
     }
     println!("{} patterns present, {missing} absent", targets.len());
 
-    // Phase 2: one backbone scan resolves every occurrence of every pattern.
+    // Phase 2: one batch resolves every occurrence of every pattern.
     let t0 = std::time::Instant::now();
     let occurrences = find_all_ends_batch(&index, &targets);
     let total: usize = occurrences.values().map(Vec::len).sum();
-    println!("batched scan found {total} occurrences in {:.3}s", t0.elapsed().as_secs_f64());
+    println!("batch found {total} occurrences in {:.3}s", t0.elapsed().as_secs_f64());
 
     // Show a summary per pattern (and spot-check against find_all).
     for (p, t) in patterns.iter().zip(&targets).take(8) {

@@ -66,6 +66,21 @@ cargo test -q -p spine disk::
 cargo test -q --test layout_v2
 cargo test -q --test differential packed_scan
 
+echo "== link-tree enumeration: walk vs §4 scan vs oracle, child-list invariants, compact fan-out"
+cargo test -q -p spine --lib occurrences
+cargo test -q -p spine --lib verify
+cargo test -q -p spine --lib node
+cargo test -q --test differential walk
+cargo test -q --test differential child_lists
+cargo test -q --test cross_engine compact_layout_holds
+
+echo "== perfbench: self-tests, then a 2 s smoke of both workloads (answers oracle-checked; a mismatch exits 1)"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+# Traced windows are a fixed number of operations, so 2 s suffices; an
+# untraced logs-churn run needs about 8 s for 100 writes.
+cargo run --release -q --offline --manifest-path perfbench/Cargo.toml -- \
+  --workload all --seed 1 --seconds 2 --trace 1 >/dev/null
+
 echo "== exp scale --quick --check (load harness: curve coverage vs committed BENCH_scale.json)"
 tmp_scale=$(mktemp)
 cargo run --release -q -p spine-bench --bin exp -- scale --quick \

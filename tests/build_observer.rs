@@ -12,7 +12,8 @@
 use genseq::rng;
 use proptest::prelude::*;
 use rand::Rng;
-use spine::{BuildStats, CompactSpine, Spine};
+use spine::{BuildStats, CompactSpine, Extrib, Node, Rib, Spine};
+use std::mem::size_of;
 use strindex::{Alphabet, Code};
 
 fn random_text(a: &Alphabet, len: usize, seed: u64) -> Vec<Code> {
@@ -57,6 +58,15 @@ fn reconcile(a: &Alphabet, text: &[Code]) -> (Spine, BuildStats) {
         st.mem.vertebrae + st.mem.links + st.mem.ribs + st.mem.extribs,
         "breakdown sums to its total"
     );
+
+    // Edges are exact-length slices: the breakdown counts them by length,
+    // and `heap_bytes` counts them the same way, so what it adds on top is
+    // the node vector — a whole number of nodes, at least one per node.
+    assert_eq!(st.mem.ribs, ribs_present * size_of::<Rib>() as u64, "rib bytes by length");
+    assert_eq!(st.mem.extribs, extribs_present * size_of::<Extrib>() as u64, "extrib bytes");
+    let node_bytes = s.heap_bytes() as u64 - st.mem.ribs - st.mem.extribs;
+    assert_eq!(node_bytes % size_of::<Node>() as u64, 0, "heap_bytes holds whole nodes");
+    assert!(node_bytes >= std::mem::size_of_val(nodes) as u64, "every node counted");
 
     (s, st)
 }

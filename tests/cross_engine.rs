@@ -7,7 +7,7 @@
 
 use genseq::preset;
 use pagestore::{Lru, MemDevice, PrefixPriority};
-use spine::{CompactSpine, DiskSpine, Spine};
+use spine::{CompactSpine, DiskSpine, Spine, SpineOps};
 use strindex::{Alphabet, Code, MatchingIndex, StringIndex};
 use suffix_array::SaIndex;
 use suffix_tree::{DiskSuffixTree, SuffixTree};
@@ -163,5 +163,45 @@ fn spine_invariants_hold_on_presets() {
         let text = p.generate(0.0003);
         let s = Spine::build(p.alphabet(), &text).unwrap();
         assert_eq!(s.verify(), vec![], "{name}");
+    }
+}
+
+/// Node 9 of this text carries 3 ribs and 6 extribs, two more edges than
+/// the compact layout's last rib-table class holds ((σ−1)+4 = 7 for DNA).
+/// The compact build widens that class instead of panicking, and matches
+/// the reference edge for edge, before and after a save/load round trip.
+#[test]
+fn compact_layout_holds_fanout_past_its_last_class() {
+    let a = Alphabet::dna();
+    let text = a.encode(b"GCCCCCCCTGCCCTGCCCCCCTGCCTGCCCCCTAGCCCCTGCTTC").unwrap();
+    let reference = Spine::build(a.clone(), &text).unwrap();
+    assert_eq!(reference.nodes()[9].fanout(), 9);
+    let built = CompactSpine::build(a.clone(), &text).unwrap();
+    let mut saved = Vec::new();
+    built.write_to(&mut saved).unwrap();
+    let reloaded = CompactSpine::read_from(&mut saved.as_slice()).unwrap();
+    let oracle = NaiveIndex::new(a.clone(), &text);
+    for compact in [&built, &reloaded] {
+        for node in 0..=text.len() as u32 {
+            assert_eq!(reference.vertebra_out(node), compact.vertebra_out(node), "vertebra {node}");
+            if node > 0 {
+                assert_eq!(reference.link_of(node), compact.link_of(node), "link {node}");
+            }
+            for c in 0..a.code_space() as Code {
+                assert_eq!(reference.rib_of(node, c), compact.rib_of(node, c), "rib {c} at {node}");
+            }
+            for e in reference.nodes()[node as usize].extribs.iter() {
+                assert_eq!(
+                    compact.extrib_of(node, e.prt),
+                    Some((e.dest, e.pt)),
+                    "extrib at {node}"
+                );
+            }
+        }
+        for len in 1..=6 {
+            for w in text.windows(len) {
+                assert_eq!(compact.find_all(w), oracle.find_all(w), "find_all {w:?}");
+            }
+        }
     }
 }

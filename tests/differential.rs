@@ -12,13 +12,19 @@
 //! across the reference SPINE, the §5 compact layout, the page-resident
 //! disk engine, the suffix tree, the suffix array, and the naive-scan
 //! oracle — plus the generalized (multi-document) SPINE against a per-
-//! document scan.
+//! document scan, and the reference SPINE's link-tree occurrence walk
+//! against the paper's backbone scan over the same structure.
 
 use genseq::rng;
 use pagestore::{Lru, MemDevice};
 use rand::Rng;
-use spine::{CompactSpine, DiskSpine, GeneralizedSpine, Spine};
-use strindex::{Alphabet, Code, MatchingIndex, StringIndex};
+use spine::node::{NodeId, NO_CHILD};
+use spine::occurrences::{find_all_ends, find_all_ends_batch, occurrences_from, Target};
+use spine::search::locate;
+use spine::{
+    CompactSpine, DiskSpine, GeneralizedSpine, Infallible, PrefixView, ServeIndex, Spine, SpineOps,
+};
+use strindex::{Alphabet, Code, MatchingIndex, OnlineIndex, StringIndex};
 use suffix_array::SaIndex;
 use suffix_tree::SuffixTree;
 use suffix_trie::NaiveIndex;
@@ -450,10 +456,184 @@ fn segmented_store_matches_per_document_oracle() {
     }
 }
 
+/// Occurrence ends by naive scan; the empty pattern ends everywhere.
+fn oracle_ends(text: &[Code], pattern: &[Code]) -> Vec<NodeId> {
+    if pattern.is_empty() {
+        return (0..=text.len() as NodeId).collect();
+    }
+    scan_find_all(text, pattern).into_iter().map(|i| (i + pattern.len()) as NodeId).collect()
+}
+
+/// The walk (through `index`) against the scan (through a prefix view) and
+/// the oracle, on every enumeration entry point: single patterns, single
+/// targets, a batch holding every target twice, and the engine's blanket
+/// serving path.
+fn check_walk_against_scan<S: SpineOps + Sync + ?Sized>(
+    what: &str,
+    index: &S,
+    text: &[Code],
+    patterns: &[Vec<Code>],
+) {
+    // A whole-text prefix view keeps no child lists: it runs the §4 scan
+    // over the same structure.
+    let scan = PrefixView::new(index, index.text_len());
+    assert!(index.link_tree().is_some(), "{what}: keeps child lists");
+    assert!(scan.link_tree().is_none(), "the reference must scan");
+    let mut targets = Vec::new();
+    for p in patterns {
+        let walked = find_all_ends(index, p);
+        assert_eq!(walked, find_all_ends(&scan, p), "{what}: walk vs scan, pattern {p:?}");
+        assert_eq!(walked, oracle_ends(text, p), "{what}: walk vs oracle, pattern {p:?}");
+        if let Some(first) = locate(index, p) {
+            let t = Target { first_end: first, len: p.len() as u32 };
+            assert_eq!(occurrences_from(index, t.first_end, t.len), walked, "{what}: {t:?}");
+            targets.push(t);
+        }
+    }
+    let doubled: Vec<Target> = targets.iter().chain(&targets).copied().collect();
+    let walked = find_all_ends_batch(index, &doubled);
+    assert_eq!(walked, find_all_ends_batch(&scan, &doubled), "{what}: batch walk vs batch scan");
+    for t in &targets {
+        assert_eq!(walked[t], occurrences_from(&scan, t.first_end, t.len), "{what}: batch {t:?}");
+    }
+    let pats: Vec<&[Code]> = patterns.iter().map(Vec::as_slice).collect();
+    assert_eq!(
+        ServeIndex::answer_patterns(&Infallible(index), &pats),
+        ServeIndex::answer_patterns(&Infallible(&scan), &pats),
+        "{what}: served answers"
+    );
+}
+
+/// The link-child lists thread the link tree: every non-root node sits
+/// exactly once in its link destination's list, siblings descend, and a
+/// child's LEL exceeds a non-root parent's own LEL.
+fn check_link_tree(s: &Spine) {
+    let nodes = s.nodes();
+    let mut listed = vec![0usize; nodes.len()];
+    for (p, parent) in nodes.iter().enumerate() {
+        let mut prev = NodeId::MAX;
+        let mut c = parent.first_child;
+        while c != NO_CHILD {
+            assert!(c < prev, "siblings of {p} descend: {c} after {prev}");
+            let child = &nodes[c as usize];
+            assert_eq!(child.link as usize, p, "child {c} listed under {p}");
+            if p != 0 {
+                assert!(child.lel > parent.lel, "LEL of {c} rises above {p}'s");
+            }
+            listed[c as usize] += 1;
+            prev = c;
+            c = child.next_sibling;
+        }
+    }
+    assert_eq!(listed[0], 0, "the root is never a child");
+    for (i, &times) in listed.iter().enumerate().skip(1) {
+        assert_eq!(times, 1, "node {i} listed {times} times");
+    }
+}
+
+#[test]
+fn link_tree_walk_matches_scan_and_oracle() {
+    let mut r = rng(0x11_7EE);
+    for (ai, a) in [Alphabet::dna(), Alphabet::protein(), Alphabet::bytes()].iter().enumerate() {
+        let mut texts: Vec<Vec<Code>> = [0usize, 1, 2, 7, 64, 500]
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| random_text(a, len, 0x3A1 + 10 * ai as u64 + i as u64))
+            .collect();
+        // Periodic texts: the deepest link trees and the most occurrences.
+        for period in [1usize, 2, 3] {
+            let motif: Vec<Code> = (0..period).map(|_| r.gen_range(0..a.size()) as Code).collect();
+            texts.push(motif.iter().copied().cycle().take(300).collect());
+        }
+        for (i, text) in texts.iter().enumerate() {
+            let s = Spine::build(a.clone(), text).unwrap();
+            check_link_tree(&s);
+            let mut pats = patterns_for(a, text, 0x5EED + i as u64);
+            pats.push(Vec::new());
+            check_walk_against_scan(&format!("alphabet {ai}, text {i}"), &s, text, &pats);
+        }
+    }
+}
+
+#[test]
+fn child_lists_hold_across_online_appends() {
+    for (ai, a) in [Alphabet::dna(), Alphabet::protein(), Alphabet::bytes()].iter().enumerate() {
+        let text = random_text(a, 240, 0xA99 + ai as u64);
+        let mut s = Spine::new(a.clone());
+        for (i, &c) in text.iter().enumerate() {
+            s.push(c).unwrap();
+            if i < 12 || i % 19 == 0 {
+                let prefix = &text[..=i];
+                check_link_tree(&s);
+                let mut pats = patterns_for(a, prefix, i as u64);
+                pats.push(Vec::new());
+                check_walk_against_scan(&format!("alphabet {ai}, after {i}"), &s, prefix, &pats);
+            }
+        }
+    }
+}
+
+#[test]
+fn generalized_walk_matches_scan_with_separators_and_retired_docs() {
+    for (ai, a) in [Alphabet::dna(), Alphabet::protein()].iter().enumerate() {
+        let docs: Vec<Vec<Code>> = [0usize, 1, 9, 40, 1, 25, 0, 60]
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| random_text(a, len, 0x6E0 + 10 * ai as u64 + i as u64))
+            .collect();
+        let mut g = GeneralizedSpine::new(a.clone());
+        let mut concat = Vec::new();
+        for d in &docs {
+            g.add_document(d).unwrap();
+            concat.extend_from_slice(d);
+            concat.push(a.separator());
+        }
+        for retired in [1, 3, 6] {
+            g.retire_document(retired).unwrap();
+        }
+        check_link_tree(g.as_spine());
+
+        let mut pats = patterns_for(a, &docs[5], 0x6E1 + ai as u64);
+        pats.extend(docs.iter().filter(|d| !d.is_empty()).map(|d| d[..d.len().min(3)].to_vec()));
+        // Separators occur once per document; a pattern ending in one
+        // matches only at a document's end.
+        pats.push(vec![a.separator()]);
+        pats.push(vec![*docs[2].last().unwrap(), a.separator()]);
+        pats.push(Vec::new());
+        check_walk_against_scan(&format!("generalized alphabet {ai}"), &g, &concat, &pats);
+
+        // Retired documents drop out after enumeration.
+        for p in pats.iter().filter(|p| !p.is_empty() && !p.contains(&a.separator())) {
+            let mut want = Vec::new();
+            for (di, d) in docs.iter().enumerate().filter(|&(di, _)| !g.is_retired(di)) {
+                want.extend(scan_find_all(d, p).into_iter().map(|off| (di, off)));
+            }
+            let got: Vec<(usize, usize)> =
+                g.find_all(p).into_iter().map(|m| (m.doc, m.offset)).collect();
+            assert_eq!(got, want, "generalized find_all over live documents, pattern {p:?}");
+        }
+    }
+}
+
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Every non-root node appears exactly once in its link destination's
+    /// child list, and its LEL exceeds that destination's own LEL when the
+    /// destination is not the root — the lemma that lets the walk take
+    /// whole subtrees without a check.
+    #[test]
+    fn link_child_lists_thread_the_link_tree(
+        seed in 0u64..1 << 48,
+        alpha in 0usize..3,
+        len in 0usize..400,
+    ) {
+        let a = [Alphabet::dna(), Alphabet::protein(), Alphabet::bytes()][alpha].clone();
+        let text = random_text(&a, len, seed);
+        check_link_tree(&Spine::build(a, &text).unwrap());
+    }
 
     /// Engine-level packed-vs-scalar equivalence. The sealed layout-v2
     /// engine answers through the word-packed backbone scanner (2-bit DNA,

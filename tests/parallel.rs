@@ -192,9 +192,9 @@ fn prefix_views_structurally_identical_under_concurrent_readers() {
                         assert_eq!((fnode.link, fnode.lel), full.link_of(n));
                     }
                     let view_ribs: Vec<_> = view.ribs(n).cloned().collect();
-                    assert_eq!(view_ribs, fnode.ribs, "ribs of node {n} at cut {k}");
+                    assert_eq!(view_ribs[..], fnode.ribs[..], "ribs of node {n} at cut {k}");
                     let view_ex: Vec<_> = view.extribs(n).cloned().collect();
-                    assert_eq!(view_ex, fnode.extribs, "extribs of node {n} at cut {k}");
+                    assert_eq!(view_ex[..], fnode.extribs[..], "extribs of node {n} at cut {k}");
                 }
                 // And behaviorally: the view answers like the fresh build.
                 for w in [1usize, 4, 9] {
