@@ -758,8 +758,9 @@ fn serve(opts: &Opts) {
 
     // The disk engine's hot-page tier, before and after, at one fixed pool
     // size: plain sealed file under LRU vs heat-clustered file under the
-    // scan-resistant policy with the hottest pages pinned and scan prefetch
-    // on. Pages/query is the honest device-fetch count (prefetch included).
+    // scan-resistant policy with the hottest pages pinned. Pages/query is
+    // the honest device-fetch count (prefetch included); enumeration reads
+    // the in-RAM preorder index, so it is locate's.
     let dd = Dataset::generate("eco-sim", opts.scale.min(0.005));
     let pool = pool_pages(dd.seq.len(), SPINE_V2_REC);
     let scratch = DiskSpine::build(
@@ -1369,12 +1370,33 @@ fn verify(opts: &Opts) {
         for v in violations.iter().take(3) {
             eprintln!("  VIOLATION {name}: node {} — {}", v.node, v.what);
         }
-        // Cross-check a handful of windows against the suffix tree.
+        // Seal the same prefix and check its preorder index against the
+        // sealed link records it was built from.
+        let sealed = DiskSpine::build_sealed(
+            d.alphabet.clone(),
+            &d.seq,
+            Box::new(MemDevice::new()),
+            16,
+            Box::<Lru>::default(),
+        )
+        .unwrap();
+        let links: Vec<_> =
+            (0..=d.seq.len() as u32).map(|j| spine::SpineOps::link_of(&sealed, j)).collect();
+        let preorder = sealed.preorder().expect("a sealed index keeps its preorder index");
+        let preorder_violations = preorder.check(&links);
+        for v in preorder_violations.iter().take(3) {
+            eprintln!("  PREORDER VIOLATION {name}: {v}");
+        }
+        // Cross-check a handful of windows against the suffix tree, on the
+        // in-memory and the sealed index.
         let st = SuffixTree::build(d.alphabet.clone(), &d.seq).unwrap();
         let mut disagreements = 0u64;
         for i in (0..d.seq.len().saturating_sub(12)).step_by(97) {
             let w = &d.seq[i..i + 12];
-            if strindex::StringIndex::find_all(&s, w) != strindex::StringIndex::find_all(&st, w) {
+            let want = strindex::StringIndex::find_all(&st, w);
+            if strindex::StringIndex::find_all(&s, w) != want
+                || strindex::StringIndex::find_all(&sealed, w) != want
+            {
                 disagreements += 1;
             }
         }
@@ -1382,6 +1404,7 @@ fn verify(opts: &Opts) {
             Row::new(*name)
                 .cell("chars", d.seq.len() as f64)
                 .cell("violations", violations.len() as f64)
+                .cell("preorder-violations", preorder_violations.len() as f64)
                 .cell("st-disagreements", disagreements as f64),
         );
     }
@@ -1563,8 +1586,9 @@ fn bench_snapshot(opts: &Opts) {
     // hot-page tier at a fixed pool size. The pipeline mirrors production:
     // seal plain, learn the hot set from a profiling pass, re-seal with the
     // hot records clustered onto dedicated pages, pin the hottest pages, and
-    // answer the measured pass with scan prefetch under the scan-resistant
-    // policy — every engine at the same `pool` capacity.
+    // answer the measured pass under the scan-resistant policy — every
+    // engine at the same `pool` capacity. Enumeration walks the sealed
+    // index's in-RAM preorder index, so the pages counted are locate's.
     let dd = Dataset::generate("eco-sim", scale.min(0.005));
     let pool = pool_pages(dd.seq.len(), SPINE_V2_REC);
     let scratch = DiskSpine::build(

@@ -726,12 +726,7 @@ impl<T: StringIndex + Send + Sync> ServeIndex for ServeAdapter<T> {
     fn counters_snapshot(&self) -> CountersSnapshot {
         match self.probe {
             Some(f) => f(&self.index),
-            None => CountersSnapshot {
-                nodes_checked: 0,
-                edges_traversed: 0,
-                links_followed: 0,
-                extribs_scanned: 0,
-            },
+            None => CountersSnapshot::default(),
         }
     }
 }

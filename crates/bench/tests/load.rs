@@ -131,12 +131,7 @@ impl ServeIndex for StalledIndex {
     }
 
     fn counters_snapshot(&self) -> CountersSnapshot {
-        CountersSnapshot {
-            nodes_checked: 0,
-            edges_traversed: 0,
-            links_followed: 0,
-            extribs_scanned: 0,
-        }
+        CountersSnapshot::default()
     }
 }
 

@@ -345,8 +345,8 @@ impl crate::ops::SpineOps for Spine {
         self.packed.as_ref().map(|p| p.bits())
     }
 
-    fn link_tree(&self) -> Option<&[Node]> {
-        Some(&self.nodes)
+    fn link_tree(&self) -> Option<crate::ops::LinkTree<'_>> {
+        Some(crate::ops::LinkTree::Lists(&self.nodes))
     }
 
     #[inline]

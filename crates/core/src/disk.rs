@@ -25,6 +25,12 @@
 //!   When every label fits the alphabet's packing width
 //!   ([`strindex::Alphabet::pack_bits`]), backbone label runs are compared
 //!   a whole word at a time ([`FallibleSpineOps::try_label_run`]).
+//!   A sealed index also keeps its link tree in RAM as a preorder index
+//!   ([`crate::preorder`], 16 B per node, outside the store mutex), built
+//!   at seal from the links the encoder reads and at [`DiskSpine::reopen`]
+//!   with one sequential pass over the node pages. Occurrence enumeration
+//!   takes one slice of it and reads no page; only the mutable layout
+//!   runs the §4 backbone scan.
 //!
 //! Every sealed page carries a format-version header; readers check it on
 //! each access and surface [`strindex::Error::FormatVersion`] ("rebuild
@@ -39,7 +45,8 @@ use std::sync::{Arc, OnceLock};
 use crate::hot::HotSet;
 use crate::node::{NodeId, ROOT};
 use crate::observe::{BuildEvent, BuildObserver, BuildPhase, BuildStats, MemBreakdown};
-use crate::ops::{FallibleSpineOps, SpineOps};
+use crate::ops::{FallibleSpineOps, LinkTree, SpineOps};
+use crate::preorder::PreorderIndex;
 use pagestore::{
     slotted, slotted_record, BufferPool, CacheStats, CacheStatsSnapshot, EvictionPolicy, Lru,
     MemDevice, PageDevice, PageHeader, PagedVec, SlottedPageBuilder, PAGE_FORMAT_V2, PAGE_SIZE,
@@ -68,12 +75,6 @@ pub const DISK_FORMAT_VERSION: u16 = 2;
 
 /// Packed 64-bit label words per label page (after the page header).
 const WORDS_PER_PAGE: usize = (PAGE_SIZE - slotted::PAGE_HEADER_LEN) / 8;
-
-/// Sequential read-ahead depth while a backbone scan is active: on a
-/// demand miss the pool pulls this many following pages in the same trip
-/// ([`BufferPool::set_read_ahead`]). Sealed pools only — the occurrence
-/// scan of §4 strides node pages in order, so the next pages are known.
-const SCAN_READ_AHEAD: usize = 4;
 
 /// Byte offsets within a *mutable-layout* node record (little-endian):
 /// `cl:1 | link:4 | lel:4 | rib_count:1 | ribs: R×(cl 1, dest 4, pt 4) |
@@ -245,8 +246,8 @@ mod v2 {
         Ok(NodeRecord { link, ribs, extribs })
     }
 
-    /// The first two varints only — the backbone-scan hot path
-    /// ([`crate::occurrences`] touches nothing but links).
+    /// The first two varints only: a node's link (reopen's preorder pass,
+    /// traced enumeration).
     pub(super) fn decode_link(buf: &[u8]) -> Result<(u32, u32)> {
         let mut at = 0;
         Ok((narrow(take(buf, &mut at)?)?, narrow(take(buf, &mut at)?)?))
@@ -396,13 +397,6 @@ struct SealedStore {
 }
 
 impl SealedStore {
-    /// Base node page of `node`, ignoring hot-tier overrides (sequential
-    /// scans stride the base pages in order).
-    fn base_node_page(&self, node: u32) -> u32 {
-        let pi = self.first_nodes.partition_point(|&f| f <= node) - 1;
-        1 + self.label_pages + pi as u32
-    }
-
     /// `(page id, slot)` of `node`'s record, hot tier first.
     fn node_page(&self, node: u32) -> (u32, usize) {
         if let Some(&(page, slot)) = self.hot_index.get(&node) {
@@ -434,6 +428,37 @@ impl SealedStore {
                 (f.take().unwrap())(bytes)
             }
         }
+    }
+
+    /// `(link destination, LEL)` of every node, in one sequential pass over
+    /// the base node pages (one page fetch per page, hot tier ignored).
+    /// `nodes` is the node count the header promises; a page table that
+    /// disagrees is corrupt.
+    fn read_links(&mut self, nodes: usize) -> Result<Vec<(u32, u32)>> {
+        let mut links = Vec::with_capacity(nodes);
+        for pi in 0..self.node_pages {
+            let (pool, overflow) = (&mut self.pool, &self.overflow);
+            pool.read(1 + self.label_pages + pi, |b| -> Result<()> {
+                for slot in 0..PageHeader::checked(b, slotted::kind::NODES)?.count as usize {
+                    let node = links.len() as u32;
+                    let link = match slotted_record(b, slot)? {
+                        [] => v2::decode_link(overflow.get(&node).ok_or_else(|| {
+                            Error::Parse(format!("sealed node {node} marked overflow but absent"))
+                        })?)?,
+                        rec => v2::decode_link(rec)?,
+                    };
+                    links.push(link);
+                }
+                Ok(())
+            })??;
+        }
+        if links.len() != nodes {
+            return Err(Error::Parse(format!(
+                "sealed node pages hold {} records for {nodes} nodes",
+                links.len()
+            )));
+        }
+        Ok(links)
     }
 
     /// Packed label word `w` (words past the end read as zero, mirroring
@@ -544,6 +569,10 @@ pub struct DiskSpine {
     alphabet: Alphabet,
     layout: Layout,
     store: Mutex<Store>,
+    /// The sealed layout's link tree in preorder, held in RAM outside the
+    /// store lock: occurrence enumeration reads it without a page fetch.
+    /// `None` for the mutable layout, which keeps the §4 scan.
+    preorder: Option<PreorderIndex>,
     /// Extribs beyond the inline slots (mutable layout only; folded into
     /// the records at seal time).
     spill: Mutex<FxHashMap<u32, SpillEntry>>,
@@ -570,6 +599,7 @@ impl DiskSpine {
             alphabet,
             layout,
             store: Mutex::new(Store::Mutable(records)),
+            preorder: None,
             spill: Mutex::new(FxHashMap::default()),
             spill_count: AtomicU64::new(0),
             len: 0,
@@ -731,8 +761,10 @@ impl DiskSpine {
         let mut node_pages: u32 = 0;
         let mut builder = SlottedPageBuilder::new(0);
         let mut buf = Vec::new();
+        let mut links = Vec::with_capacity(self.len + 1);
         for node in 0..=self.len as u32 {
             let rec = self.full_record(node)?;
+            links.push(rec.link);
             buf.clear();
             let (link_b, ribs_b) = v2::encode(node, &rec, &mut buf);
             encoded.links += link_b as u64;
@@ -825,7 +857,7 @@ impl DiskSpine {
         })?;
         pool.sync()?;
 
-        pool.set_read_ahead(SCAN_READ_AHEAD);
+        let preorder = PreorderIndex::from_links(&links)?;
         Ok(DiskSpine {
             alphabet: self.alphabet.clone(),
             layout: Layout::new(&self.alphabet),
@@ -842,6 +874,7 @@ impl DiskSpine {
                 overflow,
                 encoded,
             })),
+            preorder: Some(preorder),
             spill: Mutex::new(FxHashMap::default()),
             spill_count: AtomicU64::new(0),
             len: self.len,
@@ -894,6 +927,18 @@ impl DiskSpine {
         matches!(&*self.store.lock(), Store::Sealed(_))
     }
 
+    /// The sealed layout's in-RAM preorder index of its link tree (`None`
+    /// for the mutable layout).
+    pub fn preorder(&self) -> Option<&PreorderIndex> {
+        self.preorder.as_ref()
+    }
+
+    /// Bytes held in RAM beside the buffer pool: the preorder index, 16
+    /// per node (0 for the mutable layout).
+    pub fn resident_bytes(&self) -> u64 {
+        self.preorder.as_ref().map_or(0, PreorderIndex::resident_bytes)
+    }
+
     /// Total pages of the sealed file (header + label + node + hot pages),
     /// or `None` for the mutable layout.
     pub fn file_pages(&self) -> Option<u64> {
@@ -935,8 +980,8 @@ impl DiskSpine {
     /// Pin `pages` into the buffer pool (fetching absent ones), in order,
     /// until the pool refuses (it always keeps at least one evictable
     /// frame). Returns how many of `pages` ended up pinned. Pinned pages
-    /// are never evicted — not even by a full-backbone occurrence scan —
-    /// until [`unpin_all`](Self::unpin_all).
+    /// are never evicted — not even by the mutable layout's full-backbone
+    /// occurrence scan — until [`unpin_all`](Self::unpin_all).
     pub fn pin_pages(&self, pages: &[u32]) -> Result<usize> {
         let mut guard = self.store.lock();
         let pool = match &mut *guard {
@@ -1556,6 +1601,10 @@ impl SpineOps for DiskSpine {
     fn label_run(&self, node: NodeId, pattern: &PackedText, from: usize) -> usize {
         self.try_label_run_inner(node, pattern, from).expect(INFALLIBLE_BOUNDARY)
     }
+
+    fn link_tree(&self) -> Option<LinkTree<'_>> {
+        self.preorder.as_ref().map(LinkTree::Preorder)
+    }
 }
 
 impl FallibleSpineOps for DiskSpine {
@@ -1599,27 +1648,22 @@ impl FallibleSpineOps for DiskSpine {
         self.try_label_run_inner(node, pattern, from)
     }
 
-    fn scan_begin(&self, from: NodeId) {
-        let mut guard = self.store.lock();
-        match &mut *guard {
-            Store::Sealed(s) => {
-                s.pool.begin_scan();
-                // Pull the first window of node pages ahead of the scan;
-                // read-ahead keeps the window rolling from there. Advisory:
-                // a prefetch failure just means the scan faults normally.
-                let first = s.base_node_page(from.min(self.len as u32));
-                let end = 1 + s.label_pages + s.node_pages;
-                let _ = s.pool.fetch_many((first..end).take(SCAN_READ_AHEAD));
-            }
-            Store::Mutable(v) => v.pool_mut().begin_scan(),
+    // Only the mutable layout scans (a sealed index walks its preorder
+    // index), so only its pool takes the scan hint.
+    fn scan_begin(&self, _from: NodeId) {
+        if let Store::Mutable(v) = &mut *self.store.lock() {
+            v.pool_mut().begin_scan();
         }
     }
 
     fn scan_end(&self) {
-        match &mut *self.store.lock() {
-            Store::Sealed(s) => s.pool.end_scan(),
-            Store::Mutable(v) => v.pool_mut().end_scan(),
+        if let Store::Mutable(v) = &mut *self.store.lock() {
+            v.pool_mut().end_scan();
         }
+    }
+
+    fn link_tree(&self) -> Option<LinkTree<'_>> {
+        self.preorder.as_ref().map(LinkTree::Preorder)
     }
 }
 
@@ -1869,24 +1913,26 @@ impl DiskSpine {
             Ok(())
         })??;
 
-        pool.set_read_ahead(SCAN_READ_AHEAD);
         let per_word = (64 / bits) as usize;
+        let mut sealed = SealedStore {
+            pool,
+            bits,
+            packed_compare,
+            label_pages,
+            node_pages,
+            hot_pages,
+            label_words: len.div_ceil(per_word),
+            first_nodes: Arc::new(first_nodes),
+            hot_index: Arc::new(hot_index),
+            overflow,
+            encoded,
+        };
+        let preorder = PreorderIndex::from_links(&sealed.read_links(len + 1)?)?;
         Ok(DiskSpine {
             layout: Layout::new(&alphabet),
             alphabet,
-            store: Mutex::new(Store::Sealed(SealedStore {
-                pool,
-                bits,
-                packed_compare,
-                label_pages,
-                node_pages,
-                hot_pages,
-                label_words: len.div_ceil(per_word),
-                first_nodes: Arc::new(first_nodes),
-                hot_index: Arc::new(hot_index),
-                overflow,
-                encoded,
-            })),
+            store: Mutex::new(Store::Sealed(sealed)),
+            preorder: Some(preorder),
             spill: Mutex::new(FxHashMap::default()),
             spill_count: AtomicU64::new(0),
             len,
@@ -2117,10 +2163,12 @@ mod tests {
 
     #[test]
     fn pinned_pages_survive_backbone_scans() {
+        // Only the mutable layout runs the §4 scan (`exp fig7` and
+        // `exp table7` measure it); a sealed index walks its preorder index.
         let text = b"AACCACAACAGGTTACGACGACCA".repeat(16);
         let a = Alphabet::dna();
         let codes = a.encode(&text).unwrap();
-        let sealed = DiskSpine::build_sealed(
+        let mutable = DiskSpine::build(
             a.clone(),
             &codes,
             Box::new(MemDevice::new()),
@@ -2128,36 +2176,17 @@ mod tests {
             Box::<Lru>::default(),
         )
         .unwrap();
-        let pinned = sealed.pin_hot_prefix(3).unwrap();
+        assert!(SpineOps::link_tree(&mutable).is_none(), "the mutable layout scans");
+        let pinned = mutable.pin_hot_prefix(3).unwrap();
         assert!(pinned > 0, "a prefix page must pin");
-        assert_eq!(sealed.pinned_pages(), pinned);
+        assert_eq!(mutable.pinned_pages(), pinned);
         // A full-backbone occurrence scan cannot flush the pinned set.
         let p = a.encode(b"CA").unwrap();
-        assert!(!sealed.try_find_all(&p).unwrap().is_empty());
-        assert_eq!(sealed.pinned_pages(), pinned);
-        assert_eq!(sealed.pool_stats().pinned, pinned as u64);
-        assert_eq!(sealed.unpin_all(), pinned);
-        assert_eq!(sealed.pinned_pages(), 0);
-    }
-
-    #[test]
-    fn occurrence_scan_prefetches_and_scores_hits() {
-        let text = b"ACGTACGGTACGTTTACGACGACCAACC".repeat(512);
-        let a = Alphabet::dna();
-        let codes = a.encode(&text).unwrap();
-        let sealed = DiskSpine::build_sealed(
-            a.clone(),
-            &codes,
-            Box::new(MemDevice::new()),
-            4,
-            Box::<Lru>::default(),
-        )
-        .unwrap();
-        let p = a.encode(b"ACGT").unwrap();
-        assert!(!sealed.try_find_all(&p).unwrap().is_empty());
-        let st = sealed.pool_stats();
-        assert!(st.prefetched > 0, "the backbone scan must prefetch ahead: {st:?}");
-        assert!(st.prefetch_hits > 0, "prefetched pages must be consumed: {st:?}");
+        assert!(!mutable.try_find_all(&p).unwrap().is_empty());
+        assert_eq!(mutable.pinned_pages(), pinned);
+        assert_eq!(mutable.pool_stats().pinned, pinned as u64);
+        assert_eq!(mutable.unpin_all(), pinned);
+        assert_eq!(mutable.pinned_pages(), 0);
     }
 
     #[test]

@@ -9,11 +9,11 @@
 //! * a **bounded admission queue** that coalesces submitted patterns — each
 //!   worker drains up to [`EngineConfig::batch_max`] requests per wakeup and
 //!   resolves them together ([`crate::occurrences::find_all_ends_batch`]).
-//!   In-memory structures with link-child lists answer each pattern with
-//!   its own output-sensitive link-tree walk; the page-resident and compact
-//!   structures share a *single* backbone scan across the batch, the
-//!   batching opportunity §4 of the paper identifies for multi-pattern
-//!   workloads. When the queue is at [`EngineConfig::queue_capacity`], the
+//!   Structures with a link tree — in-memory child lists, or a sealed
+//!   segment's in-RAM preorder index — answer each pattern with its own
+//!   output-sensitive walk; the compact and mutable page-resident layouts
+//!   share a *single* backbone scan across the batch, the batching
+//!   opportunity §4 of the paper identifies for multi-pattern workloads. When the queue is at [`EngineConfig::queue_capacity`], the
 //!   [`ShedPolicy`] decides whether a new submission blocks for space or is
 //!   shed with [`SubmitError::Overloaded`];
 //! * **per-request deadlines** ([`QueryEngine::submit_with_deadline`]):
@@ -38,7 +38,7 @@
 //!
 //! Any [`ServeIndex`] works. Every [`FallibleSpineOps`] engine is one for
 //! free (a blanket impl locates the batch, then enumerates it: link-tree
-//! walks where the structure keeps child lists, one shared backbone scan
+//! walks where the structure keeps a link tree, one shared backbone scan
 //! otherwise): the reference [`crate::Spine`], the §5
 //! [`crate::CompactSpine`], a [`GeneralizedSpine`] over many documents, or
 //! a page-resident [`crate::DiskSpine`] — whose storage faults degrade the
@@ -331,8 +331,9 @@ impl WorkerStats {
 /// Every [`FallibleSpineOps`] engine gets this for free via a blanket impl
 /// that enumerates the whole batch at once
 /// ([`crate::occurrences::try_find_all_ends_batch`]: a link-tree walk per
-/// pattern where the structure keeps child lists, one shared backbone scan
-/// for page-resident and compact structures) and answers in
+/// pattern where the structure keeps a link tree — the in-memory indexes
+/// and sealed segments — and one shared backbone scan for the compact and
+/// mutable page-resident layouts) and answers in
 /// concatenation coordinates ([`QueryOutcome::Done`]). Composite stores
 /// (the segmented LSM index) implement it directly and answer per document
 /// ([`QueryOutcome::DoneDocs`]). Either way the engine's queueing,

@@ -228,7 +228,7 @@ impl SpineOps for GeneralizedSpine {
         self.spine.label_run(node, pattern, from)
     }
 
-    fn link_tree(&self) -> Option<&[crate::node::Node]> {
+    fn link_tree(&self) -> Option<crate::ops::LinkTree<'_>> {
         self.spine.link_tree()
     }
 }

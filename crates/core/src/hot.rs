@@ -10,8 +10,9 @@
 //!   striding the whole node table.
 //! * [`crate::DiskSpine::pin_hot`] / [`crate::DiskSpine::pin_hot_prefix`]
 //!   pin the pages holding the hot set into the buffer pool at open time,
-//!   so occurrence scans (under a scan-resistant policy) can never flush
-//!   them.
+//!   so the valid-path walks of every query find them resident, and the
+//!   mutable layout's occurrence scans (under a scan-resistant policy)
+//!   can never flush them.
 //!
 //! Without traces there is still a principled default: the paper's Figure 8
 //! shows link destinations concentrating on the *upstream* part of the

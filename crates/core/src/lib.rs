@@ -52,7 +52,7 @@
 //! Modules: [`build`] (online construction), [`search`] (valid-path
 //! traversal), [`engine`] (concurrent batched query serving),
 //! [`occurrences`] (all-occurrence enumeration: link-tree walk or backbone
-//! scan), [`matching`] (matching statistics & maximal matches), [`compact`] (the
+//! scan), [`preorder`] (the sealed link tree's preorder index), [`matching`] (matching statistics & maximal matches), [`compact`] (the
 //! §5 Link-Table/Rib-Table layout, < 12 bytes per character), [`disk`]
 //! (page-resident engine), [`generalized`] (multi-string indexes),
 //! [`segments`] (crash-safe LSM of immutable sealed segments with atomic
@@ -76,6 +76,7 @@ pub mod observe;
 pub mod occurrences;
 pub mod ops;
 pub mod prefix;
+pub mod preorder;
 pub mod repeats;
 pub mod search;
 pub mod segments;
@@ -100,8 +101,9 @@ pub use observe::{
     BuildEvent, BuildObserver, BuildPhase, BuildProgress, BuildStats, MemBreakdown, MergeObserver,
     MergePhase, MergeTee, MergeTimes, NoBuildObserver, NoMergeObserver, ProgressReport, Tee,
 };
-pub use ops::{FallibleSpineOps, Infallible, SpineOps};
+pub use ops::{FallibleSpineOps, Infallible, LinkTree, SpineOps};
 pub use prefix::{PrefixView, SpinePrefix};
+pub use preorder::PreorderIndex;
 pub use search::{locate, step, try_locate, try_step};
 pub use segments::{
     spawn_merger, IoGate, MergeHandle, SegmentConfig, SegmentedSpine, SegmentsSnapshot,

@@ -7,25 +7,29 @@
 //! equal. Two enumerations use it, and return the same ends:
 //!
 //! * **The link-tree walk** (structures whose
-//!   [`link_tree`](crate::ops::SpineOps::link_tree) returns the nodes: the
-//!   reference [`crate::Spine`] and [`crate::GeneralizedSpine`]). Links
+//!   [`link_tree`](crate::ops::SpineOps::link_tree) returns a tree). Links
 //!   form a tree, and every link child of a non-root node carries a larger
 //!   LEL than that node's own link. So the ends of `w` are `fo(w)` plus the
 //!   whole subtrees under those link children of `fo(w)` whose LEL is at
-//!   least `|w|`: O(occ + σ·|w|) work, then a sort (DESIGN.md §16).
+//!   least `|w|`: O(occ + σ·|w|) work, then a sort (DESIGN.md §16). The
+//!   in-memory [`crate::Spine`] and [`crate::GeneralizedSpine`] walk their
+//!   child lists; a sealed [`crate::DiskSpine`] takes one slice of its
+//!   in-RAM preorder index ([`crate::preorder`]) and reads no page.
 //! * **The paper's backbone scan** (everything else: the §5 compact
-//!   layout, sealed page-resident segments, prefix views). Node `j > fo(w)`
-//!   ends an occurrence iff `lel(j) ≥ |w|` and `link(j)` points at an
-//!   already-discovered end (binary search in the paper's *target node
-//!   buffer*): O(n − fo(w)) link reads. The batched entry point
+//!   layout, the mutable page-resident layout, prefix views). Node
+//!   `j > fo(w)` ends an occurrence iff `lel(j) ≥ |w|` and `link(j)` points
+//!   at an already-discovered end (binary search in the paper's *target
+//!   node buffer*): O(n − fo(w)) link reads. The batched entry point
 //!   ([`find_all_ends_batch`]) resolves any number of patterns in one pass,
 //!   the deferral the paper describes for the maximal-match workload.
 //!
 //! Every entry point picks per structure, so callers never choose. The
-//! scan stays the tests' reference for the walk.
+//! scan stays the tests' reference for both walks. Either way the nodes
+//! visited are counted ([`strindex::Counters::nodes_enumerated`]); a walk
+//! visits exactly `(occ − 1)` ends plus the rejected children of `fo(w)`.
 
 use crate::node::{Node, NodeId, NO_CHILD};
-use crate::ops::{FallibleSpineOps, Infallible, SpineOps};
+use crate::ops::{FallibleSpineOps, Infallible, LinkTree, SpineOps};
 use crate::search::try_locate_traced;
 use crate::trace::{NoTrace, TraceEvent, TraceSink};
 use strindex::{Code, FxHashMap, Result};
@@ -36,7 +40,7 @@ pub fn find_all_ends<S: SpineOps + ?Sized>(s: &S, pattern: &[Code]) -> Vec<NodeI
 }
 
 /// Fallible [`find_all_ends`]: a storage failure during the valid-path walk
-/// or the backbone scan surfaces as `Err` instead of a panic.
+/// or the enumeration surfaces as `Err` instead of a panic.
 pub fn try_find_all_ends<S: FallibleSpineOps + ?Sized>(
     s: &S,
     pattern: &[Code],
@@ -76,8 +80,9 @@ pub fn try_occurrences_from<S: FallibleSpineOps + ?Sized>(
 /// [`try_occurrences_from`] with a [`TraceSink`] attached: emits one
 /// [`TraceEvent::ScanStart`], then one [`TraceEvent::Occurrence`] per
 /// further end in ascending order, and (for page-resident structures) a
-/// single [`TraceEvent::PageFetches`] aggregating the scan's buffer-pool
-/// traffic. The link-tree walk and the scan emit the same events.
+/// single [`TraceEvent::PageFetches`] aggregating the enumeration's
+/// buffer-pool traffic. The walks and the scan emit the same events; a
+/// walk reads each end's link record only to trace it.
 pub fn try_occurrences_from_traced<S: FallibleSpineOps + ?Sized, T: TraceSink + ?Sized>(
     s: &S,
     sink: &mut T,
@@ -88,37 +93,58 @@ pub fn try_occurrences_from_traced<S: FallibleSpineOps + ?Sized, T: TraceSink + 
     if T::ENABLED {
         sink.event(TraceEvent::ScanStart { from: first + 1, to: n, len });
     }
-    if let Some(nodes) = s.link_tree() {
-        let ends = walk_link_tree(nodes, first, len);
-        if T::ENABLED {
-            for &j in &ends[1..] {
-                let node = &nodes[j as usize];
-                sink.event(TraceEvent::Occurrence { node: j, link: node.link, lel: node.lel });
-            }
-        }
-        return Ok(ends);
-    }
     let before = if T::ENABLED { s.storage_counters() } else { None };
-    let _scan = ScanGuard::enter(s, first + 1);
-    let mut buffer: Vec<NodeId> = vec![first];
-    for j in first + 1..=n {
-        let (dest, lel) = s.try_link_of(j)?;
-        if lel >= len && buffer.binary_search(&dest).is_ok() {
+    let ends = match s.link_tree() {
+        Some(tree) => {
+            let ends = walk(s, tree, first, len);
             if T::ENABLED {
-                sink.event(TraceEvent::Occurrence { node: j, link: dest, lel });
+                for &j in &ends[1..] {
+                    let (link, lel) = s.try_link_of(j)?;
+                    sink.event(TraceEvent::Occurrence { node: j, link, lel });
+                }
             }
-            buffer.push(j); // scan order keeps the buffer sorted
+            ends
         }
-    }
+        None => {
+            let _scan = ScanGuard::enter(s, first + 1);
+            let mut buffer: Vec<NodeId> = vec![first];
+            for j in first + 1..=n {
+                let (dest, lel) = s.try_link_of(j)?;
+                if lel >= len && buffer.binary_search(&dest).is_ok() {
+                    if T::ENABLED {
+                        sink.event(TraceEvent::Occurrence { node: j, link: dest, lel });
+                    }
+                    buffer.push(j); // scan order keeps the buffer sorted
+                }
+            }
+            s.ops_counters().count_nodes_enumerated((n - first) as u64);
+            buffer
+        }
+    };
     if let Some(e) = crate::trace::page_delta_event(s, before) {
         sink.event(e);
     }
-    Ok(buffer)
+    Ok(ends)
 }
 
 /// The ends of the length-`len` string whose first occurrence ends at
-/// `first`, ascending, by walking the link tree: `first` itself, then the
-/// whole subtree under every link child of `first` with LEL ≥ `len`.
+/// `first`, ascending, from `s`'s link tree; counts the nodes visited.
+fn walk<S: FallibleSpineOps + ?Sized>(
+    s: &S,
+    tree: LinkTree<'_>,
+    first: NodeId,
+    len: u32,
+) -> Vec<NodeId> {
+    let (ends, visits) = match tree {
+        LinkTree::Lists(nodes) => walk_lists(nodes, first, len),
+        LinkTree::Preorder(index) => index.occurrences(first, len),
+    };
+    s.ops_counters().count_nodes_enumerated(visits);
+    ends
+}
+
+/// [`walk`] over child lists: `first` itself, then the whole subtree under
+/// every link child of `first` with LEL ≥ `len`, and the nodes visited.
 ///
 /// Below an accepted child no LEL needs checking: a link child of a
 /// non-root node always carries a larger LEL than the node's own link
@@ -127,14 +153,16 @@ pub fn try_occurrences_from_traced<S: FallibleSpineOps + ?Sized, T: TraceSink + 
 /// (σ−1)·`len` children of `first`: a rejected child's LEL is below
 /// `len`, and each LEL value admits at most σ−1 children, one per
 /// character preceding that suffix.
-fn walk_link_tree(nodes: &[Node], first: NodeId, len: u32) -> Vec<NodeId> {
+fn walk_lists(nodes: &[Node], first: NodeId, len: u32) -> (Vec<NodeId>, u64) {
     let mut ends = vec![first];
+    let mut visits = 0u64;
     let mut c = nodes[first as usize].first_child;
     while c != NO_CHILD {
         let child = &nodes[c as usize];
         if child.lel >= len {
             ends.push(c);
         }
+        visits += 1;
         c = child.next_sibling;
     }
     // Breadth-first below the accepted children, with `ends` as the queue.
@@ -146,12 +174,13 @@ fn walk_link_tree(nodes: &[Node], first: NodeId, len: u32) -> Vec<NodeId> {
             let child = &nodes[c as usize];
             debug_assert!(child.lel > parent.lel, "link-tree LELs rise below a non-root node");
             ends.push(c);
+            visits += 1;
             c = child.next_sibling;
         }
         i += 1;
     }
     ends.sort_unstable();
-    ends
+    (ends, visits)
 }
 
 /// Pairs [`FallibleSpineOps::scan_begin`] with a guaranteed
@@ -181,8 +210,8 @@ pub struct Target {
     pub len: u32,
 }
 
-/// Resolve many targets: one link-tree walk each on structures that keep
-/// child lists, otherwise a single shared backbone scan.
+/// Resolve many targets: one link-tree walk each on structures with a
+/// link tree, otherwise a single shared backbone scan.
 ///
 /// Returns, for each target (keyed by value, deduplicated), the ascending
 /// list of occurrence-end nodes. The shared scan is O(n + total
@@ -202,9 +231,9 @@ pub fn try_find_all_ends_batch<S: FallibleSpineOps + ?Sized>(
     targets: &[Target],
 ) -> Result<FxHashMap<Target, Vec<NodeId>>> {
     let mut result: FxHashMap<Target, Vec<NodeId>> = FxHashMap::default();
-    if let Some(nodes) = s.link_tree() {
+    if let Some(tree) = s.link_tree() {
         for &t in targets {
-            result.entry(t).or_insert_with(|| walk_link_tree(nodes, t.first_end, t.len));
+            result.entry(t).or_insert_with(|| walk(s, tree, t.first_end, t.len));
         }
         return Ok(result);
     }
@@ -244,6 +273,7 @@ pub fn try_find_all_ends_batch<S: FallibleSpineOps + ?Sized>(
         }
         buffered.entry(j).or_default().extend(added);
     }
+    s.ops_counters().count_nodes_enumerated((n + 1 - start) as u64);
     Ok(result)
 }
 

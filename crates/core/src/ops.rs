@@ -17,13 +17,28 @@
 //! fallible surface, and the infallible entry points delegate through the
 //! [`Infallible`] adapter.
 //!
-//! Both surfaces share one optional accessor, `link_tree`: structures that
-//! keep their nodes in memory with link-child lists (the reference
-//! [`crate::Spine`] and [`crate::GeneralizedSpine`]) return them, and
-//! occurrence enumeration walks the link tree instead of scanning.
+//! Both surfaces share one optional accessor, `link_tree`, and occurrence
+//! enumeration walks whatever it returns instead of scanning the backbone
+//! ([`LinkTree`]): the child lists of the in-memory [`crate::Spine`] and
+//! [`crate::GeneralizedSpine`], or the preorder index every sealed
+//! [`crate::DiskSpine`] keeps in RAM.
 
 use crate::node::{Node, NodeId};
+use crate::preorder::PreorderIndex;
 use strindex::{Code, Counters, PackedText, Result};
+
+/// A link tree occurrence enumeration can walk ([`SpineOps::link_tree`]).
+/// The structure's type picks the walk: online APPEND needs O(1) child-list
+/// pushes, and a sealed segment is frozen, so it can afford a preorder
+/// layout whose answer is one contiguous slice (DESIGN.md §16).
+#[derive(Debug, Clone, Copy)]
+pub enum LinkTree<'a> {
+    /// All nodes, root first, with their link-child lists
+    /// ([`Node::first_child`], [`Node::next_sibling`]).
+    Lists(&'a [Node]),
+    /// A sealed segment's preorder index.
+    Preorder(&'a PreorderIndex),
+}
 
 /// Read access to a SPINE structure. Node ids are `0..=text_len()`, with 0
 /// the root.
@@ -75,12 +90,11 @@ pub trait SpineOps {
         k
     }
 
-    /// All nodes, root first, when this structure keeps them in memory
-    /// with their link-child lists ([`Node::first_child`],
-    /// [`Node::next_sibling`]). Occurrence enumeration then walks the link
-    /// tree in O(occ + σ·|w|) ([`crate::occurrences`]); `None`, the
-    /// default, means "no child lists" and keeps the §4 backbone scan.
-    fn link_tree(&self) -> Option<&[Node]> {
+    /// The link tree, when this structure keeps one in memory: child
+    /// lists or a preorder index. Occurrence enumeration then walks it in
+    /// O(occ + σ·|w|) ([`crate::occurrences`]); `None`, the default, keeps
+    /// the §4 backbone scan.
+    fn link_tree(&self) -> Option<LinkTree<'_>> {
         None
     }
 }
@@ -143,10 +157,10 @@ pub trait FallibleSpineOps {
     }
 
     /// The traversal is about to scan the backbone sequentially from node
-    /// `from` to the tail (the occurrence scan of §4). Page-resident
-    /// representations switch their buffer pool into scan mode here —
-    /// scan-resistant eviction plus sequential read-ahead — and prefetch
-    /// the first link pages of the range; in-memory structures ignore it.
+    /// `from` to the tail (the occurrence scan of §4). The mutable
+    /// page-resident layout switches its buffer pool into scan mode here
+    /// (scan-resistant eviction); in-memory structures ignore it, and
+    /// structures with a [`link_tree`](Self::link_tree) never scan.
     /// Purely advisory: never fails, never changes answers.
     fn scan_begin(&self, _from: NodeId) {}
 
@@ -154,9 +168,9 @@ pub trait FallibleSpineOps {
     /// ended (including by error — callers pair the two with a guard).
     fn scan_end(&self) {}
 
-    /// [`SpineOps::link_tree`] counterpart: in-memory nodes with link-child
-    /// lists, or `None` (the default) to enumerate with the §4 scan.
-    fn link_tree(&self) -> Option<&[Node]> {
+    /// [`SpineOps::link_tree`] counterpart: an in-memory link tree, or
+    /// `None` (the default) to enumerate with the §4 scan.
+    fn link_tree(&self) -> Option<LinkTree<'_>> {
         None
     }
 }
@@ -208,7 +222,7 @@ impl<S: SpineOps + ?Sized> FallibleSpineOps for Infallible<'_, S> {
     }
 
     #[inline]
-    fn link_tree(&self) -> Option<&[Node]> {
+    fn link_tree(&self) -> Option<LinkTree<'_>> {
         self.0.link_tree()
     }
 }
@@ -264,7 +278,7 @@ macro_rules! fallible_from_spine_ops {
             }
 
             #[inline]
-            fn link_tree(&self) -> Option<&[Node]> {
+            fn link_tree(&self) -> Option<LinkTree<'_>> {
                 SpineOps::link_tree(self)
             }
         }

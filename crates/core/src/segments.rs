@@ -13,6 +13,9 @@
 //!   become one immutable layout-v2 segment file (the
 //!   [`DiskSpine::build_sealed`] pipeline) plus a reopenable sidecar, and
 //!   a new [`Manifest`] naming the enlarged segment set is committed.
+//!   Each live segment keeps its link tree in RAM as a preorder index
+//!   (built at seal, rebuilt at reopen; [`crate::preorder`]), so its
+//!   queries enumerate without reading a page.
 //! * **Retires** of sealed documents become manifest *tombstones*;
 //!   retires of memtable documents just flip a volatile flag (the
 //!   document they hide is volatile too, so crash loses both together —
@@ -30,7 +33,8 @@
 //! are complete and synced. A crash at any point leaves either the old
 //! manifest or the new one, never a torn state; files written for a commit
 //! that never happened are *orphans* — recovery detects and reports them
-//! ([`SegmentedSpine::orphan_count`]) but never reads them.
+//! ([`SegmentedSpine::orphan_count`]) but never reads them, and numbers
+//! new segments above every orphan's id so no later seal reuses one.
 //!
 //! ## Snapshots
 //!
@@ -194,11 +198,11 @@ pub struct SegmentConfig {
     /// production.
     pub gate: Option<IoGate>,
     /// Buffer-pool frames to pin per sealed segment at open time, covering
-    /// the upstream backbone-prefix pages (the paper's Figure 8 skew:
-    /// links concentrate there, so the occurrence scan of every query
-    /// re-reads them). Pinned pages survive full-backbone scans; 0
-    /// disables pinning. Must stay below `pool_pages` — the pool refuses
-    /// to pin its last evictable frame regardless.
+    /// the upstream backbone-prefix pages (the paper's Figure 8 skew: every
+    /// valid path leaves the root, so locate re-reads them on every query;
+    /// enumeration reads no page). 0 disables pinning. Must stay below
+    /// `pool_pages` — the pool refuses to pin its last evictable frame
+    /// regardless.
     pub hot_pin_pages: usize,
 }
 
@@ -362,6 +366,7 @@ struct SegStats {
     merges: AtomicU64,
     merge_failures: AtomicU64,
     hot_pinned: AtomicU64,
+    resident_bytes: AtomicU64,
 }
 
 /// A consistent read view: one manifest epoch's segment list and
@@ -446,6 +451,15 @@ impl SegmentedSpine {
             segments.push(Arc::new(open_segment(&dir, e, &cfg)?));
         }
         let orphans = scan_orphans(&dir, &m)?;
+        // A crash between writing `seg-N.*` and the manifest rename leaves
+        // orphans under the id the next seal would take. Number above them:
+        // reusing an orphan's id would overwrite the evidence, and
+        // `cleanup_orphans` would then delete a committed segment.
+        let next_segment = orphans
+            .iter()
+            .filter_map(|p| segment_file_id(p))
+            .map(|id| id + 1)
+            .fold(m.next_segment, u64::max);
         let sealed_live: u64 = m
             .segments
             .iter()
@@ -468,7 +482,7 @@ impl SegmentedSpine {
                 tombstones: Arc::new(m.tombstones.iter().copied().collect()),
                 epoch: m.epoch,
                 next_doc: m.next_doc,
-                next_segment: m.next_segment,
+                next_segment,
                 orphans,
             }),
             alphabet,
@@ -1020,7 +1034,8 @@ impl SegmentedSpine {
 
     /// Register the store's gauges (`segments.count`,
     /// `segments.merge_backlog`, `segments.tombstones`, ...) on `registry`
-    /// for the `/metrics` exporters.
+    /// for the `/metrics` exporters. `segments.resident_bytes` sums the
+    /// in-RAM preorder indexes of the live segments (16 B per node).
     pub fn attach_telemetry(&self, registry: &MetricsRegistry) {
         let g = |s: &Arc<SegStats>, f: fn(&SegStats) -> &AtomicU64| {
             let s = s.clone();
@@ -1038,6 +1053,7 @@ impl SegmentedSpine {
         registry.gauge("segments.merges", g(&self.stats, |s| &s.merges));
         registry.gauge("segments.merge_failures", g(&self.stats, |s| &s.merge_failures));
         registry.gauge("segments.hot_pinned", g(&self.stats, |s| &s.hot_pinned));
+        registry.gauge("segments.resident_bytes", g(&self.stats, |s| &s.resident_bytes));
         // Merges were previously count-only; the histogram makes a slow
         // merge visible (recorded as total wall nanos across phases).
         *self.merge_hist.lock() = Some(registry.histogram("segments.merge_duration"));
@@ -1066,6 +1082,8 @@ impl SegmentedSpine {
         s.merge_backlog.store(backlog as u64, Ordering::Relaxed);
         let pinned: usize = inner.segments.iter().map(|sg| sg.index.pinned_pages()).sum();
         s.hot_pinned.store(pinned as u64, Ordering::Relaxed);
+        let resident: u64 = inner.segments.iter().map(|sg| sg.index.resident_bytes()).sum();
+        s.resident_bytes.store(resident, Ordering::Relaxed);
     }
 
     fn snapshot(&self) -> Snapshot {
@@ -1084,8 +1102,8 @@ impl SegmentedSpine {
 
 /// Queries resolve against a snapshot, component by component: the
 /// memtable and each segment run the shared single-backbone batch path
-/// (locate once, then link-tree walks in the memtable and one backbone
-/// scan per sealed segment), then concatenation
+/// (locate once, then a link-tree walk per pattern: the memtable's child
+/// lists, each sealed segment's in-RAM preorder index), then concatenation
 /// ends are localized to `(doc, offset)`, filtered through the snapshot's
 /// tombstones and retired flags, and merged. Failures are per-pattern: a
 /// storage fault in one segment fails the patterns it was resolving, not
@@ -1297,6 +1315,12 @@ fn open_segment(dir: &Path, e: &SegmentEntry, cfg: &SegmentConfig) -> Result<Seg
         starts: e.starts(),
         index,
     })
+}
+
+/// The id in a `seg-{id}.pages` or `seg-{id}.meta` file name.
+fn segment_file_id(path: &Path) -> Option<u64> {
+    let name = path.file_name()?.to_str()?.strip_prefix("seg-")?;
+    name.strip_suffix(".pages").or_else(|| name.strip_suffix(".meta"))?.parse().ok()
 }
 
 /// Directory entries a committed manifest does not account for: segment

@@ -4,7 +4,8 @@
 //! The paper's whole design lives in three traversal decisions — does the
 //! vertebra match, does the rib's pathlength threshold admit the path, which
 //! extrib element (if any) rescues a rejected rib — plus the link-driven
-//! backbone scan that turns one located occurrence into all of them. This
+//! enumeration (a link-tree walk, or the §4 backbone scan) that turns one
+//! located occurrence into all of them. This
 //! module makes those decisions observable per query, Postgres
 //! `EXPLAIN ANALYZE`-style:
 //!

@@ -2,9 +2,8 @@
 //!
 //! Beyond the classic fetch/evict cycle the pool supports the hot-page
 //! tier (DESIGN §13): **pinning** (a pinned frame is never chosen as an
-//! eviction victim), **prefetch** ([`BufferPool::fetch_many`] plus
-//! sequential read-ahead inside scan phases) with hit/waste accounting,
-//! and **scan hints** ([`BufferPool::begin_scan`]) forwarded to
+//! eviction victim), **prefetch** ([`BufferPool::fetch_many`]) with
+//! hit/waste accounting, and **scan hints** ([`BufferPool::begin_scan`]) forwarded to
 //! scan-resistant eviction policies. Frames are tracked floppy-style with
 //! an explicit free list (frames released by [`BufferPool::release`]) and
 //! a flush list (frames that went dirty since the last flush), so neither
@@ -149,9 +148,6 @@ pub struct BufferPool {
     flush_list: Vec<usize>,
     /// Nesting depth of scan phases; policies see only the 0↔1 edges.
     scan_depth: u32,
-    /// Pages of sequential read-ahead issued on a demand miss inside a
-    /// scan phase (0 = off).
-    read_ahead: usize,
     stats: Arc<CacheStats>,
 }
 
@@ -174,7 +170,6 @@ impl BufferPool {
             free: Vec::new(),
             flush_list: Vec::new(),
             scan_depth: 0,
-            read_ahead: 0,
             stats: Arc::new(CacheStats::default()),
         }
     }
@@ -237,16 +232,9 @@ impl BufferPool {
         self.policy.name()
     }
 
-    /// Enable `pages` of sequential read-ahead on demand misses inside a
-    /// scan phase (0 disables). Read-ahead loads are advisory: their I/O
-    /// errors are swallowed, their fetches still count as misses.
-    pub fn set_read_ahead(&mut self, pages: usize) {
-        self.read_ahead = pages;
-    }
-
     /// Enter a sequential-scan phase: forwards a scan hint to the eviction
-    /// policy (so scan-resistant policies stop promoting) and arms
-    /// read-ahead. Nests; pair every call with [`BufferPool::end_scan`].
+    /// policy (so scan-resistant policies stop promoting). Nests; pair
+    /// every call with [`BufferPool::end_scan`].
     pub fn begin_scan(&mut self) {
         self.scan_depth += 1;
         if self.scan_depth == 1 {
@@ -439,29 +427,7 @@ impl BufferPool {
 
     /// Ensure `page` is resident; return its frame index.
     fn fetch(&mut self, page: u32) -> Result<usize> {
-        let before = self.stats.misses();
-        let frame =
-            self.fetch_inner(page, false)?.expect("demand fetch_inner returns a frame or errors");
-        // Demand miss inside a scan: pull the next pages of the device in
-        // behind it. Advisory — I/O errors here are swallowed (the demand
-        // page is already resident), but the fetches still count. The demand
-        // frame is transiently pinned so the read-ahead loads cannot evict
-        // the very frame we are about to return.
-        if self.scan_depth > 0 && self.read_ahead > 0 && self.stats.misses() > before {
-            self.frames[frame].pins += 1;
-            let limit = self.device.page_count();
-            for ahead in 1..=self.read_ahead as u32 {
-                let next = page.saturating_add(ahead);
-                if next >= limit {
-                    break;
-                }
-                if self.fetch_inner(next, true).unwrap_or(None).is_none() {
-                    break;
-                }
-            }
-            self.frames[frame].pins -= 1;
-        }
-        Ok(frame)
+        Ok(self.fetch_inner(page, false)?.expect("demand fetch_inner returns a frame or errors"))
     }
 
     /// Read access to `page`.
@@ -681,26 +647,6 @@ mod tests {
         p.read(12, |_| ()).unwrap();
         p.read(13, |_| ()).unwrap();
         assert_eq!(p.stats_handle().prefetch_waste(), 1);
-    }
-
-    #[test]
-    fn scan_read_ahead_turns_sequential_misses_into_hits() {
-        let mut dev = MemDevice::new();
-        for page in 0..16u32 {
-            dev.write_page(page, &[page as u8; PAGE_SIZE]).unwrap();
-        }
-        let mut p = BufferPool::new(Box::new(dev), 8, Box::<SegmentedLru>::default());
-        p.set_read_ahead(4);
-        p.begin_scan();
-        for page in 0..16u32 {
-            assert_eq!(p.read(page, |b| b[0]).unwrap(), page as u8);
-        }
-        p.end_scan();
-        let s = p.stats_handle().snapshot();
-        // Only every 5th page demand-misses; the rest ride the read-ahead.
-        assert!(s.hits >= 12, "hits {}", s.hits);
-        assert!(s.prefetch_hits >= 12, "prefetch hits {}", s.prefetch_hits);
-        assert_eq!(s.misses, 16, "every device fetch is still a miss: {}", s.misses);
     }
 
     #[test]

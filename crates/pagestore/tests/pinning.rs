@@ -67,7 +67,6 @@ proptest! {
         policy_kind in 0usize..4,
         pin_a in 0..PAGES,
         pin_b in 0..PAGES,
-        read_ahead in 0usize..4,
         raw_ops in prop::collection::vec((0usize..5, 0u32..PAGES, 1u8..6), 1..120),
     ) {
         let ops: Vec<Op> = raw_ops.into_iter().map(|(k, p, n)| decode(k, p, n)).collect();
@@ -75,7 +74,6 @@ proptest! {
         // Capacity 4 with up to 2 pins: tight enough that unpinned traffic
         // constantly evicts, roomy enough that the pin budget admits both.
         let mut pool = pinned_pool(4, policy_for(policy_kind), &pins);
-        pool.set_read_ahead(read_ahead);
         for op in &ops {
             match *op {
                 Op::Read(p) => { pool.read(p, |b| b[0]).unwrap(); }

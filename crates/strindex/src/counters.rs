@@ -19,6 +19,7 @@ pub struct Counters {
     edges_traversed: AtomicU64,
     links_followed: AtomicU64,
     extribs_scanned: AtomicU64,
+    nodes_enumerated: AtomicU64,
 }
 
 impl Counters {
@@ -67,6 +68,13 @@ impl Counters {
         self.extribs_scanned.fetch_add(1, Relaxed);
     }
 
+    /// Record `n` nodes visited by occurrence enumeration: link-tree nodes
+    /// for a walk, backbone nodes for the §4 scan.
+    #[inline]
+    pub fn count_nodes_enumerated(&self, n: u64) {
+        self.nodes_enumerated.fetch_add(n, Relaxed);
+    }
+
     /// Number of nodes examined so far.
     pub fn nodes_checked(&self) -> u64 {
         self.nodes_checked.load(Relaxed)
@@ -87,15 +95,21 @@ impl Counters {
         self.extribs_scanned.load(Relaxed)
     }
 
+    /// Number of nodes occurrence enumeration visited so far.
+    pub fn nodes_enumerated(&self) -> u64 {
+        self.nodes_enumerated.load(Relaxed)
+    }
+
     /// Reset every counter to zero.
     pub fn reset(&self) {
         self.nodes_checked.store(0, Relaxed);
         self.edges_traversed.store(0, Relaxed);
         self.links_followed.store(0, Relaxed);
         self.extribs_scanned.store(0, Relaxed);
+        self.nodes_enumerated.store(0, Relaxed);
     }
 
-    /// A point-in-time copy of all four counters.
+    /// A point-in-time copy of all five counters.
     ///
     /// Snapshots are plain values: they can be diffed to attribute work to a
     /// window (`after - before`) and summed to aggregate work across several
@@ -106,6 +120,7 @@ impl Counters {
             edges_traversed: self.edges_traversed(),
             links_followed: self.links_followed(),
             extribs_scanned: self.extribs_scanned(),
+            nodes_enumerated: self.nodes_enumerated(),
         }
     }
 }
@@ -121,6 +136,8 @@ pub struct CountersSnapshot {
     pub links_followed: u64,
     /// Extrib-chain elements examined.
     pub extribs_scanned: u64,
+    /// Nodes visited by occurrence enumeration.
+    pub nodes_enumerated: u64,
 }
 
 impl CountersSnapshot {
@@ -132,12 +149,17 @@ impl CountersSnapshot {
             edges_traversed: self.edges_traversed.saturating_sub(earlier.edges_traversed),
             links_followed: self.links_followed.saturating_sub(earlier.links_followed),
             extribs_scanned: self.extribs_scanned.saturating_sub(earlier.extribs_scanned),
+            nodes_enumerated: self.nodes_enumerated.saturating_sub(earlier.nodes_enumerated),
         }
     }
 
-    /// Total of all four counters — a scalar "work units" figure.
+    /// Total of all five counters — a scalar "work units" figure.
     pub fn total(&self) -> u64 {
-        self.nodes_checked + self.edges_traversed + self.links_followed + self.extribs_scanned
+        self.nodes_checked
+            + self.edges_traversed
+            + self.links_followed
+            + self.extribs_scanned
+            + self.nodes_enumerated
     }
 }
 
@@ -150,6 +172,7 @@ impl std::ops::Add for CountersSnapshot {
             edges_traversed: self.edges_traversed + rhs.edges_traversed,
             links_followed: self.links_followed + rhs.links_followed,
             extribs_scanned: self.extribs_scanned + rhs.extribs_scanned,
+            nodes_enumerated: self.nodes_enumerated + rhs.nodes_enumerated,
         }
     }
 }
@@ -172,13 +195,16 @@ mod tests {
         c.count_edge();
         c.count_link();
         c.count_extrib();
+        c.count_nodes_enumerated(3);
         assert_eq!(c.nodes_checked(), 2);
         assert_eq!(c.edges_traversed(), 1);
         assert_eq!(c.links_followed(), 1);
         assert_eq!(c.extribs_scanned(), 1);
+        assert_eq!(c.nodes_enumerated(), 3);
         c.reset();
         assert_eq!(c.nodes_checked(), 0);
         assert_eq!(c.edges_traversed(), 0);
+        assert_eq!(c.nodes_enumerated(), 0);
     }
 
     #[test]

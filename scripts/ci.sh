@@ -74,6 +74,12 @@ cargo test -q --test differential walk
 cargo test -q --test differential child_lists
 cargo test -q --test cross_engine compact_layout_holds
 
+echo "== sealed preorder index: layout properties, seal vs reopen, walk vs §4 scan vs oracle, orphan ids"
+cargo test -q -p spine --lib preorder
+cargo test -q --test differential sealed_preorder
+cargo test -q --test segments seal_after_recovery
+cargo test -q --test segments resident_bytes
+
 echo "== perfbench: self-tests, then a 2 s smoke of both workloads (answers oracle-checked; a mismatch exits 1)"
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 # Traced windows are a fixed number of operations, so 2 s suffices; an
@@ -142,6 +148,9 @@ cargo run --release -q -p spine-bench --bin exp -- http-get "$addr/explain?q=ACA
 cargo run --release -q -p spine-bench --bin exp -- http-get "$addr/metrics" 2>/dev/null \
   | grep -q '^spine_segments_pages{segment="0"} ' \
   || { echo "http smoke: /metrics misses the per-segment page gauges"; exit 1; }
+cargo run --release -q -p spine-bench --bin exp -- http-get "$addr/metrics" 2>/dev/null \
+  | grep -q '^spine_segments_resident_bytes [1-9]' \
+  || { echo "http smoke: /metrics misses the sealed segments' resident preorder bytes"; exit 1; }
 cargo run --release -q -p spine-bench --bin exp -- http-get "$addr/timeline?metric=segments.epoch" 2>/dev/null \
   | grep -q '"samples":\[{' \
   || { echo "http smoke: /timeline returned no samples"; exit 1; }

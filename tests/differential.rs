@@ -12,17 +12,19 @@
 //! across the reference SPINE, the §5 compact layout, the page-resident
 //! disk engine, the suffix tree, the suffix array, and the naive-scan
 //! oracle — plus the generalized (multi-document) SPINE against a per-
-//! document scan, and the reference SPINE's link-tree occurrence walk
-//! against the paper's backbone scan over the same structure.
+//! document scan, and both link-tree occurrence walks (the reference
+//! SPINE's child lists, a sealed segment's preorder index) against the
+//! paper's backbone scan over the same structure.
 
 use genseq::rng;
 use pagestore::{Lru, MemDevice};
 use rand::Rng;
-use spine::node::{NodeId, NO_CHILD};
+use spine::node::{NodeId, NO_CHILD, ROOT};
 use spine::occurrences::{find_all_ends, find_all_ends_batch, occurrences_from, Target};
 use spine::search::locate;
 use spine::{
-    CompactSpine, DiskSpine, GeneralizedSpine, Infallible, PrefixView, ServeIndex, Spine, SpineOps,
+    CompactSpine, DiskSpine, GeneralizedSpine, Infallible, PrefixView, PreorderIndex, ServeIndex,
+    Spine, SpineOps,
 };
 use strindex::{Alphabet, Code, MatchingIndex, OnlineIndex, StringIndex};
 use suffix_array::SaIndex;
@@ -344,8 +346,9 @@ fn hot_tier_machinery_changes_no_answers() {
 /// Random add / retire / query interleavings against a naive per-document
 /// oracle, driving the crash-safe segment store through its full lifecycle:
 /// memtable inserts, threshold seals, explicit seals, tombstones, merges,
-/// and one full drop-and-recover at the end. Covers DNA, protein, and raw
-/// bytes, including empty and length-1 documents.
+/// drop-and-recover between queries (so reopened segments answer from the
+/// preorder index recovery rebuilt), and one more at the end. Covers DNA,
+/// protein, and raw bytes, including empty and length-1 documents.
 #[test]
 fn segmented_store_matches_per_document_oracle() {
     use spine::{SegmentConfig, SegmentedSpine};
@@ -385,7 +388,7 @@ fn segmented_store_matches_per_document_oracle() {
             merge_min_segments: 2,
             ..Default::default()
         };
-        let store = SegmentedSpine::create(a.clone(), &dir, cfg.clone()).unwrap();
+        let mut store = SegmentedSpine::create(a.clone(), &dir, cfg.clone()).unwrap();
         let mut oracle: BTreeMap<u64, Vec<Code>> = BTreeMap::new();
         let mut r = rng(0xD1F + ai as u64);
 
@@ -396,7 +399,7 @@ fn segmented_store_matches_per_document_oracle() {
         }
 
         for step in 0..120 {
-            match r.gen_range(0..10usize) {
+            match r.gen_range(0..12usize) {
                 0..=4 => {
                     let len = [0usize, 1, 2, 3, 8, 20][r.gen_range(0..6)];
                     let doc = random_text(a, len, 0xADD + ai as u64 * 1000 + step);
@@ -426,6 +429,14 @@ fn segmented_store_matches_per_document_oracle() {
                 }
                 8 => {
                     store.merge_once().unwrap();
+                }
+                // Seal (the memtable is volatile by design), recover, and
+                // query the reopened segments right away.
+                9 => {
+                    store.force_seal().unwrap();
+                    drop(store);
+                    store = SegmentedSpine::open(a.clone(), &dir, cfg.clone()).unwrap();
+                    check_all(&store, &oracle, &[Vec::new(), vec![0], vec![1, 0]]);
                 }
                 _ => {
                     let mut pats: Vec<Vec<Code>> = vec![Vec::new()];
@@ -502,6 +513,34 @@ fn check_walk_against_scan<S: SpineOps + Sync + ?Sized>(
         ServeIndex::answer_patterns(&Infallible(&scan), &pats),
         "{what}: served answers"
     );
+    check_walk_visits(what, index, text, patterns);
+}
+
+/// The walk's work identity: enumerating `w` visits its `occ − 1` ends
+/// after `fo(w)` plus the link children of `fo(w)` it rejects, and it
+/// rejects at most (σ−1)·|w| of them, σ the symbols in the text.
+fn check_walk_visits<S: SpineOps + ?Sized>(
+    what: &str,
+    index: &S,
+    text: &[Code],
+    patterns: &[Vec<Code>],
+) {
+    let links = links_of(index);
+    let mut symbols = text.to_vec();
+    symbols.sort_unstable();
+    symbols.dedup();
+    let sigma = symbols.len().max(1) as u64;
+    for p in patterns {
+        let Some(first) = locate(index, p) else { continue };
+        let len = p.len() as u32;
+        let rejected =
+            links[1..].iter().filter(|&&(dest, lel)| dest == first && lel < len).count() as u64;
+        assert!(rejected <= (sigma - 1) * len as u64, "{what}: {rejected} rejected for {p:?}");
+        let before = index.ops_counters().nodes_enumerated();
+        let occ = occurrences_from(index, first, len).len() as u64;
+        let visits = index.ops_counters().nodes_enumerated() - before;
+        assert_eq!(visits, occ - 1 + rejected, "{what}: nodes visited for {p:?}");
+    }
 }
 
 /// The link-child lists thread the link tree: every non-root node sits
@@ -615,6 +654,156 @@ fn generalized_walk_matches_scan_with_separators_and_retired_docs() {
     }
 }
 
+/// The preorder index lays the link tree out as it should: every node once
+/// in `order` (and `positions` inverts it), each node's subtree range
+/// nested in its link destination's, each node's children tiling its range
+/// by ascending LEL, and LELs rising below every non-root node. `links`
+/// are the sealed link records, read independently of the index.
+fn check_preorder(what: &str, ix: &PreorderIndex, links: &[(NodeId, u32)]) {
+    let (order, end, lel, pre) = (ix.order(), ix.ends(), ix.lels(), ix.positions());
+    let n = links.len();
+    assert_eq!((order.len(), end.len(), lel.len(), pre.len()), (n, n, n, n), "{what}: sizes");
+    let mut ids = order.to_vec();
+    ids.sort_unstable();
+    assert_eq!(ids, (0..n as NodeId).collect::<Vec<_>>(), "{what}: every node once");
+    for (p, &v) in order.iter().enumerate() {
+        assert_eq!(pre[v as usize] as usize, p, "{what}: positions invert order at {p}");
+    }
+    assert_eq!((order[0], end[0] as usize), (ROOT, n), "{what}: the root spans the tree");
+    for (v, &(dest, v_lel)) in links.iter().enumerate().skip(1) {
+        let (pc, pp) = (pre[v] as usize, pre[dest as usize] as usize);
+        assert!(pp < pc && end[pc] <= end[pp], "{what}: {v}'s subtree nests in {dest}'s");
+        assert_eq!(lel[pc], v_lel, "{what}: LEL of {v}");
+        if dest != ROOT {
+            assert!(v_lel > links[dest as usize].1, "{what}: LEL of {v} rises above {dest}'s");
+        }
+    }
+    for p in 0..n {
+        let (mut c, mut prev) = (p + 1, 0);
+        while c < end[p] as usize {
+            assert_eq!(
+                links[order[c] as usize].0, order[p],
+                "{what}: child {} of {}",
+                order[c], order[p]
+            );
+            assert!(lel[c] >= prev, "{what}: siblings under {} ascend by LEL", order[p]);
+            prev = lel[c];
+            c = end[c] as usize;
+        }
+        assert_eq!(c, end[p] as usize, "{what}: children tile {}'s range", order[p]);
+    }
+}
+
+/// Link records of every node, read through the index's own accessors.
+fn links_of<S: SpineOps + ?Sized>(index: &S) -> Vec<(NodeId, u32)> {
+    (0..=index.text_len() as NodeId).map(|j| index.link_of(j)).collect()
+}
+
+/// Seal `text` to files under `dir`, then reopen it from them.
+fn seal_and_reopen(a: &Alphabet, text: &[Code], dir: &std::path::Path) -> DiskSpine {
+    std::fs::create_dir_all(dir).unwrap();
+    let dev = pagestore::FileDevice::create(dir.join("seg.pages"), false).unwrap();
+    let sealed =
+        DiskSpine::build_sealed(a.clone(), text, Box::new(dev), 4, Box::<Lru>::default()).unwrap();
+    let mut meta = Vec::new();
+    sealed.write_meta(&mut meta).unwrap();
+    sealed.flush().unwrap();
+    drop(sealed);
+    DiskSpine::reopen(
+        &mut meta.as_slice(),
+        Box::new(pagestore::FileDevice::open(dir.join("seg.pages"), false).unwrap()),
+        4,
+        Box::<Lru>::default(),
+    )
+    .unwrap()
+}
+
+/// Sealed, clustered and reopened indexes walk their preorder index; they
+/// must answer exactly like the §4 scan over the same structure and the
+/// naive oracle, through `StringIndex`, every enumeration entry point and
+/// the engine. The index a reopen builds equals the one the seal built.
+#[test]
+fn sealed_preorder_walk_matches_scan_and_oracle() {
+    use spine::engine::{EngineConfig, QueryEngine};
+    use spine::HotSet;
+    use std::sync::Arc;
+
+    let mut r = rng(0x5EA1ED);
+    for (ai, a) in [Alphabet::dna(), Alphabet::protein(), Alphabet::bytes()].iter().enumerate() {
+        let mut texts: Vec<Vec<Code>> = [0usize, 1, 2, 7, 64, 500]
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| random_text(a, len, 0x5E0 + 10 * ai as u64 + i as u64))
+            .collect();
+        for period in [1usize, 2, 3] {
+            let motif: Vec<Code> = (0..period).map(|_| r.gen_range(0..a.size()) as Code).collect();
+            texts.push(motif.iter().copied().cycle().take(300).collect());
+        }
+        for (i, text) in texts.iter().enumerate() {
+            let what = format!("alphabet {ai}, text {i}");
+            let mutable = DiskSpine::build(
+                a.clone(),
+                text,
+                Box::new(MemDevice::new()),
+                32,
+                Box::<Lru>::default(),
+            )
+            .unwrap();
+            let sealed =
+                mutable.seal_to(Box::new(MemDevice::new()), 4, Box::<Lru>::default()).unwrap();
+            let hot = HotSet::backbone_prefix(text.len(), 16);
+            let clustered = mutable
+                .seal_to_clustered(Box::new(MemDevice::new()), 4, Box::<Lru>::default(), &hot)
+                .unwrap();
+            let dir = std::env::temp_dir()
+                .join(format!("spine-differential-sealed-{}-{ai}-{i}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let reopened = seal_and_reopen(a, text, &dir);
+            assert_eq!(sealed.preorder(), reopened.preorder(), "{what}: seal vs reopen index");
+            check_preorder(&what, sealed.preorder().unwrap(), &links_of(&reopened));
+
+            let mut pats = patterns_for(a, text, 0x5EED + i as u64);
+            pats.push(Vec::new());
+            let doubled: Vec<&[Code]> = pats.iter().chain(&pats).map(Vec::as_slice).collect();
+            for (kind, index) in
+                [("sealed", &sealed), ("clustered", &clustered), ("reopened", &reopened)]
+            {
+                let what = format!("{what}, {kind}");
+                check_walk_against_scan(&what, index, text, &pats);
+                for p in &pats {
+                    assert_eq!(index.find_all(p), scan_find_all(text, p), "{what}: find_all {p:?}");
+                }
+                // The engine's blanket serving path, over the fallible
+                // surface, with every pattern submitted twice in one batch.
+                let want: Vec<Vec<NodeId>> = doubled.iter().map(|p| oracle_ends(text, p)).collect();
+                let served = ServeIndex::answer_patterns(index, &doubled);
+                for ((p, got), want) in doubled.iter().zip(served).zip(&want) {
+                    assert_eq!(
+                        got,
+                        spine::QueryOutcome::Done(want.clone()),
+                        "{what}: served {p:?}"
+                    );
+                }
+            }
+            let engine = QueryEngine::new(
+                Arc::new(reopened),
+                EngineConfig { workers: 2, ..Default::default() },
+            );
+            for p in &pats {
+                engine.submit(p.clone()).unwrap();
+            }
+            for (p, res) in pats.iter().zip(engine.drain()) {
+                assert_eq!(
+                    res.expect_starts(),
+                    if p.is_empty() { (0..=text.len()).collect() } else { scan_find_all(text, p) },
+                    "{what}: engine {p:?}"
+                );
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
+
 use proptest::prelude::*;
 
 proptest! {
@@ -633,6 +822,33 @@ proptest! {
         let a = [Alphabet::dna(), Alphabet::protein(), Alphabet::bytes()][alpha].clone();
         let text = random_text(&a, len, seed);
         check_link_tree(&Spine::build(a, &text).unwrap());
+    }
+
+    /// A sealed index's preorder layout holds its properties against the
+    /// sealed link records, and equals the layout the reference SPINE's
+    /// links give.
+    #[test]
+    fn sealed_preorder_index_lays_out_the_link_tree(
+        seed in 0u64..1 << 48,
+        alpha in 0usize..3,
+        len in 0usize..400,
+    ) {
+        let a = [Alphabet::dna(), Alphabet::protein(), Alphabet::bytes()][alpha].clone();
+        let text = random_text(&a, len, seed);
+        let sealed = DiskSpine::build_sealed(
+            a.clone(),
+            &text,
+            Box::new(MemDevice::new()),
+            4,
+            Box::<Lru>::default(),
+        )
+        .unwrap();
+        let ix = sealed.preorder().expect("a sealed index keeps its preorder index");
+        let links = links_of(&sealed);
+        check_preorder(&format!("seed {seed}"), ix, &links);
+        prop_assert_eq!(ix.check(&links), Vec::<String>::new(), "exp verify's checker agrees");
+        let reference = Spine::build(a, &text).unwrap();
+        prop_assert_eq!(ix, &PreorderIndex::from_links(&links_of(&reference)).unwrap());
     }
 
     /// Engine-level packed-vs-scalar equivalence. The sealed layout-v2

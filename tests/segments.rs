@@ -298,3 +298,72 @@ fn segments_pin_hot_pages_and_report_the_gauge() {
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&dir2);
 }
+
+/// A crash between writing a segment's files and committing the manifest
+/// leaves orphans under the id the next seal would take. Recovery numbers
+/// new segments above them: a seal that reused the id would overwrite the
+/// evidence, and `cleanup_orphans` would then delete the committed segment.
+#[test]
+fn seal_after_recovery_never_reuses_an_orphan_id() {
+    let a = Alphabet::dna();
+    let dir = tmpdir("orphan-id");
+    {
+        let store = SegmentedSpine::create(a.clone(), &dir, SegmentConfig::default()).unwrap();
+        store.add_document(&enc(&a, b"ACGT")).unwrap();
+        store.force_seal().unwrap();
+    }
+    // The torn seal of segment 1: both files written, no manifest commit.
+    std::fs::write(dir.join("seg-1.pages"), b"torn seal, never committed").unwrap();
+    std::fs::write(dir.join("seg-1.meta"), b"torn sidecar").unwrap();
+
+    let store = SegmentedSpine::open(a.clone(), &dir, SegmentConfig::default()).unwrap();
+    assert_eq!(store.orphan_count(), 2);
+    store.add_document(&enc(&a, b"GATTACA")).unwrap();
+    assert!(store.force_seal().unwrap());
+    assert_eq!(
+        std::fs::read(dir.join("seg-1.pages")).unwrap(),
+        b"torn seal, never committed",
+        "a seal must not write over an orphan"
+    );
+    assert_eq!(store.cleanup_orphans().unwrap(), 2);
+    drop(store);
+
+    let store = SegmentedSpine::open(a.clone(), &dir, SegmentConfig::default()).unwrap();
+    assert_eq!(store.orphan_count(), 0);
+    assert_eq!(matches_of(&store, &enc(&a, b"ACGT")), vec![(0, 0)]);
+    assert_eq!(matches_of(&store, &enc(&a, b"TTACA")), vec![(1, 2)]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every live sealed segment's preorder index is resident, 16 B per node,
+/// and the `segments.resident_bytes` gauge sums them across seals, merges
+/// and recovery.
+#[test]
+fn resident_bytes_gauge_sums_live_segments() {
+    use spine::telemetry::MetricsRegistry;
+
+    let a = Alphabet::dna();
+    let dir = tmpdir("resident");
+    let cfg = SegmentConfig { merge_min_segments: 8, ..Default::default() };
+    let store = SegmentedSpine::create(a.clone(), &dir, cfg.clone()).unwrap();
+    let registry = MetricsRegistry::new();
+    store.attach_telemetry(&registry);
+    let gauge = |r: &MetricsRegistry| r.snapshot().gauge("segments.resident_bytes").unwrap();
+    assert_eq!(gauge(&registry), 0, "no sealed segment yet");
+
+    store.add_document(&enc(&a, b"ACGTACG")).unwrap();
+    store.force_seal().unwrap();
+    store.add_document(&enc(&a, b"GAT")).unwrap();
+    store.force_seal().unwrap();
+    // A segment indexes its documents plus one separator each, and a root.
+    assert_eq!(gauge(&registry), 16 * ((8 + 1) + (4 + 1)));
+    assert!(store.merge_once().unwrap());
+    assert_eq!(gauge(&registry), 16 * (12 + 1));
+    drop(store);
+
+    let store = SegmentedSpine::open(a.clone(), &dir, cfg).unwrap();
+    let registry = MetricsRegistry::new();
+    store.attach_telemetry(&registry);
+    assert_eq!(gauge(&registry), 16 * (12 + 1), "recovery rebuilds the index");
+    let _ = std::fs::remove_dir_all(&dir);
+}
