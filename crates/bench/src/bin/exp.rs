@@ -763,31 +763,25 @@ fn serve(opts: &Opts) {
     // the in-RAM preorder index, so it is locate's.
     let dd = Dataset::generate("eco-sim", opts.scale.min(0.005));
     let pool = pool_pages(dd.seq.len(), SPINE_V2_REC);
-    let scratch = DiskSpine::build(
-        dd.alphabet.clone(),
-        &dd.seq,
-        Box::new(MemDevice::new()),
-        64,
-        Box::<Lru>::default(),
-    )
-    .unwrap();
+    let source = Spine::build(dd.alphabet.clone(), &dd.seq).unwrap();
     let probes: Vec<&[strindex::Code]> =
         (0..dd.seq.len().saturating_sub(16)).step_by(997).map(|i| &dd.seq[i..i + 12]).collect();
 
-    let plain = scratch.seal_to(Box::new(MemDevice::new()), pool, Box::<Lru>::default()).unwrap();
+    let plain =
+        DiskSpine::seal(&source, Box::new(MemDevice::new()), pool, Box::<Lru>::default()).unwrap();
     let mut heat = spine::Heatmap::new(dd.seq.len());
     for w in &probes {
         heat.add(&plain.explain(w));
     }
     let hot = spine::HotSet::from_heatmap(&heat, 512);
-    let tiered = scratch
-        .seal_to_clustered(
-            Box::new(MemDevice::new()),
-            pool,
-            Box::<pagestore::SegmentedLru>::default(),
-            &hot,
-        )
-        .unwrap();
+    let tiered = DiskSpine::seal_clustered(
+        &source,
+        Box::new(MemDevice::new()),
+        pool,
+        Box::<pagestore::SegmentedLru>::default(),
+        &hot,
+    )
+    .unwrap();
     let pinned = tiered.pin_hot(&hot, (pool / 4).max(1)).unwrap();
 
     let mut disk_rows = Vec::new();
@@ -1570,16 +1564,28 @@ fn bench_snapshot(opts: &Opts) {
         t
     };
 
-    // Pinned warmup, then one timed instrumented run. The snapshot records
-    // absolute numbers; run-to-run noise is absorbed by the 20 % regression
-    // tolerances in `BenchSnapshot::check_against`.
+    // Pinned warmup, then the median of `SERVE_DRAINS` timed instrumented
+    // drains. One drain of the quick workload lasts ~1.6 ms, and single
+    // drains of one binary spread 252–748 k qps, so a one-sample `qps`
+    // would pass or fail the 0.8× floor on scheduling alone.
+    const SERVE_DRAINS: usize = 7;
     run(&QueryEngine::new(Arc::clone(&index), cfg));
     let registry = Arc::new(MetricsRegistry::new());
     let engine = QueryEngine::with_telemetry(Arc::clone(&index), cfg, Arc::clone(&registry));
-    let t = run(&engine);
+    let mut walls: Vec<_> = (0..SERVE_DRAINS).map(|_| run(&engine)).collect();
+    walls.sort();
+    let t = walls[SERVE_DRAINS / 2];
+    let qps_of = |d| workload.len() as f64 / secs(d).max(1e-9);
+    eprintln!(
+        "serve[drains]:  median {:.0} qps of {SERVE_DRAINS} drains (range {:.0}–{:.0})",
+        qps_of(t),
+        qps_of(walls[SERVE_DRAINS - 1]),
+        qps_of(walls[0])
+    );
+    let served = (SERVE_DRAINS * workload.len()) as u64;
     let m = engine.metrics();
     assert!(m.is_consistent(), "ledger invariant violated: {m:?}");
-    assert_eq!(m.completed, workload.len() as u64, "not every query completed");
+    assert_eq!(m.completed, served, "not every query completed");
 
     // Disk phase: pages/query under memory pressure, recorded into the same
     // registry's `disk.pages_per_query` histogram, served through the full
@@ -1591,15 +1597,9 @@ fn bench_snapshot(opts: &Opts) {
     // index's in-RAM preorder index, so the pages counted are locate's.
     let dd = Dataset::generate("eco-sim", scale.min(0.005));
     let pool = pool_pages(dd.seq.len(), SPINE_V2_REC);
-    let scratch = DiskSpine::build(
-        dd.alphabet.clone(),
-        &dd.seq,
-        Box::new(MemDevice::new()),
-        64,
-        Box::<Lru>::default(),
-    )
-    .unwrap();
-    let plain = scratch.seal_to(Box::new(MemDevice::new()), pool, Box::<Lru>::default()).unwrap();
+    let source = Spine::build(dd.alphabet.clone(), &dd.seq).unwrap();
+    let plain =
+        DiskSpine::seal(&source, Box::new(MemDevice::new()), pool, Box::<Lru>::default()).unwrap();
     let probes: Vec<&[strindex::Code]> =
         (0..dd.seq.len().saturating_sub(16)).step_by(997).map(|i| &dd.seq[i..i + 12]).collect();
     let mut heat = spine::Heatmap::new(dd.seq.len());
@@ -1607,14 +1607,14 @@ fn bench_snapshot(opts: &Opts) {
         heat.add(&plain.explain(w));
     }
     let hot = spine::HotSet::from_heatmap(&heat, 512);
-    let disk = scratch
-        .seal_to_clustered(
-            Box::new(MemDevice::new()),
-            pool,
-            Box::<pagestore::SegmentedLru>::default(),
-            &hot,
-        )
-        .unwrap();
+    let disk = DiskSpine::seal_clustered(
+        &source,
+        Box::new(MemDevice::new()),
+        pool,
+        Box::<pagestore::SegmentedLru>::default(),
+        &hot,
+    )
+    .unwrap();
     assert!(disk.is_sealed(), "bench disk phase must serve from the v2 layout");
     let pinned = disk.pin_hot(&hot, (pool / 4).max(1)).unwrap();
     disk.attach_telemetry(&registry);
@@ -1662,7 +1662,7 @@ fn bench_snapshot(opts: &Opts) {
 
     let snap = registry.snapshot();
     let lat = snap.histogram("engine.query_latency").expect("latency histogram");
-    assert_eq!(lat.count, workload.len() as u64, "latency histogram misses queries");
+    assert_eq!(lat.count, served, "latency histogram misses queries");
     let pages = snap.histogram("disk.pages_per_query").expect("pages-per-query histogram");
     assert!(!pages.is_empty(), "no disk queries recorded");
     let dsnap = dregistry.snapshot();
@@ -1782,9 +1782,10 @@ fn build_snapshot_section(d: &Dataset, dd: &Dataset, pool: usize) -> spine_bench
     assert_eq!(tee.0.counts(), stats.counts(), "observed builds must agree run to run");
     eprintln!("build[summary]:  {}", stats.summary());
 
-    // Disk build: page writes through the device, spills reconciled. The
-    // mutable build then seals into the layout-v2 pages; `page_writes` is
-    // the full pipeline (scratch build + seal) and `bytes_per_node` is the
+    // Disk build: the fixed-record APPEND's page writes through the
+    // device, spills reconciled. The same text sealed from an in-memory
+    // `Spine` gives the layout-v2 pages; `page_writes` sums the two
+    // (the committed baseline's definition) and `bytes_per_node` is the
     // *sealed on-disk* footprint — the number layout v2 exists to shrink.
     let (dsk, dstats) = DiskSpine::build_with_stats(
         dd.alphabet.clone(),
@@ -1796,15 +1797,15 @@ fn build_snapshot_section(d: &Dataset, dd: &Dataset, pool: usize) -> spine_bench
     .unwrap();
     let (_reads, build_writes) = dsk.io_counts();
     assert_eq!(dstats.extrib_spills, dsk.spill_count(), "spill events must match the side table");
-    let sealed = dsk
-        .seal_to(Box::new(MemDevice::new()), pool, Box::<Lru>::default())
+    let source = Spine::build(dd.alphabet.clone(), &dd.seq).unwrap();
+    let sealed = DiskSpine::seal(&source, Box::new(MemDevice::new()), pool, Box::<Lru>::default())
         .expect("sealing the bench index must not fail");
     let (_sreads, seal_writes) = sealed.io_counts();
     let page_writes = build_writes + seal_writes;
     let file_pages = sealed.file_pages().expect("sealed index has a page count");
     let disk_bytes_per_node = (file_pages * PAGE_SIZE as u64) as f64 / (dd.seq.len() as f64 + 1.0);
     eprintln!(
-        "seal[summary]:   {} v1 scratch writes + {} v2 seal writes; {} v2 pages, \
+        "seal[summary]:   {} v1 build writes + {} v2 seal writes; {} v2 pages, \
          {:.2} on-disk bytes/node (heap bytes/node {:.2})",
         build_writes,
         seal_writes,

@@ -77,8 +77,8 @@ pub struct SweepReport {
     pub burst_oracle_match: bool,
     /// Probabilistic-fault run matched the in-memory oracle exactly.
     pub probability_oracle_match: bool,
-    /// Device operations in one clean seal-to-layout-v2 rebuild — the size
-    /// of the seal crashpoint index space.
+    /// Device operations in one clean seal to layout v2 — the size of the
+    /// seal crashpoint index space.
     pub seal_ops: u64,
     /// Seal crashpoints that degraded to a clean `Err`.
     pub seal_faults: u64,
@@ -239,24 +239,16 @@ pub fn crashpoint_sweep(quick: bool) -> SweepReport {
         Err(_) => report.probability_oracle_match = false,
     }
 
-    // ---- pass 3: crashpoints during the seal-to-layout-v2 rebuild ----------
-    // The format-v2 migration path: build the mutable (v1) index once on a
-    // clean device, then crash the *target* device at every (strided)
-    // operation index during `seal_to`. Each crash must surface as a clean
-    // `Err`, must leave the source index answering queries (the committed
-    // version survives), and a clean retry must produce a sealed index that
-    // matches the oracle.
-    let src = DiskSpine::build(
-        alphabet.clone(),
-        &text,
-        Box::new(MemDevice::new()),
-        POOL_PAGES.max(8),
-        Box::<Lru>::default(),
-    )
-    .expect("clean source build must not fail");
-    let sealed = src
-        .seal_to(Box::new(MemDevice::new()), POOL_PAGES, Box::<Lru>::default())
-        .expect("clean seal must not fail");
+    // ---- pass 3: crashpoints while sealing to layout v2 --------------------
+    // Build the in-memory source index once, then crash the *target* device
+    // at every (strided) operation index during `DiskSpine::seal`. Each
+    // crash must surface as a clean `Err`, must leave the source index
+    // answering queries (the committed version survives), and a clean retry
+    // must produce a sealed index that matches the oracle.
+    let src = Spine::build(alphabet.clone(), &text).expect("clean source build must not fail");
+    let sealed =
+        DiskSpine::seal(&src, Box::new(MemDevice::new()), POOL_PAGES, Box::<Lru>::default())
+            .expect("clean seal must not fail");
     let (seal_reads, seal_writes) = sealed.io_counts();
     // Syncs spend fault budget too (the barrier can fail like any op), so
     // they belong to the crashpoint index space.
@@ -270,7 +262,7 @@ pub fn crashpoint_sweep(quick: bool) -> SweepReport {
     while k < report.seal_ops {
         let device = Box::new(FaultyDevice::new(MemDevice::new(), k));
         match catch_unwind(AssertUnwindSafe(|| {
-            src.seal_to(device, POOL_PAGES, Box::<Lru>::default())
+            DiskSpine::seal(&src, device, POOL_PAGES, Box::<Lru>::default())
         })) {
             Ok(Ok(_)) => report.swallowed += 1,
             Ok(Err(_)) => report.seal_faults += 1,
@@ -279,7 +271,7 @@ pub fn crashpoint_sweep(quick: bool) -> SweepReport {
         // The committed (source) version must still answer after the crash;
         // probe with a rotating pattern so the sweep covers the whole mix.
         let probe = (k as usize) % patterns.len();
-        if src.try_find_all(&patterns[probe]).ok().as_deref() != Some(&oracle[probe]) {
+        if src.find_all(&patterns[probe]) != oracle[probe] {
             report.sealed_source_intact = false;
         }
         k += stride;
@@ -287,7 +279,7 @@ pub fn crashpoint_sweep(quick: bool) -> SweepReport {
     std::panic::set_hook(prev_hook);
 
     // Recovery: a clean retry of the rebuild answers every pattern exactly.
-    match src.seal_to(Box::new(MemDevice::new()), POOL_PAGES, Box::<Lru>::default()) {
+    match DiskSpine::seal(&src, Box::new(MemDevice::new()), POOL_PAGES, Box::<Lru>::default()) {
         Ok(resealed) => {
             let answers: Result<Vec<_>, _> =
                 patterns.iter().map(|p| resealed.try_find_all(p)).collect();

@@ -203,8 +203,9 @@ pub struct BuildSnapshot {
     /// format exists to shrink. Earlier baselines recorded the in-memory
     /// heap figure here; re-baseline when comparing across that change.
     pub bytes_per_node: f64,
-    /// Device page writes across the full disk pipeline: the mutable
-    /// scratch build plus the seal into layout-v2 pages.
+    /// Device page writes of the fixed-record `DiskSpine` build plus those
+    /// of sealing the same text from an in-memory `Spine` into layout-v2
+    /// pages.
     pub page_writes: u64,
 }
 

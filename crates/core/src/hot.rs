@@ -4,10 +4,10 @@
 //! workload's traversals concentrate on, heat-ranked. Two consumers cash it
 //! in at the storage layer:
 //!
-//! * [`crate::DiskSpine::seal_to_clustered`] duplicates the hot nodes'
-//!   records onto dedicated *hot pages* appended to the sealed file, so a
-//!   chain walk over the hot set stays on a handful of pages instead of
-//!   striding the whole node table.
+//! * [`crate::DiskSpine::seal_clustered`] duplicates the hot nodes'
+//!   records onto dedicated *hot pages* appended to the sealed file as it
+//!   encodes a [`crate::Spine`], so a chain walk over the hot set stays on
+//!   a handful of pages instead of striding the whole node table.
 //! * [`crate::DiskSpine::pin_hot`] / [`crate::DiskSpine::pin_hot_prefix`]
 //!   pin the pages holding the hot set into the buffer pool at open time,
 //!   so the valid-path walks of every query find them resident, and the

@@ -10,9 +10,10 @@
 //!   the raw document codes). Memtable contents are volatile by design —
 //!   there is no write-ahead log; durability is bought at *seal* time.
 //! * At a size threshold the memtable is **sealed**: its live documents
-//!   become one immutable layout-v2 segment file (the
-//!   [`DiskSpine::build_sealed`] pipeline) plus a reopenable sidecar, and
-//!   a new [`Manifest`] naming the enlarged segment set is committed.
+//!   are rebuilt into one in-memory [`Spine`](crate::Spine) and encoded as
+//!   an immutable layout-v2 segment file ([`DiskSpine::build_sealed`]:
+//!   APPEND runs once, in memory) plus a reopenable sidecar, and a new
+//!   [`Manifest`] naming the enlarged segment set is committed.
 //!   Each live segment keeps its link tree in RAM as a preorder index
 //!   (built at seal, rebuilt at reopen; [`crate::preorder`]), so its
 //!   queries enumerate without reading a page.
@@ -20,15 +21,16 @@
 //!   retires of memtable documents just flip a volatile flag (the
 //!   document they hide is volatile too, so crash loses both together —
 //!   never one without the other).
-//! * A **merge** rewrites the live, untombstoned documents of every
-//!   segment into one fresh segment, commits, then deletes the inputs.
+//! * A **merge** rebuilds the live, untombstoned documents of every
+//!   segment into one fresh segment the same way, commits, then deletes
+//!   the inputs.
 //!
 //! ## The commit protocol
 //!
 //! Every durable state transition — seal, retire, merge — is one manifest
 //! replacement: encode, write `MANIFEST.tmp`, `fsync` it, `rename` over
 //! `MANIFEST`, `fsync` the directory. Segment files are written (and
-//! synced, header-last — see [`DiskSpine::seal_to`]) *before* the manifest
+//! synced, header-last — see [`DiskSpine::seal`]) *before* the manifest
 //! that references them, so at every instant the bytes `MANIFEST` names
 //! are complete and synced. A crash at any point leaves either the old
 //! manifest or the new one, never a torn state; files written for a commit

@@ -59,12 +59,14 @@ cargo test -q --test explain
 cargo test -q --test differential hot_tier
 cargo test -q --test segments segments_pin_hot
 
-echo "== layout v2: codec round-trips, sealed engine, packed-vs-scalar"
+echo "== layout v2: codec round-trips, sealed engine, packed-vs-scalar, golden bytes, records vs source nodes"
 cargo test -q -p pagestore varint
 cargo test -q -p pagestore slotted
 cargo test -q -p spine disk::
 cargo test -q --test layout_v2
 cargo test -q --test differential packed_scan
+cargo test -q --test layout_v2 sealed_pages_and_sidecars_match_golden_digests
+cargo test -q -p spine --lib sealed_structure_is_node_identical_to_reference
 
 echo "== link-tree enumeration: walk vs §4 scan vs oracle, child-list invariants, compact fan-out"
 cargo test -q -p spine --lib occurrences

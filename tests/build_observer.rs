@@ -7,12 +7,14 @@
 //! pins those invariants over random DNA / protein / raw-byte texts
 //! (including the empty and single-character edge cases) and checks that
 //! the representation-independent counts are identical between the
-//! reference and compact engines.
+//! reference, compact and fixed-record disk engines — the disk engine's
+//! links, ribs and extribs node for node, too.
 
 use genseq::rng;
+use pagestore::{Lru, MemDevice};
 use proptest::prelude::*;
 use rand::Rng;
-use spine::{BuildStats, CompactSpine, Extrib, Node, Rib, Spine};
+use spine::{BuildStats, CompactSpine, DiskSpine, Extrib, Node, Rib, Spine, SpineOps, ROOT};
 use std::mem::size_of;
 use strindex::{Alphabet, Code};
 
@@ -71,21 +73,46 @@ fn reconcile(a: &Alphabet, text: &[Code]) -> (Spine, BuildStats) {
     (s, st)
 }
 
-/// The compact layout must observe the identical event stream. (Raw-byte
-/// alphabets sit out: the compact layout's slot markers cap its code space
+/// The compact and fixed-record disk layouts must observe the identical
+/// event stream, and the disk engine's APPEND must lay down the reference
+/// structure: every link, every rib, and every extrib found by its chain's
+/// PRT, whether it sits in an inline slot or the spill table. (Raw-byte
+/// alphabets skip the compact layout: its slot markers cap its code space
 /// at 253 symbols.)
-fn cross_engine(a: &Alphabet, text: &[Code], reference: &BuildStats) {
-    if a.code_space() >= 254 {
-        return;
+fn cross_engine(a: &Alphabet, text: &[Code], reference: &Spine, stats: &BuildStats) {
+    if a.code_space() < 254 {
+        let (c, ct) = CompactSpine::build_with_stats(a.clone(), text).unwrap();
+        assert_eq!(
+            ct.counts(),
+            stats.counts(),
+            "compact engine's event counts diverge from the reference engine"
+        );
+        assert_eq!(ct.extrib_spills, 0);
+        assert_eq!(c.len(), text.len());
     }
-    let (c, ct) = CompactSpine::build_with_stats(a.clone(), text).unwrap();
-    assert_eq!(
-        ct.counts(),
-        reference.counts(),
-        "compact engine's event counts diverge from the reference engine"
-    );
-    assert_eq!(ct.extrib_spills, 0);
-    assert_eq!(c.len(), text.len());
+
+    let (d, dt) = DiskSpine::build_with_stats(
+        a.clone(),
+        text,
+        Box::new(MemDevice::new()),
+        4,
+        Box::<Lru>::default(),
+    )
+    .unwrap();
+    assert_eq!(dt.counts(), stats.counts(), "disk engine's event counts diverge");
+    assert_eq!(dt.extrib_spills, d.spill_count(), "spill events vs the side table");
+    assert_eq!(d.len(), text.len());
+    for (id, n) in (0..).zip(reference.nodes()) {
+        if id != ROOT {
+            assert_eq!(d.link_of(id), (n.link, n.lel), "link of {id}");
+        }
+        for r in n.ribs.iter() {
+            assert_eq!(d.rib_of(id, r.cl), Some((r.dest, r.pt)), "rib {} of {id}", r.cl);
+        }
+        for e in n.extribs.iter() {
+            assert_eq!(d.extrib_of(id, e.prt), Some((e.dest, e.pt)), "extrib {} of {id}", e.prt);
+        }
+    }
 }
 
 proptest! {
@@ -97,8 +124,8 @@ proptest! {
     fn dna_builds_reconcile(len in 0usize..400, seed in 0u64..1 << 48) {
         let a = Alphabet::dna();
         let text = random_text(&a, len, seed);
-        let (_, st) = reconcile(&a, &text);
-        cross_engine(&a, &text, &st);
+        let (s, st) = reconcile(&a, &text);
+        cross_engine(&a, &text, &s, &st);
     }
 
     /// Random protein texts (20-symbol alphabet).
@@ -106,8 +133,8 @@ proptest! {
     fn protein_builds_reconcile(len in 0usize..250, seed in 0u64..1 << 48) {
         let a = Alphabet::protein();
         let text = random_text(&a, len, seed);
-        let (_, st) = reconcile(&a, &text);
-        cross_engine(&a, &text, &st);
+        let (s, st) = reconcile(&a, &text);
+        cross_engine(&a, &text, &s, &st);
     }
 
     /// Random raw-byte texts (256 symbols).
@@ -115,8 +142,8 @@ proptest! {
     fn byte_builds_reconcile(len in 0usize..150, seed in 0u64..1 << 48) {
         let a = Alphabet::bytes();
         let text = random_text(&a, len, seed);
-        let (_, st) = reconcile(&a, &text);
-        cross_engine(&a, &text, &st);
+        let (s, st) = reconcile(&a, &text);
+        cross_engine(&a, &text, &s, &st);
     }
 }
 
@@ -124,17 +151,17 @@ proptest! {
 #[test]
 fn empty_and_single_character_texts_reconcile() {
     for a in [Alphabet::dna(), Alphabet::protein(), Alphabet::bytes()] {
-        let (_, st) = reconcile(&a, &[]);
+        let (s, st) = reconcile(&a, &[]);
         assert_eq!(st.insertions, 0);
         assert_eq!(st.counts(), BuildStats::default().counts(), "empty build counts nothing");
-        cross_engine(&a, &[], &st);
+        cross_engine(&a, &[], &s, &st);
 
-        let (_, st) = reconcile(&a, &[0]);
+        let (s, st) = reconcile(&a, &[0]);
         assert_eq!(st.insertions, 1);
         assert_eq!(st.first_char, 1);
         assert_eq!(st.ribs_created, 0, "a single character creates no ribs");
         assert_eq!(st.max_lel, 0);
-        cross_engine(&a, &[0], &st);
+        cross_engine(&a, &[0], &s, &st);
     }
 }
 
@@ -146,7 +173,7 @@ fn paper_example_reconciles_across_engines() {
     let a = Alphabet::dna();
     let text = a.encode(b"AACCACAACA").unwrap();
     let (s, st) = reconcile(&a, &text);
-    cross_engine(&a, &text, &st);
+    cross_engine(&a, &text, &s, &st);
     assert_eq!(st.insertions, 10);
     assert_eq!(st.ribs_created, 4);
     assert_eq!(st.extribs_created, 2);

@@ -286,15 +286,9 @@ fn hot_tier_machinery_changes_no_answers() {
         let reference = Spine::build(a.clone(), &text).unwrap();
         let pats = patterns_for(&a, &text, seed ^ 0xBEEF);
 
-        let mutable = DiskSpine::build(
-            a.clone(),
-            &text,
-            Box::new(MemDevice::new()),
-            32,
-            Box::<Lru>::default(),
-        )
-        .unwrap();
-        let plain = mutable.seal_to(Box::new(MemDevice::new()), 4, Box::<Lru>::default()).unwrap();
+        let plain =
+            DiskSpine::seal(&reference, Box::new(MemDevice::new()), 4, Box::<Lru>::default())
+                .unwrap();
 
         // Derive a hot set from a real workload over the plain engine.
         let mut heat = Heatmap::new(text.len());
@@ -302,9 +296,14 @@ fn hot_tier_machinery_changes_no_answers() {
             heat.add(&plain.explain(p));
         }
         let hot = HotSet::from_heatmap(&heat, 48);
-        let clustered = mutable
-            .seal_to_clustered(Box::new(MemDevice::new()), 4, Box::<Lru>::default(), &hot)
-            .unwrap();
+        let clustered = DiskSpine::seal_clustered(
+            &reference,
+            Box::new(MemDevice::new()),
+            4,
+            Box::<Lru>::default(),
+            &hot,
+        )
+        .unwrap();
 
         // Persist + reopen the clustered file: the hot index must survive.
         let dir =
@@ -313,7 +312,8 @@ fn hot_tier_machinery_changes_no_answers() {
         std::fs::create_dir_all(&dir).unwrap();
         let dev = pagestore::FileDevice::create(dir.join("seg.pages"), false).unwrap();
         let ondisk =
-            mutable.seal_to_clustered(Box::new(dev), 4, Box::<Lru>::default(), &hot).unwrap();
+            DiskSpine::seal_clustered(&reference, Box::new(dev), 4, Box::<Lru>::default(), &hot)
+                .unwrap();
         let mut meta = Vec::new();
         ondisk.write_meta(&mut meta).unwrap();
         ondisk.flush().unwrap();
@@ -741,20 +741,19 @@ fn sealed_preorder_walk_matches_scan_and_oracle() {
         }
         for (i, text) in texts.iter().enumerate() {
             let what = format!("alphabet {ai}, text {i}");
-            let mutable = DiskSpine::build(
-                a.clone(),
-                text,
+            let source = Spine::build(a.clone(), text).unwrap();
+            let sealed =
+                DiskSpine::seal(&source, Box::new(MemDevice::new()), 4, Box::<Lru>::default())
+                    .unwrap();
+            let hot = HotSet::backbone_prefix(text.len(), 16);
+            let clustered = DiskSpine::seal_clustered(
+                &source,
                 Box::new(MemDevice::new()),
-                32,
+                4,
                 Box::<Lru>::default(),
+                &hot,
             )
             .unwrap();
-            let sealed =
-                mutable.seal_to(Box::new(MemDevice::new()), 4, Box::<Lru>::default()).unwrap();
-            let hot = HotSet::backbone_prefix(text.len(), 16);
-            let clustered = mutable
-                .seal_to_clustered(Box::new(MemDevice::new()), 4, Box::<Lru>::default(), &hot)
-                .unwrap();
             let dir = std::env::temp_dir()
                 .join(format!("spine-differential-sealed-{}-{ai}-{i}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);

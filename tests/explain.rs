@@ -275,13 +275,16 @@ fn heatmap_page_attribution_follows_sealed_layout() {
     }
     // After a clustered re-seal the hottest nodes' heat moves with them to
     // the appended hot tier.
-    let mutable =
-        DiskSpine::build(a.clone(), &text, Box::new(MemDevice::new()), 32, Box::<Lru>::default())
-            .unwrap();
+    let source = Spine::build(a.clone(), &text).unwrap();
     let hot = HotSet::from_heatmap(&heat, 64);
-    let clustered = mutable
-        .seal_to_clustered(Box::new(MemDevice::new()), 8, Box::<Lru>::default(), &hot)
-        .unwrap();
+    let clustered = DiskSpine::seal_clustered(
+        &source,
+        Box::new(MemDevice::new()),
+        8,
+        Box::<Lru>::default(),
+        &hot,
+    )
+    .unwrap();
     assert!(clustered.hot_tier_pages() > 0);
     let cmap = clustered.page_map();
     let cby = heat.page_visits_mapped(&cmap);

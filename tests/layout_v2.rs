@@ -4,9 +4,9 @@
 //! format-version mismatches.
 //!
 //! Complements the unit-level codec proptests in `spine::disk`: here
-//! everything goes through the public API — `build_sealed` / `seal_to` /
+//! everything goes through the public API — `build_sealed` / `seal` /
 //! `write_meta` / `reopen` — over real `FileDevice` files where durability
-//! is the claim under test.
+//! is the claim under test, and frozen digests pin the format's bytes.
 
 use genseq::rng;
 use pagestore::{FileDevice, Lru, MemDevice, PAGE_SIZE};
@@ -54,15 +54,9 @@ fn census_reconciles_with_build_stats_across_alphabets() {
         [(Alphabet::dna(), 900usize), (Alphabet::protein(), 500), (Alphabet::bytes(), 300)]
     {
         let text = random_text(&a, len, 0xCE1505 + len as u64);
-        let (mutable, st) = DiskSpine::build_with_stats(
-            a.clone(),
-            &text,
-            Box::new(MemDevice::new()),
-            16,
-            Box::<Lru>::default(),
-        )
-        .unwrap();
-        let sealed = mutable.seal_to(Box::new(MemDevice::new()), 8, Box::<Lru>::default()).unwrap();
+        let (spine, st) = Spine::build_with_stats(a.clone(), &text).unwrap();
+        let sealed =
+            DiskSpine::seal(&spine, Box::new(MemDevice::new()), 8, Box::<Lru>::default()).unwrap();
         let census = sealed.sealed_census().unwrap();
         assert_eq!(census.nodes, len as u64 + 1, "one record per backbone node plus the root");
         assert_eq!(census.ribs, st.ribs_created, "rib records vs observer");
@@ -258,7 +252,7 @@ fn v2_footprint_is_materially_smaller_than_v1() {
     assert!(v1_reads + v1_writes > 0);
     // The mutable layout burns one 80-byte record per node.
     let v1_pages = (text.len() as u64 + 1).div_ceil(PAGE_SIZE as u64 / 80);
-    let sealed = mutable.seal_to(Box::new(MemDevice::new()), 8, Box::<Lru>::default()).unwrap();
+    let sealed = seal(&a, &text, 8);
     let v2_pages = sealed.file_pages().unwrap();
     assert!(
         v2_pages * 3 < v1_pages,
@@ -271,9 +265,9 @@ fn v2_footprint_is_materially_smaller_than_v1() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random texts over random alphabets: the sealed engine, squeezed
-    /// through a tiny pool, a sidecar round-trip, and a re-seal, always
-    /// matches the straight-line scan.
+    /// Random texts over random alphabets: the sealed engine, plain and
+    /// with a hot tier, squeezed through a tiny pool, always matches the
+    /// straight-line scan.
     #[test]
     fn sealed_engine_matches_scan(
         len in 0usize..300,
@@ -286,17 +280,22 @@ proptest! {
             _ => Alphabet::bytes(),
         };
         let text = random_text(&a, len, seed);
-        let sealed = seal(&a, &text, 2);
+        let spine = Spine::build(a.clone(), &text).unwrap();
+        let sealed =
+            DiskSpine::seal(&spine, Box::new(MemDevice::new()), 2, Box::<Lru>::default()).unwrap();
         prop_assert_eq!(sealed.sealed_census().unwrap().nodes, len as u64 + 1);
 
-        // Re-sealing a sealed index is lossless.
-        let resealed = sealed
-            .seal_to(Box::new(MemDevice::new()), 2, Box::<Lru>::default())
-            .unwrap();
-        prop_assert_eq!(
-            resealed.sealed_census().unwrap(),
-            sealed.sealed_census().unwrap()
-        );
+        // Clustering duplicates records; it neither adds nor drops any.
+        let hot = spine::HotSet::backbone_prefix(len, 32);
+        let clustered = DiskSpine::seal_clustered(
+            &spine,
+            Box::new(MemDevice::new()),
+            2,
+            Box::<Lru>::default(),
+            &hot,
+        )
+        .unwrap();
+        prop_assert_eq!(clustered.sealed_census().unwrap(), sealed.sealed_census().unwrap());
 
         let mut r = rng(seed ^ 0xACE);
         for _ in 0..10 {
@@ -309,7 +308,120 @@ proptest! {
             };
             let want = scan_find_all(&text, &pattern);
             prop_assert_eq!(sealed.find_all(&pattern), want.clone(), "sealed");
-            prop_assert_eq!(resealed.find_all(&pattern), want, "resealed");
+            prop_assert_eq!(clustered.find_all(&pattern), want, "clustered");
         }
     }
+}
+
+/// 64-bit FNV-1a, a stable digest for the golden-format test.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
+/// A self-contained xorshift stream, so the golden inputs never depend on
+/// a library generator's output staying the same.
+fn golden_stream(mut x: u64) -> impl FnMut(usize) -> usize {
+    move |n| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        (x % n as u64) as usize
+    }
+}
+
+/// The golden corpora: `(case, alphabet, text, clustered)`. ASCII log
+/// lines and separated DNA documents are segment-store concatenations
+/// (each document closed by the separator); the separator keeps DNA out
+/// of the 2-bit packing, so that case seals the 3-bit scalar label store.
+/// Protein packs at 5 bits, bytes at 8 (scalar), and the plain DNA case
+/// also clusters its first nodes onto a hot tier.
+fn golden_cases() -> Vec<(&'static str, Alphabet, Vec<Code>, bool)> {
+    let mut next = golden_stream(0x0601_DE11);
+    let ascii = Alphabet::ascii();
+    let mut logs = Vec::new();
+    for i in 0..160 {
+        let line = format!(
+            "2026-10-18T06:{:02}:{:02} {} worker-{} GET /api/v1/items/{} {} {}ms",
+            i / 60,
+            i % 60,
+            ["INFO", "WARN", "DEBUG"][next(3)],
+            next(8),
+            next(5000),
+            [200, 200, 404, 500][next(4)],
+            next(900)
+        );
+        logs.extend(ascii.encode(line.as_bytes()).unwrap());
+        logs.push(ascii.separator());
+    }
+    let dna = Alphabet::dna();
+    let mut separated = Vec::new();
+    for _ in 0..40 {
+        separated.extend((0..300 + next(200)).map(|_| next(4) as Code));
+        separated.push(dna.separator());
+    }
+    let protein = Alphabet::protein();
+    let prot: Vec<Code> = (0..7000).map(|_| next(20) as Code).collect();
+    let bytes = Alphabet::bytes();
+    let raw: Vec<Code> = (0..5000).map(|_| next(254) as Code).collect();
+    let plain: Vec<Code> = (0..9000).map(|_| next(4) as Code).collect();
+    vec![
+        ("ascii-logs", ascii, logs, false),
+        ("dna-separated", dna.clone(), separated, false),
+        ("protein", protein, prot, false),
+        ("bytes", bytes, raw, false),
+        ("dna-clustered", dna, plain, true),
+    ]
+}
+
+/// `(case, page-file digest, sidecar digest, device reads, writes, syncs)`.
+type Golden = (&'static str, u64, u64, u64, u64, u64);
+
+/// Frozen format-v2 artifacts of [`golden_cases`], sealed with a 4-frame
+/// pool onto `FileDevice` files. A change to these bytes is a format
+/// change: bump `DISK_FORMAT_VERSION` and re-record.
+const GOLDEN: [Golden; 5] = [
+    ("ascii-logs", 0xebb6430bbb240806, 0x698a7a40feda385d, 25, 25, 2),
+    ("dna-separated", 0xf76b6a57605b9f42, 0x96067f426003c8b5, 42, 42, 2),
+    ("protein", 0x6036dd1f521750d8, 0x7b1eb18da5991641, 22, 22, 2),
+    ("bytes", 0x5191ef194f6700af, 0x988a2db18490e3d6, 16, 16, 2),
+    ("dna-clustered", 0x9689ad775d3f1570, 0xea78db9fca90593b, 26, 26, 2),
+];
+
+/// Seal `text` onto a fresh file at `path`, clustering its first 256 nodes
+/// onto a hot tier when asked.
+fn seal_file(a: &Alphabet, text: &[Code], path: &std::path::Path, clustered: bool) -> DiskSpine {
+    let spine = Spine::build(a.clone(), text).unwrap();
+    let dev = Box::new(FileDevice::create(path, false).unwrap());
+    if clustered {
+        let hot = spine::HotSet::backbone_prefix(text.len(), 256);
+        DiskSpine::seal_clustered(&spine, dev, 4, Box::<Lru>::default(), &hot).unwrap()
+    } else {
+        DiskSpine::seal(&spine, dev, 4, Box::<Lru>::default()).unwrap()
+    }
+}
+
+/// The sealed page files and sidecars are byte-for-byte the frozen ones,
+/// and the target device sees the same reads, writes and syncs.
+#[test]
+fn sealed_pages_and_sidecars_match_golden_digests() {
+    let mut got: Vec<Golden> = Vec::new();
+    for (case, a, text, clustered) in golden_cases() {
+        let path = tmp(&format!("golden-{case}.pages"));
+        let sealed = seal_file(&a, &text, &path, clustered);
+        let (reads, writes) = sealed.io_counts();
+        let syncs = sealed.io_syncs();
+        let mut meta = Vec::new();
+        sealed.write_meta(&mut meta).unwrap();
+        let pages = sealed.file_pages().unwrap();
+        drop(sealed);
+        let file = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(file.len() as u64, pages * PAGE_SIZE as u64, "{case}: file size");
+        got.push((case, fnv1a(&file), fnv1a(&meta), reads, writes, syncs));
+    }
+    let table: String = got
+        .iter()
+        .map(|(c, p, m, r, w, s)| format!("    ({c:?}, {p:#018x}, {m:#018x}, {r}, {w}, {s}),\n"))
+        .collect();
+    assert_eq!(got, GOLDEN, "sealed artifacts changed; this run sealed:\n{table}");
 }
