@@ -13,7 +13,6 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use genseq::{iid_sequence, rng};
 use spine::occurrences::{find_all_ends, find_all_ends_batch, Target};
-use spine::ops::SpineOps;
 use spine::{CompactSpine, PrefixView, Spine};
 use spine_bench::Dataset;
 use strindex::{Alphabet, Code, StringIndex};
@@ -27,9 +26,8 @@ fn dataset() -> Dataset {
 /// The linear-scan variant of the all-occurrences scan, for the ablation.
 fn occurrences_linear(s: &Spine, first: u32, len: u32) -> Vec<u32> {
     let mut buffer = vec![first];
-    for j in first + 1..=s.len() as u32 {
-        let (dest, lel) = s.link_of(j);
-        if lel >= len && buffer.contains(&dest) {
+    for (j, n) in (0..).zip(s.nodes()).skip(first as usize + 1) {
+        if n.lel >= len && buffer.contains(&n.link) {
             buffer.push(j);
         }
     }

@@ -1374,8 +1374,9 @@ fn verify(opts: &Opts) {
             Box::<Lru>::default(),
         )
         .unwrap();
-        let links: Vec<_> =
-            (0..=d.seq.len() as u32).map(|j| spine::SpineOps::link_of(&sealed, j)).collect();
+        let links: Vec<_> = (0..=d.seq.len() as u32)
+            .map(|j| spine::FallibleSpineOps::try_link_of(&sealed, j).unwrap())
+            .collect();
         let preorder = sealed.preorder().expect("a sealed index keeps its preorder index");
         let preorder_violations = preorder.check(&links);
         for v in preorder_violations.iter().take(3) {

@@ -14,14 +14,18 @@
 //! string; its remaining occurrences come from the usual batched
 //! enumeration (link-tree walks, or one backbone scan).
 //!
+//! Written once against [`FallibleSpineOps`], so it runs on every layout;
+//! [`find_all_hamming`] returns `Result`, and the inherent wrappers on
+//! [`crate::Spine`] and [`crate::CompactSpine`] `expect` it.
+//!
 //! The cost is O(σ^k · |p|) paths in the worst case — the standard bound for
 //! trie-backtracking k-mismatch search — fine for the small `k` used in
 //! seed-and-extend alignment.
 
 use crate::node::{NodeId, ROOT};
-use crate::occurrences::{find_all_ends_batch, Target};
-use crate::ops::SpineOps;
-use strindex::{Code, FxHashMap};
+use crate::occurrences::{try_find_all_ends_batch, Target};
+use crate::ops::{FallibleSpineOps, INFALLIBLE_BOUNDARY};
+use strindex::{Code, FxHashMap, Result};
 
 /// One approximate occurrence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -34,14 +38,14 @@ pub struct ApproxMatch {
 
 /// Enumerate the traversable edges out of `node` for a path of length `pl`:
 /// `(symbol, destination)` pairs, obeying PT/extrib-chain rules.
-fn edges_out<S: SpineOps + ?Sized>(
+fn edges_out<S: FallibleSpineOps + ?Sized>(
     s: &S,
     node: NodeId,
     pl: u32,
     alphabet_codes: usize,
-) -> Vec<(Code, NodeId)> {
+) -> Result<Vec<(Code, NodeId)>> {
     let mut out = Vec::new();
-    let vert = s.vertebra_out(node);
+    let vert = s.try_vertebra_out(node)?;
     if let Some(vc) = vert {
         out.push((vc, node + 1));
     }
@@ -49,7 +53,7 @@ fn edges_out<S: SpineOps + ?Sized>(
         if Some(c) == vert {
             continue; // construction never duplicates the vertebra symbol
         }
-        let Some((dest, pt)) = s.rib_of(node, c) else {
+        let Some((dest, pt)) = s.try_rib_of(node, c)? else {
             continue;
         };
         if pl <= pt {
@@ -59,7 +63,7 @@ fn edges_out<S: SpineOps + ?Sized>(
         // Extrib chain.
         let prt = pt;
         let mut at = dest;
-        while let Some((edest, ept)) = s.extrib_of(at, prt) {
+        while let Some((edest, ept)) = s.try_extrib_of(at, prt)? {
             if ept >= pl {
                 out.push((c, edest));
                 break;
@@ -67,20 +71,20 @@ fn edges_out<S: SpineOps + ?Sized>(
             at = edest;
         }
     }
-    out
+    Ok(out)
 }
 
 /// Find all occurrences of `pattern` within Hamming distance `k`,
 /// sorted by start offset; each start is reported once with its smallest
 /// mismatch count.
-pub fn find_all_hamming<S: SpineOps + ?Sized>(
+pub fn find_all_hamming<S: FallibleSpineOps + ?Sized>(
     s: &S,
     alphabet_codes: usize,
     pattern: &[Code],
     k: u32,
-) -> Vec<ApproxMatch> {
+) -> Result<Vec<ApproxMatch>> {
     if pattern.is_empty() {
-        return Vec::new();
+        return Ok(Vec::new());
     }
     // DFS over valid paths, collecting (end node, mismatches) leaves.
     // Distinct leaves spell distinct strings, but prune revisits of the same
@@ -106,7 +110,7 @@ pub fn find_all_hamming<S: SpineOps + ?Sized>(
             }
         }
         let want = pattern[depth];
-        for (c, dest) in edges_out(s, node, depth as u32, alphabet_codes) {
+        for (c, dest) in edges_out(s, node, depth as u32, alphabet_codes)? {
             let m = miss + (c != want) as u32;
             if m <= k {
                 stack.push((dest, depth + 1, m));
@@ -117,7 +121,7 @@ pub fn find_all_hamming<S: SpineOps + ?Sized>(
     // batch.
     let targets: Vec<Target> =
         leaves.keys().map(|&first_end| Target { first_end, len: pattern.len() as u32 }).collect();
-    let occs = find_all_ends_batch(s, &targets);
+    let occs = try_find_all_ends_batch(s, &targets)?;
     let mut out: FxHashMap<usize, u32> = FxHashMap::default();
     for t in &targets {
         let miss = leaves[&t.first_end];
@@ -130,13 +134,14 @@ pub fn find_all_hamming<S: SpineOps + ?Sized>(
     let mut v: Vec<ApproxMatch> =
         out.into_iter().map(|(start, mismatches)| ApproxMatch { start, mismatches }).collect();
     v.sort();
-    v
+    Ok(v)
 }
 
 impl crate::Spine {
     /// All occurrences of `pattern` within Hamming distance `k`.
     pub fn find_all_hamming(&self, pattern: &[Code], k: u32) -> Vec<ApproxMatch> {
-        find_all_hamming(self, self.alphabet_ref().code_space(), pattern, k)
+        let codes = self.alphabet_ref().code_space();
+        find_all_hamming(self, codes, pattern, k).expect(INFALLIBLE_BOUNDARY)
     }
 }
 
@@ -144,7 +149,8 @@ impl crate::CompactSpine {
     /// All occurrences of `pattern` within Hamming distance `k`.
     pub fn find_all_hamming(&self, pattern: &[Code], k: u32) -> Vec<ApproxMatch> {
         use strindex::StringIndex;
-        find_all_hamming(self, self.alphabet().code_space(), pattern, k)
+        let codes = self.alphabet().code_space();
+        find_all_hamming(self, codes, pattern, k).expect(INFALLIBLE_BOUNDARY)
     }
 }
 

@@ -23,10 +23,178 @@
 //!    fresh extrib from the chain's end to the new node (`PT = l`,
 //!    `PRT =` rib's PT) and link to the chain end with LEL = last element's
 //!    PT + 1.
+//!
+//! That walk is written once, here, for every layout: it reads the chain
+//! through [`FallibleSpineOps`] and writes through a four-method node
+//! store (push a node, set a link, add a rib, add an extrib), which the
+//! reference [`Spine`], the §5 [`crate::CompactSpine`] and the fixed-record
+//! [`crate::DiskSpine`] implement. Validation, the observer hooks and the
+//! Scan/RibFixup phase timing come with it.
 
 use crate::node::{Extrib, Node, NodeId, Rib, ROOT};
 use crate::observe::{BuildEvent, BuildObserver, BuildPhase, BuildStats, MemBreakdown};
-use strindex::{Alphabet, Code, Counters, Error, OnlineIndex, PackedText, Result};
+use crate::ops::{FallibleSpineOps, LinkTree};
+use std::time::Instant;
+use strindex::{Alphabet, Code, Counters, Error, OnlineIndex, PackedText, Result, StringIndex};
+
+/// Where APPEND writes: the node storage of one layout. APPEND reads the
+/// link chain back through [`FallibleSpineOps`], so a layout implements
+/// these four writes and [`append`] does the rest. Every write targets the
+/// new tail node or a chain node before it; nothing is ever removed.
+pub(crate) trait NodeStore: FallibleSpineOps + StringIndex {
+    /// Longest text the layout can index.
+    const MAX_LEN: usize = NodeId::MAX as usize - 1;
+
+    /// Append the tail node for `c`, linked to the root with LEL 0, and
+    /// return its id.
+    fn push_node(&mut self, c: Code) -> Result<NodeId>;
+
+    /// Set `node`'s link to `(dest, lel)`.
+    fn set_link(&mut self, node: NodeId, dest: NodeId, lel: u32) -> Result<()>;
+
+    /// Add a rib labeled `c` from `node` to `dest` with threshold `pt`.
+    fn add_rib(&mut self, node: NodeId, c: Code, dest: NodeId, pt: u32) -> Result<()>;
+
+    /// Add an extrib of the chain `prt` from `node` to `dest` with
+    /// threshold `pt`. Returns whether it spilled out of the node's
+    /// record ([`BuildEvent::ExtribSpill`]).
+    fn add_extrib(&mut self, node: NodeId, prt: u32, dest: NodeId, pt: u32) -> Result<bool>;
+}
+
+/// Append `codes` one by one ([`push`]), timing the loop as the Scan
+/// phase.
+pub(crate) fn extend<S: NodeStore, O: BuildObserver>(
+    s: &mut S,
+    codes: &[Code],
+    o: &mut O,
+) -> Result<()> {
+    let t0 = if O::ENABLED { Some(Instant::now()) } else { None };
+    for &c in codes {
+        push(s, c, o)?;
+    }
+    if let Some(t0) = t0 {
+        o.phase(BuildPhase::Scan, t0.elapsed().as_nanos() as u64);
+    }
+    Ok(())
+}
+
+/// Check `code` against the code space and the layout's length limit,
+/// then APPEND it: every layout's [`OnlineIndex::push`].
+pub(crate) fn push<S: NodeStore, O: BuildObserver>(s: &mut S, code: Code, o: &mut O) -> Result<()> {
+    let len = FallibleSpineOps::text_len(s);
+    if (code as usize) >= s.alphabet().code_space() {
+        return Err(Error::InvalidSymbol { byte: code, pos: len });
+    }
+    if len >= S::MAX_LEN {
+        return Err(Error::TooLong { len, max: S::MAX_LEN });
+    }
+    append(s, code, o)
+}
+
+/// The paper's APPEND (module docs): push the tail node, find its link by
+/// walking the link chain of the old tail, and set it. Every
+/// `if O::ENABLED` block vanishes for the disabled observer.
+fn append<S: NodeStore, O: BuildObserver>(s: &mut S, c: Code, o: &mut O) -> Result<()> {
+    let t = s.push_node(c)?;
+    if t - 1 == ROOT {
+        // First character: the new node already links to the root.
+        if O::ENABLED {
+            o.event(BuildEvent::FirstChar);
+            o.event(BuildEvent::LinkSet { dest: ROOT, lel: 0 });
+        }
+        return Ok(());
+    }
+    let (dest, lel, case) = find_link(s, o, c, t)?;
+    s.set_link(t, dest, lel)?;
+    if O::ENABLED {
+        o.event(case);
+        o.event(BuildEvent::LinkSet { dest, lel });
+    }
+    Ok(())
+}
+
+/// Walk the link chain of the old tail `t - 1` through CASE 1–4, adding
+/// the ribs and extribs the new node `t` needs. Returns `t`'s link and
+/// the disposition that found it.
+fn find_link<S: NodeStore, O: BuildObserver>(
+    s: &mut S,
+    o: &mut O,
+    c: Code,
+    t: NodeId,
+) -> Result<(NodeId, u32, BuildEvent)> {
+    let (mut cur, mut l) = s.try_link_of(t - 1)?;
+    loop {
+        // CASE 1. (The outgoing vertebra of a chain node always exists:
+        // chain nodes precede the old tail.)
+        debug_assert!(cur < t - 1);
+        if s.try_vertebra_out(cur)? == Some(c) {
+            return Ok((cur + 1, l + 1, BuildEvent::Case1));
+        }
+        match s.try_rib_of(cur, c)? {
+            Some((dest, pt)) if pt >= l => return Ok((dest, l + 1, BuildEvent::Case2)),
+            // CASE 4: the rib's threshold is too small.
+            Some((dest, pt)) => return extend_via_extribs(s, o, dest, pt, l, t),
+            None => {
+                // CASE 3: first-time extension — create a rib.
+                s.add_rib(cur, c, t, l)?;
+                if O::ENABLED {
+                    o.event(BuildEvent::RibCreated { pt: l });
+                }
+                if cur == ROOT {
+                    debug_assert_eq!(l, 0, "links into the root carry LEL 0");
+                    return Ok((ROOT, 0, BuildEvent::Case3Root));
+                }
+                if O::ENABLED {
+                    o.event(BuildEvent::ChainStep);
+                }
+                (cur, l) = s.try_link_of(cur)?;
+            }
+        }
+    }
+}
+
+/// CASE 4: walk the extrib chain of the rib to `rib_dest` whose PT is
+/// `prt` (all elements share `PRT == prt`). Chain PTs increase strictly,
+/// covering `(prt, PT₁], (PT₁, PT₂], …`.
+fn extend_via_extribs<S: NodeStore, O: BuildObserver>(
+    s: &mut S,
+    o: &mut O,
+    rib_dest: NodeId,
+    prt: u32,
+    l: u32,
+    t: NodeId,
+) -> Result<(NodeId, u32, BuildEvent)> {
+    let t0 = if O::ENABLED { Some(Instant::now()) } else { None };
+    let (mut last_dest, mut last_pt) = (rib_dest, prt);
+    let found = loop {
+        match s.try_extrib_of(last_dest, prt)? {
+            // The length-`l` extension already exists, ending at `dest`.
+            Some((dest, pt)) if pt >= l => break (dest, l + 1, BuildEvent::Case4Link),
+            Some((dest, pt)) => {
+                debug_assert!(pt > last_pt, "extrib chain PTs must increase");
+                if O::ENABLED {
+                    o.event(BuildEvent::ChainStep);
+                }
+                (last_dest, last_pt) = (dest, pt);
+            }
+            // Chain exhausted: record the new extension from its end.
+            None => {
+                let spilled = s.add_extrib(last_dest, prt, t, l)?;
+                if O::ENABLED {
+                    o.event(BuildEvent::ExtribCreated { prt, pt: l });
+                    if spilled {
+                        o.event(BuildEvent::ExtribSpill);
+                    }
+                }
+                break (last_dest, last_pt + 1, BuildEvent::Case4Extrib);
+            }
+        }
+    };
+    if let Some(t0) = t0 {
+        o.phase(BuildPhase::RibFixup, t0.elapsed().as_nanos() as u64);
+    }
+    Ok(found)
+}
 
 /// The reference SPINE index: explicit nodes and edges in memory.
 ///
@@ -52,10 +220,7 @@ impl Spine {
 
     /// Build the index for an encoded text in one call.
     pub fn build(alphabet: Alphabet, text: &[Code]) -> Result<Self> {
-        let mut s = Spine::new(alphabet);
-        s.nodes.reserve(text.len());
-        s.extend_from(text)?;
-        Ok(s)
+        Self::build_observed(alphabet, text, &mut crate::observe::NoBuildObserver)
     }
 
     /// Convenience: encode `text` with `alphabet` and build.
@@ -74,7 +239,7 @@ impl Spine {
     ) -> Result<Self> {
         let mut s = Spine::new(alphabet);
         s.nodes.reserve(text.len());
-        s.extend_from_observed(text, observer)?;
+        extend(&mut s, text, observer)?;
         Ok(s)
     }
 
@@ -93,26 +258,12 @@ impl Spine {
         codes: &[Code],
         observer: &mut O,
     ) -> Result<()> {
-        let t0 = if O::ENABLED { Some(std::time::Instant::now()) } else { None };
-        for &c in codes {
-            self.push_observed(c, observer)?;
-        }
-        if let Some(t0) = t0 {
-            observer.phase(BuildPhase::Scan, t0.elapsed().as_nanos() as u64);
-        }
-        Ok(())
+        extend(self, codes, observer)
     }
 
     /// Observed online append (same validation as [`OnlineIndex::push`]).
     pub fn push_observed<O: BuildObserver>(&mut self, code: Code, observer: &mut O) -> Result<()> {
-        if (code as usize) >= self.alphabet.code_space() {
-            return Err(Error::InvalidSymbol { byte: code, pos: self.len() });
-        }
-        if self.nodes.len() as u64 >= NodeId::MAX as u64 {
-            return Err(Error::TooLong { len: self.nodes.len(), max: NodeId::MAX as usize - 1 });
-        }
-        self.append_observed(code, observer);
-        Ok(())
+        push(self, code, observer)
     }
 
     /// Heap bytes split by edge kind, consistent with [`Spine::heap_bytes`]:
@@ -172,18 +323,20 @@ impl Spine {
     pub fn recover_text(&self) -> Vec<Code> {
         self.nodes[1..].iter().map(|n| n.vertebra_cl).collect()
     }
+}
 
-    /// Append one character: the paper's APPEND procedure.
-    fn append(&mut self, c: Code) {
-        self.append_observed(c, &mut crate::observe::NoBuildObserver);
-    }
-
-    /// APPEND with observer hooks. Every `if O::ENABLED` block vanishes for
-    /// the disabled observer, leaving the original code.
-    fn append_observed<O: BuildObserver>(&mut self, c: Code, o: &mut O) {
-        let t = self.nodes.len() as NodeId; // id of the new node
-        let prev = t - 1;
+impl NodeStore for Spine {
+    // The build loop's per-symbol write: left to the inliner it stays a
+    // call, and builds measured ~3 % slower.
+    #[inline(always)]
+    fn push_node(&mut self, c: Code) -> Result<NodeId> {
+        let t = self.nodes.len() as NodeId;
         self.nodes.push(Node::new(c));
+        if t == 1 {
+            // The first node links to the root without a `set_link`, so
+            // it joins the root's child list here.
+            self.nodes[ROOT as usize].first_child = t;
+        }
         // Keep the packed shadow of the backbone labels in sync; a code that
         // does not fit the packing (DNA separator) disables it for good.
         if let Some(p) = &mut self.packed {
@@ -191,150 +344,59 @@ impl Spine {
                 self.packed = None;
             }
         }
-        if prev == ROOT {
-            // First character: link to root with LEL 0.
-            self.set_link(t, ROOT, 0);
-            if O::ENABLED {
-                o.event(BuildEvent::FirstChar);
-                o.event(BuildEvent::LinkSet { dest: ROOT, lel: 0 });
-            }
-            return;
-        }
-
-        let (mut cur, mut l) = {
-            let p = &self.nodes[prev as usize];
-            (p.link, p.lel)
-        };
-        loop {
-            // Vertebra for `c` at `cur`? (The outgoing vertebra of a chain
-            // node always exists: chain nodes precede the old tail.)
-            debug_assert!(cur < prev);
-            if self.nodes[cur as usize + 1].vertebra_cl == c {
-                self.set_link(t, cur + 1, l + 1);
-                if O::ENABLED {
-                    o.event(BuildEvent::Case1);
-                    o.event(BuildEvent::LinkSet { dest: cur + 1, lel: l + 1 });
-                }
-                return;
-            }
-            match self.nodes[cur as usize].rib(c).copied() {
-                Some(rib) if rib.pt >= l => {
-                    self.set_link(t, rib.dest, l + 1);
-                    if O::ENABLED {
-                        o.event(BuildEvent::Case2);
-                        o.event(BuildEvent::LinkSet { dest: rib.dest, lel: l + 1 });
-                    }
-                    return;
-                }
-                Some(rib) => {
-                    // CASE 4: the rib's threshold is too small.
-                    self.extend_via_extribs(rib, l, t, o);
-                    return;
-                }
-                None => {
-                    // CASE 3: first-time extension — create a rib.
-                    self.nodes[cur as usize].push_rib(Rib { cl: c, dest: t, pt: l });
-                    if O::ENABLED {
-                        o.event(BuildEvent::RibCreated { pt: l });
-                    }
-                    if cur == ROOT {
-                        debug_assert_eq!(l, 0, "links into the root carry LEL 0");
-                        self.set_link(t, ROOT, 0);
-                        if O::ENABLED {
-                            o.event(BuildEvent::Case3Root);
-                            o.event(BuildEvent::LinkSet { dest: ROOT, lel: 0 });
-                        }
-                        return;
-                    }
-                    if O::ENABLED {
-                        o.event(BuildEvent::ChainStep);
-                    }
-                    let n = &self.nodes[cur as usize];
-                    cur = n.link;
-                    l = n.lel;
-                }
-            }
-        }
-    }
-
-    /// CASE 4: walk the extrib chain of `rib` (all elements share
-    /// `PRT == rib.pt`). Chain PTs increase strictly, covering
-    /// `(rib.pt, PT₁], (PT₁, PT₂], …`.
-    fn extend_via_extribs<O: BuildObserver>(&mut self, rib: Rib, l: u32, t: NodeId, o: &mut O) {
-        let t0 = if O::ENABLED { Some(std::time::Instant::now()) } else { None };
-        let prt = rib.pt;
-        let mut last_dest = rib.dest;
-        let mut last_pt = rib.pt;
-        while let Some(e) = self.nodes[last_dest as usize].extrib(prt).copied() {
-            debug_assert!(e.pt > last_pt, "extrib chain PTs must increase");
-            if e.pt >= l {
-                // The length-`l` extension already exists, ending at e.dest.
-                self.set_link(t, e.dest, l + 1);
-                if O::ENABLED {
-                    o.event(BuildEvent::Case4Link);
-                    o.event(BuildEvent::LinkSet { dest: e.dest, lel: l + 1 });
-                    if let Some(t0) = t0 {
-                        o.phase(BuildPhase::RibFixup, t0.elapsed().as_nanos() as u64);
-                    }
-                }
-                return;
-            }
-            if O::ENABLED {
-                o.event(BuildEvent::ChainStep);
-            }
-            last_dest = e.dest;
-            last_pt = e.pt;
-        }
-        // Chain exhausted: record the new extension from the chain's end.
-        self.nodes[last_dest as usize].push_extrib(Extrib { prt, pt: l, dest: t });
-        self.set_link(t, last_dest, last_pt + 1);
-        if O::ENABLED {
-            o.event(BuildEvent::ExtribCreated { prt, pt: l });
-            o.event(BuildEvent::Case4Extrib);
-            o.event(BuildEvent::LinkSet { dest: last_dest, lel: last_pt + 1 });
-            if let Some(t0) = t0 {
-                o.phase(BuildPhase::RibFixup, t0.elapsed().as_nanos() as u64);
-            }
-        }
+        Ok(t)
     }
 
     /// Set `node`'s link and push `node` onto `dest`'s link-child list.
     /// Nodes are linked in creation order, so siblings stay in descending
     /// id order.
     #[inline]
-    fn set_link(&mut self, node: NodeId, dest: NodeId, lel: u32) {
+    fn set_link(&mut self, node: NodeId, dest: NodeId, lel: u32) -> Result<()> {
         let next_sibling = std::mem::replace(&mut self.nodes[dest as usize].first_child, node);
         let n = &mut self.nodes[node as usize];
         n.link = dest;
         n.lel = lel;
         n.next_sibling = next_sibling;
+        Ok(())
+    }
+
+    #[inline]
+    fn add_rib(&mut self, node: NodeId, c: Code, dest: NodeId, pt: u32) -> Result<()> {
+        self.nodes[node as usize].push_rib(Rib { cl: c, dest, pt });
+        Ok(())
+    }
+
+    #[inline]
+    fn add_extrib(&mut self, node: NodeId, prt: u32, dest: NodeId, pt: u32) -> Result<bool> {
+        self.nodes[node as usize].push_extrib(Extrib { prt, pt, dest });
+        Ok(false)
     }
 }
 
-impl crate::ops::SpineOps for Spine {
+impl FallibleSpineOps for Spine {
     fn text_len(&self) -> usize {
         self.len()
     }
 
     #[inline]
-    fn vertebra_out(&self, node: NodeId) -> Option<Code> {
-        self.nodes.get(node as usize + 1).map(|n| n.vertebra_cl)
+    fn try_vertebra_out(&self, node: NodeId) -> Result<Option<Code>> {
+        Ok(self.nodes.get(node as usize + 1).map(|n| n.vertebra_cl))
     }
 
     #[inline]
-    fn link_of(&self, node: NodeId) -> (NodeId, u32) {
+    fn try_link_of(&self, node: NodeId) -> Result<(NodeId, u32)> {
         let n = &self.nodes[node as usize];
-        (n.link, n.lel)
+        Ok((n.link, n.lel))
     }
 
     #[inline]
-    fn rib_of(&self, node: NodeId, c: Code) -> Option<(NodeId, u32)> {
-        self.nodes[node as usize].rib(c).map(|r| (r.dest, r.pt))
+    fn try_rib_of(&self, node: NodeId, c: Code) -> Result<Option<(NodeId, u32)>> {
+        Ok(self.nodes[node as usize].rib(c).map(|r| (r.dest, r.pt)))
     }
 
     #[inline]
-    fn extrib_of(&self, node: NodeId, prt: u32) -> Option<(NodeId, u32)> {
-        self.nodes[node as usize].extrib(prt).map(|e| (e.dest, e.pt))
+    fn try_extrib_of(&self, node: NodeId, prt: u32) -> Result<Option<(NodeId, u32)>> {
+        Ok(self.nodes[node as usize].extrib(prt).map(|e| (e.dest, e.pt)))
     }
 
     fn ops_counters(&self) -> &Counters {
@@ -345,38 +407,31 @@ impl crate::ops::SpineOps for Spine {
         self.packed.as_ref().map(|p| p.bits())
     }
 
-    fn link_tree(&self) -> Option<crate::ops::LinkTree<'_>> {
-        Some(crate::ops::LinkTree::Lists(&self.nodes))
-    }
-
     #[inline]
-    fn label_run(&self, node: NodeId, pattern: &PackedText, from: usize) -> usize {
+    fn try_label_run(&self, node: NodeId, pattern: &PackedText, from: usize) -> Result<usize> {
         match &self.packed {
-            Some(p) => p.lcp(node as usize, pattern, from, pattern.len() - from),
+            Some(p) => Ok(p.lcp(node as usize, pattern, from, pattern.len() - from)),
             None => {
                 let mut k = 0;
                 while from + k < pattern.len() {
-                    match self.vertebra_out(node + k as NodeId) {
-                        Some(c) if c == pattern.get(from + k) => k += 1,
+                    match self.nodes.get(node as usize + k + 1) {
+                        Some(n) if n.vertebra_cl == pattern.get(from + k) => k += 1,
                         _ => break,
                     }
                 }
-                k
+                Ok(k)
             }
         }
+    }
+
+    fn link_tree(&self) -> Option<LinkTree<'_>> {
+        Some(LinkTree::Lists(&self.nodes))
     }
 }
 
 impl OnlineIndex for Spine {
     fn push(&mut self, code: Code) -> Result<()> {
-        if (code as usize) >= self.alphabet.code_space() {
-            return Err(Error::InvalidSymbol { byte: code, pos: self.len() });
-        }
-        if self.nodes.len() as u64 >= NodeId::MAX as u64 {
-            return Err(Error::TooLong { len: self.nodes.len(), max: NodeId::MAX as usize - 1 });
-        }
-        self.append(code);
-        Ok(())
+        push(self, code, &mut crate::observe::NoBuildObserver)
     }
 }
 

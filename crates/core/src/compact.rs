@@ -23,17 +23,18 @@
 //!   table's rows instead: extrib chains can collide at one node beyond the
 //!   (σ−1)+4 edges the last class holds.
 //!
-//! Construction is online and identical in logic to [`crate::build`]; the
-//! two representations are checked edge-for-edge against each other by the
-//! equivalence tests. All query algorithms come from the shared
-//! [`SpineOps`] implementation.
+//! Construction is online and runs the one APPEND of [`crate::build`]
+//! over this layout's node store; the two representations are checked
+//! edge-for-edge against each other by the equivalence tests. All query
+//! algorithms come from the shared [`FallibleSpineOps`] implementation.
 
+use crate::build::{self, NodeStore};
 use crate::node::{NodeId, ROOT};
-use crate::observe::{BuildEvent, BuildObserver, BuildPhase, BuildStats, MemBreakdown};
-use crate::ops::SpineOps;
+use crate::observe::{BuildObserver, BuildStats, MemBreakdown};
+use crate::ops::{FallibleSpineOps, INFALLIBLE_BOUNDARY};
 use strindex::{
-    Alphabet, Code, Counters, Error, FxHashMap, MatchingIndex, MatchingStats, MaximalMatch,
-    OnlineIndex, PackedText, Result, StringIndex,
+    Alphabet, Code, Counters, FxHashMap, MatchingIndex, MatchingStats, MaximalMatch, OnlineIndex,
+    PackedText, Result, StringIndex,
 };
 
 /// In-slot sentinel meaning "the true value lives in the overflow table".
@@ -252,11 +253,7 @@ impl CompactSpine {
 
     /// Build from an encoded text in one call.
     pub fn build(alphabet: Alphabet, text: &[Code]) -> Result<Self> {
-        let mut s = CompactSpine::new(alphabet);
-        s.lels.reserve(text.len());
-        s.ptrs.reserve(text.len());
-        s.extend_from(text)?;
-        Ok(s)
+        Self::build_observed(alphabet, text, &mut crate::observe::NoBuildObserver)
     }
 
     /// Convenience: encode `text` with `alphabet` and build.
@@ -276,7 +273,7 @@ impl CompactSpine {
         let mut s = CompactSpine::new(alphabet);
         s.lels.reserve(text.len());
         s.ptrs.reserve(text.len());
-        s.extend_from_observed(text, observer)?;
+        build::extend(&mut s, text, observer)?;
         Ok(s)
     }
 
@@ -286,34 +283,6 @@ impl CompactSpine {
         let s = Self::build_observed(alphabet, text, &mut stats)?;
         stats.mem = s.mem_breakdown();
         Ok((s, stats))
-    }
-
-    /// Observed batch append: times the whole loop as the Scan phase.
-    pub fn extend_from_observed<O: BuildObserver>(
-        &mut self,
-        codes: &[Code],
-        observer: &mut O,
-    ) -> Result<()> {
-        let t0 = if O::ENABLED { Some(std::time::Instant::now()) } else { None };
-        for &c in codes {
-            self.push_observed(c, observer)?;
-        }
-        if let Some(t0) = t0 {
-            observer.phase(BuildPhase::Scan, t0.elapsed().as_nanos() as u64);
-        }
-        Ok(())
-    }
-
-    /// Observed online append (same validation as [`OnlineIndex::push`]).
-    pub fn push_observed<O: BuildObserver>(&mut self, code: Code, observer: &mut O) -> Result<()> {
-        if (code as usize) >= self.alphabet.code_space() {
-            return Err(Error::InvalidSymbol { byte: code, pos: self.len() });
-        }
-        if self.len() as u64 >= IDX_MASK as u64 {
-            return Err(Error::TooLong { len: self.len(), max: IDX_MASK as usize });
-        }
-        self.append_observed(code, observer);
-        Ok(())
     }
 
     /// Heap bytes split by edge kind. Rib-Table rows are shared between
@@ -488,155 +457,6 @@ impl CompactSpine {
         }
     }
 
-    fn set_link(&mut self, node: u32, dest: u32, lel: u32) {
-        debug_assert!(self.rt_ref(node).is_none(), "tail node cannot have edges yet");
-        self.ptrs[node as usize] = dest;
-        self.store_lel(node, lel);
-    }
-
-    fn add_rib(&mut self, node: u32, c: Code, dest: u32, pt: u32) {
-        let stored_pt = if pt >= LABEL_OVERFLOW as u32 { LABEL_OVERFLOW } else { pt as u16 };
-        let slot = Slot { kind: c, rd: dest, pt: stored_pt, prt: 0 };
-        let pos = self.push_slot(node, slot);
-        if stored_pt == LABEL_OVERFLOW {
-            self.slot_overflow.insert((node, pos), (pt, 0));
-            self.stats.label_overflows += 1;
-        }
-    }
-
-    fn add_extrib(&mut self, node: u32, prt: u32, dest: u32, pt: u32) {
-        let over = pt >= LABEL_OVERFLOW as u32 || prt >= LABEL_OVERFLOW as u32;
-        let slot = Slot {
-            kind: SLOT_EXTRIB,
-            rd: dest,
-            pt: if over { LABEL_OVERFLOW } else { pt as u16 },
-            prt: if over { LABEL_OVERFLOW } else { prt as u16 },
-        };
-        let pos = self.push_slot(node, slot);
-        if over {
-            self.slot_overflow.insert((node, pos), (pt, prt));
-            self.stats.label_overflows += 1;
-        }
-    }
-
-    // ----- construction ----------------------------------------------------
-
-    /// The APPEND procedure on the compact layout (same logic as
-    /// [`crate::build`]).
-    fn append(&mut self, c: Code) {
-        self.append_observed(c, &mut crate::observe::NoBuildObserver);
-    }
-
-    /// APPEND with observer hooks; emits the same events as the reference
-    /// engine so cross-engine [`BuildStats`] compare equal.
-    fn append_observed<O: BuildObserver>(&mut self, c: Code, o: &mut O) {
-        self.chars.push(c);
-        if let Some(p) = &mut self.packed {
-            if !p.try_push(c) {
-                self.packed = None;
-            }
-        }
-        self.lels.push(0);
-        self.ptrs.push(ROOT);
-        let t = self.len() as u32;
-        let prev = t - 1;
-        if prev == ROOT {
-            if O::ENABLED {
-                o.event(BuildEvent::FirstChar);
-                o.event(BuildEvent::LinkSet { dest: ROOT, lel: 0 });
-            }
-            return;
-        }
-        let (mut cur, mut l) = self.link_of(prev);
-        loop {
-            if self.chars.get(cur as usize) == c {
-                // Vertebra cur → cur+1 carries `c`.
-                self.set_link(t, cur + 1, l + 1);
-                if O::ENABLED {
-                    o.event(BuildEvent::Case1);
-                    o.event(BuildEvent::LinkSet { dest: cur + 1, lel: l + 1 });
-                }
-                return;
-            }
-            match self.rib_of(cur, c) {
-                Some((dest, pt)) if pt >= l => {
-                    self.set_link(t, dest, l + 1);
-                    if O::ENABLED {
-                        o.event(BuildEvent::Case2);
-                        o.event(BuildEvent::LinkSet { dest, lel: l + 1 });
-                    }
-                    return;
-                }
-                Some((dest, pt)) => {
-                    self.extend_via_extribs(cur, dest, pt, l, t, o);
-                    return;
-                }
-                None => {
-                    self.add_rib(cur, c, t, l);
-                    if O::ENABLED {
-                        o.event(BuildEvent::RibCreated { pt: l });
-                    }
-                    if cur == ROOT {
-                        self.set_link(t, ROOT, 0);
-                        if O::ENABLED {
-                            o.event(BuildEvent::Case3Root);
-                            o.event(BuildEvent::LinkSet { dest: ROOT, lel: 0 });
-                        }
-                        return;
-                    }
-                    if O::ENABLED {
-                        o.event(BuildEvent::ChainStep);
-                    }
-                    let (nd, nl) = self.link_of(cur);
-                    cur = nd;
-                    l = nl;
-                }
-            }
-        }
-    }
-
-    fn extend_via_extribs<O: BuildObserver>(
-        &mut self,
-        _node: u32,
-        rib_dest: u32,
-        prt: u32,
-        l: u32,
-        t: u32,
-        o: &mut O,
-    ) {
-        let t0 = if O::ENABLED { Some(std::time::Instant::now()) } else { None };
-        let mut last_dest = rib_dest;
-        let mut last_pt = prt;
-        while let Some((edest, ept)) = self.extrib_of(last_dest, prt) {
-            if ept >= l {
-                self.set_link(t, edest, l + 1);
-                if O::ENABLED {
-                    o.event(BuildEvent::Case4Link);
-                    o.event(BuildEvent::LinkSet { dest: edest, lel: l + 1 });
-                    if let Some(t0) = t0 {
-                        o.phase(BuildPhase::RibFixup, t0.elapsed().as_nanos() as u64);
-                    }
-                }
-                return;
-            }
-            if O::ENABLED {
-                o.event(BuildEvent::ChainStep);
-            }
-            last_dest = edest;
-            last_pt = ept;
-        }
-        self.add_extrib(last_dest, prt, t, l);
-        self.set_link(t, last_dest, last_pt + 1);
-        if O::ENABLED {
-            o.event(BuildEvent::ExtribCreated { prt, pt: l });
-            o.event(BuildEvent::Case4Extrib);
-            o.event(BuildEvent::LinkSet { dest: last_dest, lel: last_pt + 1 });
-            if let Some(t0) = t0 {
-                o.phase(BuildPhase::RibFixup, t0.elapsed().as_nanos() as u64);
-            }
-        }
-    }
-
     // ----- space accounting -------------------------------------------------
 
     /// Actual heap bytes of this Rust representation.
@@ -680,41 +500,97 @@ impl CompactSpine {
     }
 }
 
-impl SpineOps for CompactSpine {
+impl NodeStore for CompactSpine {
+    const MAX_LEN: usize = IDX_MASK as usize;
+
+    // The build loop's per-symbol write: left to the inliner it stays a
+    // call, and builds measured ~3 % slower.
+    #[inline(always)]
+    fn push_node(&mut self, c: Code) -> Result<NodeId> {
+        self.chars.push(c);
+        if let Some(p) = &mut self.packed {
+            if !p.try_push(c) {
+                self.packed = None;
+            }
+        }
+        self.lels.push(0);
+        self.ptrs.push(ROOT);
+        Ok(self.len() as NodeId)
+    }
+
+    #[inline]
+    fn set_link(&mut self, node: NodeId, dest: NodeId, lel: u32) -> Result<()> {
+        debug_assert!(self.rt_ref(node).is_none(), "tail node cannot have edges yet");
+        self.ptrs[node as usize] = dest;
+        self.store_lel(node, lel);
+        Ok(())
+    }
+
+    fn add_rib(&mut self, node: NodeId, c: Code, dest: NodeId, pt: u32) -> Result<()> {
+        let stored_pt = if pt >= LABEL_OVERFLOW as u32 { LABEL_OVERFLOW } else { pt as u16 };
+        let slot = Slot { kind: c, rd: dest, pt: stored_pt, prt: 0 };
+        let pos = self.push_slot(node, slot);
+        if stored_pt == LABEL_OVERFLOW {
+            self.slot_overflow.insert((node, pos), (pt, 0));
+            self.stats.label_overflows += 1;
+        }
+        Ok(())
+    }
+
+    fn add_extrib(&mut self, node: NodeId, prt: u32, dest: NodeId, pt: u32) -> Result<bool> {
+        let over = pt >= LABEL_OVERFLOW as u32 || prt >= LABEL_OVERFLOW as u32;
+        let slot = Slot {
+            kind: SLOT_EXTRIB,
+            rd: dest,
+            pt: if over { LABEL_OVERFLOW } else { pt as u16 },
+            prt: if over { LABEL_OVERFLOW } else { prt as u16 },
+        };
+        let pos = self.push_slot(node, slot);
+        if over {
+            self.slot_overflow.insert((node, pos), (pt, prt));
+            self.stats.label_overflows += 1;
+        }
+        Ok(false)
+    }
+}
+
+impl FallibleSpineOps for CompactSpine {
     fn text_len(&self) -> usize {
         self.len()
     }
 
     #[inline]
-    fn vertebra_out(&self, node: NodeId) -> Option<Code> {
-        ((node as usize) < self.len()).then(|| self.chars.get(node as usize))
+    fn try_vertebra_out(&self, node: NodeId) -> Result<Option<Code>> {
+        Ok(((node as usize) < self.len()).then(|| self.chars.get(node as usize)))
     }
 
     #[inline]
-    fn link_of(&self, node: NodeId) -> (NodeId, u32) {
-        (self.link_dest(node), self.lel_value(node))
+    fn try_link_of(&self, node: NodeId) -> Result<(NodeId, u32)> {
+        Ok((self.link_dest(node), self.lel_value(node)))
     }
 
-    fn rib_of(&self, node: NodeId, c: Code) -> Option<(NodeId, u32)> {
+    #[inline]
+    fn try_rib_of(&self, node: NodeId, c: Code) -> Result<Option<(NodeId, u32)>> {
         for (i, s) in self.slots_of(node).iter().enumerate() {
             if s.kind == c {
                 let (pt, _) = self.slot_labels(node, i as u8, s);
-                return Some((s.rd, pt));
+                return Ok(Some((s.rd, pt)));
             }
         }
-        None
+        Ok(None)
     }
 
-    fn extrib_of(&self, node: NodeId, prt: u32) -> Option<(NodeId, u32)> {
+    #[inline]
+    fn try_extrib_of(&self, node: NodeId, prt: u32) -> Result<Option<(NodeId, u32)>> {
         for (i, s) in self.slots_of(node).iter().enumerate() {
             if s.kind == SLOT_EXTRIB {
                 let (pt, sprt) = self.slot_labels(node, i as u8, s);
                 if sprt == prt {
-                    return Some((s.rd, pt));
+                    return Ok(Some((s.rd, pt)));
                 }
             }
         }
-        None
+        Ok(None)
     }
 
     fn ops_counters(&self) -> &Counters {
@@ -726,18 +602,16 @@ impl SpineOps for CompactSpine {
     }
 
     #[inline]
-    fn label_run(&self, node: NodeId, pattern: &PackedText, from: usize) -> usize {
+    fn try_label_run(&self, node: NodeId, pattern: &PackedText, from: usize) -> Result<usize> {
         match &self.packed {
-            Some(p) => p.lcp(node as usize, pattern, from, pattern.len() - from),
+            Some(p) => Ok(p.lcp(node as usize, pattern, from, pattern.len() - from)),
             None => {
+                let max = (pattern.len() - from).min(self.len().saturating_sub(node as usize));
                 let mut k = 0;
-                while from + k < pattern.len() {
-                    match self.vertebra_out(node + k as NodeId) {
-                        Some(c) if c == pattern.get(from + k) => k += 1,
-                        _ => break,
-                    }
+                while k < max && self.chars.get(node as usize + k) == pattern.get(from + k) {
+                    k += 1;
                 }
-                k
+                Ok(k)
             }
         }
     }
@@ -745,14 +619,7 @@ impl SpineOps for CompactSpine {
 
 impl OnlineIndex for CompactSpine {
     fn push(&mut self, code: Code) -> Result<()> {
-        if (code as usize) >= self.alphabet.code_space() {
-            return Err(Error::InvalidSymbol { byte: code, pos: self.len() });
-        }
-        if self.len() as u64 >= IDX_MASK as u64 {
-            return Err(Error::TooLong { len: self.len(), max: IDX_MASK as usize });
-        }
-        self.append(code);
-        Ok(())
+        build::push(self, code, &mut crate::observe::NoBuildObserver)
     }
 }
 
@@ -786,11 +653,11 @@ impl StringIndex for CompactSpine {
 
 impl MatchingIndex for CompactSpine {
     fn matching_statistics(&self, query: &[Code]) -> MatchingStats {
-        crate::matching::matching_statistics(self, query)
+        crate::matching::matching_statistics(self, query).expect(INFALLIBLE_BOUNDARY)
     }
 
     fn maximal_matches(&self, query: &[Code], min_len: usize) -> Vec<MaximalMatch> {
-        crate::matching::maximal_matches(self, query, min_len)
+        crate::matching::maximal_matches(self, query, min_len).expect(INFALLIBLE_BOUNDARY)
     }
 }
 
@@ -798,6 +665,7 @@ impl MatchingIndex for CompactSpine {
 mod tests {
     use super::*;
     use crate::build::Spine;
+    use strindex::Error;
 
     fn both(text: &[u8]) -> (Alphabet, Spine, CompactSpine) {
         let a = Alphabet::dna();
@@ -806,24 +674,26 @@ mod tests {
         (a, r, c)
     }
 
-    /// Edge-for-edge equality through the SpineOps surface.
+    /// Edge-for-edge equality through the [`FallibleSpineOps`] surface.
     fn assert_equivalent(r: &Spine, c: &CompactSpine, a: &Alphabet) {
-        assert_eq!(SpineOps::text_len(r), SpineOps::text_len(c));
+        assert_eq!(FallibleSpineOps::text_len(r), FallibleSpineOps::text_len(c));
         for node in 0..=r.len() as u32 {
-            assert_eq!(r.vertebra_out(node), c.vertebra_out(node), "vertebra at {node}");
+            let vertebra = (r.try_vertebra_out(node).unwrap(), c.try_vertebra_out(node).unwrap());
+            assert_eq!(vertebra.0, vertebra.1, "vertebra at {node}");
             if node != ROOT {
-                assert_eq!(r.link_of(node), c.link_of(node), "link at {node}");
+                assert_eq!(
+                    r.try_link_of(node).unwrap(),
+                    c.try_link_of(node).unwrap(),
+                    "link {node}"
+                );
             }
             for code in 0..a.code_space() as Code {
-                assert_eq!(r.rib_of(node, code), c.rib_of(node, code), "rib {code} at {node}");
+                let rib = (r.try_rib_of(node, code).unwrap(), c.try_rib_of(node, code).unwrap());
+                assert_eq!(rib.0, rib.1, "rib {code} at {node}");
             }
             for e in &r.nodes()[node as usize].extribs {
-                assert_eq!(
-                    c.extrib_of(node, e.prt),
-                    Some((e.dest, e.pt)),
-                    "extrib prt {} at {node}",
-                    e.prt
-                );
+                let got = c.try_extrib_of(node, e.prt).unwrap();
+                assert_eq!(got, Some((e.dest, e.pt)), "extrib prt {} at {node}", e.prt);
             }
         }
     }

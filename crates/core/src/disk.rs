@@ -38,18 +38,18 @@
 //! Every sealed page carries a format-version header; readers check it on
 //! each access and surface [`strindex::Error::FormatVersion`] ("rebuild
 //! required") instead of misparsing, and [`DiskSpine::reopen`] rejects v1
-//! sidecars the same way. All query algorithms are the shared generic ones
-//! ([`crate::ops`]); `SpineOps` takes `&self`, so the store lives behind a
-//! mutex.
+//! sidecars the same way. APPEND and all query algorithms are the shared
+//! generic ones ([`crate::build`], [`crate::ops`]); [`FallibleSpineOps`]
+//! takes `&self`, so the store lives behind a mutex.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, OnceLock};
 
-use crate::build::Spine;
+use crate::build::{self, NodeStore, Spine};
 use crate::hot::HotSet;
-use crate::node::{Extrib, NodeId, Rib, ROOT};
-use crate::observe::{BuildEvent, BuildObserver, BuildPhase, BuildStats, MemBreakdown};
-use crate::ops::{FallibleSpineOps, LinkTree, SpineOps};
+use crate::node::{Extrib, NodeId, Rib};
+use crate::observe::{BuildObserver, BuildPhase, BuildStats, MemBreakdown};
+use crate::ops::{FallibleSpineOps, LinkTree, INFALLIBLE_BOUNDARY};
 use crate::preorder::PreorderIndex;
 use pagestore::{
     slotted, slotted_record, BufferPool, CacheStats, CacheStatsSnapshot, EvictionPolicy,
@@ -492,6 +492,31 @@ impl SealedStore {
         Ok(((w >> ((i % pw) as u32 * self.bits)) & low_mask(self.bits)) as Code)
     }
 
+    /// Labels of text positions `from..to` (0-based, `to` at most the text
+    /// length): one fetch per label page, each packed word decoded once.
+    fn labels(&mut self, from: usize, to: usize) -> Result<Vec<Code>> {
+        let (bits, pw) = (self.bits, (64 / self.bits) as usize);
+        let mut out = Vec::with_capacity(to.saturating_sub(from));
+        let mut i = from;
+        while i < to {
+            let page = i / pw / WORDS_PER_PAGE;
+            let page_end = ((page + 1) * WORDS_PER_PAGE * pw).min(to);
+            self.pool.read(1 + page as u32, |b| -> Result<()> {
+                PageHeader::checked(b, slotted::kind::LABELS)?;
+                for w in i / pw..=(page_end - 1) / pw {
+                    let off = slotted::PAGE_HEADER_LEN + (w % WORDS_PER_PAGE) * 8;
+                    let word = u64::from_le_bytes(b[off..off + 8].try_into().unwrap());
+                    for j in i.max(w * pw)..page_end.min((w + 1) * pw) {
+                        out.push(((word >> ((j % pw) as u32 * bits)) & low_mask(bits)) as Code);
+                    }
+                }
+                Ok(())
+            })??;
+            i = page_end;
+        }
+        Ok(out)
+    }
+
     /// Up to `per_word` labels starting at position `i`, packed into the
     /// low bits of one word — the same window [`PackedText::window`]
     /// assembles, so the two compare with one xor.
@@ -625,9 +650,14 @@ impl DiskSpine {
         pool_pages: usize,
         policy: Box<dyn EvictionPolicy>,
     ) -> Result<Self> {
-        let mut s = Self::new(alphabet, device, pool_pages, policy)?;
-        s.extend_from(text)?;
-        Ok(s)
+        Self::build_observed(
+            alphabet,
+            text,
+            device,
+            pool_pages,
+            policy,
+            &mut crate::observe::NoBuildObserver,
+        )
     }
 
     /// Build while reporting every structural event (plus disk-only spill
@@ -641,7 +671,7 @@ impl DiskSpine {
         observer: &mut O,
     ) -> Result<Self> {
         let mut s = Self::new(alphabet, device, pool_pages, policy)?;
-        s.extend_from_observed(text, observer)?;
+        build::extend(&mut s, text, observer)?;
         Ok(s)
     }
 
@@ -1061,30 +1091,6 @@ impl DiskSpine {
         Ok(c)
     }
 
-    /// Observed batch append: times the whole loop as the Scan phase.
-    pub fn extend_from_observed<O: BuildObserver>(
-        &mut self,
-        codes: &[Code],
-        observer: &mut O,
-    ) -> Result<()> {
-        let t0 = if O::ENABLED { Some(std::time::Instant::now()) } else { None };
-        for &c in codes {
-            self.push_observed(c, observer)?;
-        }
-        if let Some(t0) = t0 {
-            observer.phase(BuildPhase::Scan, t0.elapsed().as_nanos() as u64);
-        }
-        Ok(())
-    }
-
-    /// Observed online append (same validation as [`OnlineIndex::push`]).
-    pub fn push_observed<O: BuildObserver>(&mut self, code: Code, observer: &mut O) -> Result<()> {
-        if (code as usize) >= self.alphabet.code_space() {
-            return Err(Error::InvalidSymbol { byte: code, pos: self.len });
-        }
-        self.append_observed(code, observer)
-    }
-
     /// Bytes split by edge kind. For the mutable layout this is derived
     /// from the fixed record geometry (field spans × record count) plus the
     /// spill side table; for a sealed index it is the exact encoded
@@ -1195,10 +1201,21 @@ impl DiskSpine {
     // ----- record access ----------------------------------------------------
     //
     // Every accessor returns `Result`: the records live behind a buffer pool
-    // over a fallible device, so any hop can surface an I/O error. The
-    // fallible surface ([`FallibleSpineOps`], `try_find_all`) propagates
-    // these; the legacy infallible traits unwrap at their boundary. Each
+    // over a fallible device, so any hop can surface an I/O error.
+    // [`FallibleSpineOps`] and `try_find_all` propagate these; the
+    // `StringIndex`/`MatchingIndex` impls expect at their boundary. Each
     // accessor dispatches on the physical layout.
+
+    /// Backbone labels of text positions `from..to` (0-based, `to` at most
+    /// [`Self::len`]) under one lock: the sealed layout fetches each label
+    /// page once and decodes each packed word once.
+    pub(crate) fn labels(&self, from: usize, to: usize) -> Result<Vec<Code>> {
+        debug_assert!(to <= self.len, "labels past the text");
+        match &mut *self.store.lock() {
+            Store::Sealed(s) => s.labels(from, to),
+            Store::Mutable(v) => (from..to).map(|i| v.read(i + 1, |r| r[0])).collect(),
+        }
+    }
 
     fn read_cl(&self, node: u32) -> Result<Code> {
         debug_assert!(node >= 1, "the root has no incoming vertebra");
@@ -1263,219 +1280,6 @@ impl DiskSpine {
         }))
     }
 
-    fn write_link(&self, node: u32, dest: u32, lel: u32) -> Result<()> {
-        match &mut *self.store.lock() {
-            Store::Mutable(v) => v.write(node as usize, |r| {
-                put_u32(r, 1, dest);
-                put_u32(r, 5, lel);
-            }),
-            Store::Sealed(_) => Err(Error::Unsupported("write to a sealed index")),
-        }
-    }
-
-    fn add_rib(&self, node: u32, c: Code, dest: u32, pt: u32) -> Result<()> {
-        let l = &self.layout;
-        match &mut *self.store.lock() {
-            Store::Mutable(v) => v.write(node as usize, |r| {
-                let count = r[9] as usize;
-                assert!(count < l.rib_slots, "rib slots exhausted");
-                let off = l.rib_off(count);
-                r[off] = c;
-                put_u32(r, off + 1, dest);
-                put_u32(r, off + 5, pt);
-                r[9] = (count + 1) as u8;
-            }),
-            Store::Sealed(_) => Err(Error::Unsupported("write to a sealed index")),
-        }
-    }
-
-    /// Returns whether the extrib spilled to the side table.
-    fn add_extrib(&self, node: u32, prt: u32, dest: u32, pt: u32) -> Result<bool> {
-        let l = &self.layout;
-        let spilled = match &mut *self.store.lock() {
-            Store::Mutable(v) => v.write(node as usize, |r| {
-                let co = l.extrib_count_off();
-                let count = r[co] as usize;
-                if count < EXTRIB_SLOTS {
-                    let off = l.extrib_off(count);
-                    put_u32(r, off, dest);
-                    put_u32(r, off + 4, pt);
-                    put_u32(r, off + 8, prt);
-                    r[co] = (count + 1) as u8;
-                    false
-                } else {
-                    true
-                }
-            })?,
-            Store::Sealed(_) => return Err(Error::Unsupported("write to a sealed index")),
-        };
-        if spilled {
-            self.spill.lock().entry(node).or_default().push((prt, pt, dest));
-            self.spill_count.fetch_add(1, Relaxed);
-        }
-        Ok(spilled)
-    }
-
-    // ----- construction -----------------------------------------------------
-
-    /// The APPEND procedure over page-resident records. Any device error
-    /// propagates cleanly; a retry-wrapped device absorbs transient faults
-    /// before they reach here.
-    fn append(&mut self, c: Code) -> Result<()> {
-        self.append_observed(c, &mut crate::observe::NoBuildObserver)
-    }
-
-    /// APPEND with observer hooks; emits the same event stream as the
-    /// in-memory engines, plus [`BuildEvent::ExtribSpill`] when an extrib
-    /// overflows the record's inline slots. Rejected with
-    /// [`Error::Unsupported`] on a sealed index.
-    fn append_observed<O: BuildObserver>(&mut self, c: Code, o: &mut O) -> Result<()> {
-        let t = {
-            let mut guard = self.store.lock();
-            let Store::Mutable(v) = &mut *guard else {
-                return Err(Error::Unsupported("append to a sealed index"));
-            };
-            let idx = v.push_zeroed()?;
-            v.write(idx, |r| r[0] = c)?;
-            idx as u32
-        };
-        self.len += 1;
-        let prev = t - 1;
-        if prev == ROOT {
-            if O::ENABLED {
-                o.event(BuildEvent::FirstChar);
-                o.event(BuildEvent::LinkSet { dest: ROOT, lel: 0 });
-            }
-            return Ok(());
-        }
-        let (mut cur, mut l) = self.read_link(prev)?;
-        loop {
-            if self.read_cl(cur + 1)? == c {
-                self.write_link(t, cur + 1, l + 1)?;
-                if O::ENABLED {
-                    o.event(BuildEvent::Case1);
-                    o.event(BuildEvent::LinkSet { dest: cur + 1, lel: l + 1 });
-                }
-                return Ok(());
-            }
-            match self.find_rib(cur, c)? {
-                Some((dest, pt)) if pt >= l => {
-                    self.write_link(t, dest, l + 1)?;
-                    if O::ENABLED {
-                        o.event(BuildEvent::Case2);
-                        o.event(BuildEvent::LinkSet { dest, lel: l + 1 });
-                    }
-                    return Ok(());
-                }
-                Some((dest, pt)) => {
-                    // Extrib chain.
-                    let t0 = if O::ENABLED { Some(std::time::Instant::now()) } else { None };
-                    let prt = pt;
-                    let mut last_dest = dest;
-                    let mut last_pt = pt;
-                    loop {
-                        match self.find_extrib(last_dest, prt)? {
-                            Some((edest, ept)) if ept >= l => {
-                                self.write_link(t, edest, l + 1)?;
-                                if O::ENABLED {
-                                    o.event(BuildEvent::Case4Link);
-                                    o.event(BuildEvent::LinkSet { dest: edest, lel: l + 1 });
-                                    if let Some(t0) = t0 {
-                                        o.phase(
-                                            BuildPhase::RibFixup,
-                                            t0.elapsed().as_nanos() as u64,
-                                        );
-                                    }
-                                }
-                                return Ok(());
-                            }
-                            Some((edest, ept)) => {
-                                if O::ENABLED {
-                                    o.event(BuildEvent::ChainStep);
-                                }
-                                last_dest = edest;
-                                last_pt = ept;
-                            }
-                            None => break,
-                        }
-                    }
-                    let spilled = self.add_extrib(last_dest, prt, t, l)?;
-                    self.write_link(t, last_dest, last_pt + 1)?;
-                    if O::ENABLED {
-                        o.event(BuildEvent::ExtribCreated { prt, pt: l });
-                        if spilled {
-                            o.event(BuildEvent::ExtribSpill);
-                        }
-                        o.event(BuildEvent::Case4Extrib);
-                        o.event(BuildEvent::LinkSet { dest: last_dest, lel: last_pt + 1 });
-                        if let Some(t0) = t0 {
-                            o.phase(BuildPhase::RibFixup, t0.elapsed().as_nanos() as u64);
-                        }
-                    }
-                    return Ok(());
-                }
-                None => {
-                    self.add_rib(cur, c, t, l)?;
-                    if O::ENABLED {
-                        o.event(BuildEvent::RibCreated { pt: l });
-                    }
-                    if cur == ROOT {
-                        self.write_link(t, ROOT, 0)?;
-                        if O::ENABLED {
-                            o.event(BuildEvent::Case3Root);
-                            o.event(BuildEvent::LinkSet { dest: ROOT, lel: 0 });
-                        }
-                        return Ok(());
-                    }
-                    if O::ENABLED {
-                        o.event(BuildEvent::ChainStep);
-                    }
-                    let (nd, nl) = self.read_link(cur)?;
-                    cur = nd;
-                    l = nl;
-                }
-            }
-        }
-    }
-
-    // ----- packed search support --------------------------------------------
-
-    /// `Some(bits)` when the sealed store can compare backbone labels
-    /// word-at-a-time at that width.
-    fn packing_bits(&self) -> Option<u32> {
-        match &*self.store.lock() {
-            Store::Sealed(s) if s.packed_compare => Some(s.bits),
-            _ => None,
-        }
-    }
-
-    /// Shared body of the (in)fallible `label_run`s. The sealed fast path
-    /// runs under the store lock; the scalar fallback must not (it calls
-    /// `try_vertebra_out`, which takes the lock again).
-    fn try_label_run_inner(
-        &self,
-        node: NodeId,
-        pattern: &PackedText,
-        from: usize,
-    ) -> Result<usize> {
-        {
-            let mut guard = self.store.lock();
-            if let Store::Sealed(s) = &mut *guard {
-                if s.packed_compare && s.bits == pattern.bits() {
-                    return s.label_run(self.len, node, pattern, from);
-                }
-            }
-        }
-        let mut k = 0;
-        while from + k < pattern.len() {
-            match self.try_vertebra_out(node + k as NodeId)? {
-                Some(c) if c == pattern.get(from + k) => k += 1,
-                _ => break,
-            }
-        }
-        Ok(k)
-    }
-
     // ----- fallible query surface -------------------------------------------
 
     /// Fallible [`crate::search::locate`]: the end node of `pattern`'s first
@@ -1519,47 +1323,65 @@ impl DiskSpine {
     }
 }
 
-/// Message for the infallible-trait boundary: callers of plain [`SpineOps`]
-/// opted out of error handling, so a real device error can only panic there.
-/// Fault-aware callers use [`FallibleSpineOps`] / [`DiskSpine::try_find_all`].
-const INFALLIBLE_BOUNDARY: &str =
-    "page device error during infallible traversal (use the try_* surface for fault tolerance)";
+/// The records APPEND writes: only the mutable layout takes appends.
+fn records(store: &mut Mutex<Store>) -> Result<&mut PagedVec> {
+    match store.get_mut() {
+        Store::Mutable(v) => Ok(v),
+        Store::Sealed(_) => Err(Error::Unsupported("append to a sealed index")),
+    }
+}
 
-impl SpineOps for DiskSpine {
-    fn text_len(&self) -> usize {
-        self.len
+impl NodeStore for DiskSpine {
+    /// A zeroed fixed-size record, labeled `c`; a zeroed link is the root
+    /// with LEL 0.
+    fn push_node(&mut self, c: Code) -> Result<NodeId> {
+        let v = records(&mut self.store)?;
+        let idx = v.push_zeroed()?;
+        v.write(idx, |r| r[0] = c)?;
+        self.len += 1;
+        Ok(idx as NodeId)
     }
 
-    fn vertebra_out(&self, node: NodeId) -> Option<Code> {
-        ((node as usize) < self.len).then(|| self.read_cl(node + 1).expect(INFALLIBLE_BOUNDARY))
+    fn set_link(&mut self, node: NodeId, dest: NodeId, lel: u32) -> Result<()> {
+        records(&mut self.store)?.write(node as usize, |r| {
+            put_u32(r, 1, dest);
+            put_u32(r, 5, lel);
+        })
     }
 
-    fn link_of(&self, node: NodeId) -> (NodeId, u32) {
-        self.read_link(node).expect(INFALLIBLE_BOUNDARY)
+    fn add_rib(&mut self, node: NodeId, c: Code, dest: NodeId, pt: u32) -> Result<()> {
+        let l = &self.layout;
+        records(&mut self.store)?.write(node as usize, |r| {
+            let count = r[9] as usize;
+            assert!(count < l.rib_slots, "rib slots exhausted");
+            let off = l.rib_off(count);
+            r[off] = c;
+            put_u32(r, off + 1, dest);
+            put_u32(r, off + 5, pt);
+            r[9] = (count + 1) as u8;
+        })
     }
 
-    fn rib_of(&self, node: NodeId, c: Code) -> Option<(NodeId, u32)> {
-        self.find_rib(node, c).expect(INFALLIBLE_BOUNDARY)
-    }
-
-    fn extrib_of(&self, node: NodeId, prt: u32) -> Option<(NodeId, u32)> {
-        self.find_extrib(node, prt).expect(INFALLIBLE_BOUNDARY)
-    }
-
-    fn ops_counters(&self) -> &Counters {
-        &self.counters
-    }
-
-    fn backbone_packing(&self) -> Option<u32> {
-        self.packing_bits()
-    }
-
-    fn label_run(&self, node: NodeId, pattern: &PackedText, from: usize) -> usize {
-        self.try_label_run_inner(node, pattern, from).expect(INFALLIBLE_BOUNDARY)
-    }
-
-    fn link_tree(&self) -> Option<LinkTree<'_>> {
-        self.preorder.as_ref().map(LinkTree::Preorder)
+    /// Extribs beyond the record's inline slots spill to the side table.
+    fn add_extrib(&mut self, node: NodeId, prt: u32, dest: NodeId, pt: u32) -> Result<bool> {
+        let l = &self.layout;
+        let spilled = records(&mut self.store)?.write(node as usize, |r| {
+            let co = l.extrib_count_off();
+            let count = r[co] as usize;
+            if count < EXTRIB_SLOTS {
+                let off = l.extrib_off(count);
+                put_u32(r, off, dest);
+                put_u32(r, off + 4, pt);
+                put_u32(r, off + 8, prt);
+                r[co] = (count + 1) as u8;
+            }
+            count >= EXTRIB_SLOTS
+        })?;
+        if spilled {
+            self.spill.get_mut().entry(node).or_default().push((prt, pt, dest));
+            self.spill_count.fetch_add(1, Relaxed);
+        }
+        Ok(spilled)
     }
 }
 
@@ -1596,12 +1418,32 @@ impl FallibleSpineOps for DiskSpine {
         Some(self.pool_counts())
     }
 
+    /// `Some(bits)` when the sealed store can compare backbone labels
+    /// word-at-a-time at that width.
     fn backbone_packing(&self) -> Option<u32> {
-        self.packing_bits()
+        match &*self.store.lock() {
+            Store::Sealed(s) if s.packed_compare => Some(s.bits),
+            _ => None,
+        }
     }
 
+    /// The sealed fast path compares whole label words under the store
+    /// lock; the scalar fallback must not hold it (it calls
+    /// `try_vertebra_out`, which takes the lock again).
     fn try_label_run(&self, node: NodeId, pattern: &PackedText, from: usize) -> Result<usize> {
-        self.try_label_run_inner(node, pattern, from)
+        if let Store::Sealed(s) = &mut *self.store.lock() {
+            if s.packed_compare && s.bits == pattern.bits() {
+                return s.label_run(self.len, node, pattern, from);
+            }
+        }
+        let mut k = 0;
+        while from + k < pattern.len() {
+            match self.try_vertebra_out(node + k as NodeId)? {
+                Some(c) if c == pattern.get(from + k) => k += 1,
+                _ => break,
+            }
+        }
+        Ok(k)
     }
 
     // Only the mutable layout scans (a sealed index walks its preorder
@@ -1625,10 +1467,7 @@ impl FallibleSpineOps for DiskSpine {
 
 impl OnlineIndex for DiskSpine {
     fn push(&mut self, code: Code) -> Result<()> {
-        if (code as usize) >= self.alphabet.code_space() {
-            return Err(Error::InvalidSymbol { byte: code, pos: self.len });
-        }
-        self.append(code)
+        build::push(self, code, &mut crate::observe::NoBuildObserver)
     }
 }
 
@@ -1662,11 +1501,11 @@ impl StringIndex for DiskSpine {
 
 impl MatchingIndex for DiskSpine {
     fn matching_statistics(&self, query: &[Code]) -> MatchingStats {
-        crate::matching::matching_statistics(self, query)
+        crate::matching::matching_statistics(self, query).expect(INFALLIBLE_BOUNDARY)
     }
 
     fn maximal_matches(&self, query: &[Code], min_len: usize) -> Vec<MaximalMatch> {
-        crate::matching::maximal_matches(self, query, min_len)
+        crate::matching::maximal_matches(self, query, min_len).expect(INFALLIBLE_BOUNDARY)
     }
 }
 
@@ -1946,12 +1785,18 @@ mod tests {
         let (a, d) = disk(text, 4);
         let r = Spine::build_from_bytes(a.clone(), text).unwrap();
         for node in 0..=r.len() as u32 {
-            assert_eq!(r.vertebra_out(node), d.vertebra_out(node), "vertebra {node}");
-            if node != ROOT {
-                assert_eq!(r.link_of(node), d.link_of(node), "link {node}");
+            let vertebra = (r.try_vertebra_out(node).unwrap(), d.try_vertebra_out(node).unwrap());
+            assert_eq!(vertebra.0, vertebra.1, "vertebra {node}");
+            if node != crate::ROOT {
+                assert_eq!(
+                    r.try_link_of(node).unwrap(),
+                    d.try_link_of(node).unwrap(),
+                    "link {node}"
+                );
             }
             for code in 0..a.code_space() as Code {
-                assert_eq!(r.rib_of(node, code), d.rib_of(node, code), "rib {node}/{code}");
+                let rib = (r.try_rib_of(node, code).unwrap(), d.try_rib_of(node, code).unwrap());
+                assert_eq!(rib.0, rib.1, "rib {node}/{code}");
             }
         }
     }
@@ -2129,7 +1974,7 @@ mod tests {
             Box::<Lru>::default(),
         )
         .unwrap();
-        assert!(SpineOps::link_tree(&mutable).is_none(), "the mutable layout scans");
+        assert!(mutable.link_tree().is_none(), "the mutable layout scans");
         let pinned = mutable.pin_hot_prefix(3).unwrap();
         assert!(pinned > 0, "a prefix page must pin");
         assert_eq!(mutable.pinned_pages(), pinned);
@@ -2492,6 +2337,31 @@ mod sealed_tests {
     }
 
     #[test]
+    fn label_ranges_read_back_the_text_across_label_pages() {
+        // 8-bit labels pack 8 per word, so 9 000 bytes span three label
+        // pages; the ranges start and end on, before and after the page
+        // and word boundaries.
+        let a = Alphabet::bytes();
+        let text = drawn(&(0..254).collect::<Vec<Code>>(), 9000, 0x1ABE15);
+        let d =
+            DiskSpine::build_sealed(a, &text, Box::new(MemDevice::new()), 2, Box::<Lru>::default())
+                .unwrap();
+        let page = WORDS_PER_PAGE * 8;
+        for (from, to) in [(0, 0), (0, 9000), (3, 11), (page - 1, page + 1), (page, 2 * page + 9)] {
+            assert_eq!(d.labels(from, to).unwrap(), &text[from..to], "labels {from}..{to}");
+        }
+        let mutable = DiskSpine::build(
+            Alphabet::bytes(),
+            &text[..300],
+            Box::new(MemDevice::new()),
+            2,
+            Box::<Lru>::default(),
+        )
+        .unwrap();
+        assert_eq!(mutable.labels(7, 300).unwrap(), &text[7..300]);
+    }
+
+    #[test]
     fn separator_in_text_disables_packed_compare_but_not_queries() {
         // A DNA concatenation with document separators cannot pack at
         // 2 bits; the seal falls back to a 3-bit scalar-compared store.
@@ -2562,10 +2432,6 @@ mod sealed_tests {
     fn sealed_rejects_appends() {
         let (_, mut d) = seal(b"ACGTACGT", 2);
         assert!(matches!(d.push(0), Err(Error::Unsupported(_))));
-        assert!(matches!(
-            d.push_observed(0, &mut crate::observe::NoBuildObserver),
-            Err(Error::Unsupported(_))
-        ));
         // Still fully queryable afterwards.
         let a = Alphabet::dna();
         assert_eq!(StringIndex::find_all(&d, &a.encode(b"CGT").unwrap()), vec![1, 5]);

@@ -13,7 +13,8 @@
 //!   segment's in-RAM preorder index — answer each pattern with its own
 //!   output-sensitive walk; the compact and mutable page-resident layouts
 //!   share a *single* backbone scan across the batch, the batching
-//!   opportunity §4 of the paper identifies for multi-pattern workloads. When the queue is at [`EngineConfig::queue_capacity`], the
+//!   opportunity §4 of the paper identifies for multi-pattern workloads.
+//!   When the queue is at [`EngineConfig::queue_capacity`], the
 //!   [`ShedPolicy`] decides whether a new submission blocks for space or is
 //!   shed with [`SubmitError::Overloaded`];
 //! * **per-request deadlines** ([`QueryEngine::submit_with_deadline`]):

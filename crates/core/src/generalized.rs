@@ -11,8 +11,8 @@
 use crate::build::Spine;
 use crate::node::NodeId;
 use crate::observe::BuildObserver;
-use crate::ops::SpineOps;
-use strindex::{Alphabet, Code, Counters, Error, OnlineIndex, Result, StringIndex};
+use crate::ops::{FallibleSpineOps, LinkTree};
+use strindex::{Alphabet, Code, Counters, Error, PackedText, Result, StringIndex};
 
 /// An occurrence localized to a document.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -56,18 +56,7 @@ impl GeneralizedSpine {
 
     /// Append one encoded document (terminator added automatically).
     pub fn add_document(&mut self, doc: &[Code]) -> Result<()> {
-        let sep = self.spine.alphabet_ref().separator();
-        if doc.iter().any(|&c| c >= sep) {
-            return Err(Error::InvalidSymbol {
-                byte: *doc.iter().find(|&&c| c >= sep).unwrap(),
-                pos: doc.iter().position(|&c| c >= sep).unwrap(),
-            });
-        }
-        self.spine.extend_from(doc)?;
-        self.spine.push(sep)?;
-        self.starts.push(self.spine.len());
-        self.retired.push(false);
-        Ok(())
+        self.add_document_observed(doc, &mut crate::observe::NoBuildObserver)
     }
 
     /// Convenience: encode raw bytes with the index alphabet and add.
@@ -84,11 +73,8 @@ impl GeneralizedSpine {
         observer: &mut O,
     ) -> Result<()> {
         let sep = self.spine.alphabet_ref().separator();
-        if doc.iter().any(|&c| c >= sep) {
-            return Err(Error::InvalidSymbol {
-                byte: *doc.iter().find(|&&c| c >= sep).unwrap(),
-                pos: doc.iter().position(|&c| c >= sep).unwrap(),
-            });
+        if let Some(pos) = doc.iter().position(|&c| c >= sep) {
+            return Err(Error::InvalidSymbol { byte: doc[pos], pos });
         }
         self.spine.extend_from_observed(doc, observer)?;
         self.spine.push_observed(sep, observer)?;
@@ -192,25 +178,29 @@ impl GeneralizedSpine {
 // query patterns cannot contain the separator code (`add_document` rejects
 // it in documents, and search simply finds no edge for it), valid paths
 // never cross a document boundary.
-impl SpineOps for GeneralizedSpine {
+impl FallibleSpineOps for GeneralizedSpine {
     fn text_len(&self) -> usize {
-        SpineOps::text_len(&self.spine)
+        self.spine.len()
     }
 
-    fn vertebra_out(&self, node: NodeId) -> Option<Code> {
-        self.spine.vertebra_out(node)
+    #[inline]
+    fn try_vertebra_out(&self, node: NodeId) -> Result<Option<Code>> {
+        self.spine.try_vertebra_out(node)
     }
 
-    fn link_of(&self, node: NodeId) -> (NodeId, u32) {
-        self.spine.link_of(node)
+    #[inline]
+    fn try_link_of(&self, node: NodeId) -> Result<(NodeId, u32)> {
+        self.spine.try_link_of(node)
     }
 
-    fn rib_of(&self, node: NodeId, c: Code) -> Option<(NodeId, u32)> {
-        self.spine.rib_of(node, c)
+    #[inline]
+    fn try_rib_of(&self, node: NodeId, c: Code) -> Result<Option<(NodeId, u32)>> {
+        self.spine.try_rib_of(node, c)
     }
 
-    fn extrib_of(&self, node: NodeId, prt: u32) -> Option<(NodeId, u32)> {
-        self.spine.extrib_of(node, prt)
+    #[inline]
+    fn try_extrib_of(&self, node: NodeId, prt: u32) -> Result<Option<(NodeId, u32)>> {
+        self.spine.try_extrib_of(node, prt)
     }
 
     fn ops_counters(&self) -> &Counters {
@@ -224,11 +214,12 @@ impl SpineOps for GeneralizedSpine {
         self.spine.backbone_packing()
     }
 
-    fn label_run(&self, node: NodeId, pattern: &strindex::PackedText, from: usize) -> usize {
-        self.spine.label_run(node, pattern, from)
+    #[inline]
+    fn try_label_run(&self, node: NodeId, pattern: &PackedText, from: usize) -> Result<usize> {
+        self.spine.try_label_run(node, pattern, from)
     }
 
-    fn link_tree(&self) -> Option<crate::ops::LinkTree<'_>> {
+    fn link_tree(&self) -> Option<LinkTree<'_>> {
         self.spine.link_tree()
     }
 }

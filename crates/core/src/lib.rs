@@ -101,10 +101,10 @@ pub use observe::{
     BuildEvent, BuildObserver, BuildPhase, BuildProgress, BuildStats, MemBreakdown, MergeObserver,
     MergePhase, MergeTee, MergeTimes, NoBuildObserver, NoMergeObserver, ProgressReport, Tee,
 };
-pub use ops::{FallibleSpineOps, Infallible, LinkTree, SpineOps};
+pub use ops::{FallibleSpineOps, LinkTree};
 pub use prefix::{PrefixView, SpinePrefix};
 pub use preorder::PreorderIndex;
-pub use search::{locate, step, try_locate, try_step};
+pub use search::{locate, try_locate, try_step};
 pub use segments::{
     spawn_merger, IoGate, MergeHandle, SegmentConfig, SegmentedSpine, SegmentsSnapshot,
 };

@@ -16,37 +16,42 @@
 //!
 //! Occurrence expansion is deferred: all right-maximal matches are first
 //! collected, then one batch resolves every repetition
-//! ([`crate::occurrences::find_all_ends_batch`]: a link-tree walk per
-//! match on the reference layout, *one* backbone scan on the others).
+//! ([`crate::occurrences::try_find_all_ends_batch`]: a link-tree walk per
+//! match on the in-memory and sealed layouts, *one* backbone scan on the
+//! compact layout, the mutable disk layout and prefix views).
 //!
-//! Generic over [`SpineOps`]: shared by the reference, compact, and disk
-//! representations.
+//! Written once against [`FallibleSpineOps`]: shared by the reference,
+//! compact, and disk representations. Both entry points return `Result`,
+//! so a device error on a disk index surfaces as `Err`; the
+//! `MatchingIndex` impls `expect` at that boundary.
 
 use crate::build::Spine;
 use crate::node::{NodeId, ROOT};
-use crate::occurrences::{find_all_ends_batch, Target};
-use crate::ops::SpineOps;
-use strindex::{Code, MatchingIndex, MatchingStats, MaximalMatch};
+use crate::occurrences::{try_find_all_ends_batch, Target};
+use crate::ops::{FallibleSpineOps, INFALLIBLE_BOUNDARY};
+use strindex::{Code, MatchingIndex, MatchingStats, MaximalMatch, Result};
 
 /// From `node` with current match length `pl`, find the longest `k ≤ pl`
 /// such that the length-`k` suffix of the current match extends by `c`.
 /// Returns `(destination, k)`; `None` means no suffix *terminating at this
 /// node* extends (the caller then shrinks via the link).
-fn step_longest<S: SpineOps + ?Sized>(
+fn step_longest<S: FallibleSpineOps + ?Sized>(
     s: &S,
     node: NodeId,
     pl: u32,
     c: Code,
-) -> Option<(NodeId, u32)> {
+) -> Result<Option<(NodeId, u32)>> {
     s.ops_counters().count_node_check();
-    if s.vertebra_out(node) == Some(c) {
+    if s.try_vertebra_out(node)? == Some(c) {
         s.ops_counters().count_edge();
-        return Some((node + 1, pl));
+        return Ok(Some((node + 1, pl)));
     }
-    let (rdest, rpt) = s.rib_of(node, c)?;
+    let Some((rdest, rpt)) = s.try_rib_of(node, c)? else {
+        return Ok(None);
+    };
     if rpt >= pl {
         s.ops_counters().count_edge();
-        return Some((rdest, pl));
+        return Ok(Some((rdest, pl)));
     }
     // The rib covers only lengths ≤ its PT; scan the extrib chain for
     // coverage of longer suffixes, keeping the best element seen.
@@ -55,10 +60,10 @@ fn step_longest<S: SpineOps + ?Sized>(
     let mut at = rdest;
     loop {
         s.ops_counters().count_extrib();
-        match s.extrib_of(at, prt) {
+        match s.try_extrib_of(at, prt)? {
             Some((edest, ept)) if ept >= pl => {
                 s.ops_counters().count_edge();
-                return Some((edest, pl));
+                return Ok(Some((edest, pl)));
             }
             Some((edest, ept)) => {
                 best_dest = edest;
@@ -67,7 +72,7 @@ fn step_longest<S: SpineOps + ?Sized>(
             }
             None => {
                 s.ops_counters().count_edge();
-                return Some((best_dest, best_pt));
+                return Ok(Some((best_dest, best_pt)));
             }
         }
     }
@@ -75,7 +80,10 @@ fn step_longest<S: SpineOps + ?Sized>(
 
 /// Longest match ending at every query position, streaming the query once
 /// over the index.
-pub fn matching_statistics<S: SpineOps + ?Sized>(s: &S, query: &[Code]) -> MatchingStats {
+pub fn matching_statistics<S: FallibleSpineOps + ?Sized>(
+    s: &S,
+    query: &[Code],
+) -> Result<MatchingStats> {
     let m = query.len();
     let mut lengths = vec![0u32; m + 1];
     let mut first_end = vec![0u32; m + 1];
@@ -83,7 +91,7 @@ pub fn matching_statistics<S: SpineOps + ?Sized>(s: &S, query: &[Code]) -> Match
     let mut pl = 0u32;
     for (e, &c) in query.iter().enumerate() {
         loop {
-            if let Some((dest, k)) = step_longest(s, node, pl, c) {
+            if let Some((dest, k)) = step_longest(s, node, pl, c)? {
                 node = dest;
                 pl = k + 1;
                 break;
@@ -94,7 +102,7 @@ pub fn matching_statistics<S: SpineOps + ?Sized>(s: &S, query: &[Code]) -> Match
             }
             // Shrink to the set of shorter suffixes (one hop covers all
             // lengths ≤ LEL at once).
-            let (dest, lel) = s.link_of(node);
+            let (dest, lel) = s.try_link_of(node)?;
             pl = lel;
             node = dest;
             s.ops_counters().count_link();
@@ -102,23 +110,23 @@ pub fn matching_statistics<S: SpineOps + ?Sized>(s: &S, query: &[Code]) -> Match
         lengths[e + 1] = pl;
         first_end[e + 1] = if pl > 0 { node } else { 0 };
     }
-    MatchingStats { lengths, first_end }
+    Ok(MatchingStats { lengths, first_end })
 }
 
 /// All maximal matching substrings between `query` and the indexed text
 /// with length ≥ `min_len`, including every text occurrence.
-pub fn maximal_matches<S: SpineOps + ?Sized>(
+pub fn maximal_matches<S: FallibleSpineOps + ?Sized>(
     s: &S,
     query: &[Code],
     min_len: usize,
-) -> Vec<MaximalMatch> {
-    let stats = matching_statistics(s, query);
+) -> Result<Vec<MaximalMatch>> {
+    let stats = matching_statistics(s, query)?;
     let reports = stats.right_maximal(min_len);
     let targets: Vec<Target> = reports
         .iter()
         .map(|&(_, len, first_end)| Target { first_end: first_end as NodeId, len: len as u32 })
         .collect();
-    let occurrences = find_all_ends_batch(s, &targets);
+    let occurrences = try_find_all_ends_batch(s, &targets)?;
     let mut out = Vec::new();
     for (&(qs, len, _), t) in reports.iter().zip(&targets) {
         for &end in &occurrences[t] {
@@ -126,16 +134,16 @@ pub fn maximal_matches<S: SpineOps + ?Sized>(
         }
     }
     out.sort();
-    out
+    Ok(out)
 }
 
 impl MatchingIndex for Spine {
     fn matching_statistics(&self, query: &[Code]) -> MatchingStats {
-        matching_statistics(self, query)
+        matching_statistics(self, query).expect(INFALLIBLE_BOUNDARY)
     }
 
     fn maximal_matches(&self, query: &[Code], min_len: usize) -> Vec<MaximalMatch> {
-        maximal_matches(self, query, min_len)
+        maximal_matches(self, query, min_len).expect(INFALLIBLE_BOUNDARY)
     }
 }
 

@@ -7,7 +7,7 @@
 //! equal. Two enumerations use it, and return the same ends:
 //!
 //! * **The link-tree walk** (structures whose
-//!   [`link_tree`](crate::ops::SpineOps::link_tree) returns a tree). Links
+//!   [`link_tree`](FallibleSpineOps::link_tree) returns a tree). Links
 //!   form a tree, and every link child of a non-root node carries a larger
 //!   LEL than that node's own link. So the ends of `w` are `fo(w)` plus the
 //!   whole subtrees under those link children of `fo(w)` whose LEL is at
@@ -27,16 +27,20 @@
 //! scan stays the tests' reference for both walks. Either way the nodes
 //! visited are counted ([`strindex::Counters::nodes_enumerated`]); a walk
 //! visits exactly `(occ − 1)` ends plus the rejected children of `fo(w)`.
+//!
+//! Every entry point is written once against [`FallibleSpineOps`]; the
+//! plain-valued ones ([`find_all_ends`], [`occurrences_from`],
+//! [`find_all_ends_batch`]) `expect` their `try_` twin.
 
 use crate::node::{Node, NodeId, NO_CHILD};
-use crate::ops::{FallibleSpineOps, Infallible, LinkTree, SpineOps};
+use crate::ops::{FallibleSpineOps, LinkTree, INFALLIBLE_BOUNDARY};
 use crate::search::try_locate_traced;
 use crate::trace::{NoTrace, TraceEvent, TraceSink};
 use strindex::{Code, FxHashMap, Result};
 
 /// End positions (1-based) of all occurrences of `pattern`, ascending.
-pub fn find_all_ends<S: SpineOps + ?Sized>(s: &S, pattern: &[Code]) -> Vec<NodeId> {
-    try_find_all_ends(&Infallible(s), pattern).expect("in-memory SPINE ops are infallible")
+pub fn find_all_ends<S: FallibleSpineOps + ?Sized>(s: &S, pattern: &[Code]) -> Vec<NodeId> {
+    try_find_all_ends(s, pattern).expect(INFALLIBLE_BOUNDARY)
 }
 
 /// Fallible [`find_all_ends`]: a storage failure during the valid-path walk
@@ -64,8 +68,12 @@ pub fn try_find_all_ends_traced<S: FallibleSpineOps + ?Sized, T: TraceSink + ?Si
 
 /// Single target: all nodes ending an occurrence of the length-`len`
 /// string whose first occurrence ends at `first`, ascending.
-pub fn occurrences_from<S: SpineOps + ?Sized>(s: &S, first: NodeId, len: u32) -> Vec<NodeId> {
-    try_occurrences_from(&Infallible(s), first, len).expect("in-memory SPINE ops are infallible")
+pub fn occurrences_from<S: FallibleSpineOps + ?Sized>(
+    s: &S,
+    first: NodeId,
+    len: u32,
+) -> Vec<NodeId> {
+    try_occurrences_from(s, first, len).expect(INFALLIBLE_BOUNDARY)
 }
 
 /// Fallible [`occurrences_from`].
@@ -217,11 +225,11 @@ pub struct Target {
 /// list of occurrence-end nodes. The shared scan is O(n + total
 /// occurrences): each node consults a hash map from "node already in some
 /// target buffer" to the targets that buffered it.
-pub fn find_all_ends_batch<S: SpineOps + ?Sized>(
+pub fn find_all_ends_batch<S: FallibleSpineOps + ?Sized>(
     s: &S,
     targets: &[Target],
 ) -> FxHashMap<Target, Vec<NodeId>> {
-    try_find_all_ends_batch(&Infallible(s), targets).expect("in-memory SPINE ops are infallible")
+    try_find_all_ends_batch(s, targets).expect(INFALLIBLE_BOUNDARY)
 }
 
 /// Fallible [`find_all_ends_batch`]: the scan stops at the first storage
@@ -297,7 +305,7 @@ mod tests {
         let s = Spine::build_from_bytes(a, b"AACCACAACAGGTTACGACGACCAAAAACACA").unwrap();
         // A whole-text prefix view keeps no child lists, so it scans.
         let scan = PrefixView::new(&s, s.len());
-        assert!(SpineOps::link_tree(&s).is_some() && scan.link_tree().is_none());
+        assert!(s.link_tree().is_some() && scan.link_tree().is_none());
         let n = s.len() as NodeId;
         for first in 0..=n {
             for len in 0..=first {

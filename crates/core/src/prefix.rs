@@ -8,13 +8,17 @@
 //! partitioned this way: a node high in the tree may be created arbitrarily
 //! late.)
 //!
-//! [`SpinePrefix`] is a zero-copy view implementing that filter; the crate's
-//! tests verify it is *structurally identical* to an index freshly built on
-//! the prefix.
+//! [`PrefixView`] is a zero-copy view implementing that filter over any
+//! representation, and answers through the one [`FallibleSpineOps`]
+//! search, so a disk index's prefix reports device errors like the index
+//! itself. [`SpinePrefix`] adds the edge iterators of the reference
+//! layout; the crate's tests verify it is *structurally identical* to an
+//! index freshly built on the prefix.
 
 use crate::build::Spine;
-use crate::node::{Extrib, NodeId, Rib, ROOT};
-use strindex::{Alphabet, Code, StringIndex};
+use crate::node::{Extrib, NodeId, Rib};
+use crate::ops::FallibleSpineOps;
+use strindex::{Alphabet, Code, Counters, Result, StringIndex};
 
 /// A read-only view of a [`Spine`] restricted to its first `len`
 /// characters.
@@ -57,34 +61,14 @@ impl SpinePrefix<'_> {
         self.spine.nodes()[node as usize].extribs.iter().filter(move |e| e.dest <= len)
     }
 
-    /// Valid-path step within the fragment (same rules as
-    /// [`Spine::locate`], edges beyond the fragment invisible).
-    fn step(&self, node: NodeId, pl: u32, c: Code) -> Option<NodeId> {
-        if node < self.len && self.spine.nodes()[node as usize + 1].vertebra_cl == c {
-            return Some(node + 1);
-        }
-        let rib = self.ribs(node).find(|r| r.cl == c)?;
-        if pl <= rib.pt {
-            return Some(rib.dest);
-        }
-        let prt = rib.pt;
-        let mut at = rib.dest;
-        loop {
-            let e = self.spine.nodes()[at as usize].extrib(prt).filter(|e| e.dest <= self.len)?;
-            if e.pt >= pl {
-                return Some(e.dest);
-            }
-            at = e.dest;
-        }
+    /// This fragment as a generic [`PrefixView`].
+    fn view(&self) -> PrefixView<'_, Spine> {
+        PrefixView { inner: self.spine, len: self.len }
     }
 
     /// Walk the valid path for `pattern` within the fragment.
     pub fn locate(&self, pattern: &[Code]) -> Option<NodeId> {
-        let mut node = ROOT;
-        for (pl, &c) in pattern.iter().enumerate() {
-            node = self.step(node, pl as u32, c)?;
-        }
-        Some(node)
+        self.view().locate(pattern)
     }
 }
 
@@ -107,27 +91,14 @@ impl StringIndex for SpinePrefix<'_> {
     }
 
     fn find_all(&self, pattern: &[Code]) -> Vec<usize> {
-        if pattern.is_empty() {
-            return Vec::new();
-        }
-        let Some(first) = self.locate(pattern) else {
-            return Vec::new();
-        };
-        let plen = pattern.len() as u32;
-        let mut buffer = vec![first];
-        for j in first + 1..=self.len {
-            let node = &self.spine.nodes()[j as usize];
-            if node.lel >= plen && buffer.binary_search(&node.link).is_ok() {
-                buffer.push(j);
-            }
-        }
-        buffer.into_iter().map(|e| e as usize - pattern.len()).collect()
+        self.view().find_all(pattern)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::ROOT;
 
     #[test]
     fn fragment_is_structurally_a_fresh_build() {
@@ -193,17 +164,19 @@ mod tests {
 // Generic prefix views: the partitioning property holds for every backend.
 // ---------------------------------------------------------------------------
 
-/// A prefix view over *any* SPINE representation ([`crate::ops::SpineOps`]): the §2.7
-/// partitioning property is purely structural — every rib/extrib created
-/// while appending character `t` points to node `t`, so restricting to
-/// destinations ≤ `len` yields exactly the index of the length-`len` prefix.
-/// Works over the reference, compact, and disk layouts alike.
-pub struct PrefixView<'a, S: crate::ops::SpineOps + ?Sized> {
+/// A prefix view over *any* SPINE representation ([`FallibleSpineOps`]):
+/// the §2.7 partitioning property is purely structural — every rib/extrib
+/// created while appending character `t` points to node `t`, so
+/// restricting to destinations ≤ `len` yields exactly the index of the
+/// length-`len` prefix. Works over the reference, compact, and disk
+/// layouts alike; the view keeps no link tree, so it enumerates with the
+/// §4 scan, and it forwards the inner structure's storage errors.
+pub struct PrefixView<'a, S: FallibleSpineOps + ?Sized> {
     inner: &'a S,
     len: NodeId,
 }
 
-impl<'a, S: crate::ops::SpineOps + ?Sized> PrefixView<'a, S> {
+impl<'a, S: FallibleSpineOps + ?Sized> PrefixView<'a, S> {
     /// View `inner` as the index of its length-`len` prefix.
     ///
     /// # Panics
@@ -230,31 +203,35 @@ impl<'a, S: crate::ops::SpineOps + ?Sized> PrefixView<'a, S> {
     }
 }
 
-impl<S: crate::ops::SpineOps + ?Sized> crate::ops::SpineOps for PrefixView<'_, S> {
+impl<S: FallibleSpineOps + ?Sized> FallibleSpineOps for PrefixView<'_, S> {
     fn text_len(&self) -> usize {
         self.len as usize
     }
 
-    fn vertebra_out(&self, node: NodeId) -> Option<Code> {
-        (node < self.len).then(|| self.inner.vertebra_out(node)).flatten()
+    fn try_vertebra_out(&self, node: NodeId) -> Result<Option<Code>> {
+        if node < self.len {
+            self.inner.try_vertebra_out(node)
+        } else {
+            Ok(None)
+        }
     }
 
-    fn link_of(&self, node: NodeId) -> (NodeId, u32) {
+    fn try_link_of(&self, node: NodeId) -> Result<(NodeId, u32)> {
         // Links always point upstream: valid in any prefix containing node.
-        self.inner.link_of(node)
+        self.inner.try_link_of(node)
     }
 
-    fn rib_of(&self, node: NodeId, c: Code) -> Option<(NodeId, u32)> {
-        self.inner.rib_of(node, c).filter(|&(dest, _)| dest <= self.len)
+    fn try_rib_of(&self, node: NodeId, c: Code) -> Result<Option<(NodeId, u32)>> {
+        Ok(self.inner.try_rib_of(node, c)?.filter(|&(dest, _)| dest <= self.len))
     }
 
-    fn extrib_of(&self, node: NodeId, prt: u32) -> Option<(NodeId, u32)> {
+    fn try_extrib_of(&self, node: NodeId, prt: u32) -> Result<Option<(NodeId, u32)>> {
         // Chain destinations are creation times and increase along the
         // chain, so this filter truncates the chain to a proper prefix.
-        self.inner.extrib_of(node, prt).filter(|&(dest, _)| dest <= self.len)
+        Ok(self.inner.try_extrib_of(node, prt)?.filter(|&(dest, _)| dest <= self.len))
     }
 
-    fn ops_counters(&self) -> &strindex::Counters {
+    fn ops_counters(&self) -> &Counters {
         self.inner.ops_counters()
     }
 }

@@ -212,11 +212,10 @@ impl PreorderIndex {
 mod tests {
     use super::*;
     use crate::build::Spine;
-    use crate::ops::SpineOps;
     use strindex::Alphabet;
 
     fn links_of(s: &Spine) -> Vec<(NodeId, u32)> {
-        (0..=s.len() as NodeId).map(|j| s.link_of(j)).collect()
+        s.nodes().iter().map(|n| (n.link, n.lel)).collect()
     }
 
     #[test]

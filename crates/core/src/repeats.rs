@@ -14,7 +14,6 @@
 //!   analogue of a self-matching statistics vector.
 
 use crate::build::Spine;
-use crate::ops::SpineOps;
 use strindex::{Code, Match};
 
 impl Spine {
@@ -31,10 +30,9 @@ impl Spine {
     /// `link(end)` − len). `None` for texts with no repeated symbol.
     pub fn longest_repeated_substring(&self) -> Option<Match> {
         let (mut best_len, mut best_end) = (0u32, 0u32);
-        for i in 1..=self.len() as u32 {
-            let (_, lel) = self.link_of(i);
-            if lel > best_len {
-                best_len = lel;
+        for (i, n) in (0..).zip(&self.nodes).skip(1) {
+            if n.lel > best_len {
+                best_len = n.lel;
                 best_end = i;
             }
         }
@@ -47,7 +45,7 @@ impl Spine {
     /// LEL column. Positions with value 0 end a substring seen nowhere
     /// before.
     pub fn repeat_lengths(&self) -> Vec<u32> {
-        (1..=self.len() as u32).map(|i| self.link_of(i).1).collect()
+        self.nodes[1..].iter().map(|n| n.lel).collect()
     }
 
     /// Length of the shortest prefix of `suffix_of_interest`… more useful

@@ -9,12 +9,13 @@
 //! the paper's central no-false-positives theorem, which the property tests
 //! verify against the naive trie.
 //!
-//! The algorithms here are generic over [`SpineOps`], so the reference,
-//! compact, and disk representations share them.
+//! The algorithms here are written once against [`FallibleSpineOps`], so
+//! the reference, compact, and disk representations share them; the
+//! plain-valued [`locate`] is a one-line `expect` over [`try_locate`].
 
 use crate::build::Spine;
 use crate::node::{NodeId, ROOT};
-use crate::ops::{FallibleSpineOps, Infallible, SpineOps};
+use crate::ops::{FallibleSpineOps, INFALLIBLE_BOUNDARY};
 use crate::trace::{NoTrace, TraceEvent, TraceSink};
 use strindex::{Alphabet, Code, PackedText, Result, StringIndex};
 
@@ -169,19 +170,12 @@ pub fn try_locate<S: FallibleSpineOps + ?Sized>(s: &S, pattern: &[Code]) -> Resu
     try_locate_traced(s, &mut NoTrace, pattern)
 }
 
-/// One valid-path step: from `node` with current path length `pl`, follow
-/// the edge labeled `c`. Returns the destination, or `None` if no
-/// traversable edge exists (⇒ the extended string is not a substring).
-#[inline]
-pub fn step<S: SpineOps + ?Sized>(s: &S, node: NodeId, pl: u32, c: Code) -> Option<NodeId> {
-    try_step(&Infallible(s), node, pl, c).expect("in-memory SPINE ops are infallible")
-}
-
 /// Walk the valid path for `pattern`. Returns the end node — which, by the
 /// SPINE invariant, is the 1-based end position of the pattern's first
-/// occurrence — or `None` if the pattern does not occur.
-pub fn locate<S: SpineOps + ?Sized>(s: &S, pattern: &[Code]) -> Option<NodeId> {
-    try_locate(&Infallible(s), pattern).expect("in-memory SPINE ops are infallible")
+/// occurrence — or `None` if the pattern does not occur. Panics on a
+/// storage error; [`try_locate`] reports it.
+pub fn locate<S: FallibleSpineOps + ?Sized>(s: &S, pattern: &[Code]) -> Option<NodeId> {
+    try_locate(s, pattern).expect(INFALLIBLE_BOUNDARY)
 }
 
 impl Spine {

@@ -75,7 +75,7 @@ use crate::generalized::{DocMatch, GeneralizedSpine};
 use crate::journal::{self, JournalEvent, JournalKind, JOURNAL_FILE};
 use crate::manifest::{Manifest, SegmentEntry};
 use crate::observe::{MergeObserver, MergePhase, MergeTimes, NoMergeObserver};
-use crate::ops::{FallibleSpineOps, SpineOps};
+use crate::ops::FallibleSpineOps;
 use crate::trace::QueryTrace;
 
 const MANIFEST_FILE: &str = "MANIFEST";
@@ -275,19 +275,14 @@ impl Segment {
 
     /// Reconstruct document `i`'s codes from the index itself (the sealed
     /// layout keeps no separate copy of the text — `text[p]` is the
-    /// vertebra leaving backbone node `p`).
+    /// vertebra leaving backbone node `p`) in one locked pass over the
+    /// label pages.
     fn doc_codes(&self, i: usize) -> Result<Vec<Code>> {
-        let start = self.starts[i];
-        let len = self.doc_lens[i] as usize;
-        let mut codes = Vec::with_capacity(len);
-        for p in start..start + len {
-            let c = self
-                .index
-                .try_vertebra_out(p as crate::node::NodeId)?
-                .ok_or_else(|| Error::Parse("segment text shorter than its doc table".into()))?;
-            codes.push(c);
+        let (start, end) = (self.starts[i], self.starts[i] + self.doc_lens[i] as usize);
+        if end > self.index.len() {
+            return Err(Error::Parse("segment text shorter than its doc table".into()));
         }
-        Ok(codes)
+        self.index.labels(start, end)
     }
 }
 
@@ -1096,7 +1091,7 @@ impl SegmentedSpine {
         drop(inner);
         let (mem_docs, mem_len, mem_retired) = {
             let st = memtable.state.read();
-            (st.doc_ids.len(), SpineOps::text_len(&st.index), st.retired.clone())
+            (st.doc_ids.len(), FallibleSpineOps::text_len(&st.index), st.retired.clone())
         };
         Snapshot { memtable, mem_docs, mem_len, mem_retired, segments, tombstones }
     }

@@ -117,8 +117,9 @@ pub enum TraceEvent {
     },
     /// Occurrence enumeration began for a pattern of length `len` (first
     /// occurrence already buffered). The §4 scan reads `from..=to`; on
-    /// structures that walk the link tree ([`crate::ops::SpineOps::link_tree`])
-    /// the range is reported but not read.
+    /// structures that walk the link tree
+    /// ([`crate::ops::FallibleSpineOps::link_tree`]) the range is reported
+    /// but not read.
     ScanStart {
         /// First node the scan reads (first occurrence end + 1).
         from: NodeId,

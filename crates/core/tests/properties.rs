@@ -6,7 +6,7 @@
 //! equivalence.
 
 use proptest::prelude::*;
-use spine::ops::SpineOps;
+use spine::FallibleSpineOps;
 use spine::{CompactSpine, Spine};
 use strindex::{Alphabet, Code, MatchingIndex, OnlineIndex, StringIndex};
 use suffix_trie::{NaiveIndex, SuffixTrie};
@@ -112,10 +112,10 @@ proptest! {
         prop_assert_eq!(c.recover_text(), r.recover_text());
         for node in 0..=text.len() as u32 {
             if node != 0 {
-                prop_assert_eq!(r.link_of(node), c.link_of(node));
+                prop_assert_eq!(r.try_link_of(node).unwrap(), c.try_link_of(node).unwrap());
             }
             for code in 0..4u8 {
-                prop_assert_eq!(r.rib_of(node, code), c.rib_of(node, code));
+                prop_assert_eq!(r.try_rib_of(node, code).unwrap(), c.try_rib_of(node, code).unwrap());
             }
         }
     }

@@ -68,6 +68,14 @@ cargo test -q --test differential packed_scan
 cargo test -q --test layout_v2 sealed_pages_and_sidecars_match_golden_digests
 cargo test -q -p spine --lib sealed_structure_is_node_identical_to_reference
 
+echo "== construction: one APPEND (golden digests, event-sequence cross-engine check, fallible disk prefix views and maximal matches)"
+cargo test -q --test build_observer construction_matches_golden_digests
+cargo test -q --test build_observer reconcile
+cargo test -q -p spine --lib build::
+cargo test -q --test fault_tolerance disk_prefix_views_report_device_faults
+cargo test -q --test fault_tolerance disk_maximal_matches_report_device_faults
+cargo test -q -p spine --lib label_ranges_read_back_the_text_across_label_pages
+
 echo "== link-tree enumeration: walk vs §4 scan vs oracle, child-list invariants, compact fan-out"
 cargo test -q -p spine --lib occurrences
 cargo test -q -p spine --lib verify

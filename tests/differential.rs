@@ -23,8 +23,8 @@ use spine::node::{NodeId, NO_CHILD, ROOT};
 use spine::occurrences::{find_all_ends, find_all_ends_batch, occurrences_from, Target};
 use spine::search::locate;
 use spine::{
-    CompactSpine, DiskSpine, GeneralizedSpine, Infallible, PrefixView, PreorderIndex, ServeIndex,
-    Spine, SpineOps,
+    CompactSpine, DiskSpine, FallibleSpineOps, GeneralizedSpine, PrefixView, PreorderIndex,
+    ServeIndex, Spine,
 };
 use strindex::{Alphabet, Code, MatchingIndex, OnlineIndex, StringIndex};
 use suffix_array::SaIndex;
@@ -479,7 +479,7 @@ fn oracle_ends(text: &[Code], pattern: &[Code]) -> Vec<NodeId> {
 /// the oracle, on every enumeration entry point: single patterns, single
 /// targets, a batch holding every target twice, and the engine's blanket
 /// serving path.
-fn check_walk_against_scan<S: SpineOps + Sync + ?Sized>(
+fn check_walk_against_scan<S: FallibleSpineOps + Send + Sync>(
     what: &str,
     index: &S,
     text: &[Code],
@@ -509,8 +509,8 @@ fn check_walk_against_scan<S: SpineOps + Sync + ?Sized>(
     }
     let pats: Vec<&[Code]> = patterns.iter().map(Vec::as_slice).collect();
     assert_eq!(
-        ServeIndex::answer_patterns(&Infallible(index), &pats),
-        ServeIndex::answer_patterns(&Infallible(&scan), &pats),
+        ServeIndex::answer_patterns(index, &pats),
+        ServeIndex::answer_patterns(&scan, &pats),
         "{what}: served answers"
     );
     check_walk_visits(what, index, text, patterns);
@@ -519,7 +519,7 @@ fn check_walk_against_scan<S: SpineOps + Sync + ?Sized>(
 /// The walk's work identity: enumerating `w` visits its `occ − 1` ends
 /// after `fo(w)` plus the link children of `fo(w)` it rejects, and it
 /// rejects at most (σ−1)·|w| of them, σ the symbols in the text.
-fn check_walk_visits<S: SpineOps + ?Sized>(
+fn check_walk_visits<S: FallibleSpineOps + ?Sized>(
     what: &str,
     index: &S,
     text: &[Code],
@@ -695,8 +695,8 @@ fn check_preorder(what: &str, ix: &PreorderIndex, links: &[(NodeId, u32)]) {
 }
 
 /// Link records of every node, read through the index's own accessors.
-fn links_of<S: SpineOps + ?Sized>(index: &S) -> Vec<(NodeId, u32)> {
-    (0..=index.text_len() as NodeId).map(|j| index.link_of(j)).collect()
+fn links_of<S: FallibleSpineOps + ?Sized>(index: &S) -> Vec<(NodeId, u32)> {
+    (0..=index.text_len() as NodeId).map(|j| index.try_link_of(j).unwrap()).collect()
 }
 
 /// Seal `text` to files under `dir`, then reopen it from them.
@@ -878,7 +878,7 @@ proptest! {
         )
         .unwrap();
         prop_assert_eq!(
-            spine::SpineOps::backbone_packing(&sealed),
+            sealed.backbone_packing(),
             Some(bits),
             "sealed engine must take the packed path"
         );

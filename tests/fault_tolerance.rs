@@ -367,3 +367,86 @@ fn engine_over_retry_wrapped_flaky_disk_matches_oracle() {
     assert_eq!(m.failed, 0);
     assert_eq!(m.accounted(), m.submitted);
 }
+
+// ---------------------------------------------------------------------------
+// The plain-valued surfaces that can run over a disk index have a fallible
+// path too: prefix views and maximal matches report a dead device as `Err`.
+// ---------------------------------------------------------------------------
+
+/// Both disk layouts over `text` on a device that dies right after the
+/// build (or seal): each query's first page fetch misses the 1-frame pool
+/// and hits the dead device.
+fn dead_after_build(a: &Alphabet, text: &[Code]) -> Vec<(&'static str, DiskSpine)> {
+    let clean =
+        DiskSpine::build(a.clone(), text, Box::new(MemDevice::new()), 1, Box::<Lru>::default())
+            .unwrap();
+    let (r, w) = clean.io_counts();
+    let faulty = FaultyDevice::new(MemDevice::new(), r + w);
+    let mutable = DiskSpine::build(a.clone(), text, Box::new(faulty), 1, Box::<Lru>::default());
+
+    let spine = Spine::build(a.clone(), text).unwrap();
+    let clean = DiskSpine::seal(&spine, Box::new(MemDevice::new()), 1, Box::<Lru>::default());
+    let (r, w) = clean.as_ref().unwrap().io_counts();
+    let faulty = FaultyDevice::new(MemDevice::new(), r + w + clean.unwrap().io_syncs());
+    let sealed = DiskSpine::seal(&spine, Box::new(faulty), 1, Box::<Lru>::default());
+    vec![("mutable", mutable.unwrap()), ("sealed", sealed.unwrap())]
+}
+
+/// Run `f`, failing the test with `what` if it panics.
+fn no_panic<T>(what: &str, f: impl FnOnce() -> T) -> T {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+        .unwrap_or_else(|_| panic!("{what}: a storage fault must be an Err, not a panic"))
+}
+
+/// A prefix view of a disk index answers through the fallible search: on
+/// a dead device every query is an `Err` (never a panic), and on a healthy
+/// one it matches the naive oracle over the prefix.
+#[test]
+fn disk_prefix_views_report_device_faults() {
+    use spine::occurrences::try_find_all_ends;
+    let (a, text, patterns) = disk_workload();
+    for (layout, disk) in dead_after_build(&a, &text) {
+        for k in [text.len() / 3, text.len()] {
+            for p in &patterns {
+                let got = no_panic(layout, || try_find_all_ends(&disk.prefix(k), p));
+                assert!(got.is_err(), "{layout}: prefix {k}, pattern {p:?} must fail");
+            }
+        }
+    }
+    let healthy =
+        DiskSpine::build(a.clone(), &text, Box::new(MemDevice::new()), 1, Box::<Lru>::default())
+            .unwrap();
+    for k in [0, 1, text.len() / 3, text.len()] {
+        let oracle = suffix_trie::NaiveIndex::new(a.clone(), &text[..k]);
+        for p in &patterns {
+            let ends = try_find_all_ends(&healthy.prefix(k), p).unwrap();
+            let starts: Vec<usize> = ends.iter().map(|&e| e as usize - p.len()).collect();
+            assert_eq!(starts, oracle.find_all(p), "prefix {k}, pattern {p:?}");
+        }
+    }
+}
+
+/// Maximal matches over a disk index return `Result`: a dead device is an
+/// `Err` (never a panic), and a healthy one matches the naive oracle.
+#[test]
+fn disk_maximal_matches_report_device_faults() {
+    use spine::matching::maximal_matches;
+    use strindex::MatchingIndex;
+    let (a, text, _) = disk_workload();
+    let query = a.encode(b"TTACGACGACCAACCACAAGGTTACCA").unwrap();
+    for (layout, disk) in dead_after_build(&a, &text) {
+        for min_len in [1, 4] {
+            let got = no_panic(layout, || maximal_matches(&disk, &query, min_len));
+            assert!(got.is_err(), "{layout}: maximal matches ≥ {min_len} must fail");
+        }
+    }
+    let oracle = suffix_trie::NaiveIndex::new(a.clone(), &text);
+    let healthy =
+        DiskSpine::build(a.clone(), &text, Box::new(MemDevice::new()), 1, Box::<Lru>::default())
+            .unwrap();
+    for min_len in [1, 4, 9] {
+        let want = oracle.maximal_matches(&query, min_len);
+        assert_eq!(maximal_matches(&healthy, &query, min_len).unwrap(), want, "≥ {min_len}");
+        assert_eq!(healthy.maximal_matches(&query, min_len), want, "MatchingIndex ≥ {min_len}");
+    }
+}

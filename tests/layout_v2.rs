@@ -12,7 +12,7 @@ use genseq::rng;
 use pagestore::{FileDevice, Lru, MemDevice, PAGE_SIZE};
 use proptest::prelude::*;
 use rand::Rng;
-use spine::{DiskSpine, Spine, SpineOps, DISK_FORMAT_VERSION};
+use spine::{DiskSpine, FallibleSpineOps, Spine, DISK_FORMAT_VERSION};
 use strindex::{Alphabet, Code, Error, StringIndex};
 
 fn random_text(a: &Alphabet, len: usize, seed: u64) -> Vec<Code> {

@@ -12,7 +12,7 @@ use crossbeam::thread;
 use genseq::preset;
 use spine::engine::{EngineConfig, QueryEngine};
 use spine::occurrences::find_all_ends;
-use spine::ops::SpineOps;
+use spine::FallibleSpineOps;
 use spine::{CompactSpine, Spine};
 use strindex::{Code, MatchingIndex, StringIndex};
 use suffix_tree::SuffixTree;
@@ -189,7 +189,7 @@ fn prefix_views_structurally_identical_under_concurrent_readers() {
                 for n in 0..=k as u32 {
                     let fnode = &fresh.nodes()[n as usize];
                     if n > 0 {
-                        assert_eq!((fnode.link, fnode.lel), full.link_of(n));
+                        assert_eq!((fnode.link, fnode.lel), full.try_link_of(n).unwrap());
                     }
                     let view_ribs: Vec<_> = view.ribs(n).cloned().collect();
                     assert_eq!(view_ribs[..], fnode.ribs[..], "ribs of node {n} at cut {k}");
