@@ -683,8 +683,8 @@ fn buffering(opts: &Opts) {
 // ---------------------------------------------------------------------------
 // Serve: concurrent batched query serving over one shared index — the
 // "integration with database engines" deployment (§6). Compares a serial
-// one-scan-per-pattern loop against the worker-pool engine, which coalesces
-// admitted patterns into shared backbone scans.
+// loop of `find_all_ends` calls against the worker-pool engine, whose
+// workers take admitted patterns in batches and answer each on its own.
 // ---------------------------------------------------------------------------
 /// The `serve` traffic: window patterns (hits, occurrence-heavy) plus
 /// reversed variants (mostly misses) — each submitted several times, as a

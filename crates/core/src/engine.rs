@@ -6,17 +6,13 @@
 //! server-shaped front end:
 //!
 //! * a **worker pool** of OS threads sharing one [`Arc`]-held index;
-//! * a **bounded admission queue** that coalesces submitted patterns — each
-//!   worker drains up to [`EngineConfig::batch_max`] requests per wakeup and
-//!   resolves them together ([`crate::occurrences::find_all_ends_batch`]).
-//!   Structures with a link tree — in-memory child lists, or a sealed
-//!   segment's in-RAM preorder index — answer each pattern with its own
-//!   output-sensitive walk; the compact and mutable page-resident layouts
-//!   share a *single* backbone scan across the batch, the batching
-//!   opportunity §4 of the paper identifies for multi-pattern workloads.
-//!   When the queue is at [`EngineConfig::queue_capacity`], the
-//!   [`ShedPolicy`] decides whether a new submission blocks for space or is
-//!   shed with [`SubmitError::Overloaded`];
+//! * a **bounded admission queue** — each worker takes up to
+//!   [`EngineConfig::batch_max`] requests per wakeup and hands them to the
+//!   index together ([`ServeIndex::answer_patterns`]), which answers each
+//!   pattern on its own. When the queue is at
+//!   [`EngineConfig::queue_capacity`], the [`ShedPolicy`] decides whether a
+//!   new submission blocks for space or is shed with
+//!   [`SubmitError::Overloaded`];
 //! * **per-request deadlines** ([`QueryEngine::submit_with_deadline`]):
 //!   a request whose deadline has passed by the time a worker would batch it
 //!   completes as [`QueryOutcome::TimedOut`] without occupying a batch slot;
@@ -38,19 +34,18 @@
 //!   built with [`QueryEngine::new`] record nothing and pay nothing.
 //!
 //! Any [`ServeIndex`] works. Every [`FallibleSpineOps`] engine is one for
-//! free (a blanket impl locates the batch, then enumerates it: link-tree
-//! walks where the structure keeps a link tree, one shared backbone scan
-//! otherwise): the reference [`crate::Spine`], the §5
-//! [`crate::CompactSpine`], a [`GeneralizedSpine`] over many documents, or
-//! a page-resident [`crate::DiskSpine`] — whose storage faults degrade the
-//! affected requests to [`QueryOutcome::Failed`] instead of tearing down
-//! the server.
-//! Composite indexes like the segmented LSM store
-//! ([`crate::SegmentedSpine`]) implement [`ServeIndex`] directly and answer
-//! with document-level matches ([`QueryOutcome::DoneDocs`]). For corpora
-//! too large for one backbone, [`ShardedEngine`] partitions documents
-//! across several generalized indexes, broadcasts every pattern, and merges
-//! the per-shard answers into global [`DocMatch`]es.
+//! free (a blanket impl answers each pattern with
+//! [`try_find_all_ends`]: locate, then a link-tree walk where the
+//! structure keeps a link tree, the §4 backbone scan otherwise): the
+//! reference [`crate::Spine`], the §5 [`crate::CompactSpine`], a
+//! [`crate::GeneralizedSpine`] over many documents, or a page-resident
+//! [`crate::DiskSpine`] — whose storage faults degrade the affected
+//! requests to [`QueryOutcome::Failed`] instead of tearing down the server.
+//! Composite indexes implement [`ServeIndex`] directly and answer with
+//! document-level matches ([`QueryOutcome::DoneDocs`]): the segmented LSM
+//! store ([`crate::SegmentedSpine`]), and [`crate::ShardedSpine`], which
+//! partitions documents across several generalized indexes and answers in
+//! global document ids.
 //!
 //! ```
 //! use spine::engine::{EngineConfig, QueryEngine};
@@ -75,13 +70,12 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::generalized::{DocMatch, GeneralizedSpine};
+use crate::generalized::DocMatch;
 use crate::node::NodeId;
-use crate::occurrences::{try_find_all_ends_batch, Target};
+use crate::occurrences::try_find_all_ends;
 use crate::ops::FallibleSpineOps;
-use crate::search::try_locate;
 use strindex::telemetry::{Histogram, MetricsRegistry, SlidingWindow, SloTracker, Stage};
-use strindex::{Alphabet, Code, CountersSnapshot, Result};
+use strindex::{Code, CountersSnapshot};
 
 /// What happens to a submission that finds the admission queue full.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -148,7 +142,8 @@ pub enum QueryOutcome {
     /// Answered by a document-collection index: every occurrence as a
     /// `(document, offset)` pair, ordered by (doc, offset). Produced by
     /// [`ServeIndex`] implementations whose position space is per-document
-    /// (the segmented store) rather than one concatenation.
+    /// (the segmented store, the sharded index) rather than one
+    /// concatenation.
     DoneDocs(Vec<DocMatch>),
     /// The request's deadline passed before a worker batched it; no index
     /// work was spent on it.
@@ -235,9 +230,9 @@ pub struct WorkerMetrics {
 /// Point-in-time view of engine activity.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
-    /// Index work counters (nodes checked, links followed, …), summed over
-    /// every structure the engine queries (one for a [`QueryEngine`], one
-    /// per shard for a [`ShardedEngine`]).
+    /// Index work counters (nodes checked, links followed, …), as the
+    /// index reports them ([`ServeIndex::counters_snapshot`]): summed over
+    /// every structure it queries.
     pub index: CountersSnapshot,
     /// Per-worker batch statistics, one entry per pool thread.
     pub workers: Vec<WorkerMetrics>,
@@ -326,77 +321,46 @@ impl WorkerStats {
     }
 }
 
-/// What a [`QueryEngine`] needs from an index: answer a coalesced batch of
+/// What a [`QueryEngine`] needs from an index: answer a worker's batch of
 /// patterns, one outcome per pattern, in order.
 ///
 /// Every [`FallibleSpineOps`] engine gets this for free via a blanket impl
-/// that enumerates the whole batch at once
-/// ([`crate::occurrences::try_find_all_ends_batch`]: a link-tree walk per
-/// pattern where the structure keeps a link tree — the in-memory indexes
-/// and sealed segments — and one shared backbone scan for the compact and
-/// mutable page-resident layouts) and answers in
-/// concatenation coordinates ([`QueryOutcome::Done`]). Composite stores
-/// (the segmented LSM index) implement it directly and answer per document
-/// ([`QueryOutcome::DoneDocs`]). Either way the engine's queueing,
-/// deadlines, shedding, panic isolation, and ledger accounting apply
-/// unchanged.
+/// that answers each pattern with [`try_find_all_ends`] in concatenation
+/// coordinates ([`QueryOutcome::Done`]). Composite indexes (the segmented
+/// LSM store, the sharded generalized index) implement it directly and
+/// answer per document ([`QueryOutcome::DoneDocs`]). Either way the
+/// engine's queueing, deadlines, shedding, panic isolation, and ledger
+/// accounting apply unchanged.
 pub trait ServeIndex: Send + Sync {
-    /// Resolve `patterns` (a worker's coalesced batch); the returned vector
-    /// must have exactly one outcome per pattern, in order. Failures are
-    /// per-pattern: a storage fault in one pattern's resolution should fail
-    /// only that pattern. A panic fails the whole batch (the engine catches
-    /// it, fails every request in the batch, and respawns the worker).
+    /// Resolve `patterns` (a worker's batch); the returned vector must have
+    /// exactly one outcome per pattern, in order. Failures are per-pattern:
+    /// a storage fault in one pattern's resolution fails only that pattern.
+    /// A panic fails the whole batch (the engine catches it, fails every
+    /// request in the batch, and respawns the worker).
     fn answer_patterns(&self, patterns: &[&[Code]]) -> Vec<QueryOutcome>;
 
     /// Snapshot of the index's work counters, aggregated over whatever
-    /// structures it queries (one backbone, or memtable + every segment).
+    /// structures it queries (one backbone, the memtable and every segment,
+    /// or every shard).
     fn counters_snapshot(&self) -> CountersSnapshot;
 }
 
-/// The batching path every single-backbone engine shares: locate each
-/// pattern's valid path, then enumerate all located patterns together.
+/// Every single-backbone engine answers each pattern on its own: locate
+/// its valid path, then enumerate its ends.
 impl<S: FallibleSpineOps + Send + Sync> ServeIndex for S {
     fn answer_patterns(&self, patterns: &[&[Code]]) -> Vec<QueryOutcome> {
-        let located: Vec<Located> = patterns
+        patterns
             .iter()
             .map(|p| {
                 if p.is_empty() {
-                    return Located::Empty;
+                    // The empty pattern ends at every node (serial
+                    // `find_all_ends` agrees: it accepts all of 0..=n).
+                    return QueryOutcome::Done((0..=self.text_len() as NodeId).collect());
                 }
-                match try_locate(self, p) {
-                    Ok(Some(first)) => {
-                        Located::At(Target { first_end: first, len: p.len() as u32 })
-                    }
-                    Ok(None) => Located::Absent,
-                    Err(e) => Located::Error(e.to_string()),
+                match try_find_all_ends(self, p) {
+                    Ok(ends) => QueryOutcome::Done(ends),
+                    Err(e) => QueryOutcome::Failed(e.to_string()),
                 }
-            })
-            .collect();
-        let targets: Vec<Target> = located
-            .iter()
-            .filter_map(|l| match l {
-                Located::At(t) => Some(*t),
-                _ => None,
-            })
-            .collect();
-        let scanned: std::result::Result<_, String> =
-            try_find_all_ends_batch(self, &targets).map_err(|e| e.to_string());
-        located
-            .iter()
-            .map(|l| match (l, &scanned) {
-                // The empty pattern ends at every node (serial
-                // `find_all_ends` agrees: it accepts all of 0..=n).
-                (Located::Empty, _) => {
-                    QueryOutcome::Done((0..=self.text_len() as NodeId).collect())
-                }
-                (Located::Absent, _) => QueryOutcome::Done(Vec::new()),
-                (Located::Error(e), _) => QueryOutcome::Failed(e.clone()),
-                // Duplicate targets share one entry in the scan result, so
-                // clone rather than remove. (remove would starve the twin.)
-                (Located::At(t), Ok(map)) => {
-                    QueryOutcome::Done(map.get(t).cloned().unwrap_or_default())
-                }
-                (Located::At(_), Err(e)) => QueryOutcome::Failed(e.clone()),
             })
             .collect()
     }
@@ -743,19 +707,6 @@ impl<S: ServeIndex + 'static> QueryEngine<S> {
         out
     }
 
-    /// True when the admission queue is at capacity (advisory; used by
-    /// [`ShardedEngine`] to make broadcast admission all-or-nothing).
-    pub(crate) fn is_full(&self) -> bool {
-        self.shared.lock().pending.len() >= self.queue_capacity
-    }
-
-    /// Account one request shed before reaching this engine's queue.
-    pub(crate) fn record_shed(&self) {
-        let mut st = self.shared.lock();
-        st.ledger.submitted += 1;
-        st.ledger.shed += 1;
-    }
-
     /// Block until every admitted query has an outcome, then return all
     /// accumulated results sorted by [`QueryId`].
     ///
@@ -955,8 +906,8 @@ fn worker_loop<S: ServeIndex + ?Sized>(index: &S, shared: &Shared, who: usize, b
         }
 
         let scan_start = Instant::now();
-        let results = match catch_unwind(AssertUnwindSafe(|| answer_batch(index, &batch))) {
-            Ok(results) => results,
+        let outcomes = match catch_unwind(AssertUnwindSafe(|| answer_batch(index, &batch))) {
+            Ok(outcomes) => outcomes,
             Err(payload) => {
                 // Poisoned batch: every request in it fails, the in-flight
                 // count is restored so `drain` cannot hang, and the panic
@@ -985,8 +936,13 @@ fn worker_loop<S: ServeIndex + ?Sized>(index: &S, shared: &Shared, who: usize, b
         }
 
         let merge_start = Instant::now();
+        let results: Vec<QueryResult> = batch
+            .into_iter()
+            .zip(outcomes)
+            .map(|(r, outcome)| QueryResult { id: r.id, pattern: r.pattern, outcome })
+            .collect();
         let mut st = shared.lock();
-        st.in_flight -= batch.len();
+        st.in_flight -= results.len();
         for r in &results {
             match r.outcome {
                 QueryOutcome::Done(_) | QueryOutcome::DoneDocs(_) => st.ledger.completed += 1,
@@ -1042,25 +998,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".into())
 }
 
-/// Per-request fate after the locate phase, before enumeration.
-enum Located {
-    /// Empty pattern: answered positionally, no enumeration needed.
-    Empty,
-    /// Pattern does not occur; answers with no occurrences.
-    Absent,
-    /// First occurrence found; enumeration resolves the rest.
-    At(Target),
-    /// Storage failure during the valid-path walk.
-    Error(String),
-}
-
-/// Resolve a coalesced batch through the index's [`ServeIndex`] surface and
-/// pair each outcome back with its request.
+/// Resolve a batch through the index's [`ServeIndex`] surface: one outcome
+/// per request, in order.
 ///
 /// Failure is per-request (the contract `answer_patterns` documents); an
 /// index that returns the wrong number of outcomes panics here, which the
 /// worker's catch_unwind turns into a failed batch plus a respawn.
-fn answer_batch<S: ServeIndex + ?Sized>(index: &S, batch: &[Request]) -> Vec<QueryResult> {
+fn answer_batch<S: ServeIndex + ?Sized>(index: &S, batch: &[Request]) -> Vec<QueryOutcome> {
     let patterns: Vec<&[Code]> = batch.iter().map(|r| r.pattern.as_slice()).collect();
     let outcomes = index.answer_patterns(&patterns);
     assert_eq!(
@@ -1068,275 +1012,7 @@ fn answer_batch<S: ServeIndex + ?Sized>(index: &S, batch: &[Request]) -> Vec<Que
         batch.len(),
         "ServeIndex::answer_patterns must return one outcome per pattern"
     );
-    batch
-        .iter()
-        .zip(outcomes)
-        .map(|(r, outcome)| QueryResult { id: r.id, pattern: r.pattern.clone(), outcome })
-        .collect()
-}
-
-/// How one broadcast pattern ended up across every shard.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ShardedOutcome {
-    /// Every shard answered; occurrences are merged in global coordinates.
-    Done(Vec<DocMatch>),
-    /// At least one shard timed the request out (and none failed).
-    TimedOut,
-    /// At least one shard failed the request; messages are joined.
-    Failed(String),
-}
-
-/// An occurrence set merged across shards, tagged with global document ids.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardedResult {
-    /// Id from [`ShardedEngine::submit`].
-    pub id: QueryId,
-    /// The pattern.
-    pub pattern: Vec<Code>,
-    /// How the broadcast ended up.
-    pub outcome: ShardedOutcome,
-}
-
-impl ShardedResult {
-    /// Merged matches if every shard answered, `None` otherwise.
-    pub fn matches(&self) -> Option<&[DocMatch]> {
-        match &self.outcome {
-            ShardedOutcome::Done(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    /// Merged matches; panics if any shard timed out or failed.
-    pub fn expect_matches(&self) -> &[DocMatch] {
-        match &self.outcome {
-            ShardedOutcome::Done(m) => m,
-            other => panic!("sharded query {} did not complete: {other:?}", self.id),
-        }
-    }
-}
-
-/// Document-sharded deployment: `n` generalized SPINE indexes, each fronted
-/// by its own [`QueryEngine`], with patterns broadcast to every shard and
-/// the per-shard answers merged back into global document coordinates.
-///
-/// Sharding bounds per-index backbone length (shorter scans, independent
-/// construction) at the cost of running every pattern `n` times; it is the
-/// deployment §6 of the paper gestures at for corpora beyond one index.
-///
-/// Admission is all-or-nothing: under [`ShedPolicy::RejectNewest`] a
-/// broadcast is shed *before* reaching any shard queue when any shard is
-/// full, so the per-shard result streams always stay index-aligned.
-pub struct ShardedEngine {
-    engines: Vec<QueryEngine<GeneralizedSpine>>,
-    /// `global_doc[s][d]` = global id of shard `s`'s local document `d`.
-    global_doc: Vec<Vec<usize>>,
-    shed_policy: ShedPolicy,
-    /// Serializes broadcasts so every shard sees the same request order and
-    /// the all-shards-have-space check cannot interleave with another
-    /// submitter's pushes.
-    submit_lock: Mutex<()>,
-    submitted: AtomicU64,
-    /// Registry + merge histogram when built with telemetry.
-    telemetry: Option<(Arc<MetricsRegistry>, Arc<Histogram>)>,
-}
-
-impl ShardedEngine {
-    /// Partition `docs` round-robin across `shards` generalized indexes and
-    /// start a worker pool (of `config.workers` threads *per shard*) over
-    /// each.
-    pub fn build(
-        alphabet: Alphabet,
-        docs: &[Vec<Code>],
-        shards: usize,
-        config: EngineConfig,
-    ) -> Result<Self> {
-        Self::build_inner(alphabet, docs, shards, config, None)
-    }
-
-    /// [`build`](Self::build), with every shard engine and the cross-shard
-    /// merge recording into one shared `registry`.
-    pub fn build_with_telemetry(
-        alphabet: Alphabet,
-        docs: &[Vec<Code>],
-        shards: usize,
-        config: EngineConfig,
-        registry: Arc<MetricsRegistry>,
-    ) -> Result<Self> {
-        Self::build_inner(alphabet, docs, shards, config, Some(registry))
-    }
-
-    fn build_inner(
-        alphabet: Alphabet,
-        docs: &[Vec<Code>],
-        shards: usize,
-        config: EngineConfig,
-        registry: Option<Arc<MetricsRegistry>>,
-    ) -> Result<Self> {
-        let shards = shards.max(1).min(docs.len().max(1));
-        let mut indexes: Vec<GeneralizedSpine> =
-            (0..shards).map(|_| GeneralizedSpine::new(alphabet.clone())).collect();
-        let mut global_doc: Vec<Vec<usize>> = vec![Vec::new(); shards];
-        for (g, doc) in docs.iter().enumerate() {
-            let s = g % shards;
-            indexes[s].add_document(doc)?;
-            global_doc[s].push(g);
-        }
-        let engines = indexes
-            .into_iter()
-            .map(|ix| match &registry {
-                Some(r) => QueryEngine::with_telemetry(Arc::new(ix), config, Arc::clone(r)),
-                None => QueryEngine::new(Arc::new(ix), config),
-            })
-            .collect();
-        Ok(ShardedEngine {
-            engines,
-            global_doc,
-            shed_policy: config.shed,
-            submit_lock: Mutex::new(()),
-            submitted: AtomicU64::new(0),
-            telemetry: registry.map(|r| {
-                let merge = r.stage(Stage::ResultMerge);
-                (r, merge)
-            }),
-        })
-    }
-
-    /// Number of shards actually built.
-    pub fn shard_count(&self) -> usize {
-        self.engines.len()
-    }
-
-    /// Broadcast one pattern to every shard, or shed it from all of them.
-    pub fn submit(&self, pattern: Vec<Code>) -> std::result::Result<QueryId, SubmitError> {
-        self.submit_request(pattern, None)
-    }
-
-    /// [`submit`](Self::submit) with a deadline applied on every shard.
-    pub fn submit_with_deadline(
-        &self,
-        pattern: Vec<Code>,
-        deadline: Instant,
-    ) -> std::result::Result<QueryId, SubmitError> {
-        self.submit_request(pattern, Some(deadline))
-    }
-
-    fn submit_request(
-        &self,
-        pattern: Vec<Code>,
-        deadline: Option<Instant>,
-    ) -> std::result::Result<QueryId, SubmitError> {
-        let _serial = self.submit_lock.lock().unwrap_or_else(PoisonError::into_inner);
-        if self.shed_policy == ShedPolicy::RejectNewest
-            && self.engines.iter().any(QueryEngine::is_full)
-        {
-            // Shed from every shard before touching any queue: workers only
-            // ever *free* space, so a non-full check under the submit lock
-            // cannot be invalidated before the pushes below.
-            for e in &self.engines {
-                e.record_shed();
-            }
-            return Err(SubmitError::Overloaded);
-        }
-        for e in &self.engines {
-            let admitted = match deadline {
-                Some(d) => e.submit_with_deadline(pattern.clone(), d),
-                None => e.submit(pattern.clone()),
-            };
-            admitted.expect("shard admission is all-or-nothing under the submit lock");
-        }
-        Ok(self.submitted.fetch_add(1, Relaxed))
-    }
-
-    /// Wait for all shards, merge each pattern's per-shard occurrences into
-    /// global document coordinates, and return results in submission order.
-    ///
-    /// Every shard receives every admitted pattern in the same order, so the
-    /// shard-local result streams (sorted by shard-local id) align
-    /// index-for-index with the global submission order. A request that
-    /// failed or timed out on any shard reports that fate globally.
-    pub fn drain(&self) -> Vec<ShardedResult> {
-        let per_shard: Vec<Vec<QueryResult>> = self.engines.iter().map(|e| e.drain()).collect();
-        // Timed from here: only the cross-shard merge below, not the blocking
-        // shard drains above.
-        let merge_start = Instant::now();
-        let n = per_shard.first().map(|v| v.len()).unwrap_or(0);
-        let mut out = Vec::with_capacity(n);
-        for q in 0..n {
-            let pattern = per_shard[0][q].pattern.clone();
-            let plen = pattern.len();
-            let mut matches: Vec<DocMatch> = Vec::new();
-            let mut timed_out = false;
-            let mut failures: Vec<String> = Vec::new();
-            for (s, results) in per_shard.iter().enumerate() {
-                let shard_index = self.engines[s].index();
-                match &results[q].outcome {
-                    QueryOutcome::Done(ends) => {
-                        for &end in ends {
-                            let local = shard_index.localize(end as usize - plen);
-                            matches.push(DocMatch {
-                                doc: self.global_doc[s][local.doc],
-                                offset: local.offset,
-                            });
-                        }
-                    }
-                    // Shard engines answer through the concatenation path
-                    // today; if a future shard index answers per document,
-                    // its local doc ids still map through the same table.
-                    QueryOutcome::DoneDocs(ms) => {
-                        for m in ms {
-                            matches.push(DocMatch {
-                                doc: self.global_doc[s][m.doc],
-                                offset: m.offset,
-                            });
-                        }
-                    }
-                    QueryOutcome::TimedOut => timed_out = true,
-                    QueryOutcome::Failed(e) => failures.push(format!("shard {s}: {e}")),
-                }
-            }
-            let outcome = if !failures.is_empty() {
-                ShardedOutcome::Failed(failures.join("; "))
-            } else if timed_out {
-                ShardedOutcome::TimedOut
-            } else {
-                matches.sort_unstable();
-                ShardedOutcome::Done(matches)
-            };
-            out.push(ShardedResult { id: q as QueryId, pattern, outcome });
-        }
-        if let Some((registry, merge)) = &self.telemetry {
-            let elapsed = merge_start.elapsed();
-            merge.record(elapsed);
-            registry.record_span("sharded.merge", merge_start, elapsed);
-        }
-        out
-    }
-
-    /// Aggregated metrics: index counters summed across shards, worker lists
-    /// concatenated, queue depth taken as the per-shard maximum.
-    ///
-    /// Each shard's snapshot is consistent, but the shards are sampled one
-    /// after another, so the *aggregate* invariant only holds when no
-    /// submission is racing the aggregation (per-shard ledgers move
-    /// independently between samples).
-    pub fn metrics(&self) -> MetricsSnapshot {
-        let mut agg = MetricsSnapshot::default();
-        for e in &self.engines {
-            let m = e.metrics();
-            agg.index += m.index;
-            agg.workers.extend(m.workers);
-            agg.submitted += m.submitted;
-            agg.completed += m.completed;
-            agg.shed += m.shed;
-            agg.timed_out += m.timed_out;
-            agg.failed += m.failed;
-            agg.pending += m.pending;
-            agg.in_flight += m.in_flight;
-            agg.worker_respawns += m.worker_respawns;
-            agg.peak_queue_depth = agg.peak_queue_depth.max(m.peak_queue_depth);
-        }
-        agg
-    }
+    outcomes
 }
 
 #[cfg(test)]
@@ -1344,6 +1020,7 @@ mod tests {
     use super::*;
     use crate::build::Spine;
     use crate::compact::CompactSpine;
+    use crate::generalized::{GeneralizedSpine, ShardedSpine};
     use crate::occurrences::find_all_ends;
     use std::time::Duration;
     use strindex::Alphabet;
@@ -1482,8 +1159,8 @@ mod tests {
         assert_eq!(m.completed, 10);
         assert_eq!(m.accounted(), m.submitted);
         assert_eq!(m.workers.iter().map(|w| w.queries).sum::<u64>(), 10);
-        // batch_max = 4 ⇒ at least ⌈10/4⌉ = 3 scans, and coalescing means
-        // strictly fewer scans than queries.
+        // batch_max = 4 ⇒ at least ⌈10/4⌉ = 3 batches, and at most one per
+        // query.
         let batches = m.batches();
         assert!((3..=10).contains(&batches), "batches = {batches}");
         assert!(m.index.nodes_checked > 0);
@@ -1559,79 +1236,105 @@ mod tests {
         assert_eq!(r[0].expect_starts(), vec![3, 5, 8]);
     }
 
+    fn encode_all(a: &Alphabet, texts: &[&[u8]]) -> Vec<Vec<Code>> {
+        texts.iter().map(|t| a.encode(t).unwrap()).collect()
+    }
+
     #[test]
-    fn sharded_engine_matches_unsharded_generalized() {
+    fn sharded_spine_matches_unsharded_generalized() {
         let a = Alphabet::dna();
-        let docs: Vec<Vec<Code>> = [&b"ACGTACGT"[..], b"TTACG", b"GGGG", b"ACACAC", b"T"]
-            .iter()
-            .map(|d| a.encode(d).unwrap())
-            .collect();
+        let docs = encode_all(&a, &[b"ACGTACGT", b"TTACG", b"GGGG", b"ACACAC", b"T"]);
 
         let mut reference = GeneralizedSpine::new(a.clone());
         for d in &docs {
             reference.add_document(d).unwrap();
         }
 
-        let cfg = EngineConfig { workers: 2, batch_max: 4, ..Default::default() };
-        let sharded = ShardedEngine::build(a.clone(), &docs, 3, cfg).unwrap();
+        let sharded = ShardedSpine::build(a.clone(), &docs, 3).unwrap();
         assert_eq!(sharded.shard_count(), 3);
+        let cfg = EngineConfig { workers: 2, batch_max: 4, ..Default::default() };
+        let engine = QueryEngine::new(Arc::new(sharded), cfg);
 
         let pats = [&b"ACG"[..], b"T", b"GG", b"CACA", b"TTT"];
         for p in pats {
-            sharded.submit(a.encode(p).unwrap()).unwrap();
+            engine.submit(a.encode(p).unwrap()).unwrap();
         }
-        let results = sharded.drain();
+        let results = engine.drain();
         assert_eq!(results.len(), pats.len());
         for (r, p) in results.iter().zip(&pats) {
             assert_eq!(
-                r.expect_matches(),
+                r.expect_doc_matches(),
                 reference.find_all(&a.encode(p).unwrap()),
                 "pattern {p:?}"
             );
         }
 
-        let m = sharded.metrics();
-        assert_eq!(m.completed, (pats.len() * sharded.shard_count()) as u64);
-        assert_eq!(m.workers.len(), 2 * sharded.shard_count());
+        let m = engine.metrics();
+        assert_eq!(m.completed, pats.len() as u64);
+        assert_eq!(m.workers.len(), 2);
         assert_eq!(m.accounted(), m.submitted);
+        assert!(m.index.nodes_checked > 0, "work counters sum over the shards");
     }
 
     #[test]
-    fn sharded_engine_single_shard_degenerate() {
+    fn sharded_spine_single_shard_degenerate() {
         let a = Alphabet::dna();
         let docs = vec![a.encode(b"ACGT").unwrap()];
-        let sharded = ShardedEngine::build(a.clone(), &docs, 8, EngineConfig::default()).unwrap();
+        let sharded = ShardedSpine::build(a.clone(), &docs, 8).unwrap();
         assert_eq!(sharded.shard_count(), 1); // clamped to doc count
-        sharded.submit(a.encode(b"CG").unwrap()).unwrap();
-        let r = sharded.drain();
-        assert_eq!(r[0].expect_matches(), [DocMatch { doc: 0, offset: 1 }]);
+        let engine = QueryEngine::new(Arc::new(sharded), EngineConfig::default());
+        engine.submit(a.encode(b"CG").unwrap()).unwrap();
+        let r = engine.drain();
+        assert_eq!(r[0].expect_doc_matches(), [DocMatch { doc: 0, offset: 1 }]);
     }
 
     #[test]
     fn sharded_edge_patterns() {
         let a = Alphabet::dna();
-        let docs: Vec<Vec<Code>> =
-            [&b"ACGT"[..], b"TT"].iter().map(|d| a.encode(d).unwrap()).collect();
-        let sharded = ShardedEngine::build(a.clone(), &docs, 2, EngineConfig::default()).unwrap();
-        sharded.submit(a.encode(&b"A".repeat(64)).unwrap()).unwrap(); // longer than any doc
-        sharded.submit(vec![17]).unwrap(); // out-of-alphabet code
-        let r = sharded.drain();
-        assert_eq!(r[0].expect_matches(), [] as [DocMatch; 0]);
-        assert_eq!(r[1].expect_matches(), [] as [DocMatch; 0]);
+        let docs = encode_all(&a, &[b"ACGT", b"TT"]);
+        let sharded = ShardedSpine::build(a.clone(), &docs, 2).unwrap();
+        let engine = QueryEngine::new(Arc::new(sharded), EngineConfig::default());
+        engine.submit(a.encode(&b"A".repeat(64)).unwrap()).unwrap(); // longer than any doc
+        engine.submit(vec![17]).unwrap(); // out-of-alphabet code
+        let r = engine.drain();
+        assert_eq!(r[0].expect_doc_matches(), [] as [DocMatch; 0]);
+        assert_eq!(r[1].expect_doc_matches(), [] as [DocMatch; 0]);
+    }
+
+    /// Regression: the sharded engine this index replaces localized the
+    /// empty pattern's last end to a shard's sentinel document and panicked
+    /// in `drain`. The empty pattern occurs at every offset `0..=len` of
+    /// every document, as in the segment store.
+    #[test]
+    fn sharded_empty_pattern_matches_every_offset_of_every_document() {
+        let a = Alphabet::dna();
+        let docs = encode_all(&a, &[b"ACGT", b"TT", b"", b"G"]);
+        let sharded = ShardedSpine::build(a.clone(), &docs, 2).unwrap();
+        let engine = QueryEngine::new(Arc::new(sharded), EngineConfig::default());
+        engine.submit(Vec::new()).unwrap();
+        let r = engine.drain();
+        let every: Vec<DocMatch> = docs
+            .iter()
+            .enumerate()
+            .flat_map(|(doc, d)| (0..=d.len()).map(move |offset| DocMatch { doc, offset }))
+            .collect();
+        assert_eq!(every.len(), 5 + 3 + 1 + 2);
+        assert_eq!(r[0].expect_doc_matches(), every);
     }
 
     #[test]
     fn sharded_expired_deadline_reports_timeout() {
         let a = Alphabet::dna();
-        let docs = vec![a.encode(b"ACGTACGT").unwrap(), a.encode(b"TTACG").unwrap()];
+        let docs = encode_all(&a, &[b"ACGTACGT", b"TTACG"]);
+        let sharded = ShardedSpine::build(a.clone(), &docs, 2).unwrap();
         let cfg = EngineConfig { workers: 1, ..Default::default() };
-        let sharded = ShardedEngine::build(a.clone(), &docs, 2, cfg).unwrap();
+        let engine = QueryEngine::new(Arc::new(sharded), cfg);
         let past = Instant::now() - Duration::from_secs(1);
-        sharded.submit_with_deadline(a.encode(b"ACG").unwrap(), past).unwrap();
-        let r = sharded.drain();
-        assert_eq!(r[0].outcome, ShardedOutcome::TimedOut);
-        assert!(r[0].matches().is_none());
-        let m = sharded.metrics();
+        engine.submit_with_deadline(a.encode(b"ACG").unwrap(), past).unwrap();
+        let r = engine.drain();
+        assert_eq!(r[0].outcome, QueryOutcome::TimedOut);
+        assert!(r[0].doc_matches().is_none());
+        let m = engine.metrics();
         assert_eq!(m.accounted(), m.submitted);
     }
 
@@ -1710,24 +1413,21 @@ mod tests {
     }
 
     #[test]
-    fn sharded_telemetry_shares_one_registry() {
+    fn sharded_telemetry_records_one_latency_per_query() {
         let a = Alphabet::dna();
-        let docs: Vec<Vec<Code>> =
-            [&b"ACGTACGT"[..], b"TTACG", b"GGGG"].iter().map(|d| a.encode(d).unwrap()).collect();
+        let docs = encode_all(&a, &[b"ACGTACGT", b"TTACG", b"GGGG"]);
         let registry = Arc::new(MetricsRegistry::new());
         let cfg = EngineConfig { workers: 1, batch_max: 4, ..Default::default() };
-        let sharded =
-            ShardedEngine::build_with_telemetry(a.clone(), &docs, 2, cfg, Arc::clone(&registry))
-                .unwrap();
-        sharded.submit(a.encode(b"ACG").unwrap()).unwrap();
-        sharded.submit(a.encode(b"G").unwrap()).unwrap();
-        sharded.drain();
+        let sharded = ShardedSpine::build(a.clone(), &docs, 2).unwrap();
+        let engine = QueryEngine::with_telemetry(Arc::new(sharded), cfg, Arc::clone(&registry));
+        engine.submit(a.encode(b"ACG").unwrap()).unwrap();
+        engine.submit(a.encode(b"G").unwrap()).unwrap();
+        engine.drain();
         let snap = registry.snapshot();
-        // Both shards fed the same stage histograms (2 queries × 2 shards).
-        assert_eq!(snap.histogram("engine.query_latency").unwrap().count, 4);
-        // The cross-shard merge recorded into ResultMerge and left a span.
-        assert!(snap.spans.iter().any(|s| s.name == "sharded.merge"));
-        let m = sharded.metrics();
+        // One query answers every shard, so it records one latency.
+        assert_eq!(snap.histogram("engine.query_latency").unwrap().count, 2);
+        assert!(!snap.stage(Stage::ResultMerge).unwrap().is_empty());
+        let m = engine.metrics();
         assert!(m.is_consistent());
     }
 

@@ -9,10 +9,13 @@
 //! across a document boundary.
 
 use crate::build::Spine;
+use crate::engine::{QueryOutcome, ServeIndex};
 use crate::node::NodeId;
 use crate::observe::BuildObserver;
 use crate::ops::{FallibleSpineOps, LinkTree};
-use strindex::{Alphabet, Code, Counters, Error, PackedText, Result, StringIndex};
+use strindex::{
+    Alphabet, Code, Counters, CountersSnapshot, Error, PackedText, Result, StringIndex,
+};
 
 /// An occurrence localized to a document.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -133,9 +136,12 @@ impl GeneralizedSpine {
 
     /// Map a concatenation offset to `(document, in-document offset)`.
     ///
-    /// Public so callers that run the low-level occurrence machinery
-    /// themselves (the concurrent query engine's sharded mode) can translate
-    /// concatenation positions back to documents.
+    /// Callers that run the low-level occurrence machinery over the
+    /// concatenation themselves ([`find_all`](Self::find_all), the segment
+    /// store's memtable) translate its positions back to documents with
+    /// it. An offset at or past the end of the last document maps to the
+    /// sentinel document [`doc_count`](Self::doc_count), which holds no
+    /// text.
     pub fn localize(&self, offset: usize) -> DocMatch {
         let doc = match self.starts.binary_search(&offset) {
             Ok(d) => d,
@@ -169,6 +175,90 @@ impl GeneralizedSpine {
         let mut docs: Vec<usize> = self.find_all(pattern).into_iter().map(|m| m.doc).collect();
         docs.dedup();
         docs
+    }
+}
+
+/// Documents partitioned round-robin across several generalized indexes,
+/// served as one [`ServeIndex`] in global document ids.
+///
+/// Each pattern runs against every shard in turn, and the per-shard
+/// matches merge into global [`DocMatch`]es ordered by (doc, offset) —
+/// the deployment §6 of the paper gestures at for corpora beyond one
+/// index. Serve it with [`QueryEngine`](crate::engine::QueryEngine) like
+/// any other index.
+///
+/// ```
+/// use spine::engine::{EngineConfig, QueryEngine};
+/// use spine::{DocMatch, ShardedSpine};
+/// use std::sync::Arc;
+/// use strindex::Alphabet;
+///
+/// let a = Alphabet::dna();
+/// let docs = vec![a.encode(b"ACGT").unwrap(), a.encode(b"TTACG").unwrap()];
+/// let index = Arc::new(ShardedSpine::build(a.clone(), &docs, 2).unwrap());
+/// let engine = QueryEngine::new(index, EngineConfig::default());
+/// engine.submit(a.encode(b"ACG").unwrap()).unwrap();
+/// let matches = [DocMatch { doc: 0, offset: 0 }, DocMatch { doc: 1, offset: 2 }];
+/// assert_eq!(engine.drain()[0].expect_doc_matches(), matches);
+/// ```
+pub struct ShardedSpine {
+    shards: Vec<GeneralizedSpine>,
+    /// `global_doc[s][d]` = global id of shard `s`'s local document `d`.
+    global_doc: Vec<Vec<usize>>,
+}
+
+impl ShardedSpine {
+    /// Partition `docs` round-robin across `shards` generalized indexes
+    /// (clamped to between 1 and the document count).
+    pub fn build(alphabet: Alphabet, docs: &[Vec<Code>], shards: usize) -> Result<Self> {
+        let shards = shards.max(1).min(docs.len().max(1));
+        let mut indexes: Vec<GeneralizedSpine> =
+            (0..shards).map(|_| GeneralizedSpine::new(alphabet.clone())).collect();
+        let mut global_doc: Vec<Vec<usize>> = vec![Vec::new(); shards];
+        for (g, doc) in docs.iter().enumerate() {
+            indexes[g % shards].add_document(doc)?;
+            global_doc[g % shards].push(g);
+        }
+        Ok(ShardedSpine { shards: indexes, global_doc })
+    }
+
+    /// Number of shards actually built.
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Every occurrence of `pattern` in global document ids, ordered by
+    /// (doc, offset). The empty pattern occurs at every offset `0..=len` of
+    /// every document.
+    fn find_all(&self, pattern: &[Code]) -> Vec<DocMatch> {
+        let mut out = Vec::new();
+        for (shard, ids) in self.shards.iter().zip(&self.global_doc) {
+            if pattern.is_empty() {
+                for (d, &doc) in ids.iter().enumerate() {
+                    out.extend((0..=shard.doc_len(d)).map(|offset| DocMatch { doc, offset }));
+                }
+            } else {
+                out.extend(
+                    shard.find_all(pattern).into_iter().map(|m| DocMatch { doc: ids[m.doc], ..m }),
+                );
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+}
+
+impl ServeIndex for ShardedSpine {
+    fn answer_patterns(&self, patterns: &[&[Code]]) -> Vec<QueryOutcome> {
+        patterns.iter().map(|p| QueryOutcome::DoneDocs(self.find_all(p))).collect()
+    }
+
+    fn counters_snapshot(&self) -> CountersSnapshot {
+        let mut agg = CountersSnapshot::default();
+        for shard in &self.shards {
+            agg += shard.ops_counters().snapshot();
+        }
+        agg
     }
 }
 

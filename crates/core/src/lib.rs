@@ -90,9 +90,9 @@ pub use compact::CompactSpine;
 pub use disk::{DiskSpine, PageMap, SealedCensus, DISK_FORMAT_VERSION};
 pub use engine::{
     CompletionHook, EngineConfig, MetricsSnapshot, PanicHook, QueryEngine, QueryOutcome,
-    QueryResult, ServeIndex, ShardedEngine, ShardedOutcome, ShardedResult, ShedPolicy, SubmitError,
+    QueryResult, ServeIndex, ShedPolicy, SubmitError,
 };
-pub use generalized::{DocMatch, GeneralizedSpine};
+pub use generalized::{DocMatch, GeneralizedSpine, ShardedSpine};
 pub use hot::HotSet;
 pub use journal::{JournalEvent, JournalKind, JOURNAL_FILE, JOURNAL_VERSION};
 pub use manifest::{Manifest, SegmentEntry, MANIFEST_VERSION};

@@ -75,6 +75,7 @@ use crate::generalized::{DocMatch, GeneralizedSpine};
 use crate::journal::{self, JournalEvent, JournalKind, JOURNAL_FILE};
 use crate::manifest::{Manifest, SegmentEntry};
 use crate::observe::{MergeObserver, MergePhase, MergeTimes, NoMergeObserver};
+use crate::occurrences::try_find_all_ends;
 use crate::ops::FallibleSpineOps;
 use crate::trace::QueryTrace;
 
@@ -372,9 +373,6 @@ struct Snapshot {
     memtable: Arc<Memtable>,
     /// Memtable documents visible to this snapshot.
     mem_docs: usize,
-    /// Memtable concatenation length at snapshot time; matches ending
-    /// beyond it were added later and are invisible.
-    mem_len: usize,
     /// Retired flags at snapshot time, one per visible document.
     mem_retired: Vec<bool>,
     segments: Arc<Vec<Arc<Segment>>>,
@@ -979,13 +977,7 @@ impl SegmentedSpine {
     /// All occurrences of `pattern` across live documents, as
     /// `(global doc id, offset)` matches ordered by (doc, offset).
     pub fn try_find_all(&self, pattern: &[Code]) -> Result<Vec<DocMatch>> {
-        match self.answer_patterns(&[pattern]).pop().expect("one outcome per pattern") {
-            QueryOutcome::DoneDocs(ms) => Ok(ms),
-            QueryOutcome::Failed(e) => {
-                Err(Error::Io { source: std::io::Error::other(e), ctx: None })
-            }
-            other => unreachable!("segmented answer is DoneDocs or Failed, got {other:?}"),
-        }
+        self.snapshot().find_all(pattern)
     }
 
     /// Per-component EXPLAIN: the memtable's trace plus each sealed
@@ -1089,120 +1081,79 @@ impl SegmentedSpine {
         let segments = inner.segments.clone();
         let tombstones = inner.tombstones.clone();
         drop(inner);
-        let (mem_docs, mem_len, mem_retired) = {
+        let (mem_docs, mem_retired) = {
             let st = memtable.state.read();
-            (st.doc_ids.len(), FallibleSpineOps::text_len(&st.index), st.retired.clone())
+            (st.doc_ids.len(), st.retired.clone())
         };
-        Snapshot { memtable, mem_docs, mem_len, mem_retired, segments, tombstones }
+        Snapshot { memtable, mem_docs, mem_retired, segments, tombstones }
     }
 }
 
-/// Queries resolve against a snapshot, component by component: the
-/// memtable and each segment run the shared single-backbone batch path
-/// (locate once, then a link-tree walk per pattern: the memtable's child
-/// lists, each sealed segment's in-RAM preorder index), then concatenation
-/// ends are localized to `(doc, offset)`, filtered through the snapshot's
-/// tombstones and retired flags, and merged. Failures are per-pattern: a
-/// storage fault in one segment fails the patterns it was resolving, not
-/// the batch.
+impl Snapshot {
+    /// Every occurrence of `pattern` among this snapshot's live documents,
+    /// ordered by (doc, offset). The memtable, then each segment: the empty
+    /// pattern occurs at every offset of every document, boundaries
+    /// included (the per-document analogue of the single-backbone `0..=n`
+    /// answer); any other pattern's concatenation ends
+    /// ([`try_find_all_ends`]: a walk of the memtable's child lists or of a
+    /// segment's in-RAM preorder index) are localized to `(doc, offset)`.
+    /// Retired and tombstoned documents are filtered out, and a component's
+    /// error is returned as it is.
+    fn find_all(&self, pattern: &[Code]) -> Result<Vec<DocMatch>> {
+        let at = |id: u64, offset: usize| DocMatch { doc: id as usize, offset };
+        let mut ms = Vec::new();
+        {
+            let st = self.memtable.state.read();
+            let live = |local: usize| {
+                !self.mem_retired[local] && !self.tombstones.contains(&st.doc_ids[local])
+            };
+            if pattern.is_empty() {
+                for local in (0..self.mem_docs).filter(|&local| live(local)) {
+                    let id = st.doc_ids[local];
+                    ms.extend((0..=st.index.doc_len(local)).map(|offset| at(id, offset)));
+                }
+            } else if self.mem_docs > 0 {
+                for end in try_find_all_ends(&st.index, pattern)? {
+                    let m = st.index.localize(end as usize - pattern.len());
+                    // Documents added after the snapshot localize past it.
+                    if m.doc < self.mem_docs && live(m.doc) {
+                        ms.push(at(st.doc_ids[m.doc], m.offset));
+                    }
+                }
+            }
+        }
+        for seg in self.segments.iter() {
+            if pattern.is_empty() {
+                for (&id, &len) in seg.doc_ids.iter().zip(&seg.doc_lens) {
+                    if !self.tombstones.contains(&id) {
+                        ms.extend((0..=len as usize).map(|offset| at(id, offset)));
+                    }
+                }
+            } else {
+                for end in try_find_all_ends(&seg.index, pattern)? {
+                    let (id, offset) = seg.localize(end as usize - pattern.len());
+                    if !self.tombstones.contains(&id) {
+                        ms.push(at(id, offset));
+                    }
+                }
+            }
+        }
+        ms.sort_unstable();
+        Ok(ms)
+    }
+}
+
+/// Queries resolve against one snapshot per batch, each pattern on its own
+/// (`Snapshot::find_all`). Failures are per-pattern: a storage fault in
+/// one segment fails the pattern that hit it, not the batch.
 impl ServeIndex for SegmentedSpine {
     fn answer_patterns(&self, patterns: &[&[Code]]) -> Vec<QueryOutcome> {
-        type Acc = std::result::Result<Vec<DocMatch>, String>;
         let snap = self.snapshot();
-        let mut acc: Vec<Acc> = patterns.iter().map(|_| Ok(Vec::new())).collect();
-
-        // The empty pattern occurs at every position of every live
-        // document, boundaries included (the per-document analogue of the
-        // single-backbone `0..=n` answer).
-        let empty_answer: Option<Vec<DocMatch>> =
-            patterns.iter().any(|p| p.is_empty()).then(|| {
-                let mut ms = Vec::new();
-                {
-                    let st = snap.memtable.state.read();
-                    for (local, &id) in st.doc_ids.iter().take(snap.mem_docs).enumerate() {
-                        if snap.mem_retired[local] || snap.tombstones.contains(&id) {
-                            continue;
-                        }
-                        for off in 0..=st.index.doc_len(local) {
-                            ms.push(DocMatch { doc: id as usize, offset: off });
-                        }
-                    }
-                }
-                for seg in snap.segments.iter() {
-                    for (i, &id) in seg.doc_ids.iter().enumerate() {
-                        if snap.tombstones.contains(&id) {
-                            continue;
-                        }
-                        for off in 0..=seg.doc_lens[i] as usize {
-                            ms.push(DocMatch { doc: id as usize, offset: off });
-                        }
-                    }
-                }
-                ms
-            });
-        for (i, p) in patterns.iter().enumerate() {
-            if p.is_empty() {
-                acc[i] = Ok(empty_answer.clone().expect("computed when any pattern is empty"));
-            }
-        }
-
-        // Memtable component. Ends past the snapshot's concatenation
-        // length belong to documents added after the snapshot; drop them.
-        {
-            let st = snap.memtable.state.read();
-            if snap.mem_docs > 0 {
-                let outs = ServeIndex::answer_patterns(&st.index, patterns);
-                for (i, out) in outs.into_iter().enumerate() {
-                    if patterns[i].is_empty() {
-                        continue;
-                    }
-                    merge_component(
-                        &mut acc[i],
-                        out,
-                        patterns[i].len(),
-                        |start| {
-                            let m = st.index.localize(start);
-                            if m.doc >= snap.mem_docs || snap.mem_retired[m.doc] {
-                                return None;
-                            }
-                            let id = st.doc_ids[m.doc];
-                            (!snap.tombstones.contains(&id))
-                                .then_some(DocMatch { doc: id as usize, offset: m.offset })
-                        },
-                        snap.mem_len,
-                    );
-                }
-            }
-        }
-
-        // Sealed segments.
-        for seg in snap.segments.iter() {
-            let outs = ServeIndex::answer_patterns(&seg.index, patterns);
-            for (i, out) in outs.into_iter().enumerate() {
-                if patterns[i].is_empty() {
-                    continue;
-                }
-                merge_component(
-                    &mut acc[i],
-                    out,
-                    patterns[i].len(),
-                    |start| {
-                        let (id, offset) = seg.localize(start);
-                        (!snap.tombstones.contains(&id))
-                            .then_some(DocMatch { doc: id as usize, offset })
-                    },
-                    usize::MAX,
-                );
-            }
-        }
-
-        acc.into_iter()
-            .map(|r| match r {
-                Ok(mut ms) => {
-                    ms.sort_unstable_by_key(|m| (m.doc, m.offset));
-                    QueryOutcome::DoneDocs(ms)
-                }
-                Err(e) => QueryOutcome::Failed(e),
+        patterns
+            .iter()
+            .map(|p| match snap.find_all(p) {
+                Ok(ms) => QueryOutcome::DoneDocs(ms),
+                Err(e) => QueryOutcome::Failed(e.to_string()),
             })
             .collect()
     }
@@ -1214,35 +1165,6 @@ impl ServeIndex for SegmentedSpine {
             agg += FallibleSpineOps::ops_counters(&seg.index).snapshot();
         }
         agg
-    }
-}
-
-/// Fold one component's single-backbone outcome for one pattern into the
-/// per-pattern accumulator: ends → starts → localized matches, respecting
-/// a visibility limit on end positions. An already-failed pattern stays
-/// failed; a component failure fails the pattern.
-fn merge_component(
-    acc: &mut std::result::Result<Vec<DocMatch>, String>,
-    out: QueryOutcome,
-    plen: usize,
-    mut localize: impl FnMut(usize) -> Option<DocMatch>,
-    end_limit: usize,
-) {
-    let Ok(ms) = acc.as_mut() else { return };
-    match out {
-        QueryOutcome::Done(ends) => {
-            for e in ends {
-                let end = e as usize;
-                if end > end_limit {
-                    continue;
-                }
-                if let Some(m) = localize(end - plen) {
-                    ms.push(m);
-                }
-            }
-        }
-        QueryOutcome::Failed(e) => *acc = Err(e),
-        other => *acc = Err(format!("unexpected component outcome {other:?}")),
     }
 }
 

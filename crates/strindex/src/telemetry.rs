@@ -252,9 +252,9 @@ pub enum Stage {
     AdmissionWait,
     /// Lock-held time a worker spent coalescing requests into one batch.
     BatchFormation,
-    /// Time answering a coalesced batch with backbone scans.
+    /// Time the index spent answering a batch's patterns.
     IndexScan,
-    /// Time publishing/merging answers (worker publish, shard merge).
+    /// Time pairing answers with their requests and publishing them.
     ResultMerge,
     /// Backoff slept by the storage retry layer riding out transient faults.
     RetryBackoff,
@@ -305,7 +305,7 @@ impl Stage {
 /// epoch (its creation instant).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {
-    /// Span label (`"q17"`, `"w0.batch"`, `"sharded.merge"`, …).
+    /// Span label (`"q17"`, `"w0.batch"`, `"q3.explain"`, …).
     pub name: String,
     /// Microseconds from the registry epoch to the span start.
     pub start_us: u64,

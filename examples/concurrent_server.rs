@@ -1,7 +1,9 @@
 //! Concurrent query serving: one immutable SPINE index, a pool of worker
-//! threads, and an admission queue that coalesces patterns into shared
-//! backbone scans — the deployment shape behind the paper's "integration
-//! with database engines" pitch (§6).
+//! threads, and a bounded admission queue from which each worker takes a
+//! batch of requests and answers each pattern on its own — the deployment
+//! shape behind the paper's "integration with database engines" pitch (§6).
+//! The same engine then serves a document collection sharded across
+//! several generalized indexes.
 //!
 //! ```sh
 //! cargo run --release --example concurrent_server
@@ -10,9 +12,9 @@
 use std::sync::Arc;
 
 use genseq::preset;
-use spine::engine::{EngineConfig, QueryEngine, ShardedEngine};
+use spine::engine::{EngineConfig, QueryEngine};
 use spine::telemetry::{MetricsRegistry, Stage};
-use spine::Spine;
+use spine::{ShardedSpine, Spine};
 use strindex::Code;
 
 fn main() {
@@ -54,7 +56,7 @@ fn main() {
 
     let m = engine.metrics();
     println!(
-        "coalescing: {} backbone scans for {} queries (mean batch {:.1}, peak queue {})",
+        "batching: {} worker batches for {} queries (mean batch {:.1}, peak queue {})",
         m.batches(),
         m.completed,
         m.mean_batch(),
@@ -98,25 +100,25 @@ fn main() {
         println!("  [{:>8}us +{:>6}us] {}", s.start_us, s.duration_us, s.name);
     }
 
-    // Sharded mode: documents partitioned across generalized indexes,
-    // patterns broadcast, answers merged into global document coordinates.
+    // Sharded serving: documents partitioned across generalized indexes,
+    // each pattern answered by every shard, matches in global document ids.
     let docs: Vec<Vec<Code>> = text.chunks(4_096).map(|c| c.to_vec()).collect();
-    let shard_cfg = EngineConfig { workers: 2, batch_max: 32, ..Default::default() };
-    let sharded = ShardedEngine::build(p.alphabet(), &docs, 3, shard_cfg).unwrap();
+    let sharded = ShardedSpine::build(p.alphabet(), &docs, 3).unwrap();
     println!("\nsharded: {} documents across {} shards", docs.len(), sharded.shard_count());
+    let shard_cfg = EngineConfig { workers: 2, batch_max: 32, ..Default::default() };
+    let engine = QueryEngine::new(Arc::new(sharded), shard_cfg);
     for pat in &patterns[..3] {
-        sharded.submit(pat.clone()).unwrap();
+        engine.submit(pat.clone()).unwrap();
     }
-    for r in sharded.drain() {
+    for r in engine.drain() {
+        let matches = r.expect_doc_matches();
+        let mut hit_docs: Vec<usize> = matches.iter().map(|m| m.doc).collect();
+        hit_docs.dedup();
         println!(
             "pattern of length {:>2}: {:>3} occurrences in {} documents",
             r.pattern.len(),
-            r.expect_matches().len(),
-            {
-                let mut d: Vec<usize> = r.expect_matches().iter().map(|m| m.doc).collect();
-                d.dedup();
-                d.len()
-            }
+            matches.len(),
+            hit_docs.len()
         );
     }
 }

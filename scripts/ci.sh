@@ -90,6 +90,12 @@ cargo test -q --test differential sealed_preorder
 cargo test -q --test segments seal_after_recovery
 cargo test -q --test segments resident_bytes
 
+echo "== serving: one pattern at a time (per-pattern faults, segment errors kept, sharded spine, the example end to end)"
+cargo test -q --test fault_tolerance storage_fault_fails_only_its_own_pattern
+cargo test -q --test segments try_find_all_keeps_the_component_error
+cargo test -q -p spine --lib engine::tests::sharded
+cargo run --release -q --example concurrent_server >/dev/null
+
 echo "== perfbench: self-tests, then a 2 s smoke of both workloads (answers oracle-checked; a mismatch exits 1)"
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 # Traced windows are a fixed number of operations, so 2 s suffices; an

@@ -12,16 +12,16 @@
 //!   device hard-fails turns the affected queries into
 //!   [`QueryOutcome::Failed`], while a retry layer over a *transiently*
 //!   flaky device hides the faults entirely (answers match the in-memory
-//!   oracle).
+//!   oracle); a fault fails only the pattern whose traversal hit it.
 
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use pagestore::{FaultyDevice, FlakyDevice, Lru, MemDevice, RetryDevice, RetryPolicy};
-use spine::engine::{EngineConfig, QueryEngine, QueryOutcome, ShedPolicy, SubmitError};
+use spine::engine::{EngineConfig, QueryEngine, QueryOutcome, ServeIndex, ShedPolicy, SubmitError};
 use spine::{DiskSpine, FallibleSpineOps, NodeId, Spine};
-use strindex::{Alphabet, Code, Counters, Result, StringIndex};
+use strindex::{Alphabet, Code, Counters, Error, IoOp, Result, StringIndex};
 
 fn paper_spine() -> (Alphabet, Spine) {
     let a = Alphabet::dna();
@@ -258,6 +258,88 @@ fn worker_panic_fails_batch_without_hanging_drain() {
     let m = engine.metrics();
     assert_eq!(m.worker_respawns, 1);
     assert_eq!(m.failed, failed as u64);
+    assert_eq!(m.accounted(), m.submitted);
+}
+
+// ---------------------------------------------------------------------------
+// A storage fault fails only the pattern that hit it.
+// ---------------------------------------------------------------------------
+
+/// Keeps no link tree, so enumeration runs the §4 backbone scan, and fails
+/// the read of one node's link.
+struct BadLink {
+    inner: Spine,
+    bad: NodeId,
+}
+
+impl FallibleSpineOps for BadLink {
+    fn text_len(&self) -> usize {
+        FallibleSpineOps::text_len(&self.inner)
+    }
+
+    fn try_vertebra_out(&self, node: NodeId) -> Result<Option<Code>> {
+        self.inner.try_vertebra_out(node)
+    }
+
+    fn try_link_of(&self, node: NodeId) -> Result<(NodeId, u32)> {
+        if node == self.bad {
+            let e = std::io::Error::other(format!("injected fault reading link {node}"));
+            return Err(Error::io(e, IoOp::Read, None));
+        }
+        self.inner.try_link_of(node)
+    }
+
+    fn try_rib_of(&self, node: NodeId, c: Code) -> Result<Option<(NodeId, u32)>> {
+        self.inner.try_rib_of(node, c)
+    }
+
+    fn try_extrib_of(&self, node: NodeId, prt: u32) -> Result<Option<(NodeId, u32)>> {
+        self.inner.try_extrib_of(node, prt)
+    }
+
+    fn ops_counters(&self) -> &Counters {
+        FallibleSpineOps::ops_counters(&self.inner)
+    }
+}
+
+/// Regression: the blanket `ServeIndex` impl scanned a batch's patterns
+/// together, so one bad link read failed every located pattern in the
+/// batch. `CA` first ends at node 5 and its scan reads link 7; `GGTT` ends
+/// only at node 14, the last node, so its own scan reads no link and it
+/// must answer in any batch.
+#[test]
+fn storage_fault_fails_only_its_own_pattern() {
+    let a = Alphabet::dna();
+    let s = Spine::build_from_bytes(a.clone(), b"AACCACAACAGGTT").unwrap();
+    let index = Arc::new(BadLink { inner: s, bad: 7 });
+    assert!(index.link_tree().is_none());
+    let ca = a.encode(b"CA").unwrap();
+    let ggtt = a.encode(b"GGTT").unwrap();
+
+    let alone = index.answer_patterns(&[&ggtt]);
+    assert_eq!(alone, vec![QueryOutcome::Done(vec![14])]);
+    let batch = index.answer_patterns(&[&ca, &ggtt]);
+    assert!(
+        matches!(&batch[0], QueryOutcome::Failed(m) if m.contains("link 7")),
+        "CA's scan reads link 7: {batch:?}"
+    );
+    assert_eq!(batch[1], QueryOutcome::Done(vec![14]), "GGTT never reads link 7");
+
+    // Through the engine, however the worker batches them.
+    let engine = QueryEngine::new(index, EngineConfig { workers: 1, ..Default::default() });
+    for _ in 0..4 {
+        engine.submit_batch([ca.clone(), ggtt.clone()]);
+    }
+    let results = engine.drain();
+    for r in &results {
+        if r.pattern == ggtt {
+            assert_eq!(r.expect_ends(), [14]);
+        } else {
+            assert!(matches!(r.outcome, QueryOutcome::Failed(_)), "{r:?}");
+        }
+    }
+    let m = engine.metrics();
+    assert_eq!((m.completed, m.failed), (4, 4));
     assert_eq!(m.accounted(), m.submitted);
 }
 

@@ -367,3 +367,60 @@ fn resident_bytes_gauge_sums_live_segments() {
     assert_eq!(gauge(&registry), 16 * (12 + 1), "recovery rebuilds the index");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Regression: `try_find_all` once stringified a segment's error and
+/// rewrapped it as a context-free I/O error, so callers lost the failing
+/// operation and read "permanent I/O error: permanent I/O error during
+/// read: …". A sealed segment whose device dies right after reopening now
+/// reports the segment's own error.
+#[test]
+fn try_find_all_keeps_the_component_error() {
+    use spine::IoGate;
+
+    let a = Alphabet::dna();
+    let dir = tmpdir("component-error");
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let doc: Vec<Code> = (0..20_000)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 32) as Code % 4
+        })
+        .collect();
+    let cfg = |gate: IoGate| SegmentConfig {
+        memtable_max_symbols: usize::MAX,
+        pool_pages: 2,
+        hot_pin_pages: 0,
+        gate: Some(gate),
+        ..Default::default()
+    };
+    {
+        let store = SegmentedSpine::create(a.clone(), &dir, cfg(IoGate::unarmed())).unwrap();
+        store.add_document(&doc).unwrap();
+        assert!(store.force_seal().unwrap());
+    }
+    let pattern = doc[10_000..10_012].to_vec();
+    let counting = IoGate::unarmed();
+    let store = SegmentedSpine::open(a.clone(), &dir, cfg(counting.clone())).unwrap();
+    let open_ops = counting.ops();
+    assert_eq!(matches_of(&store, &pattern).first(), Some(&(0, 10_000)));
+    drop(store);
+
+    // The device dies with the first operation after the reopen.
+    let store = SegmentedSpine::open(a.clone(), &dir, cfg(IoGate::armed(open_ops))).unwrap();
+    let err = store.try_find_all(&pattern).unwrap_err();
+    let msg = err.to_string();
+    assert!(err.io_context().is_some(), "the segment's I/O context survives: {msg}");
+    assert!(msg.starts_with("permanent I/O error"), "{msg}");
+    assert_eq!(msg.matches("permanent I/O error").count(), 1, "one prefix, not two: {msg}");
+    // Served through the engine, the same fault fails the query.
+    let engine = QueryEngine::new(Arc::new(store), EngineConfig::default());
+    engine.submit(pattern).unwrap();
+    let outcome = engine.drain().remove(0).outcome;
+    assert!(
+        matches!(&outcome, QueryOutcome::Failed(m) if m.starts_with("permanent I/O error during read")),
+        "{outcome:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
