@@ -967,7 +967,7 @@ fn register_build_gauges(
     let labels = [("engine", engine)];
     let fixed: [(&str, u64); 7] = [
         ("build.insertions", stats.insertions),
-        ("build.ribs", stats.ribs_created - stats.ribs_absorbed),
+        ("build.ribs", stats.ribs_created),
         ("build.extribs", stats.extribs_created),
         ("build.extrib_spills", stats.extrib_spills),
         ("build.chain_steps", stats.chain_steps),

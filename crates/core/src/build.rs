@@ -28,11 +28,13 @@
 //! through [`FallibleSpineOps`] and writes through a four-method node
 //! store (push a node, set a link, add a rib, add an extrib), which the
 //! reference [`Spine`], the §5 [`crate::CompactSpine`] and the fixed-record
-//! [`crate::DiskSpine`] implement. Validation, the observer hooks and the
-//! Scan/RibFixup phase timing come with it.
+//! [`crate::DiskSpine`] implement. Validation and the observer hooks come
+//! with it: every [`BuildEvent`], the Scan/RibFixup phase timings included,
+//! goes to one [`Observer<BuildEvent>`], and the plain entry points pass
+//! [`Off`], which compiles every hook away.
 
 use crate::node::{Extrib, Node, NodeId, Rib, ROOT};
-use crate::observe::{BuildEvent, BuildObserver, BuildPhase, BuildStats, MemBreakdown};
+use crate::observe::{BuildEvent, BuildPhase, BuildStats, MemBreakdown, Observer, Off};
 use crate::ops::{FallibleSpineOps, LinkTree};
 use std::time::Instant;
 use strindex::{Alphabet, Code, Counters, Error, OnlineIndex, PackedText, Result, StringIndex};
@@ -63,7 +65,7 @@ pub(crate) trait NodeStore: FallibleSpineOps + StringIndex {
 
 /// Append `codes` one by one ([`push`]), timing the loop as the Scan
 /// phase.
-pub(crate) fn extend<S: NodeStore, O: BuildObserver>(
+pub(crate) fn extend<S: NodeStore, O: Observer<BuildEvent>>(
     s: &mut S,
     codes: &[Code],
     o: &mut O,
@@ -73,14 +75,19 @@ pub(crate) fn extend<S: NodeStore, O: BuildObserver>(
         push(s, c, o)?;
     }
     if let Some(t0) = t0 {
-        o.phase(BuildPhase::Scan, t0.elapsed().as_nanos() as u64);
+        let nanos = t0.elapsed().as_nanos() as u64;
+        o.event(BuildEvent::Phase { phase: BuildPhase::Scan, nanos });
     }
     Ok(())
 }
 
 /// Check `code` against the code space and the layout's length limit,
 /// then APPEND it: every layout's [`OnlineIndex::push`].
-pub(crate) fn push<S: NodeStore, O: BuildObserver>(s: &mut S, code: Code, o: &mut O) -> Result<()> {
+pub(crate) fn push<S: NodeStore, O: Observer<BuildEvent>>(
+    s: &mut S,
+    code: Code,
+    o: &mut O,
+) -> Result<()> {
     let len = FallibleSpineOps::text_len(s);
     if (code as usize) >= s.alphabet().code_space() {
         return Err(Error::InvalidSymbol { byte: code, pos: len });
@@ -94,7 +101,7 @@ pub(crate) fn push<S: NodeStore, O: BuildObserver>(s: &mut S, code: Code, o: &mu
 /// The paper's APPEND (module docs): push the tail node, find its link by
 /// walking the link chain of the old tail, and set it. Every
 /// `if O::ENABLED` block vanishes for the disabled observer.
-fn append<S: NodeStore, O: BuildObserver>(s: &mut S, c: Code, o: &mut O) -> Result<()> {
+fn append<S: NodeStore, O: Observer<BuildEvent>>(s: &mut S, c: Code, o: &mut O) -> Result<()> {
     let t = s.push_node(c)?;
     if t - 1 == ROOT {
         // First character: the new node already links to the root.
@@ -116,7 +123,7 @@ fn append<S: NodeStore, O: BuildObserver>(s: &mut S, c: Code, o: &mut O) -> Resu
 /// Walk the link chain of the old tail `t - 1` through CASE 1–4, adding
 /// the ribs and extribs the new node `t` needs. Returns `t`'s link and
 /// the disposition that found it.
-fn find_link<S: NodeStore, O: BuildObserver>(
+fn find_link<S: NodeStore, O: Observer<BuildEvent>>(
     s: &mut S,
     o: &mut O,
     c: Code,
@@ -156,7 +163,7 @@ fn find_link<S: NodeStore, O: BuildObserver>(
 /// CASE 4: walk the extrib chain of the rib to `rib_dest` whose PT is
 /// `prt` (all elements share `PRT == prt`). Chain PTs increase strictly,
 /// covering `(prt, PT₁], (PT₁, PT₂], …`.
-fn extend_via_extribs<S: NodeStore, O: BuildObserver>(
+fn extend_via_extribs<S: NodeStore, O: Observer<BuildEvent>>(
     s: &mut S,
     o: &mut O,
     rib_dest: NodeId,
@@ -191,7 +198,8 @@ fn extend_via_extribs<S: NodeStore, O: BuildObserver>(
         }
     };
     if let Some(t0) = t0 {
-        o.phase(BuildPhase::RibFixup, t0.elapsed().as_nanos() as u64);
+        let nanos = t0.elapsed().as_nanos() as u64;
+        o.event(BuildEvent::Phase { phase: BuildPhase::RibFixup, nanos });
     }
     Ok(found)
 }
@@ -220,7 +228,7 @@ impl Spine {
 
     /// Build the index for an encoded text in one call.
     pub fn build(alphabet: Alphabet, text: &[Code]) -> Result<Self> {
-        Self::build_observed(alphabet, text, &mut crate::observe::NoBuildObserver)
+        Self::build_observed(alphabet, text, &mut Off)
     }
 
     /// Convenience: encode `text` with `alphabet` and build.
@@ -229,10 +237,9 @@ impl Spine {
         Self::build(alphabet, &codes)
     }
 
-    /// Build while reporting every structural event to `observer`. With
-    /// [`crate::observe::NoBuildObserver`] this monomorphizes to the same
-    /// code as [`Spine::build`].
-    pub fn build_observed<O: BuildObserver>(
+    /// Build while reporting every build event to `observer`. With [`Off`]
+    /// this monomorphizes to the same code as [`Spine::build`].
+    pub fn build_observed<O: Observer<BuildEvent>>(
         alphabet: Alphabet,
         text: &[Code],
         observer: &mut O,
@@ -253,7 +260,7 @@ impl Spine {
     }
 
     /// Observed batch append: times the whole loop as the Scan phase.
-    pub fn extend_from_observed<O: BuildObserver>(
+    pub fn extend_from_observed<O: Observer<BuildEvent>>(
         &mut self,
         codes: &[Code],
         observer: &mut O,
@@ -262,7 +269,11 @@ impl Spine {
     }
 
     /// Observed online append (same validation as [`OnlineIndex::push`]).
-    pub fn push_observed<O: BuildObserver>(&mut self, code: Code, observer: &mut O) -> Result<()> {
+    pub fn push_observed<O: Observer<BuildEvent>>(
+        &mut self,
+        code: Code,
+        observer: &mut O,
+    ) -> Result<()> {
         push(self, code, observer)
     }
 
@@ -431,7 +442,7 @@ impl FallibleSpineOps for Spine {
 
 impl OnlineIndex for Spine {
     fn push(&mut self, code: Code) -> Result<()> {
-        push(self, code, &mut crate::observe::NoBuildObserver)
+        push(self, code, &mut Off)
     }
 }
 
@@ -555,11 +566,10 @@ mod tests {
         assert_eq!(st.links_set, 10);
         // Figure 3 census: 4 ribs, 2 extribs.
         assert_eq!(st.ribs_created, 4);
-        assert_eq!(st.ribs_absorbed, 0);
         assert_eq!(st.extribs_created, 2);
         let struct_ribs: u64 = s.nodes().iter().map(|n| n.ribs.len() as u64).sum();
         let struct_extribs: u64 = s.nodes().iter().map(|n| n.extribs.len() as u64).sum();
-        assert_eq!(st.ribs_created - st.ribs_absorbed, struct_ribs);
+        assert_eq!(st.ribs_created, struct_ribs);
         assert_eq!(st.extribs_created, struct_extribs);
         let positive = s.nodes()[1..].iter().filter(|n| n.lel > 0).count() as u64;
         assert_eq!(st.links_with_positive_lel, positive);

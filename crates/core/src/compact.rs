@@ -30,7 +30,7 @@
 
 use crate::build::{self, NodeStore};
 use crate::node::{NodeId, ROOT};
-use crate::observe::{BuildObserver, BuildStats, MemBreakdown};
+use crate::observe::{BuildEvent, MemBreakdown, Observer, Off};
 use crate::ops::{FallibleSpineOps, INFALLIBLE_BOUNDARY};
 use strindex::{
     Alphabet, Code, Counters, FxHashMap, MatchingIndex, MatchingStats, MaximalMatch, OnlineIndex,
@@ -253,7 +253,7 @@ impl CompactSpine {
 
     /// Build from an encoded text in one call.
     pub fn build(alphabet: Alphabet, text: &[Code]) -> Result<Self> {
-        Self::build_observed(alphabet, text, &mut crate::observe::NoBuildObserver)
+        Self::build_observed(alphabet, text, &mut Off)
     }
 
     /// Convenience: encode `text` with `alphabet` and build.
@@ -262,10 +262,10 @@ impl CompactSpine {
         Self::build(alphabet, &codes)
     }
 
-    /// Build while reporting every structural event to `observer`; emits the
+    /// Build while reporting every build event to `observer`; emits the
     /// same event stream as [`crate::Spine::build_observed`] on the same
     /// text (the cross-engine property tests pin this).
-    pub fn build_observed<O: BuildObserver>(
+    pub fn build_observed<O: Observer<BuildEvent>>(
         alphabet: Alphabet,
         text: &[Code],
         observer: &mut O,
@@ -275,14 +275,6 @@ impl CompactSpine {
         s.ptrs.reserve(text.len());
         build::extend(&mut s, text, observer)?;
         Ok(s)
-    }
-
-    /// Build and return the index together with a reconciled [`BuildStats`].
-    pub fn build_with_stats(alphabet: Alphabet, text: &[Code]) -> Result<(Self, BuildStats)> {
-        let mut stats = BuildStats::default();
-        let s = Self::build_observed(alphabet, text, &mut stats)?;
-        stats.mem = s.mem_breakdown();
-        Ok((s, stats))
     }
 
     /// Heap bytes split by edge kind. Rib-Table rows are shared between
@@ -619,7 +611,7 @@ impl FallibleSpineOps for CompactSpine {
 
 impl OnlineIndex for CompactSpine {
     fn push(&mut self, code: Code) -> Result<()> {
-        build::push(self, code, &mut crate::observe::NoBuildObserver)
+        build::push(self, code, &mut Off)
     }
 }
 

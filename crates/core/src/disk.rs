@@ -48,7 +48,7 @@ use std::sync::{Arc, OnceLock};
 use crate::build::{self, NodeStore, Spine};
 use crate::hot::HotSet;
 use crate::node::{Extrib, NodeId, Rib};
-use crate::observe::{BuildObserver, BuildPhase, BuildStats, MemBreakdown};
+use crate::observe::{BuildEvent, BuildPhase, BuildStats, MemBreakdown, Observer, Off};
 use crate::ops::{FallibleSpineOps, LinkTree, INFALLIBLE_BOUNDARY};
 use crate::preorder::PreorderIndex;
 use pagestore::{
@@ -650,19 +650,12 @@ impl DiskSpine {
         pool_pages: usize,
         policy: Box<dyn EvictionPolicy>,
     ) -> Result<Self> {
-        Self::build_observed(
-            alphabet,
-            text,
-            device,
-            pool_pages,
-            policy,
-            &mut crate::observe::NoBuildObserver,
-        )
+        Self::build_observed(alphabet, text, device, pool_pages, policy, &mut Off)
     }
 
-    /// Build while reporting every structural event (plus disk-only spill
+    /// Build while reporting every build event (plus disk-only spill
     /// events) to `observer`.
-    pub fn build_observed<O: BuildObserver>(
+    pub fn build_observed<O: Observer<BuildEvent>>(
         alphabet: Alphabet,
         text: &[Code],
         device: Box<dyn PageDevice>,
@@ -688,7 +681,8 @@ impl DiskSpine {
         let s = Self::build_observed(alphabet, text, device, pool_pages, policy, &mut stats)?;
         let t0 = std::time::Instant::now();
         s.flush()?;
-        stats.phase(BuildPhase::PageFlush, t0.elapsed().as_nanos() as u64);
+        let nanos = t0.elapsed().as_nanos() as u64;
+        stats.event(BuildEvent::Phase { phase: BuildPhase::PageFlush, nanos });
         stats.mem = s.mem_breakdown();
         Ok((s, stats))
     }
@@ -1467,7 +1461,7 @@ impl FallibleSpineOps for DiskSpine {
 
 impl OnlineIndex for DiskSpine {
     fn push(&mut self, code: Code) -> Result<()> {
-        build::push(self, code, &mut crate::observe::NoBuildObserver)
+        build::push(self, code, &mut Off)
     }
 }
 

@@ -11,7 +11,7 @@
 use crate::build::Spine;
 use crate::engine::{QueryOutcome, ServeIndex};
 use crate::node::NodeId;
-use crate::observe::BuildObserver;
+use crate::observe::{BuildEvent, Observer, Off};
 use crate::ops::{FallibleSpineOps, LinkTree};
 use strindex::{
     Alphabet, Code, Counters, CountersSnapshot, Error, PackedText, Result, StringIndex,
@@ -59,7 +59,7 @@ impl GeneralizedSpine {
 
     /// Append one encoded document (terminator added automatically).
     pub fn add_document(&mut self, doc: &[Code]) -> Result<()> {
-        self.add_document_observed(doc, &mut crate::observe::NoBuildObserver)
+        self.add_document_observed(doc, &mut Off)
     }
 
     /// Convenience: encode raw bytes with the index alphabet and add.
@@ -70,7 +70,7 @@ impl GeneralizedSpine {
 
     /// [`Self::add_document`] with build-event reporting (the terminator's
     /// insertion is observed too — it is a real backbone node).
-    pub fn add_document_observed<O: BuildObserver>(
+    pub fn add_document_observed<O: Observer<BuildEvent>>(
         &mut self,
         doc: &[Code],
         observer: &mut O,

@@ -52,14 +52,15 @@
 //! Modules: [`build`] (online construction), [`search`] (valid-path
 //! traversal), [`engine`] (concurrent batched query serving),
 //! [`occurrences`] (all-occurrence enumeration: link-tree walk or backbone
-//! scan), [`preorder`] (the sealed link tree's preorder index), [`matching`] (matching statistics & maximal matches), [`compact`] (the
+//! scan), [`preorder`] (the sealed link tree's preorder index),
+//! [`matching`] (matching statistics & maximal matches), [`compact`] (the
 //! §5 Link-Table/Rib-Table layout, < 12 bytes per character), [`disk`]
 //! (page-resident engine), [`generalized`] (multi-string indexes),
 //! [`segments`] (crash-safe LSM of immutable sealed segments with atomic
 //! manifest commit), [`prefix`] (prefix partitioning), [`stats`] (the
-//! paper's measurement hooks), [`observe`] (build-phase observability),
-//! [`trace`] (per-query EXPLAIN tracing and heatmaps), [`verify`]
-//! (invariant checker).
+//! paper's measurement hooks), [`observe`] (the one zero-cost observer
+//! trait, build events and statistics), [`trace`] (per-query EXPLAIN
+//! tracing and heatmaps), [`verify`] (invariant checker).
 
 pub mod approx;
 pub mod build;
@@ -98,8 +99,8 @@ pub use journal::{JournalEvent, JournalKind, JOURNAL_FILE, JOURNAL_VERSION};
 pub use manifest::{Manifest, SegmentEntry, MANIFEST_VERSION};
 pub use node::{Extrib, Node, NodeId, Rib, ROOT};
 pub use observe::{
-    BuildEvent, BuildObserver, BuildPhase, BuildProgress, BuildStats, MemBreakdown, MergeObserver,
-    MergePhase, MergeTee, MergeTimes, NoBuildObserver, NoMergeObserver, ProgressReport, Tee,
+    BuildEvent, BuildPhase, BuildProgress, BuildStats, MemBreakdown, MergePhase, Observer, Off,
+    ProgressReport, Tee,
 };
 pub use ops::{FallibleSpineOps, LinkTree};
 pub use prefix::{PrefixView, SpinePrefix};
@@ -109,7 +110,4 @@ pub use segments::{
     spawn_merger, IoGate, MergeHandle, SegmentConfig, SegmentedSpine, SegmentsSnapshot,
 };
 pub use strindex::telemetry;
-pub use trace::{
-    explain, Heatmap, NoTrace, QueryTrace, RecordingSink, TraceEvent, TraceSink,
-    DEFAULT_TRACE_CAPACITY,
-};
+pub use trace::{explain, Heatmap, QueryTrace, RecordingSink, TraceEvent, DEFAULT_TRACE_CAPACITY};

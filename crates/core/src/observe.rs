@@ -1,69 +1,84 @@
-//! Build-phase observability: a zero-cost observer for the APPEND procedure.
+//! Zero-cost observers for the paper's two procedures.
 //!
-//! Mirrors the [`crate::trace::TraceSink`] pattern from the query path: a
-//! trait with a `const ENABLED` flag, so the disabled observer monomorphizes
-//! to exactly the pre-instrumentation construction code (the optimizer
-//! deletes every `if O::ENABLED` block). The enabled observers receive one
-//! [`BuildEvent`] per structural action — which of the paper's CASE 1–4 an
-//! insertion took, every rib/extrib/link created — plus coarse phase timings
-//! ([`BuildPhase`]), and can be composed with [`Tee`].
+//! One trait, [`Observer<E>`], carries both event streams: APPEND reports
+//! [`BuildEvent`]s (which of the paper's CASE 1–4 an insertion took, every
+//! rib/extrib/link created, and coarse [`BuildPhase`] timings), and the
+//! valid-path search and the §4 enumeration report
+//! [`crate::trace::TraceEvent`]s. `ENABLED` is a compile-time constant and
+//! every observer-only statement sits behind `if O::ENABLED`, so the
+//! disabled observer [`Off`] monomorphizes to exactly the uninstrumented
+//! code: the optimizer deletes every guarded block. [`Tee`] fans one stream
+//! out to two observers, and `&mut O` forwards to `O`.
 //!
-//! [`BuildStats`] is the standard accumulator: its counts reconcile exactly
-//! with the structural counts in [`crate::stats`] (ribs created == ribs
-//! present, links set == insertions, CASE dispositions sum to insertions),
-//! which the property tests in `tests/build_observer.rs` pin down.
+//! [`BuildStats`] is the standard build accumulator: its counts reconcile
+//! exactly with the structural counts in [`crate::stats`] (ribs created ==
+//! ribs present, links set == insertions, CASE dispositions sum to
+//! insertions), which the property tests in `tests/build_observer.rs` pin
+//! down. [`MergePhase`] names the phases whose wall times each seal and
+//! merge writes into its lifecycle journal record.
 
 use std::time::Instant;
 
-/// Observer of SPINE construction. Implementors with `ENABLED == false`
+/// Observer of one event stream `E`. Implementors with `ENABLED == false`
 /// cost nothing: all instrumentation is guarded by `if O::ENABLED`, a
 /// compile-time constant.
-pub trait BuildObserver {
+pub trait Observer<E> {
     /// Whether this observer records anything; `false` lets the optimizer
-    /// delete all build-event plumbing.
+    /// delete all event plumbing, including work done only to fill an
+    /// event (timers, buffer-pool counter samples).
     const ENABLED: bool = true;
 
-    /// Consume one structural event.
-    fn event(&mut self, e: BuildEvent);
-
-    /// Account `nanos` of wall time to phase `p`.
-    fn phase(&mut self, p: BuildPhase, nanos: u64);
+    /// Consume one event.
+    fn event(&mut self, e: E);
 }
 
-/// The disabled observer: a zero-sized no-op with `ENABLED == false`.
+/// The disabled observer of every event stream: a zero-sized no-op with
+/// `ENABLED == false`.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct NoBuildObserver;
+pub struct Off;
 
-impl BuildObserver for NoBuildObserver {
+impl<E> Observer<E> for Off {
     const ENABLED: bool = false;
 
     #[inline(always)]
-    fn event(&mut self, _e: BuildEvent) {}
-
-    #[inline(always)]
-    fn phase(&mut self, _p: BuildPhase, _nanos: u64) {}
+    fn event(&mut self, _e: E) {}
 }
 
-impl<O: BuildObserver> BuildObserver for &mut O {
+impl<E, O: Observer<E>> Observer<E> for &mut O {
     const ENABLED: bool = O::ENABLED;
 
     #[inline(always)]
-    fn event(&mut self, e: BuildEvent) {
+    fn event(&mut self, e: E) {
         (**self).event(e);
-    }
-
-    #[inline(always)]
-    fn phase(&mut self, p: BuildPhase, nanos: u64) {
-        (**self).phase(p, nanos);
     }
 }
 
-/// One structural action during APPEND.
+/// Fan one event stream out to two observers. `ENABLED` is the OR of the
+/// parts, so teeing a live observer with [`Off`] still records.
+#[derive(Debug, Default, Clone)]
+pub struct Tee<A, B>(pub A, pub B);
+
+impl<E: Copy, A: Observer<E>, B: Observer<E>> Observer<E> for Tee<A, B> {
+    const ENABLED: bool = A::ENABLED || B::ENABLED;
+
+    #[inline]
+    fn event(&mut self, e: E) {
+        if A::ENABLED {
+            self.0.event(e);
+        }
+        if B::ENABLED {
+            self.1.event(e);
+        }
+    }
+}
+
+/// One structural action during APPEND, or the wall time of a phase.
 ///
 /// The first six variants are *terminal dispositions*: every insertion emits
 /// exactly one of them, so their counts sum to the number of characters
-/// appended. The remaining variants are per-edge bookkeeping and may fire
-/// zero or more times per insertion.
+/// appended. `RibCreated` through `ChainStep` are per-edge bookkeeping and
+/// may fire zero or more times per insertion. [`BuildEvent::Phase`] is a
+/// timing, not a structural action.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BuildEvent {
     /// The first character of the text: links to the root by definition,
@@ -104,6 +119,15 @@ pub enum BuildEvent {
     /// One chain-node (or extrib-chain element) was visited without
     /// terminating the insertion — the APPEND work metric.
     ChainStep,
+    /// Wall time spent in one construction phase. [`BuildStats`] sums it;
+    /// consumers of the structural sequence skip it, as
+    /// [`crate::trace::QueryTrace::structural_events`] skips page fetches.
+    Phase {
+        /// The phase timed.
+        phase: BuildPhase,
+        /// Wall nanoseconds spent in it.
+        nanos: u64,
+    },
 }
 
 /// Coarse construction phases for wall-time accounting.
@@ -146,9 +170,10 @@ impl BuildPhase {
     }
 }
 
-/// Heap bytes of the finished index, split by edge kind. Filled in by each
-/// engine's `build_with_stats` constructor (the split is
-/// representation-specific; see each engine's `mem_breakdown`).
+/// Heap bytes of the finished index, split by edge kind. Filled in by
+/// [`crate::Spine::build_with_stats`] and [`crate::DiskSpine::build_with_stats`]
+/// (the split is representation-specific; see each engine's
+/// `mem_breakdown`).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct MemBreakdown {
     /// Bytes holding vertebra character labels.
@@ -197,11 +222,8 @@ pub struct BuildStats {
     /// CASE 4 dispositions that created a new extrib.
     pub case4_extrib: u64,
     /// Ribs created. SPINE never deletes ribs, so this equals the finished
-    /// index's rib count (`ribs_absorbed` stays 0 and documents that).
+    /// index's rib count.
     pub ribs_created: u64,
-    /// Ribs removed or merged away — structurally impossible in APPEND;
-    /// kept so the invariant `created - absorbed == present` is explicit.
-    pub ribs_absorbed: u64,
     /// Extribs created (== finished index's extrib count).
     pub extribs_created: u64,
     /// Disk-layout extribs that spilled to the side table (subset of
@@ -245,7 +267,7 @@ impl BuildStats {
     /// All representation-independent event counters, for cross-engine
     /// equality checks that must ignore wall timings, memory layout, and
     /// disk-only spill counts.
-    pub fn counts(&self) -> [u64; 14] {
+    pub fn counts(&self) -> [u64; 13] {
         [
             self.insertions,
             self.first_char,
@@ -255,7 +277,6 @@ impl BuildStats {
             self.case4_link,
             self.case4_extrib,
             self.ribs_created,
-            self.ribs_absorbed,
             self.extribs_created,
             self.links_set,
             self.links_with_positive_lel,
@@ -285,7 +306,11 @@ impl BuildStats {
     }
 }
 
-impl BuildObserver for BuildStats {
+impl Observer<BuildEvent> for BuildStats {
+    // `Phase` makes a `BuildEvent` 16 bytes, which is passed by reference:
+    // left to the inliner this stays one call per event, and observed
+    // builds measured ~5 % slower.
+    #[inline(always)]
     fn event(&mut self, e: BuildEvent) {
         match e {
             BuildEvent::FirstChar => {
@@ -323,39 +348,7 @@ impl BuildObserver for BuildStats {
                 self.max_lel = self.max_lel.max(lel);
             }
             BuildEvent::ChainStep => self.chain_steps += 1,
-        }
-    }
-
-    fn phase(&mut self, p: BuildPhase, nanos: u64) {
-        self.phase_nanos[p.index()] += nanos;
-    }
-}
-
-/// Fan one event stream out to two observers. `ENABLED` is the OR of the
-/// parts, so teeing a live observer with [`NoBuildObserver`] still records.
-#[derive(Debug, Default, Clone)]
-pub struct Tee<A, B>(pub A, pub B);
-
-impl<A: BuildObserver, B: BuildObserver> BuildObserver for Tee<A, B> {
-    const ENABLED: bool = A::ENABLED || B::ENABLED;
-
-    #[inline]
-    fn event(&mut self, e: BuildEvent) {
-        if A::ENABLED {
-            self.0.event(e);
-        }
-        if B::ENABLED {
-            self.1.event(e);
-        }
-    }
-
-    #[inline]
-    fn phase(&mut self, p: BuildPhase, nanos: u64) {
-        if A::ENABLED {
-            self.0.phase(p, nanos);
-        }
-        if B::ENABLED {
-            self.1.phase(p, nanos);
+            BuildEvent::Phase { phase, nanos } => self.phase_nanos[phase.index()] += nanos,
         }
     }
 }
@@ -410,7 +403,7 @@ impl<F: FnMut(ProgressReport)> BuildProgress<F> {
     }
 }
 
-impl<F: FnMut(ProgressReport)> BuildObserver for BuildProgress<F> {
+impl<F: FnMut(ProgressReport)> Observer<BuildEvent> for BuildProgress<F> {
     #[inline]
     fn event(&mut self, e: BuildEvent) {
         // LinkSet fires exactly once per insertion — the progress heartbeat.
@@ -421,19 +414,13 @@ impl<F: FnMut(ProgressReport)> BuildObserver for BuildProgress<F> {
             }
         }
     }
-
-    #[inline]
-    fn phase(&mut self, _p: BuildPhase, _nanos: u64) {}
 }
-
-// ---------------------------------------------------------------------------
-// Segment-lifecycle observability: seal and merge phases.
-// ---------------------------------------------------------------------------
 
 /// Coarse phases of a segment-store seal or merge, for wall-time
 /// accounting. The same vocabulary serves both operations (a seal simply
 /// never spends time in [`MergePhase::Collect`] reading old segments), so
-/// the lifecycle journal can carry one fixed-width timing record per event.
+/// the lifecycle journal carries one fixed-width timing record per event;
+/// `segments.merge_duration` samples a merge's total.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MergePhase {
     /// Reading the live documents out of the input segments (merge only).
@@ -478,112 +465,49 @@ impl MergePhase {
     }
 }
 
-/// Observer of segment seal/merge operations — [`BuildObserver`]'s sibling
-/// for the LSM lifecycle, with the same monomorphization contract: all
-/// instrumentation sits behind `if O::ENABLED`, a compile-time constant, so
-/// an `ENABLED == false` observer costs exactly nothing (no `Instant::now`
-/// calls, no accumulator writes).
-pub trait MergeObserver {
-    /// Whether this observer records anything.
-    const ENABLED: bool = true;
-
-    /// Account `nanos` of wall time to phase `p`.
-    fn phase(&mut self, p: MergePhase, nanos: u64);
-}
-
-/// The disabled observer: a zero-sized no-op with `ENABLED == false`.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoMergeObserver;
-
-impl MergeObserver for NoMergeObserver {
-    const ENABLED: bool = false;
-
-    #[inline(always)]
-    fn phase(&mut self, _p: MergePhase, _nanos: u64) {}
-}
-
-impl<O: MergeObserver> MergeObserver for &mut O {
-    const ENABLED: bool = O::ENABLED;
-
-    #[inline(always)]
-    fn phase(&mut self, p: MergePhase, nanos: u64) {
-        (**self).phase(p, nanos);
-    }
-}
-
-/// The standard accumulator: per-phase wall nanoseconds, indexed by
-/// [`MergePhase::index`]. This is what the segment store feeds into its
-/// lifecycle journal records and the `segments.merge_duration` histogram.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct MergeTimes {
-    /// Wall nanoseconds per [`MergePhase`].
-    pub phase_nanos: [u64; MergePhase::COUNT],
-}
-
-impl MergeTimes {
-    /// Total wall nanoseconds across all phases.
-    pub fn total_nanos(&self) -> u64 {
-        self.phase_nanos.iter().sum()
-    }
-}
-
-impl MergeObserver for MergeTimes {
-    #[inline]
-    fn phase(&mut self, p: MergePhase, nanos: u64) {
-        self.phase_nanos[p.index()] += nanos;
-    }
-}
-
-/// Fan phase timings out to two [`MergeObserver`]s; `ENABLED` is the OR of
-/// the parts (mirrors [`Tee`] for [`BuildObserver`]).
-#[derive(Debug, Default, Clone)]
-pub struct MergeTee<A, B>(pub A, pub B);
-
-impl<A: MergeObserver, B: MergeObserver> MergeObserver for MergeTee<A, B> {
-    const ENABLED: bool = A::ENABLED || B::ENABLED;
-
-    #[inline]
-    fn phase(&mut self, p: MergePhase, nanos: u64) {
-        if A::ENABLED {
-            self.0.phase(p, nanos);
-        }
-        if B::ENABLED {
-            self.1.phase(p, nanos);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn disabled_observer_is_zero_sized_and_disabled() {
-        assert_eq!(std::mem::size_of::<NoBuildObserver>(), 0);
-        assert_eq!([NoBuildObserver::ENABLED, BuildStats::ENABLED], [false, true]);
-    }
-
-    #[test]
-    fn merge_observer_mirrors_build_observer_contract() {
-        assert_eq!(std::mem::size_of::<NoMergeObserver>(), 0);
-        assert_eq!([NoMergeObserver::ENABLED, MergeTimes::ENABLED], [false, true]);
+    fn one_observer_idiom_serves_trace_and_build_events() {
+        use crate::trace::{RecordingSink, TraceEvent};
+        // `Off` is zero-sized and disabled for every event stream.
+        assert_eq!(std::mem::size_of::<Off>(), 0);
         assert_eq!(
             [
-                <MergeTee<MergeTimes, NoMergeObserver> as MergeObserver>::ENABLED,
-                <MergeTee<NoMergeObserver, NoMergeObserver> as MergeObserver>::ENABLED,
+                <Off as Observer<BuildEvent>>::ENABLED,
+                <Off as Observer<TraceEvent>>::ENABLED,
+                <BuildStats as Observer<BuildEvent>>::ENABLED,
+                <RecordingSink as Observer<TraceEvent>>::ENABLED,
             ],
-            [true, false]
+            [false, false, true, true]
         );
-        let mut t = MergeTee(MergeTimes::default(), MergeTimes::default());
-        t.phase(MergePhase::Build, 40);
-        t.phase(MergePhase::Build, 2);
-        t.phase(MergePhase::Commit, 8);
-        for side in [&t.0, &t.1] {
-            assert_eq!(side.phase_nanos[MergePhase::Build.index()], 42);
-            assert_eq!(side.phase_nanos[MergePhase::Collect.index()], 0);
-            assert_eq!(side.total_nanos(), 50);
+        // `Tee::ENABLED` is the OR of its halves; `&mut O` forwards the flag.
+        assert_eq!(
+            [
+                <Tee<BuildStats, Off> as Observer<BuildEvent>>::ENABLED,
+                <Tee<Off, &mut BuildStats> as Observer<BuildEvent>>::ENABLED,
+                <Tee<Off, Off> as Observer<BuildEvent>>::ENABLED,
+                <Tee<Off, RecordingSink> as Observer<TraceEvent>>::ENABLED,
+                <Tee<&mut Off, Off> as Observer<TraceEvent>>::ENABLED,
+            ],
+            [true, true, false, true, false]
+        );
+        // A tee of `&mut` observers feeds both halves through the forwards.
+        let (mut a, mut b) = (BuildStats::default(), BuildStats::default());
+        let mut t = Tee(&mut a, &mut b);
+        t.event(BuildEvent::Case1);
+        t.event(BuildEvent::Phase { phase: BuildPhase::Scan, nanos: 7 });
+        for side in [&a, &b] {
+            assert_eq!((side.case1, side.phase_nanos[BuildPhase::Scan.index()]), (1, 7));
         }
-        // Phase vocabulary is dense and stably named.
+        let mut sink = RecordingSink::new(8);
+        let e = TraceEvent::PageFetches { hits: 1, misses: 2 };
+        Tee(&mut sink, Off).event(e);
+        Tee(Off, &mut sink).event(e);
+        assert_eq!(sink.into_parts(), (vec![e, e], 0));
+        // The merge phase vocabulary is dense and stably named.
         for (i, p) in MergePhase::all().into_iter().enumerate() {
             assert_eq!(p.index(), i);
         }
@@ -617,29 +541,17 @@ mod tests {
     #[test]
     fn phase_nanos_accumulate_per_phase() {
         let mut s = BuildStats::default();
-        s.phase(BuildPhase::Scan, 100);
-        s.phase(BuildPhase::Scan, 50);
-        s.phase(BuildPhase::RibFixup, 7);
+        for (phase, nanos) in
+            [(BuildPhase::Scan, 100), (BuildPhase::Scan, 50), (BuildPhase::RibFixup, 7)]
+        {
+            s.event(BuildEvent::Phase { phase, nanos });
+        }
         assert_eq!(s.phase_nanos[BuildPhase::Scan.index()], 150);
         assert_eq!(s.phase_nanos[BuildPhase::RibFixup.index()], 7);
         assert_eq!(s.phase_nanos[BuildPhase::PageFlush.index()], 0);
+        assert_eq!(s.counts(), BuildStats::default().counts(), "timings are not structural");
         let nps = s.nodes_per_sec().unwrap();
         assert!(nps >= 0.0);
-    }
-
-    #[test]
-    fn tee_enabled_is_or_of_parts() {
-        assert_eq!(
-            [
-                <Tee<BuildStats, NoBuildObserver> as BuildObserver>::ENABLED,
-                <Tee<NoBuildObserver, NoBuildObserver> as BuildObserver>::ENABLED,
-            ],
-            [true, false]
-        );
-        let mut t = Tee(BuildStats::default(), BuildStats::default());
-        t.event(BuildEvent::Case1);
-        assert_eq!(t.0.case1, 1);
-        assert_eq!(t.1.case1, 1);
     }
 
     #[test]

@@ -30,12 +30,15 @@
 //!
 //! Every entry point is written once against [`FallibleSpineOps`]; the
 //! plain-valued ones ([`find_all_ends`], [`occurrences_from`],
-//! [`find_all_ends_batch`]) `expect` their `try_` twin.
+//! [`find_all_ends_batch`]) `expect` their `try_` twin. The `_traced`
+//! twins report the walk to an [`Observer<TraceEvent>`]; the untraced ones
+//! pass [`Off`], which compiles the reporting away.
 
 use crate::node::{Node, NodeId, NO_CHILD};
+use crate::observe::{Observer, Off};
 use crate::ops::{FallibleSpineOps, LinkTree, INFALLIBLE_BOUNDARY};
 use crate::search::try_locate_traced;
-use crate::trace::{NoTrace, TraceEvent, TraceSink};
+use crate::trace::TraceEvent;
 use strindex::{Code, FxHashMap, Result};
 
 /// End positions (1-based) of all occurrences of `pattern`, ascending.
@@ -49,13 +52,13 @@ pub fn try_find_all_ends<S: FallibleSpineOps + ?Sized>(
     s: &S,
     pattern: &[Code],
 ) -> Result<Vec<NodeId>> {
-    try_find_all_ends_traced(s, &mut NoTrace, pattern)
+    try_find_all_ends_traced(s, &mut Off, pattern)
 }
 
-/// [`try_find_all_ends`] with a [`TraceSink`] attached: the valid-path walk
-/// and the enumeration both report their decisions. This is the traversal
-/// behind `explain` ([`crate::trace::explain`]).
-pub fn try_find_all_ends_traced<S: FallibleSpineOps + ?Sized, T: TraceSink + ?Sized>(
+/// [`try_find_all_ends`] with a trace observer attached: the valid-path
+/// walk and the enumeration both report their decisions. This is the
+/// traversal behind `explain` ([`crate::trace::explain`]).
+pub fn try_find_all_ends_traced<S: FallibleSpineOps + ?Sized, T: Observer<TraceEvent>>(
     s: &S,
     sink: &mut T,
     pattern: &[Code],
@@ -82,16 +85,16 @@ pub fn try_occurrences_from<S: FallibleSpineOps + ?Sized>(
     first: NodeId,
     len: u32,
 ) -> Result<Vec<NodeId>> {
-    try_occurrences_from_traced(s, &mut NoTrace, first, len)
+    try_occurrences_from_traced(s, &mut Off, first, len)
 }
 
-/// [`try_occurrences_from`] with a [`TraceSink`] attached: emits one
+/// [`try_occurrences_from`] with a trace observer attached: emits one
 /// [`TraceEvent::ScanStart`], then one [`TraceEvent::Occurrence`] per
 /// further end in ascending order, and (for page-resident structures) a
 /// single [`TraceEvent::PageFetches`] aggregating the enumeration's
 /// buffer-pool traffic. The walks and the scan emit the same events; a
 /// walk reads each end's link record only to trace it.
-pub fn try_occurrences_from_traced<S: FallibleSpineOps + ?Sized, T: TraceSink + ?Sized>(
+pub fn try_occurrences_from_traced<S: FallibleSpineOps + ?Sized, T: Observer<TraceEvent>>(
     s: &S,
     sink: &mut T,
     first: NodeId,

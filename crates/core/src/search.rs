@@ -11,21 +11,24 @@
 //!
 //! The algorithms here are written once against [`FallibleSpineOps`], so
 //! the reference, compact, and disk representations share them; the
-//! plain-valued [`locate`] is a one-line `expect` over [`try_locate`].
+//! plain-valued [`locate`] is a one-line `expect` over [`try_locate`]. The
+//! `_traced` twins report every decision to an [`Observer<TraceEvent>`];
+//! the plain entry points pass [`Off`], which compiles the reporting away.
 
 use crate::build::Spine;
 use crate::node::{NodeId, ROOT};
+use crate::observe::{Observer, Off};
 use crate::ops::{FallibleSpineOps, INFALLIBLE_BOUNDARY};
-use crate::trace::{NoTrace, TraceEvent, TraceSink};
+use crate::trace::TraceEvent;
 use strindex::{Alphabet, Code, PackedText, Result, StringIndex};
 
-/// [`try_step`] with a [`TraceSink`] attached: every traversal decision —
+/// [`try_step`] with a trace observer attached: every traversal decision —
 /// the vertebra match, the rib's PT comparison, each extrib-chain probe,
 /// and the two mismatch terminations — is reported as a [`TraceEvent`].
-/// With [`NoTrace`] (whose `ENABLED` is `false`) this monomorphizes to the
+/// With [`Off`] (whose `ENABLED` is `false`) this monomorphizes to the
 /// untraced step.
 #[inline]
-pub fn try_step_traced<S: FallibleSpineOps + ?Sized, T: TraceSink + ?Sized>(
+pub fn try_step_traced<S: FallibleSpineOps + ?Sized, T: Observer<TraceEvent>>(
     s: &S,
     sink: &mut T,
     node: NodeId,
@@ -87,19 +90,19 @@ pub fn try_step<S: FallibleSpineOps + ?Sized>(
     pl: u32,
     c: Code,
 ) -> Result<Option<NodeId>> {
-    try_step_traced(s, &mut NoTrace, node, pl, c)
+    try_step_traced(s, &mut Off, node, pl, c)
 }
 
-/// [`try_locate`] with a [`TraceSink`] attached. When the structure is
+/// [`try_locate`] with a trace observer attached. When the structure is
 /// page-resident, buffer-pool traffic is sampled around each step and
 /// emitted as [`TraceEvent::PageFetches`] (skipped entirely — including the
-/// sampling — when the sink is disabled).
-pub fn try_locate_traced<S: FallibleSpineOps + ?Sized, T: TraceSink + ?Sized>(
+/// sampling — when the observer is disabled).
+pub fn try_locate_traced<S: FallibleSpineOps + ?Sized, T: Observer<TraceEvent>>(
     s: &S,
     sink: &mut T,
     pattern: &[Code],
 ) -> Result<Option<NodeId>> {
-    // Word-packed fast path: only untraced (a recording sink needs the
+    // Word-packed fast path: only untraced (a recording observer needs the
     // per-decision event stream the scalar walk emits), and only when both
     // the structure packs its backbone labels and every pattern code fits
     // the packing (a separator would not).
@@ -167,7 +170,7 @@ fn try_locate_packed<S: FallibleSpineOps + ?Sized>(
 /// end node of the pattern's first occurrence, `Ok(None)` if the pattern
 /// does not occur, or `Err` on a storage failure.
 pub fn try_locate<S: FallibleSpineOps + ?Sized>(s: &S, pattern: &[Code]) -> Result<Option<NodeId>> {
-    try_locate_traced(s, &mut NoTrace, pattern)
+    try_locate_traced(s, &mut Off, pattern)
 }
 
 /// Walk the valid path for `pattern`. Returns the end node — which, by the

@@ -74,7 +74,7 @@ use crate::engine::{QueryOutcome, ServeIndex};
 use crate::generalized::{DocMatch, GeneralizedSpine};
 use crate::journal::{self, JournalEvent, JournalKind, JOURNAL_FILE};
 use crate::manifest::{Manifest, SegmentEntry};
-use crate::observe::{MergeObserver, MergePhase, MergeTimes, NoMergeObserver};
+use crate::observe::MergePhase;
 use crate::occurrences::try_find_all_ends;
 use crate::ops::FallibleSpineOps;
 use crate::trace::QueryTrace;
@@ -531,7 +531,7 @@ impl SegmentedSpine {
         };
         inner.next_doc = id + 1;
         let sealed = if symbols >= self.cfg.memtable_max_symbols {
-            self.seal_locked(&mut inner, &mut NoMergeObserver).map(|_| ())
+            self.seal_locked(&mut inner).map(|_| ())
         } else {
             Ok(())
         };
@@ -608,38 +608,26 @@ impl SegmentedSpine {
     /// segment was created (an empty or fully-retired memtable seals to
     /// nothing).
     pub fn force_seal(&self) -> Result<bool> {
-        self.force_seal_observed(&mut NoMergeObserver)
-    }
-
-    /// [`Self::force_seal`] with phase timings teed to `obs` on top of the
-    /// internal accounting (the journal record gets them either way).
-    pub fn force_seal_observed<O: MergeObserver>(&self, obs: &mut O) -> Result<bool> {
         let mut inner = self.inner.lock();
-        let sealed = self.seal_locked(&mut inner, obs);
+        let sealed = self.seal_locked(&mut inner);
         self.refresh_stats(&inner);
         sealed
     }
 
     /// Compact every sealed segment (dropping tombstoned documents) into
     /// one, commit, and delete the inputs. Returns `Ok(false)` when there
-    /// is nothing worth merging. The memtable is untouched. Snapshots
-    /// taken before the merge keep answering from the old segments: their
-    /// file handles stay open, so even the input deletion cannot pull
-    /// pages out from under them.
+    /// is nothing worth merging. Once the commit succeeds the merge stands:
+    /// an input file it cannot delete is left for recovery to report as an
+    /// orphan. The memtable is untouched. Snapshots taken before the merge
+    /// keep answering from the old segments: their file handles stay open,
+    /// so even the input deletion cannot pull pages out from under them.
     pub fn merge_once(&self) -> Result<bool> {
-        self.merge_once_observed(&mut NoMergeObserver)
-    }
-
-    /// [`Self::merge_once`] with phase timings teed to `obs` on top of the
-    /// internal accounting (journal record and `segments.merge_duration`
-    /// histogram get them either way).
-    pub fn merge_once_observed<O: MergeObserver>(&self, obs: &mut O) -> Result<bool> {
         let mut inner = self.inner.lock();
         let any_tombstone_sealed = !inner.tombstones.is_empty();
         if inner.segments.len() < 2 && !any_tombstone_sealed {
             return Ok(false);
         }
-        let r = self.merge_locked(&mut inner, obs);
+        let r = self.merge_locked(&mut inner);
         if r.is_err() {
             self.stats.merge_failures.fetch_add(1, Ordering::Relaxed);
         }
@@ -647,8 +635,8 @@ impl SegmentedSpine {
         r
     }
 
-    fn merge_locked<O: MergeObserver>(&self, inner: &mut Inner, obs: &mut O) -> Result<bool> {
-        let mut times = MergeTimes::default();
+    fn merge_locked(&self, inner: &mut Inner) -> Result<bool> {
+        let mut nanos = [0u64; MergePhase::COUNT];
         let t = Instant::now();
         let mut docs: Vec<(u64, Vec<Code>)> = Vec::new();
         for seg in inner.segments.iter() {
@@ -660,7 +648,7 @@ impl SegmentedSpine {
             }
         }
         docs.sort_by_key(|&(id, _)| id);
-        phase(&mut times, obs, MergePhase::Collect, t);
+        nanos[MergePhase::Collect.index()] = t.elapsed().as_nanos() as u64;
         let dropped_tombstones = inner.tombstones.len() as u64;
         let old: Vec<Arc<Segment>> = (*inner.segments).clone();
         let mut segments: Vec<Arc<Segment>> = Vec::new();
@@ -671,7 +659,7 @@ impl SegmentedSpine {
             next_segment += 1;
             segments.push(Arc::new(seg));
         }
-        phase(&mut times, obs, MergePhase::Build, t);
+        nanos[MergePhase::Build.index()] = t.elapsed().as_nanos() as u64;
         let manifest = Manifest {
             epoch: inner.epoch + 1,
             next_doc: inner.next_doc,
@@ -682,25 +670,26 @@ impl SegmentedSpine {
         };
         let t = Instant::now();
         self.commit_manifest(&manifest)?;
-        phase(&mut times, obs, MergePhase::Commit, t);
+        nanos[MergePhase::Commit.index()] = t.elapsed().as_nanos() as u64;
         inner.epoch = manifest.epoch;
         inner.next_segment = next_segment;
         inner.segments = Arc::new(segments);
         inner.tombstones = Arc::new(BTreeSet::new());
         self.stats.merges.fetch_add(1, Ordering::Relaxed);
-        // The commit made the inputs unreachable; delete them. A failure
-        // here cannot un-commit — the files just linger as garbage a
-        // future recovery will flag as orphans.
+        // The commit made the inputs unreachable; delete them, best effort.
+        // A failure here cannot un-commit: the merge stands, and a file
+        // left behind is garbage a future recovery flags as an orphan.
         let t = Instant::now();
         for seg in &old {
-            charge(&self.cfg.gate, IoOp::Meta)?;
-            fs::remove_file(self.pages_path(seg.id)).map_err(|e| Error::io(e, IoOp::Meta, None))?;
-            charge(&self.cfg.gate, IoOp::Meta)?;
-            fs::remove_file(self.meta_path(seg.id)).map_err(|e| Error::io(e, IoOp::Meta, None))?;
+            for path in [self.pages_path(seg.id), self.meta_path(seg.id)] {
+                if charge(&self.cfg.gate, IoOp::Meta).is_ok() {
+                    let _ = fs::remove_file(path);
+                }
+            }
         }
-        phase(&mut times, obs, MergePhase::Cleanup, t);
+        nanos[MergePhase::Cleanup.index()] = t.elapsed().as_nanos() as u64;
         if let Some(h) = self.merge_hist.lock().as_ref() {
-            h.record_value(times.total_nanos());
+            h.record_value(nanos.iter().sum());
         }
         self.append_journal(&JournalEvent {
             kind: JournalKind::Merge,
@@ -710,14 +699,14 @@ impl SegmentedSpine {
             aux: dropped_tombstones,
             inputs: old.iter().map(|s| s.id).collect(),
             outputs: inner.segments.iter().map(|s| s.id).collect(),
-            phase_nanos: times.phase_nanos,
+            phase_nanos: nanos,
         })?;
         Ok(true)
     }
 
     /// Seal the memtable's live documents into a new segment and commit.
     /// No-op (fresh memtable, no commit) when nothing is live.
-    fn seal_locked<O: MergeObserver>(&self, inner: &mut Inner, obs: &mut O) -> Result<bool> {
+    fn seal_locked(&self, inner: &mut Inner) -> Result<bool> {
         let docs: Vec<(u64, Vec<Code>)> = {
             let st = inner.memtable.state.read();
             if st.doc_ids.is_empty() {
@@ -737,11 +726,11 @@ impl SegmentedSpine {
             inner.memtable = Arc::new(Memtable::new(self.alphabet.clone()));
             return Ok(false);
         }
-        let mut times = MergeTimes::default();
+        let mut nanos = [0u64; MergePhase::COUNT];
         let id = inner.next_segment;
         let t = Instant::now();
         let seg = self.build_segment(id, &docs)?;
-        phase(&mut times, obs, MergePhase::Build, t);
+        nanos[MergePhase::Build.index()] = t.elapsed().as_nanos() as u64;
         let mut segments: Vec<Arc<Segment>> = (*inner.segments).clone();
         segments.push(Arc::new(seg));
         let manifest = Manifest {
@@ -753,7 +742,7 @@ impl SegmentedSpine {
         };
         let t = Instant::now();
         self.commit_manifest(&manifest)?;
-        phase(&mut times, obs, MergePhase::Commit, t);
+        nanos[MergePhase::Commit.index()] = t.elapsed().as_nanos() as u64;
         inner.epoch = manifest.epoch;
         inner.next_segment = id + 1;
         inner.segments = Arc::new(segments);
@@ -767,7 +756,7 @@ impl SegmentedSpine {
             aux: 0,
             inputs: Vec::new(),
             outputs: vec![id],
-            phase_nanos: times.phase_nanos,
+            phase_nanos: nanos,
         })?;
         Ok(true)
     }
@@ -1168,16 +1157,6 @@ impl ServeIndex for SegmentedSpine {
     }
 }
 
-/// Charge the wall time since `t` to phase `p` on the internal accumulator
-/// (always — the journal needs it) and the caller's observer (when enabled).
-fn phase<O: MergeObserver>(times: &mut MergeTimes, obs: &mut O, p: MergePhase, t: Instant) {
-    let nanos = t.elapsed().as_nanos() as u64;
-    times.phase(p, nanos);
-    if O::ENABLED {
-        obs.phase(p, nanos);
-    }
-}
-
 /// Recovery's journal pass: salvage the valid record prefix (truncating a
 /// torn tail in place, synced) and cross-check it against the recovered
 /// manifest epoch. Events are appended only after their commit is durable,
@@ -1569,10 +1548,7 @@ mod tests {
             s.add_document(&enc(&a, "TTTT")).unwrap();
             s.force_seal().unwrap();
             s.add_document(&enc(&a, "GGGG")).unwrap();
-            let mut times = MergeTimes::default();
-            s.force_seal_observed(&mut times).unwrap();
-            assert!(times.phase_nanos[MergePhase::Commit.index()] > 0);
-            assert_eq!(times.phase_nanos[MergePhase::Collect.index()], 0);
+            s.force_seal().unwrap();
             s.retire_document(1).unwrap();
             s.merge_once().unwrap();
             let evs = s.recent_journal(10).unwrap();
@@ -1581,6 +1557,10 @@ mod tests {
             assert_eq!(kinds, vec![Seal, Seal, Retire, Merge]);
             assert_eq!(evs.iter().map(|e| e.epoch).collect::<Vec<_>>(), vec![1, 2, 3, 4]);
             assert_eq!((evs[0].docs, evs[0].outputs.clone()), (2, vec![0]));
+            // A seal times its build and commit but collects nothing.
+            let seal = evs[1].phase_nanos;
+            assert!(seal[MergePhase::Commit.index()] > 0);
+            assert_eq!(seal[MergePhase::Collect.index()], 0);
             // Retire records the document id it tombstoned.
             assert_eq!(evs[2].docs, 1);
             let m = &evs[3];

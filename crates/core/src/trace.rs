@@ -9,17 +9,17 @@
 //! module makes those decisions observable per query, Postgres
 //! `EXPLAIN ANALYZE`-style:
 //!
-//! * [`TraceSink`] — the event consumer threaded through the core search
-//!   path ([`crate::search::try_step_traced`],
-//!   [`crate::occurrences::try_find_all_ends_traced`]). The no-op sink
-//!   [`NoTrace`] has `ENABLED == false`, so the untraced entry points
-//!   monomorphize to exactly the code they compiled to before tracing
-//!   existed — zero cost when disabled.
 //! * [`TraceEvent`] — one structured record per traversal decision:
 //!   vertebra steps, rib checks with the PT comparison that admitted or
 //!   rejected them, extrib-chain hops, the two mismatch terminations
 //!   (no edge / chain exhausted), link-accepted occurrence ends, and page
-//!   fetches tagged hit/miss from the buffer pool (disk engine only).
+//!   fetches tagged hit/miss from the buffer pool (disk engine only). The
+//!   core search path ([`crate::search::try_step_traced`],
+//!   [`crate::occurrences::try_find_all_ends_traced`]) feeds them to an
+//!   [`Observer<TraceEvent>`], such as the bounded [`RecordingSink`]. The
+//!   untraced entry points pass [`crate::observe::Off`] (`ENABLED ==
+//!   false`), so they monomorphize to exactly the code they compiled to
+//!   before tracing existed — zero cost when disabled.
 //! * [`QueryTrace`] — the `explain(pattern)` result: the event list, the
 //!   outcome, and text/JSON renderings. Every engine in the crate exposes
 //!   `explain` ([`crate::Spine::explain`], [`crate::CompactSpine`],
@@ -39,6 +39,7 @@ use crate::compact::CompactSpine;
 use crate::disk::PageMap;
 use crate::generalized::GeneralizedSpine;
 use crate::node::{NodeId, ROOT};
+use crate::observe::Observer;
 use crate::ops::FallibleSpineOps;
 use strindex::{Alphabet, Code, FxHashMap};
 
@@ -150,34 +151,8 @@ pub enum TraceEvent {
     },
 }
 
-/// Consumer of [`TraceEvent`]s, threaded through the generic traversals.
-///
-/// `ENABLED` is a compile-time switch: the traversal code asks for it
-/// before doing any trace-only work (such as sampling buffer-pool counters
-/// around a step), so a sink with `ENABLED == false` ([`NoTrace`]) makes
-/// the traced code paths compile to the untraced originals.
-pub trait TraceSink {
-    /// Whether this sink records anything; `false` lets the optimizer
-    /// delete all trace plumbing.
-    const ENABLED: bool = true;
-
-    /// Consume one event.
-    fn event(&mut self, e: TraceEvent);
-}
-
-/// The disabled sink: a zero-sized no-op with `ENABLED == false`.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoTrace;
-
-impl TraceSink for NoTrace {
-    const ENABLED: bool = false;
-
-    #[inline(always)]
-    fn event(&mut self, _e: TraceEvent) {}
-}
-
-/// A bounded in-memory sink: keeps the first `capacity` events and counts
-/// the overflow.
+/// A bounded in-memory trace observer: keeps the first `capacity` events
+/// and counts the overflow.
 #[derive(Debug)]
 pub struct RecordingSink {
     events: Vec<TraceEvent>,
@@ -203,7 +178,7 @@ impl Default for RecordingSink {
     }
 }
 
-impl TraceSink for RecordingSink {
+impl Observer<TraceEvent> for RecordingSink {
     fn event(&mut self, e: TraceEvent) {
         if self.events.len() < self.capacity {
             self.events.push(e);

@@ -43,7 +43,7 @@ cargo test -q -p spine --lib segments
 cargo test -q --test segments
 cargo test -q --test differential segmented_store
 
-echo "== flight recorder: journal codec, merge observer, timeline ring, postmortem dumps"
+echo "== flight recorder: journal codec, timeline ring, postmortem dumps"
 cargo test -q -p spine --lib journal
 cargo test -q -p spine --lib observe
 cargo test -q -p strindex --lib telemetry
@@ -95,6 +95,10 @@ cargo test -q --test fault_tolerance storage_fault_fails_only_its_own_pattern
 cargo test -q --test segments try_find_all_keeps_the_component_error
 cargo test -q -p spine --lib engine::tests::sharded
 cargo run --release -q --example concurrent_server >/dev/null
+
+echo "== observers: one zero-cost idiom for trace and build events; a committed merge survives a failed input deletion"
+cargo test -q -p spine --lib observe::tests::one_observer_idiom_serves_trace_and_build_events
+cargo test -q --test segments merge_survives_a_failed_input_deletion
 
 echo "== perfbench: self-tests, then a 2 s smoke of both workloads (answers oracle-checked; a mismatch exits 1)"
 cargo test -q --offline --manifest-path perfbench/Cargo.toml

@@ -15,22 +15,23 @@ use pagestore::{FileDevice, Lru, MemDevice};
 use proptest::prelude::*;
 use rand::Rng;
 use spine::{
-    BuildEvent, BuildObserver, BuildPhase, BuildStats, CompactSpine, DiskSpine, Extrib,
-    FallibleSpineOps, GeneralizedSpine, Node, Rib, Spine, Tee, ROOT,
+    BuildEvent, BuildStats, CompactSpine, DiskSpine, Extrib, FallibleSpineOps, GeneralizedSpine,
+    Node, Observer, Rib, Spine, Tee, ROOT,
 };
 use std::mem::size_of;
 use strindex::{Alphabet, Code};
 
-/// Records every build event, so engines compare event for event.
+/// Records every structural build event, so engines compare event for
+/// event. Phase timings differ run to run and are skipped.
 #[derive(Default)]
 struct Events(Vec<BuildEvent>);
 
-impl BuildObserver for Events {
+impl Observer<BuildEvent> for Events {
     fn event(&mut self, e: BuildEvent) {
-        self.0.push(e);
+        if !matches!(e, BuildEvent::Phase { .. }) {
+            self.0.push(e);
+        }
     }
-
-    fn phase(&mut self, _p: BuildPhase, _nanos: u64) {}
 }
 
 impl Events {
@@ -60,8 +61,7 @@ fn reconcile(a: &Alphabet, text: &[Code]) -> (Spine, BuildStats) {
     let nodes = s.nodes();
     let ribs_present: u64 = nodes.iter().map(|n| n.ribs.len() as u64).sum();
     let extribs_present: u64 = nodes.iter().map(|n| n.extribs.len() as u64).sum();
-    assert_eq!(st.ribs_absorbed, 0, "APPEND cannot absorb ribs");
-    assert_eq!(st.ribs_created - st.ribs_absorbed, ribs_present, "ribs created vs present");
+    assert_eq!(st.ribs_created, ribs_present, "ribs created vs present");
     assert_eq!(st.extribs_created, extribs_present, "extribs created vs present");
     assert_eq!(st.extrib_spills, 0, "the in-memory layout never spills");
 
@@ -253,6 +253,7 @@ fn event_digest(events: &[BuildEvent]) -> u64 {
             BuildEvent::ExtribSpill => (8, 0, 0),
             BuildEvent::LinkSet { dest, lel } => (9, dest, lel),
             BuildEvent::ChainStep => (10, 0, 0),
+            BuildEvent::Phase { .. } => unreachable!("`Events` skips phase timings"),
         };
         h.bytes(&[tag]).u32(x).u32(y);
     }

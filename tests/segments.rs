@@ -424,3 +424,48 @@ fn try_find_all_keeps_the_component_error() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Regression: once a merge's manifest commit succeeds, failing to delete
+/// an input file used to fail the merge. `merge_once` returned the
+/// deletion's `Err` with the epoch already moved, counted a merge failure
+/// beside the merge, skipped the `segments.merge_duration` sample and the
+/// Merge journal record, and left the remaining inputs behind. Deletion is
+/// best effort now: the merge is journaled and sampled, and only the file
+/// that could not be deleted stays behind.
+#[test]
+fn merge_survives_a_failed_input_deletion() {
+    use spine::telemetry::MetricsRegistry;
+    use spine::JournalKind::{Merge, Seal};
+
+    let a = Alphabet::dna();
+    let dir = tmpdir("merge-cleanup");
+    {
+        let store = SegmentedSpine::create(a.clone(), &dir, SegmentConfig::default()).unwrap();
+        let registry = MetricsRegistry::new();
+        store.attach_telemetry(&registry);
+        for text in [&b"ACGTACGT"[..], b"GGCCA"] {
+            store.add_document(&enc(&a, text)).unwrap();
+            store.force_seal().unwrap();
+        }
+        // Segment 0's open descriptor still reads its pages; only the
+        // merge's own deletion of the file can fail now.
+        std::fs::remove_file(dir.join("seg-0.pages")).unwrap();
+        assert!(store.merge_once().unwrap(), "a committed merge reports success");
+        assert_eq!((store.epoch(), store.stats().merges), (3, 1));
+        let snap = registry.snapshot();
+        assert_eq!(snap.gauge("segments.merge_failures"), Some(0));
+        assert_eq!(snap.histogram("segments.merge_duration").map(|h| h.count), Some(1));
+        store.add_document(&enc(&a, b"TTAA")).unwrap();
+        store.force_seal().unwrap();
+        let journal: Vec<_> =
+            store.recent_journal(10).unwrap().iter().map(|e| (e.kind, e.epoch)).collect();
+        assert_eq!(journal, vec![(Seal, 1), (Seal, 2), (Merge, 3), (Seal, 4)]);
+        assert_eq!(matches_of(&store, &enc(&a, b"GGCC")), vec![(1, 0)]);
+    }
+    // The other three input files were deleted: recovery finds no orphan.
+    let store = SegmentedSpine::open(a.clone(), &dir, SegmentConfig::default()).unwrap();
+    assert_eq!(store.orphan_count(), 0);
+    assert_eq!(store.live_doc_ids(), vec![0, 1, 2]);
+    assert_eq!(matches_of(&store, &enc(&a, b"ACGTACGT")), vec![(0, 0)]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
