@@ -756,36 +756,28 @@ fn serve(opts: &Opts) {
         opts.json,
     );
 
-    // The disk engine's hot-page tier, before and after, at one fixed pool
-    // size: plain sealed file under LRU vs heat-clustered file under the
-    // scan-resistant policy with the hottest pages pinned. Pages/query is
-    // the honest device-fetch count (prefetch included); enumeration reads
-    // the in-RAM preorder index, so it is locate's.
+    // The disk engine's hot-page tier at one fixed pool size: a plain
+    // sealed file under LRU, then its backbone-prefix pages pinned under
+    // LRU (what `SegmentedSpine` runs) and under the scan-resistant
+    // `SegmentedLru` (what `bench-snapshot` gates). Pages/query is the
+    // device-fetch count; enumeration reads the in-RAM preorder index, so
+    // every fetch is locate's.
     let dd = Dataset::generate("eco-sim", opts.scale.min(0.005));
     let pool = pool_pages(dd.seq.len(), SPINE_V2_REC);
+    let pin = (pool / 4).max(1);
     let source = Spine::build(dd.alphabet.clone(), &dd.seq).unwrap();
     let probes: Vec<&[strindex::Code]> =
         (0..dd.seq.len().saturating_sub(16)).step_by(997).map(|i| &dd.seq[i..i + 12]).collect();
 
-    let plain =
-        DiskSpine::seal(&source, Box::new(MemDevice::new()), pool, Box::<Lru>::default()).unwrap();
-    let mut heat = spine::Heatmap::new(dd.seq.len());
-    for w in &probes {
-        heat.add(&plain.explain(w));
-    }
-    let hot = spine::HotSet::from_heatmap(&heat, 512);
-    let tiered = DiskSpine::seal_clustered(
-        &source,
-        Box::new(MemDevice::new()),
-        pool,
-        Box::<pagestore::SegmentedLru>::default(),
-        &hot,
-    )
-    .unwrap();
-    let pinned = tiered.pin_hot(&hot, (pool / 4).max(1)).unwrap();
-
+    let configs: [(&str, Box<dyn pagestore::EvictionPolicy>, usize); 3] = [
+        ("plain-lru", Box::<Lru>::default(), 0),
+        ("prefix-pin-lru", Box::<Lru>::default(), pin),
+        ("prefix-pin-slru", Box::<pagestore::SegmentedLru>::default(), pin),
+    ];
     let mut disk_rows = Vec::new();
-    for (name, engine) in [("plain-lru", &plain), ("hot-tier", &tiered)] {
+    for (name, policy, budget) in configs {
+        let engine = DiskSpine::seal(&source, Box::new(MemDevice::new()), pool, policy).unwrap();
+        let pinned = engine.pin_hot_prefix(budget).unwrap();
         let before = engine.pool_stats();
         let hits: usize = probes
             .iter()
@@ -801,8 +793,7 @@ fn serve(opts: &Opts) {
                 .cell("queries", probes.len() as f64)
                 .cell("pages/query", misses as f64 / probes.len().max(1) as f64)
                 .cell("hit-rate-%", 100.0 * (accesses - misses) as f64 / accesses.max(1) as f64)
-                .cell("pinned", if name == "hot-tier" { pinned as f64 } else { 0.0 })
-                .cell("prefetch-hits", (after.prefetch_hits - before.prefetch_hits) as f64),
+                .cell("pinned", pinned as f64),
         );
     }
     print_table(
@@ -1055,16 +1046,8 @@ fn serve_http(opts: &Opts, port: u16) {
     let disk = Arc::new(disk);
     let probe: Vec<strindex::Code> = dd.seq[..dd.seq.len().min(12)].to_vec();
 
-    // Satellite gauges: stats that previously lived only in ad-hoc
-    // snapshot structs, now first-class on /metrics. The probe pool's
-    // wasted prefetches read live; the heatmap is the primed workload's
-    // trace attribution over the serving index.
-    {
-        let disk = Arc::clone(&disk);
-        registry.labeled_gauge("pool.prefetch_wasted", &[("pool", "probe-disk")], move || {
-            disk.pool_stats().prefetch_waste
-        });
-    }
+    // Satellite gauge: the heatmap is the primed workload's trace
+    // attribution over the serving index.
     {
         let mut heat = spine::Heatmap::new(d.seq.len());
         for w in workload.iter().take(64) {
@@ -1589,35 +1572,25 @@ fn bench_snapshot(opts: &Opts) {
     assert_eq!(m.completed, served, "not every query completed");
 
     // Disk phase: pages/query under memory pressure, recorded into the same
-    // registry's `disk.pages_per_query` histogram, served through the full
-    // hot-page tier at a fixed pool size. The pipeline mirrors production:
-    // seal plain, learn the hot set from a profiling pass, re-seal with the
-    // hot records clustered onto dedicated pages, pin the hottest pages, and
-    // answer the measured pass under the scan-resistant policy — every
-    // engine at the same `pool` capacity. Enumeration walks the sealed
-    // index's in-RAM preorder index, so the pages counted are locate's.
+    // registry's `disk.pages_per_query` histogram at a fixed pool size. The
+    // index is sealed once under the scan-resistant `SegmentedLru`, with
+    // its backbone-prefix pages pinned (`exp serve`'s `prefix-pin-slru`
+    // row). Enumeration walks the sealed index's in-RAM preorder index, so
+    // the pages counted are locate's.
     let dd = Dataset::generate("eco-sim", scale.min(0.005));
     let pool = pool_pages(dd.seq.len(), SPINE_V2_REC);
     let source = Spine::build(dd.alphabet.clone(), &dd.seq).unwrap();
-    let plain =
-        DiskSpine::seal(&source, Box::new(MemDevice::new()), pool, Box::<Lru>::default()).unwrap();
-    let probes: Vec<&[strindex::Code]> =
-        (0..dd.seq.len().saturating_sub(16)).step_by(997).map(|i| &dd.seq[i..i + 12]).collect();
-    let mut heat = spine::Heatmap::new(dd.seq.len());
-    for w in &probes {
-        heat.add(&plain.explain(w));
-    }
-    let hot = spine::HotSet::from_heatmap(&heat, 512);
-    let disk = DiskSpine::seal_clustered(
+    let disk = DiskSpine::seal(
         &source,
         Box::new(MemDevice::new()),
         pool,
         Box::<pagestore::SegmentedLru>::default(),
-        &hot,
     )
     .unwrap();
+    let probes: Vec<&[strindex::Code]> =
+        (0..dd.seq.len().saturating_sub(16)).step_by(997).map(|i| &dd.seq[i..i + 12]).collect();
     assert!(disk.is_sealed(), "bench disk phase must serve from the v2 layout");
-    let pinned = disk.pin_hot(&hot, (pool / 4).max(1)).unwrap();
+    let pinned = disk.pin_hot_prefix((pool / 4).max(1)).unwrap();
     disk.attach_telemetry(&registry);
 
     // Measured pass: the single-query flow `disk.pages_per_query` records
@@ -1627,25 +1600,21 @@ fn bench_snapshot(opts: &Opts) {
     }
     let ps = disk.pool_stats();
     eprintln!(
-        "disk pool (cap {pool}, {pinned} pinned, {} hot-tier pages): {} hits / {} misses \
-         ({:.1}% hit rate), {} prefetched ({} hits, {} wasted)",
-        disk.hot_tier_pages(),
+        "disk pool (cap {pool}, {pinned} pinned): {} hits / {} misses ({:.1}% hit rate)",
         ps.hits,
         ps.misses,
         100.0 * ps.hits as f64 / (ps.hits + ps.misses).max(1) as f64,
-        ps.prefetched,
-        ps.prefetch_hits,
-        ps.prefetch_waste
     );
 
     // Disk-engine latency: the same serving engine the in-memory phase used,
-    // now answering a windowed workload off the hot-tier index. Its latency
-    // histogram supplies the snapshot's p50/p99 — the disk engine is the
-    // component this tier exists to speed up.
+    // now answering a windowed workload off the sealed index. Its latency
+    // histogram supplies the snapshot's p50/p99. The warm-up engine serves
+    // the in-memory source, off the measured index, so that index's pool
+    // holds only what the measured pass left.
     let dworkload = serve_workload(&dd, 256, cycles);
     let dregistry = Arc::new(MetricsRegistry::new());
     {
-        let warm = QueryEngine::new(Arc::new(plain), cfg);
+        let warm = QueryEngine::new(Arc::new(source), cfg);
         for admitted in warm.submit_batch(dworkload.iter().cloned()) {
             admitted.expect("default shed policy blocks rather than rejecting");
         }
@@ -1735,32 +1704,45 @@ fn bench_snapshot(opts: &Opts) {
 /// The `bench-snapshot` construction section: median-of-3 plain builds for
 /// throughput (the observer-disabled path must stay within noise of
 /// pre-instrumentation construction — the committed baseline gates it),
-/// median-of-3 observed builds for the overhead figure, one
+/// three plain/observed build pairs for the overhead figure, one
 /// progress-transcribed build for the callback path, and a `DiskSpine` build
 /// for the page-write count.
 fn build_snapshot_section(d: &Dataset, dd: &Dataset, pool: usize) -> spine_bench::BuildSnapshot {
     use spine::{BuildProgress, BuildStats, Tee};
 
     const RUNS: usize = 3;
-    let mut plain_walls = Vec::with_capacity(RUNS);
-    for _ in 0..RUNS {
+    let plain_build = || {
         let (s, t) = time(|| Spine::build(d.alphabet.clone(), &d.seq).unwrap());
         std::hint::black_box(s.len());
-        plain_walls.push(secs(t));
-    }
+        secs(t)
+    };
+    let mut plain_walls: Vec<f64> = (0..RUNS).map(|_| plain_build()).collect();
     plain_walls.sort_by(f64::total_cmp);
     let build_s = plain_walls[RUNS / 2];
 
-    let mut observed_walls = Vec::with_capacity(RUNS);
+    // Observer overhead: plain/observed pairs, alternating which side runs
+    // first so that warm-up and drift charge both sides alike; the figure
+    // is the median of the per-pair ratios.
     let mut stats = BuildStats::default();
-    for _ in 0..RUNS {
+    let mut observed_build = || {
         let ((s, st), t) = time(|| Spine::build_with_stats(d.alphabet.clone(), &d.seq).unwrap());
         std::hint::black_box(s.len());
         stats = st;
-        observed_walls.push(secs(t));
-    }
-    observed_walls.sort_by(f64::total_cmp);
-    let observed_s = observed_walls[RUNS / 2];
+        secs(t)
+    };
+    let mut ratios: Vec<f64> = (0..RUNS)
+        .map(|pair| {
+            let (plain, observed) = if pair % 2 == 0 {
+                let p = plain_build();
+                (p, observed_build())
+            } else {
+                let o = observed_build();
+                (plain_build(), o)
+            };
+            observed / plain.max(1e-9)
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
     assert_eq!(stats.insertions as usize, d.seq.len(), "observer missed insertions");
     assert_eq!(stats.dispositions(), stats.insertions, "CASE counts must sum to insertions");
 
@@ -1819,7 +1801,7 @@ fn build_snapshot_section(d: &Dataset, dd: &Dataset, pool: usize) -> spine_bench
         nodes: stats.insertions,
         build_s,
         nodes_per_sec: stats.insertions as f64 / build_s.max(1e-9),
-        observer_overhead_pct: 100.0 * (observed_s - build_s) / build_s.max(1e-9),
+        observer_overhead_pct: 100.0 * (ratios[RUNS / 2] - 1.0),
         bytes_per_node: disk_bytes_per_node,
         page_writes,
     }

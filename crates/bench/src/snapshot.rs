@@ -76,10 +76,8 @@ pub struct BenchSnapshot {
     /// Throughput, queries per second.
     pub qps: f64,
     /// Median query latency, microseconds, of the *disk-engine* serving
-    /// pass (from its `engine.query_latency` histogram) — the hot-page
-    /// tier's before/after story lives here. Baselines recorded before the
-    /// hot tier measured the in-memory engine instead; re-baseline when
-    /// comparing across that change.
+    /// pass (from its `engine.query_latency` histogram), over the sealed
+    /// index with its backbone-prefix pages pinned. Reported, not gated.
     pub p50_us: u64,
     /// 99th-percentile disk-engine query latency, microseconds.
     pub p99_us: u64,
@@ -195,8 +193,10 @@ pub struct BuildSnapshot {
     pub build_s: f64,
     /// Build throughput from the plain builds, nodes per second.
     pub nodes_per_sec: f64,
-    /// Median observed-build wall time vs `build_s`, percent. Reported but
-    /// not gated: single-digit scheduler noise would flap the gate.
+    /// Observed-build overhead, percent: the median, over three
+    /// plain/observed build pairs run in alternating order, of each pair's
+    /// observed over plain wall time. Reported but not gated: single-digit
+    /// scheduler noise would flap the gate.
     pub observer_overhead_pct: f64,
     /// On-disk bytes per node of the sealed layout-v2 index (file pages ×
     /// page size over backbone nodes) — the figure the varint/packed page

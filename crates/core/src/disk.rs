@@ -46,7 +46,6 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, OnceLock};
 
 use crate::build::{self, NodeStore, Spine};
-use crate::hot::HotSet;
 use crate::node::{Extrib, NodeId, Rib};
 use crate::observe::{BuildEvent, BuildPhase, BuildStats, MemBreakdown, Observer, Off};
 use crate::ops::{FallibleSpineOps, LinkTree, INFALLIBLE_BOUNDARY};
@@ -331,10 +330,8 @@ pub struct SealedCensus {
 /// pages that serve them.
 ///
 /// The mutable layout stripes fixed-size records uniformly; the sealed
-/// layout's variable-size slotted pages need the real page directory, and
-/// hot-tier clustering ([`DiskSpine::seal_clustered`]) additionally
-/// redirects the hottest nodes to dedicated appended pages. Cheap to clone
-/// (the directory is shared).
+/// layout's variable-size slotted pages need the real page directory.
+/// Cheap to clone (the directory is shared).
 #[derive(Debug, Clone)]
 pub enum PageMap {
     /// Fixed-size records, `records_per_page` per data page, node `i` on
@@ -344,16 +341,13 @@ pub enum PageMap {
         records_per_page: usize,
     },
     /// The sealed layout: node pages start at `base` (after the file
-    /// header and label pages), `first_nodes[p]` is the first node of
-    /// relative page `p`, and `hot` redirects clustered nodes to their
-    /// hot-tier page.
+    /// header and label pages), and `first_nodes[p]` is the first node of
+    /// relative page `p`.
     Sealed {
         /// Absolute page id of the first node page.
         base: u32,
         /// First node id of each node page, ascending.
         first_nodes: Arc<Vec<u32>>,
-        /// Hot-tier overrides: node → `(absolute page, slot)`.
-        hot: Arc<FxHashMap<u32, (u32, u16)>>,
     },
 }
 
@@ -362,10 +356,7 @@ impl PageMap {
     pub fn page_of(&self, node: NodeId) -> u32 {
         match self {
             PageMap::Uniform { records_per_page } => (node as usize / records_per_page) as u32,
-            PageMap::Sealed { base, first_nodes, hot } => {
-                if let Some(&(page, _)) = hot.get(&node) {
-                    return page;
-                }
+            PageMap::Sealed { base, first_nodes } => {
                 let pi = first_nodes.partition_point(|&f| f <= node) - 1;
                 base + pi as u32
             }
@@ -376,9 +367,8 @@ impl PageMap {
 /// A read-only format-v2 index on a page device.
 ///
 /// Page 0 is the file header; pages `1..=label_pages` hold the packed
-/// backbone labels; the next `node_pages` pages hold slotted node records;
-/// an optional hot tier of `hot_pages` pages follows with duplicated
-/// records of the workload's hottest nodes ([`DiskSpine::seal_clustered`]).
+/// backbone labels; the next `node_pages` pages hold slotted node records,
+/// one base slot per node.
 struct SealedStore {
     pool: BufferPool,
     /// Bits per packed backbone label.
@@ -389,16 +379,10 @@ struct SealedStore {
     packed_compare: bool,
     label_pages: u32,
     node_pages: u32,
-    /// Hot-tier pages appended after the node pages (0 = no hot tier).
-    hot_pages: u32,
     /// Number of packed label words (`ceil(len / per_word)`).
     label_words: usize,
     /// `first_nodes[p]` = id of the first node on node-page `p`.
     first_nodes: Arc<Vec<u32>>,
-    /// Hot-tier overrides: reads of these nodes go to their clustered
-    /// duplicate instead of the base slot, so a hot chain walk stays on
-    /// the (pinnable) hot pages.
-    hot_index: Arc<FxHashMap<u32, (u32, u16)>>,
     /// Encoded records that exceeded [`slotted::MAX_RECORD_LEN`]; their page
     /// slot holds an empty record as the overflow marker.
     overflow: FxHashMap<u32, Vec<u8>>,
@@ -407,11 +391,8 @@ struct SealedStore {
 }
 
 impl SealedStore {
-    /// `(page id, slot)` of `node`'s record, hot tier first.
+    /// `(page id, slot)` of `node`'s record.
     fn node_page(&self, node: u32) -> (u32, usize) {
-        if let Some(&(page, slot)) = self.hot_index.get(&node) {
-            return (page, slot as usize);
-        }
         let pi = self.first_nodes.partition_point(|&f| f <= node) - 1;
         (1 + self.label_pages + pi as u32, (node - self.first_nodes[pi]) as usize)
     }
@@ -441,7 +422,7 @@ impl SealedStore {
     }
 
     /// `(link destination, LEL)` of every node, in one sequential pass over
-    /// the base node pages (one page fetch per page, hot tier ignored).
+    /// the node pages (one page fetch per page).
     /// `nodes` is the node count the header promises; a page table that
     /// disagrees is corrupt.
     fn read_links(&mut self, nodes: usize) -> Result<Vec<(u32, u32)>> {
@@ -712,35 +693,6 @@ impl DiskSpine {
         pool_pages: usize,
         policy: Box<dyn EvictionPolicy>,
     ) -> Result<DiskSpine> {
-        Self::seal_impl(spine, device, pool_pages, policy, None)
-    }
-
-    /// [`seal`](Self::seal) plus a heatmap-driven clustering pass: the
-    /// records of `hot`'s nodes (hottest first) are *duplicated* onto
-    /// dedicated hot pages appended after the node pages, and reads of
-    /// those nodes are redirected there. A chain walk over the hot set
-    /// then touches a handful of co-located pages — which
-    /// [`pin_hot`](Self::pin_hot) can wire into the buffer pool — instead
-    /// of striding the whole node table. Base slots keep the original
-    /// records, so the file stays readable without the redirect index;
-    /// answers are bit-identical either way.
-    pub fn seal_clustered(
-        spine: &Spine,
-        device: Box<dyn PageDevice>,
-        pool_pages: usize,
-        policy: Box<dyn EvictionPolicy>,
-        hot: &HotSet,
-    ) -> Result<DiskSpine> {
-        Self::seal_impl(spine, device, pool_pages, policy, Some(hot))
-    }
-
-    fn seal_impl(
-        spine: &Spine,
-        device: Box<dyn PageDevice>,
-        pool_pages: usize,
-        policy: Box<dyn EvictionPolicy>,
-        hot: Option<&HotSet>,
-    ) -> Result<DiskSpine> {
         let alphabet = spine.alphabet_ref();
         let nodes = spine.nodes();
         let len = spine.len();
@@ -808,47 +760,6 @@ impl DiskSpine {
         pool.write(1 + label_pages + node_pages, |b| b.copy_from_slice(&builder.finish()))?;
         node_pages += 1;
 
-        // Hot-tier clustering: duplicate the hottest nodes' records onto
-        // dedicated pages after the node table, hottest first, so the hot
-        // set packs onto the fewest pages. Overflow-sized records stay in
-        // the sidecar; stale node ids beyond the backbone are ignored.
-        let mut hot_index: FxHashMap<u32, (u32, u16)> = FxHashMap::default();
-        let mut hot_pages: u32 = 0;
-        if let Some(hot) = hot {
-            let first_hot_page = 1 + label_pages + node_pages;
-            let mut hb = SlottedPageBuilder::new(0);
-            let mut pending: Vec<u32> = Vec::new(); // nodes on the page being built
-            for node in hot.nodes() {
-                if node as usize > len || hot_index.contains_key(&node) || pending.contains(&node) {
-                    continue;
-                }
-                let n = &nodes[node as usize];
-                buf.clear();
-                v2::encode(node, (n.link, n.lel), &n.ribs, &n.extribs, &mut buf);
-                if buf.len() > slotted::MAX_RECORD_LEN {
-                    continue;
-                }
-                if !hb.push(&buf) {
-                    pool.write(first_hot_page + hot_pages, |b| b.copy_from_slice(&hb.finish()))?;
-                    for (slot, &n) in pending.iter().enumerate() {
-                        hot_index.insert(n, (first_hot_page + hot_pages, slot as u16));
-                    }
-                    hot_pages += 1;
-                    pending.clear();
-                    hb = SlottedPageBuilder::new(node);
-                    assert!(hb.push(&buf), "a fresh slotted page must accept the record");
-                }
-                pending.push(node);
-            }
-            if !pending.is_empty() {
-                pool.write(first_hot_page + hot_pages, |b| b.copy_from_slice(&hb.finish()))?;
-                for (slot, &n) in pending.iter().enumerate() {
-                    hot_index.insert(n, (first_hot_page + hot_pages, slot as u16));
-                }
-                hot_pages += 1;
-            }
-        }
-
         // The header page goes in *last*: until it exists, the device does
         // not parse as a sealed index at all. Barrier first — "last" must be
         // a media-order fact, not just program order, or a crash between the
@@ -872,7 +783,6 @@ impl DiskSpine {
             b[at + 9..at + 17].copy_from_slice(&(len as u64).to_le_bytes());
             b[at + 17..at + 21].copy_from_slice(&label_pages.to_le_bytes());
             b[at + 21..at + 25].copy_from_slice(&node_pages.to_le_bytes());
-            b[at + 25..at + 29].copy_from_slice(&hot_pages.to_le_bytes());
         })?;
         pool.sync()?;
 
@@ -886,10 +796,8 @@ impl DiskSpine {
                 packed_compare,
                 label_pages,
                 node_pages,
-                hot_pages,
                 label_words,
                 first_nodes: Arc::new(first_nodes),
-                hot_index: Arc::new(hot_index),
                 overflow,
                 encoded,
             })),
@@ -919,23 +827,12 @@ impl DiskSpine {
         self.preorder.as_ref().map_or(0, PreorderIndex::resident_bytes)
     }
 
-    /// Total pages of the sealed file (header + label + node + hot pages),
-    /// or `None` for the mutable layout.
+    /// Total pages of the sealed file (header + label + node pages), or
+    /// `None` for the mutable layout.
     pub fn file_pages(&self) -> Option<u64> {
         match &*self.store.lock() {
-            Store::Sealed(s) => {
-                Some(1 + s.label_pages as u64 + s.node_pages as u64 + s.hot_pages as u64)
-            }
+            Store::Sealed(s) => Some(1 + s.label_pages as u64 + s.node_pages as u64),
             Store::Mutable(_) => None,
-        }
-    }
-
-    /// Hot-tier pages appended by [`seal_clustered`](Self::seal_clustered)
-    /// (0 for an unclustered or mutable index).
-    pub fn hot_tier_pages(&self) -> u32 {
-        match &*self.store.lock() {
-            Store::Sealed(s) => s.hot_pages,
-            Store::Mutable(_) => 0,
         }
     }
 
@@ -944,17 +841,10 @@ impl DiskSpine {
     pub fn page_map(&self) -> PageMap {
         match &*self.store.lock() {
             Store::Mutable(v) => PageMap::Uniform { records_per_page: v.records_per_page() },
-            Store::Sealed(s) => PageMap::Sealed {
-                base: 1 + s.label_pages,
-                first_nodes: Arc::clone(&s.first_nodes),
-                hot: Arc::clone(&s.hot_index),
-            },
+            Store::Sealed(s) => {
+                PageMap::Sealed { base: 1 + s.label_pages, first_nodes: Arc::clone(&s.first_nodes) }
+            }
         }
-    }
-
-    /// Absolute page id serving `node`'s record.
-    pub fn page_of_node(&self, node: NodeId) -> u32 {
-        self.page_map().page_of(node)
     }
 
     /// Pin `pages` into the buffer pool (fetching absent ones), in order,
@@ -979,31 +869,10 @@ impl DiskSpine {
         Ok(pinned)
     }
 
-    /// Pin the pages serving `hot`'s nodes, hottest first, spending at most
-    /// `max_pages` pool frames. Returns the pages pinned. The natural
-    /// companion of [`seal_clustered`](Self::seal_clustered): the hot
-    /// set collapses onto few pages, so a small budget covers it all.
-    pub fn pin_hot(&self, hot: &HotSet, max_pages: usize) -> Result<usize> {
-        let map = self.page_map();
-        let mut pages: Vec<u32> = Vec::new();
-        for node in hot.nodes() {
-            if pages.len() >= max_pages {
-                break;
-            }
-            if node as usize > self.len {
-                continue;
-            }
-            let p = map.page_of(node);
-            if !pages.contains(&p) {
-                pages.push(p);
-            }
-        }
-        self.pin_pages(&pages)
-    }
-
-    /// Trace-free pinning default: pin the pages of the first backbone
-    /// nodes (the paper's Figure 8 skew — links concentrate upstream),
-    /// spending at most `max_pages` frames.
+    /// Pin the pages of the first backbone nodes, spending at most
+    /// `max_pages` frames: link destinations concentrate upstream (the
+    /// paper's Figure 8), so every valid path leaves through the backbone
+    /// prefix. Returns the pages pinned.
     pub fn pin_hot_prefix(&self, max_pages: usize) -> Result<usize> {
         let map = self.page_map();
         let mut pages: Vec<u32> = Vec::new();
@@ -1011,8 +880,9 @@ impl DiskSpine {
             if pages.len() >= max_pages {
                 break;
             }
+            // Both layouts place nodes on pages in ascending node order.
             let p = map.page_of(node);
-            if pages.last() != Some(&p) && !pages.contains(&p) {
+            if pages.last() != Some(&p) {
                 pages.push(p);
             }
         }
@@ -1034,32 +904,8 @@ impl DiskSpine {
         self.store.lock().pool().pinned_count()
     }
 
-    /// Prefetch the pages serving `nodes` (deduplicated) into the pool in
-    /// one batch, ahead of a traversal that will touch them. Best-effort:
-    /// returns the number of pages actually loaded from the device (already
-    /// resident or unpinnable frames load nothing).
-    pub fn prefetch_nodes(&self, nodes: &[NodeId]) -> Result<usize> {
-        let map = self.page_map();
-        let mut pages: Vec<u32> = Vec::new();
-        for &node in nodes {
-            if node as usize > self.len {
-                continue;
-            }
-            let p = map.page_of(node);
-            if !pages.contains(&p) {
-                pages.push(p);
-            }
-        }
-        let mut guard = self.store.lock();
-        let pool = match &mut *guard {
-            Store::Mutable(v) => v.pool_mut(),
-            Store::Sealed(s) => &mut s.pool,
-        };
-        pool.fetch_many(pages)
-    }
-
     /// Snapshot of the buffer pool's cache counters (hits, misses,
-    /// evictions, pins, prefetch accounting).
+    /// evictions, pins).
     pub fn pool_stats(&self) -> CacheStatsSnapshot {
         self.store.lock().pool().stats_handle().snapshot()
     }
@@ -1542,18 +1388,9 @@ impl DiskSpine {
             w.write_all(&(bytes.len() as u32).to_le_bytes())?;
             w.write_all(bytes)?;
         }
-        // Optional trailing hot-tier section (absent in pre-hot-tier
-        // sidecars; reopen tolerates EOF here, so both directions of the
-        // format stay compatible).
-        w.write_all(&s.hot_pages.to_le_bytes())?;
-        let mut hot: Vec<(u32, (u32, u16))> = s.hot_index.iter().map(|(&n, &e)| (n, e)).collect();
-        hot.sort_by_key(|&(n, _)| n);
-        w.write_all(&(hot.len() as u64).to_le_bytes())?;
-        for (node, (page, slot)) in hot {
-            w.write_all(&node.to_le_bytes())?;
-            w.write_all(&page.to_le_bytes())?;
-            w.write_all(&slot.to_le_bytes())?;
-        }
+        // An empty hot-tier trailer keeps sidecars byte-identical to earlier writers'.
+        w.write_all(&0u32.to_le_bytes())?;
+        w.write_all(&0u64.to_le_bytes())?;
         Ok(())
     }
 
@@ -1586,7 +1423,11 @@ impl DiskSpine {
     /// Only format-[`DISK_FORMAT_VERSION`] artifacts reopen; a version-1
     /// sidecar (or a device whose header page is not stamped v2) yields
     /// [`Error::FormatVersion`] — the typed "rebuild required" signal —
-    /// and unrecognizable bytes yield [`Error::Parse`].
+    /// and unrecognizable bytes yield [`Error::Parse`]. Reading stops after
+    /// the overflow table: the hot-tier trailer that earlier writers
+    /// appended (absent, empty, or listing redirects to duplicate records
+    /// past the node pages) is never read, because base slots hold every
+    /// record.
     pub fn reopen<R: std::io::Read>(
         meta: &mut R,
         device: Box<dyn PageDevice>,
@@ -1655,36 +1496,6 @@ impl DiskSpine {
             overflow.insert(node, bytes);
         }
 
-        // Optional trailing hot-tier section: a clean EOF here is a
-        // pre-hot-tier sidecar (no hot tier); a partial section is corrupt.
-        let mut hot_pages = 0u32;
-        let mut hot_index: FxHashMap<u32, (u32, u16)> = FxHashMap::default();
-        match meta.read_exact(&mut b4) {
-            Ok(()) => {
-                hot_pages = u32::from_le_bytes(b4);
-                meta.read_exact(&mut b8)?;
-                let count = u64::from_le_bytes(b8);
-                let node_base = 1 + label_pages + node_pages;
-                let mut b2s = [0u8; 2];
-                for _ in 0..count {
-                    meta.read_exact(&mut b4)?;
-                    let node = u32::from_le_bytes(b4);
-                    meta.read_exact(&mut b4)?;
-                    let page = u32::from_le_bytes(b4);
-                    meta.read_exact(&mut b2s)?;
-                    let slot = u16::from_le_bytes(b2s);
-                    if page < node_base || page >= node_base + hot_pages {
-                        return Err(Error::Parse(format!(
-                            "hot-tier entry for node {node} points outside the hot tier"
-                        )));
-                    }
-                    hot_index.insert(node, (page, slot));
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {}
-            Err(e) => return Err(e.into()),
-        }
-
         let mut pool = BufferPool::new(device, pool_pages.max(1), policy);
         // The device's own header page must agree — a v1 (or foreign)
         // device fails the per-page version check, not a misparse.
@@ -1708,10 +1519,8 @@ impl DiskSpine {
             packed_compare,
             label_pages,
             node_pages,
-            hot_pages,
             label_words: len.div_ceil(per_word),
             first_nodes: Arc::new(first_nodes),
-            hot_index: Arc::new(hot_index),
             overflow,
             encoded,
         };
@@ -1908,51 +1717,6 @@ mod tests {
         }
     }
 
-    /// A heatmap-derived hot set from a small query workload.
-    fn hot_from_workload(d: &DiskSpine, a: &Alphabet, pats: &[&[u8]]) -> HotSet {
-        let mut hm = crate::trace::Heatmap::new(d.len());
-        for p in pats {
-            hm.add(&d.explain(&a.encode(p).unwrap()));
-        }
-        HotSet::from_heatmap(&hm, 64)
-    }
-
-    #[test]
-    fn clustered_seal_redirects_hot_nodes_and_preserves_answers() {
-        let text = b"AACCACAACAGGTTACGACGACCA".repeat(12);
-        let a = Alphabet::dna();
-        let spine = Spine::build_from_bytes(a.clone(), &text).unwrap();
-        let plain =
-            DiskSpine::seal(&spine, Box::new(MemDevice::new()), 8, Box::<Lru>::default()).unwrap();
-        let hot = hot_from_workload(&plain, &a, &[b"CA", b"ACGACG", b"AACC"]);
-        assert!(!hot.is_empty());
-        let clustered = DiskSpine::seal_clustered(
-            &spine,
-            Box::new(MemDevice::new()),
-            8,
-            Box::<Lru>::default(),
-            &hot,
-        )
-        .unwrap();
-        assert!(clustered.hot_tier_pages() > 0, "the hot set must land on hot pages");
-        assert_eq!(
-            clustered.file_pages().unwrap(),
-            plain.file_pages().unwrap() + clustered.hot_tier_pages() as u64,
-        );
-        // The hottest node's reads are redirected past the base node pages.
-        let hottest = hot.nodes().next().unwrap();
-        assert!(
-            clustered.page_of_node(hottest) as u64 >= plain.file_pages().unwrap(),
-            "hot node must be served from the appended tier"
-        );
-        // Answers and decoded structure are bit-identical either way.
-        for p in [&b"CA"[..], b"ACCAA", b"GGTT", b"TACGACG", b"AACCACAACA"] {
-            let p = a.encode(p).unwrap();
-            assert_eq!(clustered.try_find_all(&p).unwrap(), plain.try_find_all(&p).unwrap());
-        }
-        assert_eq!(clustered.sealed_census().unwrap(), plain.sealed_census().unwrap());
-    }
-
     #[test]
     fn pinned_pages_survive_backbone_scans() {
         // Only the mutable layout runs the §4 scan (`exp fig7` and
@@ -1982,30 +1746,6 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_nodes_warms_the_pool() {
-        let text = b"AACCACAACAGGTTACGACGACCA".repeat(512);
-        let a = Alphabet::dna();
-        let codes = a.encode(&text).unwrap();
-        let sealed = DiskSpine::build_sealed(
-            a.clone(),
-            &codes,
-            Box::new(MemDevice::new()),
-            8,
-            Box::<Lru>::default(),
-        )
-        .unwrap();
-        let nodes: Vec<NodeId> = (0..sealed.len() as NodeId).step_by(97).collect();
-        let loaded = sealed.prefetch_nodes(&nodes).unwrap();
-        assert!(loaded > 0, "cold pool: prefetch must load pages");
-        // Prefetching pages that are still resident is a no-op. The big sweep
-        // above evicted its own early pages (file >> pool), so re-check with a
-        // small set that fits the pool: load it, then load it again.
-        let warm = &nodes[nodes.len() - 2..];
-        sealed.prefetch_nodes(warm).unwrap();
-        assert_eq!(sealed.prefetch_nodes(warm).unwrap(), 0);
-    }
-
-    #[test]
     fn page_map_attributes_every_node_within_the_file() {
         let text = b"AACCACAACAGGTTACGACGACCA".repeat(8);
         let a = Alphabet::dna();
@@ -2027,7 +1767,7 @@ mod tests {
             // Uniform mapping agrees with the PagedVec geometry.
             assert_eq!(mm.page_of(node), (node as usize / mm_records(&mm)) as u32);
         }
-        // Sealed pages are monotone in node order (no hot tier here).
+        // Sealed pages are monotone in node order.
         let mut last = 0;
         for node in 0..=sealed.len() as NodeId {
             let p = sm.page_of(node);
@@ -2219,9 +1959,7 @@ mod sealed_tests {
     }
 
     /// Decode every sealed record and compare it with the node it was
-    /// sealed from: link, ribs and extribs in stored order. Reads go
-    /// through the hot-tier redirect, so a clustered seal checks the
-    /// duplicated records too.
+    /// sealed from: link, ribs and extribs in stored order.
     fn assert_records_match(what: &str, spine: &Spine, d: &DiskSpine) {
         assert_eq!(d.len(), spine.len(), "{what}: length");
         let mut guard = d.store.lock();
@@ -2274,17 +2012,6 @@ mod sealed_tests {
             let d = DiskSpine::seal(&spine, Box::new(MemDevice::new()), 4, Box::<Lru>::default())
                 .unwrap();
             assert_records_match(what, &spine, &d);
-            let hot = HotSet::backbone_prefix(spine.len(), 64);
-            let c = DiskSpine::seal_clustered(
-                &spine,
-                Box::new(MemDevice::new()),
-                4,
-                Box::<Lru>::default(),
-                &hot,
-            )
-            .unwrap();
-            assert!(c.hot_tier_pages() > 0, "{what}: the prefix must land on hot pages");
-            assert_records_match(&format!("{what}, clustered"), &spine, &c);
         }
     }
 

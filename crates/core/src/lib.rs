@@ -68,7 +68,6 @@ pub mod compact;
 pub mod disk;
 pub mod engine;
 pub mod generalized;
-pub mod hot;
 pub mod journal;
 pub mod manifest;
 pub mod matching;
@@ -94,7 +93,6 @@ pub use engine::{
     QueryResult, ServeIndex, ShedPolicy, SubmitError,
 };
 pub use generalized::{DocMatch, GeneralizedSpine, ShardedSpine};
-pub use hot::HotSet;
 pub use journal::{JournalEvent, JournalKind, JOURNAL_FILE, JOURNAL_VERSION};
 pub use manifest::{Manifest, SegmentEntry, MANIFEST_VERSION};
 pub use node::{Extrib, Node, NodeId, Rib, ROOT};

@@ -819,9 +819,8 @@ impl Heatmap {
 
     /// Visit counts attributed to physical pages through the engine's real
     /// node → page mapping ([`crate::DiskSpine::page_map`]): correct for
-    /// the sealed layout's variable-size slotted pages and aware of
-    /// hot-tier redirects. Returns `page → visits` for every page with
-    /// heat.
+    /// the sealed layout's variable-size slotted pages. Returns
+    /// `page → visits` for every page with heat.
     pub fn page_visits_mapped(&self, map: &PageMap) -> FxHashMap<u32, u64> {
         let mut out: FxHashMap<u32, u64> = FxHashMap::default();
         for (i, &v) in self.visits.iter().enumerate() {

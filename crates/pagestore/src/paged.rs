@@ -112,7 +112,7 @@ impl PagedVec {
         &self.pool
     }
 
-    /// Mutable access to the pool (pinning, prefetch, scan hints).
+    /// Mutable access to the pool (pinning, scan hints).
     pub fn pool_mut(&mut self) -> &mut BufferPool {
         &mut self.pool
     }

@@ -2,12 +2,12 @@
 //!
 //! Beyond the classic fetch/evict cycle the pool supports the hot-page
 //! tier (DESIGN §13): **pinning** (a pinned frame is never chosen as an
-//! eviction victim), **prefetch** ([`BufferPool::fetch_many`]) with
-//! hit/waste accounting, and **scan hints** ([`BufferPool::begin_scan`]) forwarded to
-//! scan-resistant eviction policies. Frames are tracked floppy-style with
-//! an explicit free list (frames released by [`BufferPool::release`]) and
-//! a flush list (frames that went dirty since the last flush), so neither
-//! allocation nor flushing needs a full frame sweep.
+//! eviction victim) and **scan hints** ([`BufferPool::begin_scan`])
+//! forwarded to scan-resistant eviction policies. Frames are tracked
+//! floppy-style with an explicit free list (frames released by
+//! [`BufferPool::release`]) and a flush list (frames that went dirty since
+//! the last flush), so neither allocation nor flushing needs a full frame
+//! sweep.
 
 use crate::device::{IoStats, PageDevice, PAGE_SIZE};
 use crate::policy::EvictionPolicy;
@@ -21,18 +21,14 @@ use strindex::{Error, FxHashMap, IoOp, Result};
 /// holds behind a lock) can read them without touching the pool itself.
 /// Clone the `Arc` out with [`BufferPool::stats_handle`].
 ///
-/// `misses` counts **every** device page fetch, demand or prefetch — it is
-/// the honest pages-transferred signal the serve benchmarks gate on; a
-/// wasted prefetch still cost a device read and still shows up here.
+/// `misses` counts **every** device page fetch — it is the honest
+/// pages-transferred signal the serve benchmarks gate on.
 #[derive(Debug, Default)]
 pub struct CacheStats {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
     pinned: AtomicU64,
-    prefetched: AtomicU64,
-    prefetch_hits: AtomicU64,
-    prefetch_waste: AtomicU64,
 }
 
 impl CacheStats {
@@ -41,7 +37,7 @@ impl CacheStats {
         self.hits.load(Relaxed)
     }
 
-    /// Device page fetches so far (demand misses plus prefetch loads).
+    /// Device page fetches so far.
     pub fn misses(&self) -> u64 {
         self.misses.load(Relaxed)
     }
@@ -56,21 +52,6 @@ impl CacheStats {
         self.pinned.load(Relaxed)
     }
 
-    /// Pages loaded by prefetch (speculatively, ahead of any access).
-    pub fn prefetched(&self) -> u64 {
-        self.prefetched.load(Relaxed)
-    }
-
-    /// Accesses served from a page that prefetch brought in.
-    pub fn prefetch_hits(&self) -> u64 {
-        self.prefetch_hits.load(Relaxed)
-    }
-
-    /// Prefetched pages evicted before anything touched them.
-    pub fn prefetch_waste(&self) -> u64 {
-        self.prefetch_waste.load(Relaxed)
-    }
-
     /// One coherent copy of all counters.
     pub fn snapshot(&self) -> CacheStatsSnapshot {
         CacheStatsSnapshot {
@@ -78,9 +59,6 @@ impl CacheStats {
             misses: self.misses(),
             evictions: self.evictions(),
             pinned: self.pinned(),
-            prefetched: self.prefetched(),
-            prefetch_hits: self.prefetch_hits(),
-            prefetch_waste: self.prefetch_waste(),
         }
     }
 }
@@ -90,18 +68,12 @@ impl CacheStats {
 pub struct CacheStatsSnapshot {
     /// Cache hits.
     pub hits: u64,
-    /// Device page fetches (demand misses plus prefetch loads).
+    /// Device page fetches.
     pub misses: u64,
     /// Frames evicted.
     pub evictions: u64,
     /// Frames currently pinned.
     pub pinned: u64,
-    /// Pages loaded speculatively by prefetch.
-    pub prefetched: u64,
-    /// Accesses served from a prefetched page.
-    pub prefetch_hits: u64,
-    /// Prefetched pages evicted untouched.
-    pub prefetch_waste: u64,
 }
 
 impl CacheStatsSnapshot {
@@ -126,13 +98,11 @@ struct Frame {
     dirty: bool,
     /// Pin count: while non-zero the frame is never an eviction victim.
     pins: u32,
-    /// Loaded by prefetch and not yet touched by a demand access.
-    prefetched: bool,
     data: Box<[u8]>,
 }
 
-/// A fixed-capacity page cache with a pluggable eviction policy, pinning,
-/// and prefetch.
+/// A fixed-capacity page cache with a pluggable eviction policy and
+/// pinning.
 pub struct BufferPool {
     device: Box<dyn PageDevice>,
     policy: Box<dyn EvictionPolicy>,
@@ -184,7 +154,7 @@ impl BufferPool {
         self.stats.hits()
     }
 
-    /// Device page fetches so far (demand misses plus prefetch loads).
+    /// Device page fetches so far.
     pub fn misses(&self) -> u64 {
         self.stats.misses()
     }
@@ -206,9 +176,8 @@ impl BufferPool {
     }
 
     /// Register this pool's cache counters as gauges on `registry`:
-    /// `{prefix}.hits` / `.misses` / `.evictions` plus the hot-tier
-    /// gauges `.pinned`, `.prefetch_hits`, and `.prefetch_waste`, all
-    /// polled live at snapshot time.
+    /// `{prefix}.hits` / `.misses` / `.evictions` / `.pinned`, all polled
+    /// live at snapshot time.
     pub fn attach_telemetry(&self, registry: &MetricsRegistry, prefix: &str) {
         let g = |f: fn(&CacheStats) -> u64| {
             let s = self.stats_handle();
@@ -218,8 +187,6 @@ impl BufferPool {
         registry.gauge(&format!("{prefix}.misses"), g(CacheStats::misses));
         registry.gauge(&format!("{prefix}.evictions"), g(CacheStats::evictions));
         registry.gauge(&format!("{prefix}.pinned"), g(CacheStats::pinned));
-        registry.gauge(&format!("{prefix}.prefetch_hits"), g(CacheStats::prefetch_hits));
-        registry.gauge(&format!("{prefix}.prefetch_waste"), g(CacheStats::prefetch_waste));
     }
 
     /// Device I/O counters.
@@ -272,10 +239,7 @@ impl BufferPool {
         if newly_pinned_frame && self.pinned_count() + 1 >= self.capacity {
             return Ok(false);
         }
-        let frame = match self.fetch_inner(page, false)? {
-            Some(f) => f,
-            None => return Ok(false),
-        };
+        let frame = self.fetch(page)?;
         let fr = &mut self.frames[frame];
         fr.pins += 1;
         if fr.pins == 1 {
@@ -312,22 +276,6 @@ impl BufferPool {
         released
     }
 
-    /// Prefetch `pages` in order: load whichever are absent, marking them
-    /// prefetched for hit/waste accounting. Stops early (without error)
-    /// when no evictable frame is left. Returns how many pages were
-    /// actually fetched from the device.
-    pub fn fetch_many(&mut self, pages: impl IntoIterator<Item = u32>) -> Result<usize> {
-        let mut loaded = 0;
-        for page in pages {
-            let before = self.stats.misses();
-            match self.fetch_inner(page, true)? {
-                Some(_) => loaded += usize::from(self.stats.misses() > before),
-                None => break,
-            }
-        }
-        Ok(loaded)
-    }
-
     /// Cooperatively evict `page` if resident and unpinned: write it back
     /// when dirty and put its frame on the free list. Returns whether the
     /// page was released.
@@ -343,33 +291,18 @@ impl BufferPool {
                 .map_err(|e| e.with_io_context(IoOp::Write, fr.page))?;
             fr.dirty = false;
         }
-        if fr.prefetched {
-            fr.prefetched = false;
-            self.stats.prefetch_waste.fetch_add(1, Relaxed);
-        }
         fr.page = u32::MAX;
         self.map.remove(&page);
         self.free.push(f);
         Ok(true)
     }
 
-    /// Ensure `page` is resident; return its frame index. With `prefetch`
-    /// set the load is speculative: a resident page is left untouched (no
-    /// hit accounting, no policy access) and `Ok(None)` — not an error —
-    /// signals that every frame is pinned.
-    fn fetch_inner(&mut self, page: u32, prefetch: bool) -> Result<Option<usize>> {
+    /// Ensure `page` is resident; return its frame index.
+    fn fetch(&mut self, page: u32) -> Result<usize> {
         if let Some(&f) = self.map.get(&page) {
-            if prefetch {
-                return Ok(Some(f));
-            }
             self.stats.hits.fetch_add(1, Relaxed);
-            let fr = &mut self.frames[f];
-            if fr.prefetched {
-                fr.prefetched = false;
-                self.stats.prefetch_hits.fetch_add(1, Relaxed);
-            }
             self.policy.on_access(f, page);
-            return Ok(Some(f));
+            return Ok(f);
         }
         let frame = if let Some(f) = self.free.pop() {
             f
@@ -378,7 +311,6 @@ impl BufferPool {
                 page: u32::MAX,
                 dirty: false,
                 pins: 0,
-                prefetched: false,
                 data: vec![0u8; PAGE_SIZE].into_boxed_slice(),
             });
             self.frames.len() - 1
@@ -394,24 +326,16 @@ impl BufferPool {
                             .map_err(|e| e.with_io_context(IoOp::Write, old.page))?;
                         old.dirty = false;
                     }
-                    if old.prefetched {
-                        old.prefetched = false;
-                        self.stats.prefetch_waste.fetch_add(1, Relaxed);
-                    }
                     self.map.remove(&old.page);
                     self.stats.evictions.fetch_add(1, Relaxed);
                     victim
                 }
-                None if prefetch => return Ok(None),
                 None => {
                     return Err(Error::Unsupported("buffer pool exhausted: every frame is pinned"))
                 }
             }
         };
         self.stats.misses.fetch_add(1, Relaxed);
-        if prefetch {
-            self.stats.prefetched.fetch_add(1, Relaxed);
-        }
         self.device
             .read_page(page, &mut self.frames[frame].data)
             .map_err(|e| e.with_io_context(IoOp::Read, page))?;
@@ -419,15 +343,9 @@ impl BufferPool {
         fr.page = page;
         fr.dirty = false;
         fr.pins = 0;
-        fr.prefetched = prefetch;
         self.map.insert(page, frame);
         self.policy.on_load(frame, page);
-        Ok(Some(frame))
-    }
-
-    /// Ensure `page` is resident; return its frame index.
-    fn fetch(&mut self, page: u32) -> Result<usize> {
-        Ok(self.fetch_inner(page, false)?.expect("demand fetch_inner returns a frame or errors"))
+        Ok(frame)
     }
 
     /// Read access to `page`.
@@ -590,8 +508,6 @@ mod tests {
         assert_eq!(snap.gauge("pool.evictions"), Some(1));
         assert_eq!(snap.gauge("pool.hits"), Some(0));
         assert_eq!(snap.gauge("pool.pinned"), Some(0));
-        assert_eq!(snap.gauge("pool.prefetch_hits"), Some(0));
-        assert_eq!(snap.gauge("pool.prefetch_waste"), Some(0));
     }
 
     #[test]
@@ -628,25 +544,6 @@ mod tests {
         assert!(p.is_pinned(0), "first unpin drops to one outstanding pin");
         assert!(p.unpin(0));
         assert!(!p.is_pinned(0));
-    }
-
-    #[test]
-    fn fetch_many_counts_loads_and_marks_prefetch() {
-        let mut p = pool(4);
-        p.read(0, |_| ()).unwrap();
-        let loaded = p.fetch_many([0, 1, 2]).unwrap();
-        assert_eq!(loaded, 2, "page 0 was already resident");
-        assert_eq!(p.stats_handle().prefetched(), 2);
-        // Touching a prefetched page counts a prefetch hit, once.
-        p.read(1, |_| ()).unwrap();
-        p.read(1, |_| ()).unwrap();
-        assert_eq!(p.stats_handle().prefetch_hits(), 1);
-        // Evicting the untouched page 2 counts waste.
-        p.read(10, |_| ()).unwrap();
-        p.read(11, |_| ()).unwrap();
-        p.read(12, |_| ()).unwrap();
-        p.read(13, |_| ()).unwrap();
-        assert_eq!(p.stats_handle().prefetch_waste(), 1);
     }
 
     #[test]

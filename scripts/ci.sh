@@ -50,16 +50,18 @@ cargo test -q -p strindex --lib telemetry
 cargo test -q -p spine-bench --lib flight
 cargo test -q -p spine-bench --lib http
 
-echo "== hot-page tier: pool pinning/prefetch, heatmap attribution, differential oracle"
+echo "== hot-page tier: pool pinning and scan hints, backbone-prefix pins, page map, heatmap attribution, earlier sidecars reopen, differential oracle"
 cargo test -q -p pagestore --lib pool
 cargo test -q -p pagestore --test pinning
 cargo test -q -p spine --lib trace
-cargo test -q -p spine --lib hot
+cargo test -q -p spine --lib pinned_pages_survive_backbone_scans
+cargo test -q -p spine --lib page_map_attributes_every_node_within_the_file
 cargo test -q --test explain
 cargo test -q --test differential hot_tier
 cargo test -q --test segments segments_pin_hot
+cargo test -q --test layout_v2 clustered_sidecars_from_earlier_writers_reopen
 
-echo "== layout v2: codec round-trips, sealed engine, packed-vs-scalar, golden bytes, records vs source nodes"
+echo "== layout v2: codec round-trips, sealed engine, packed-vs-scalar, golden bytes (2-bit DNA included), records vs source nodes"
 cargo test -q -p pagestore varint
 cargo test -q -p pagestore slotted
 cargo test -q -p spine disk::

@@ -269,16 +269,13 @@ fn symbol_at_recovers_text_everywhere() {
     }
 }
 
-/// The hot-page tier is pure mechanism: clustering hot records onto
-/// appended pages, pinning them, and prefetching ahead of scans may only
-/// move I/O around — never change an answer. Every configuration (plain
-/// sealed, clustered, clustered + pinned + prefetched, and a reopened
-/// clustered file) must agree with the in-memory reference on every
-/// pattern, under a pool small enough that eviction actually happens.
+/// The hot-page tier is pure mechanism: pinning the backbone-prefix pages
+/// may only move I/O around — never change an answer. A plain sealed index
+/// and the same file reopened from disk with its prefix pinned must agree
+/// with the in-memory reference on every pattern, under a pool small
+/// enough that eviction actually happens.
 #[test]
 fn hot_tier_machinery_changes_no_answers() {
-    use spine::{Heatmap, HotSet};
-
     let a = Alphabet::dna();
     for (i, len) in [60usize, 500, 2000].into_iter().enumerate() {
         let seed = 0x407_71E8 + i as u64;
@@ -290,30 +287,13 @@ fn hot_tier_machinery_changes_no_answers() {
             DiskSpine::seal(&reference, Box::new(MemDevice::new()), 4, Box::<Lru>::default())
                 .unwrap();
 
-        // Derive a hot set from a real workload over the plain engine.
-        let mut heat = Heatmap::new(text.len());
-        for p in &pats {
-            heat.add(&plain.explain(p));
-        }
-        let hot = HotSet::from_heatmap(&heat, 48);
-        let clustered = DiskSpine::seal_clustered(
-            &reference,
-            Box::new(MemDevice::new()),
-            4,
-            Box::<Lru>::default(),
-            &hot,
-        )
-        .unwrap();
-
-        // Persist + reopen the clustered file: the hot index must survive.
+        // Persist + reopen the sealed file.
         let dir =
             std::env::temp_dir().join(format!("spine-differential-hot-{}-{i}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let dev = pagestore::FileDevice::create(dir.join("seg.pages"), false).unwrap();
-        let ondisk =
-            DiskSpine::seal_clustered(&reference, Box::new(dev), 4, Box::<Lru>::default(), &hot)
-                .unwrap();
+        let ondisk = DiskSpine::seal(&reference, Box::new(dev), 4, Box::<Lru>::default()).unwrap();
         let mut meta = Vec::new();
         ondisk.write_meta(&mut meta).unwrap();
         ondisk.flush().unwrap();
@@ -326,19 +306,17 @@ fn hot_tier_machinery_changes_no_answers() {
             Box::<Lru>::default(),
         )
         .unwrap();
-        assert_eq!(reopened.hot_tier_pages(), clustered.hot_tier_pages());
+        assert_eq!(reopened.file_pages(), plain.file_pages());
 
-        // Pin the hottest pages and warm the pool mid-stream: still pure I/O.
-        clustered.pin_hot(&hot, 2).unwrap();
-        clustered.prefetch_nodes(&hot.nodes().collect::<Vec<_>>()).unwrap();
+        // Pin the backbone-prefix pages: still pure I/O.
+        assert!(reopened.pin_hot_prefix(2).unwrap() > 0, "len {len}: a prefix page must pin");
 
         for p in &pats {
             let expected = reference.find_all(p);
             assert_eq!(plain.find_all(p), expected, "plain sealed, len {len}, pattern {p:?}");
-            assert_eq!(clustered.find_all(p), expected, "clustered, len {len}, pattern {p:?}");
             assert_eq!(reopened.find_all(p), expected, "reopened, len {len}, pattern {p:?}");
         }
-        clustered.unpin_all();
+        reopened.unpin_all();
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -718,14 +696,13 @@ fn seal_and_reopen(a: &Alphabet, text: &[Code], dir: &std::path::Path) -> DiskSp
     .unwrap()
 }
 
-/// Sealed, clustered and reopened indexes walk their preorder index; they
+/// Sealed and reopened indexes walk their preorder index; they
 /// must answer exactly like the §4 scan over the same structure and the
 /// naive oracle, through `StringIndex`, every enumeration entry point and
 /// the engine. The index a reopen builds equals the one the seal built.
 #[test]
 fn sealed_preorder_walk_matches_scan_and_oracle() {
     use spine::engine::{EngineConfig, QueryEngine};
-    use spine::HotSet;
     use std::sync::Arc;
 
     let mut r = rng(0x5EA1ED);
@@ -745,15 +722,6 @@ fn sealed_preorder_walk_matches_scan_and_oracle() {
             let sealed =
                 DiskSpine::seal(&source, Box::new(MemDevice::new()), 4, Box::<Lru>::default())
                     .unwrap();
-            let hot = HotSet::backbone_prefix(text.len(), 16);
-            let clustered = DiskSpine::seal_clustered(
-                &source,
-                Box::new(MemDevice::new()),
-                4,
-                Box::<Lru>::default(),
-                &hot,
-            )
-            .unwrap();
             let dir = std::env::temp_dir()
                 .join(format!("spine-differential-sealed-{}-{ai}-{i}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
@@ -764,9 +732,7 @@ fn sealed_preorder_walk_matches_scan_and_oracle() {
             let mut pats = patterns_for(a, text, 0x5EED + i as u64);
             pats.push(Vec::new());
             let doubled: Vec<&[Code]> = pats.iter().chain(&pats).map(Vec::as_slice).collect();
-            for (kind, index) in
-                [("sealed", &sealed), ("clustered", &clustered), ("reopened", &reopened)]
-            {
+            for (kind, index) in [("sealed", &sealed), ("reopened", &reopened)] {
                 let what = format!("{what}, {kind}");
                 check_walk_against_scan(&what, index, text, &pats);
                 for p in &pats {

@@ -15,7 +15,7 @@ use pagestore::{Lru, MemDevice};
 use proptest::prelude::*;
 use rand::Rng;
 use spine::engine::{EngineConfig, QueryEngine};
-use spine::{CompactSpine, DiskSpine, Heatmap, HotSet, QueryTrace, Spine, TraceEvent};
+use spine::{CompactSpine, DiskSpine, Heatmap, QueryTrace, Spine, TraceEvent};
 use std::sync::Arc;
 use strindex::{Alphabet, Code};
 
@@ -273,28 +273,6 @@ fn heatmap_page_attribution_follows_sealed_layout() {
             assert!(by_page[&page] >= v, "node {node}'s heat missing from page {page}");
         }
     }
-    // After a clustered re-seal the hottest nodes' heat moves with them to
-    // the appended hot tier.
-    let source = Spine::build(a.clone(), &text).unwrap();
-    let hot = HotSet::from_heatmap(&heat, 64);
-    let clustered = DiskSpine::seal_clustered(
-        &source,
-        Box::new(MemDevice::new()),
-        8,
-        Box::<Lru>::default(),
-        &hot,
-    )
-    .unwrap();
-    assert!(clustered.hot_tier_pages() > 0);
-    let cmap = clustered.page_map();
-    let cby = heat.page_visits_mapped(&cmap);
-    assert_eq!(cby.values().sum::<u64>(), total, "clustered fold must conserve visits");
-    let tier_start = clustered.file_pages().unwrap() - clustered.hot_tier_pages() as u64;
-    let hottest = hot.nodes().next().unwrap();
-    assert!(
-        cmap.page_of(hottest) as u64 >= tier_start,
-        "hottest node's heat must be attributed to the hot tier"
-    );
 }
 
 proptest! {

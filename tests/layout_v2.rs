@@ -12,7 +12,7 @@ use genseq::rng;
 use pagestore::{FileDevice, Lru, MemDevice, PAGE_SIZE};
 use proptest::prelude::*;
 use rand::Rng;
-use spine::{DiskSpine, FallibleSpineOps, Spine, DISK_FORMAT_VERSION};
+use spine::{DiskSpine, FallibleSpineOps, PageMap, Spine, DISK_FORMAT_VERSION};
 use strindex::{Alphabet, Code, Error, StringIndex};
 
 fn random_text(a: &Alphabet, len: usize, seed: u64) -> Vec<Code> {
@@ -239,6 +239,80 @@ fn empty_and_len1_texts_seal_and_reopen() {
     }
 }
 
+/// Sidecars of earlier v2 writers end with a hot-tier trailer: absent
+/// (before the hot tier), empty (plain seals), or listing redirects to
+/// duplicate records on pages appended after the node pages (clustered
+/// seals). Base slots hold every record, so all three reopen the same
+/// way: the trailer is not read, and `file_pages` counts base pages only.
+#[test]
+fn clustered_sidecars_from_earlier_writers_reopen() {
+    let a = Alphabet::dna();
+    let text = random_text(&a, 3000, 0xC1A5);
+    let reference = Spine::build(a.clone(), &text).unwrap();
+    let dev_path = tmp("clustered.pages");
+    let dev = Box::new(FileDevice::create(&dev_path, false).unwrap());
+    let sealed = DiskSpine::seal(&reference, dev, 8, Box::<Lru>::default()).unwrap();
+    let base_pages = sealed.file_pages().unwrap();
+    let PageMap::Sealed { base, first_nodes } = sealed.page_map() else {
+        panic!("a sealed index maps nodes through its page directory")
+    };
+    assert!(first_nodes.len() > 1, "the text must span several node pages");
+    let mut meta = Vec::new();
+    sealed.write_meta(&mut meta).unwrap();
+    sealed.flush().unwrap();
+    drop(sealed);
+
+    // Every plain seal ends its sidecar with 0 hot pages and 0 entries.
+    let trailer = meta.len() - 12;
+    assert_eq!(meta[trailer..], [0u8; 12]);
+
+    // A clustered seal of the backbone prefix duplicated the first node
+    // page's records, slot for slot, onto one page after the node pages,
+    // and listed each node's `(node, page, slot)` redirect in the trailer.
+    let mut file = std::fs::read(&dev_path).unwrap();
+    let first = base as usize * PAGE_SIZE;
+    let hot_page = file[first..first + PAGE_SIZE].to_vec();
+    file.extend_from_slice(&hot_page);
+    std::fs::write(&dev_path, &file).unwrap();
+    let mut listed = meta[..trailer].to_vec();
+    listed.extend_from_slice(&1u32.to_le_bytes());
+    listed.extend_from_slice(&(first_nodes[1] as u64).to_le_bytes());
+    for node in 0..first_nodes[1] {
+        listed.extend_from_slice(&node.to_le_bytes());
+        listed.extend_from_slice(&(base_pages as u32).to_le_bytes());
+        listed.extend_from_slice(&(node as u16).to_le_bytes());
+    }
+
+    let mut r = rng(0xC1A6);
+    let patterns: Vec<Vec<Code>> = (0..40)
+        .map(|i| {
+            let len = r.gen_range(1..=16usize);
+            let at = r.gen_range(0..=text.len() - len);
+            let mut p = text[at..at + len].to_vec();
+            if i % 4 == 0 {
+                p[0] = (p[0] + 1) % a.size() as Code;
+            }
+            p
+        })
+        .collect();
+    for (what, sidecar) in
+        [("missing", &meta[..trailer]), ("empty", &meta[..]), ("listed", &listed[..])]
+    {
+        let reopened = DiskSpine::reopen(
+            &mut &sidecar[..],
+            Box::new(FileDevice::open(&dev_path, false).unwrap()),
+            4,
+            Box::<Lru>::default(),
+        )
+        .unwrap();
+        assert_eq!(reopened.file_pages(), Some(base_pages), "{what}: base pages only");
+        for p in &patterns {
+            assert_eq!(reopened.find_all(p), reference.find_all(p), "{what}: pattern {p:?}");
+        }
+    }
+    std::fs::remove_file(&dev_path).ok();
+}
+
 /// The sealed pages really are smaller: the v2 file footprint must be a
 /// multiple smaller than the v1 fixed-record footprint on the same text.
 #[test]
@@ -265,9 +339,8 @@ fn v2_footprint_is_materially_smaller_than_v1() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random texts over random alphabets: the sealed engine, plain and
-    /// with a hot tier, squeezed through a tiny pool, always matches the
-    /// straight-line scan.
+    /// Random texts over random alphabets: the sealed engine, squeezed
+    /// through a tiny pool, always matches the straight-line scan.
     #[test]
     fn sealed_engine_matches_scan(
         len in 0usize..300,
@@ -285,18 +358,6 @@ proptest! {
             DiskSpine::seal(&spine, Box::new(MemDevice::new()), 2, Box::<Lru>::default()).unwrap();
         prop_assert_eq!(sealed.sealed_census().unwrap().nodes, len as u64 + 1);
 
-        // Clustering duplicates records; it neither adds nor drops any.
-        let hot = spine::HotSet::backbone_prefix(len, 32);
-        let clustered = DiskSpine::seal_clustered(
-            &spine,
-            Box::new(MemDevice::new()),
-            2,
-            Box::<Lru>::default(),
-            &hot,
-        )
-        .unwrap();
-        prop_assert_eq!(clustered.sealed_census().unwrap(), sealed.sealed_census().unwrap());
-
         let mut r = rng(seed ^ 0xACE);
         for _ in 0..10 {
             let plen = r.gen_range(0..=12usize);
@@ -307,8 +368,7 @@ proptest! {
                 (0..plen).map(|_| r.gen_range(0..a.size()) as Code).collect()
             };
             let want = scan_find_all(&text, &pattern);
-            prop_assert_eq!(sealed.find_all(&pattern), want.clone(), "sealed");
-            prop_assert_eq!(clustered.find_all(&pattern), want, "clustered");
+            prop_assert_eq!(sealed.find_all(&pattern), want, "sealed");
         }
     }
 }
@@ -329,13 +389,13 @@ fn golden_stream(mut x: u64) -> impl FnMut(usize) -> usize {
     }
 }
 
-/// The golden corpora: `(case, alphabet, text, clustered)`. ASCII log
-/// lines and separated DNA documents are segment-store concatenations
-/// (each document closed by the separator); the separator keeps DNA out
-/// of the 2-bit packing, so that case seals the 3-bit scalar label store.
+/// The golden corpora: `(case, alphabet, text)`. ASCII log lines and
+/// separated DNA documents are segment-store concatenations (each
+/// document closed by the separator); the separator keeps DNA out of the
+/// 2-bit packing, so that case seals the 3-bit scalar label store.
 /// Protein packs at 5 bits, bytes at 8 (scalar), and the plain DNA case
-/// also clusters its first nodes onto a hot tier.
-fn golden_cases() -> Vec<(&'static str, Alphabet, Vec<Code>, bool)> {
+/// is the one that seals word-packed 2-bit labels.
+fn golden_cases() -> Vec<(&'static str, Alphabet, Vec<Code>)> {
     let mut next = golden_stream(0x0601_DE11);
     let ascii = Alphabet::ascii();
     let mut logs = Vec::new();
@@ -365,11 +425,11 @@ fn golden_cases() -> Vec<(&'static str, Alphabet, Vec<Code>, bool)> {
     let raw: Vec<Code> = (0..5000).map(|_| next(254) as Code).collect();
     let plain: Vec<Code> = (0..9000).map(|_| next(4) as Code).collect();
     vec![
-        ("ascii-logs", ascii, logs, false),
-        ("dna-separated", dna.clone(), separated, false),
-        ("protein", protein, prot, false),
-        ("bytes", bytes, raw, false),
-        ("dna-clustered", dna, plain, true),
+        ("ascii-logs", ascii, logs),
+        ("dna-separated", dna.clone(), separated),
+        ("protein", protein, prot),
+        ("bytes", bytes, raw),
+        ("dna", dna, plain),
     ]
 }
 
@@ -384,20 +444,14 @@ const GOLDEN: [Golden; 5] = [
     ("dna-separated", 0xf76b6a57605b9f42, 0x96067f426003c8b5, 42, 42, 2),
     ("protein", 0x6036dd1f521750d8, 0x7b1eb18da5991641, 22, 22, 2),
     ("bytes", 0x5191ef194f6700af, 0x988a2db18490e3d6, 16, 16, 2),
-    ("dna-clustered", 0x9689ad775d3f1570, 0xea78db9fca90593b, 26, 26, 2),
+    ("dna", 0x235be78cf86eacf8, 0xa285418a3d4b4c98, 24, 24, 2),
 ];
 
-/// Seal `text` onto a fresh file at `path`, clustering its first 256 nodes
-/// onto a hot tier when asked.
-fn seal_file(a: &Alphabet, text: &[Code], path: &std::path::Path, clustered: bool) -> DiskSpine {
+/// Seal `text` onto a fresh file at `path`.
+fn seal_file(a: &Alphabet, text: &[Code], path: &std::path::Path) -> DiskSpine {
     let spine = Spine::build(a.clone(), text).unwrap();
     let dev = Box::new(FileDevice::create(path, false).unwrap());
-    if clustered {
-        let hot = spine::HotSet::backbone_prefix(text.len(), 256);
-        DiskSpine::seal_clustered(&spine, dev, 4, Box::<Lru>::default(), &hot).unwrap()
-    } else {
-        DiskSpine::seal(&spine, dev, 4, Box::<Lru>::default()).unwrap()
-    }
+    DiskSpine::seal(&spine, dev, 4, Box::<Lru>::default()).unwrap()
 }
 
 /// The sealed page files and sidecars are byte-for-byte the frozen ones,
@@ -405,9 +459,9 @@ fn seal_file(a: &Alphabet, text: &[Code], path: &std::path::Path, clustered: boo
 #[test]
 fn sealed_pages_and_sidecars_match_golden_digests() {
     let mut got: Vec<Golden> = Vec::new();
-    for (case, a, text, clustered) in golden_cases() {
+    for (case, a, text) in golden_cases() {
         let path = tmp(&format!("golden-{case}.pages"));
-        let sealed = seal_file(&a, &text, &path, clustered);
+        let sealed = seal_file(&a, &text, &path);
         let (reads, writes) = sealed.io_counts();
         let syncs = sealed.io_syncs();
         let mut meta = Vec::new();
