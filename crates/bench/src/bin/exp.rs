@@ -812,12 +812,12 @@ fn serve(opts: &Opts) {
 // registry in those export formats).
 //
 // Overhead is measured as median-of-3: a pinned warmup phase first faults
-// the index and workload into cache, then three plain and three instrumented
-// runs each take the median wall time. A single-sample comparison regularly
-// swung past ±2 % on scheduler noise alone; the median pair is stable.
+// the index and workload into cache, then plain and instrumented runs
+// alternate (ABAB), three of each, so warm-up and drift charge both sides
+// alike, and each side takes its median wall time.
 // ---------------------------------------------------------------------------
 fn serve_metrics(opts: &Opts) {
-    use spine::engine::{EngineConfig, QueryEngine};
+    use spine::engine::{EngineConfig, QueryEngine, QUERY_LATENCY};
     use spine::telemetry::{MetricsRegistry, Stage};
     use spine_bench::MetricsReport;
     use std::sync::Arc;
@@ -849,23 +849,19 @@ fn serve_metrics(opts: &Opts) {
 
     const RUNS: usize = 3;
 
-    // Baseline: three plain runs, median wall time.
+    // Each plain run is followed by an instrumented one. Every instrumented
+    // run has a fresh registry + engine so the per-run invariants stay
+    // exact; the median run's snapshot is kept. The flight-recorder sampler
+    // ticks during each instrumented run so the reported overhead covers the
+    // full observability stack, ring included.
     let mut plain_walls = Vec::with_capacity(RUNS);
     let mut plain_hits = None;
+    let mut inst = Vec::with_capacity(RUNS);
     for _ in 0..RUNS {
         let (hits, t) = run(&QueryEngine::new(Arc::clone(&index), cfg));
         assert_eq!(*plain_hits.get_or_insert(hits), hits, "plain runs diverge");
         plain_walls.push(secs(t));
-    }
-    plain_walls.sort_by(f64::total_cmp);
-    let baseline_wall = plain_walls[RUNS / 2];
 
-    // Instrumented: three runs, each with a fresh registry + engine so the
-    // per-run invariants stay exact; keep the median run's snapshot. The
-    // flight-recorder sampler ticks during each timed run so the reported
-    // overhead covers the full observability stack, ring included.
-    let mut inst = Vec::with_capacity(RUNS);
-    for _ in 0..RUNS {
         let registry = Arc::new(MetricsRegistry::new());
         let engine = QueryEngine::with_telemetry(Arc::clone(&index), cfg, Arc::clone(&registry));
         let series = Arc::new(spine::telemetry::TimeSeries::new(256));
@@ -888,10 +884,12 @@ fn serve_metrics(opts: &Opts) {
             let h = snap.stage(stage).expect("stage histogram registered");
             assert!(!h.is_empty(), "empty histogram for {}", stage.metric_name());
         }
-        let lat = snap.histogram("engine.query_latency").expect("latency histogram");
+        let lat = snap.histogram(QUERY_LATENCY).expect("latency histogram");
         assert_eq!(lat.count, workload.len() as u64, "latency histogram misses queries");
         inst.push((secs(t), m, snap));
     }
+    plain_walls.sort_by(f64::total_cmp);
+    let baseline_wall = plain_walls[RUNS / 2];
     inst.sort_by(|a, b| a.0.total_cmp(&b.0));
     let (wall, m, snap) = inst.swap_remove(RUNS / 2);
 
@@ -939,13 +937,15 @@ fn serve_metrics(opts: &Opts) {
 
 // ---------------------------------------------------------------------------
 // Serve --http: the live monitoring endpoint. One hc21-sim engine with the
-// full observability stack (registry + sliding window + SLO tracker) and one
-// small disk probe index share a registry; /metrics exposes it in Prometheus
-// format, /health turns the ledger invariant + SLO burn rate into 200/503
-// (each request also fires a probe query against the disk index, so device
-// faults burn the error budget), and /explain?q=PAT traces a pattern over
-// the serving index. With --flaky the probe device starts failing right
-// after construction, demonstrating the 503 flip.
+// full observability stack (registry, plus rolling windows and an SLO
+// tracker read from the engine's latency histogram and unanswered counter)
+// and one small disk probe index share a registry; /metrics exposes it in
+// Prometheus format, /health turns the ledger invariant + SLO burn rate into
+// 200/503 (each request also fires a probe query against the disk index and
+// records it into the same two sources, so device faults burn the error
+// budget), and /explain?q=PAT traces a pattern over the serving index. With
+// --flaky the probe device starts failing right after construction,
+// demonstrating the 503 flip.
 // ---------------------------------------------------------------------------
 
 /// Register one engine's [`spine::BuildStats`] as `build.*` labeled gauges
@@ -977,8 +977,10 @@ fn register_build_gauges(
 }
 
 fn serve_http(opts: &Opts, port: u16) {
-    use spine::engine::{EngineConfig, QueryEngine};
-    use spine::telemetry::{spawn_sampler, MetricsRegistry, SlidingWindow, SloTracker, TimeSeries};
+    use spine::engine::{EngineConfig, QueryEngine, QUERIES_UNANSWERED, QUERY_LATENCY};
+    use spine::telemetry::{
+        spawn_sampler, MetricsRegistry, RollingWindows, SloTracker, TimeSeries,
+    };
     use spine_bench::{FlightRecorder, MonitorRoutes, MonitorServer};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
@@ -993,18 +995,23 @@ fn serve_http(opts: &Opts, port: u16) {
     register_build_gauges(&registry, "memory", &build_stats);
     let index = Arc::new(index);
 
-    let window = Arc::new(SlidingWindow::new(10, Duration::from_secs(1)));
-    let slo = Arc::new(SloTracker::new(Duration::from_millis(250), 0.999));
     let cfg = EngineConfig { workers: opts.workers, batch_max: 64, ..Default::default() };
-    let engine = Arc::new(QueryEngine::with_observability(
-        Arc::clone(&index),
-        cfg,
-        Arc::clone(&registry),
-        Arc::clone(&window),
-        Arc::clone(&slo),
+    let engine =
+        Arc::new(QueryEngine::with_telemetry(Arc::clone(&index), cfg, Arc::clone(&registry)));
+    // The windows and the SLO read the engine's two cumulative sources; the
+    // /health probe records into them too.
+    let latency = registry.histogram(QUERY_LATENCY);
+    let unanswered = registry.counter(QUERIES_UNANSWERED);
+    let windows = Arc::new(RollingWindows::new(
+        Arc::clone(&latency),
+        Arc::clone(&unanswered),
+        Instant::now(),
     ));
+    windows.register_gauges(&registry, "engine.window");
+    let slo = Arc::new(SloTracker::new(windows, Duration::from_millis(250), 0.999));
+    slo.register_gauges(&registry, "engine.slo");
 
-    // Prime the histograms and the rolling window with real traffic so the
+    // Prime the histograms and the rolling windows with real traffic so the
     // first scrape sees a served system, not an empty registry.
     let workload = serve_workload(&d, 64, 1);
     for admitted in engine.submit_batch(workload.iter().cloned()) {
@@ -1149,19 +1156,20 @@ fn serve_http(opts: &Opts, port: u16) {
         },
         health: {
             let engine = Arc::clone(&engine);
-            let window = Arc::clone(&window);
             let slo = Arc::clone(&slo);
             let seg = Arc::clone(&seg);
             let recorder = Arc::clone(&recorder);
             Box::new(move || {
                 let t0 = Instant::now();
                 let ok = disk.try_find_all(&probe).is_ok();
-                let latency = t0.elapsed();
-                window.record(latency, ok);
-                slo.record(latency, ok);
+                latency.record(t0.elapsed());
+                if !ok {
+                    unanswered.incr();
+                }
                 let m = engine.metrics();
                 let ledger_ok = m.is_consistent();
-                let slo_ok = slo.healthy();
+                let burn = slo.read(Instant::now());
+                let slo_ok = burn.healthy();
                 let orphans = seg.orphan_count();
                 let seg_ok = orphans == 0;
                 let body = format!(
@@ -1170,8 +1178,8 @@ fn serve_http(opts: &Opts, port: u16) {
                      \"epoch\":{},\"burn_short\":{:.3},\"burn_long\":{:.3},\
                      \"completed\":{}}}\n",
                     seg.epoch(),
-                    slo.burn_rate_short(),
-                    slo.burn_rate_long(),
+                    burn.burn_short,
+                    burn.burn_long,
                     m.completed
                 );
                 let healthy = ledger_ok && slo_ok && seg_ok;

@@ -1357,15 +1357,13 @@ impl DiskSpine {
     /// Serialize the sidecar metadata (pair it with a flushed device).
     ///
     /// A sealed index writes a version-[`DISK_FORMAT_VERSION`] sidecar that
-    /// [`reopen`](Self::reopen) accepts. A mutable index still writes the
-    /// legacy version-1 sidecar byte-for-byte — but v1 is build-time only
-    /// now, and reopening it reports [`Error::FormatVersion`] ("rebuild
-    /// required"): rebuild via [`Self::build_sealed`] / [`Self::seal`].
+    /// [`reopen`](Self::reopen) accepts. A mutable index has no sidecar
+    /// ([`Error::Unsupported`]): it is build-time only, and persisting it
+    /// means sealing it ([`Self::build_sealed`] / [`Self::seal`]).
     pub fn write_meta<W: std::io::Write>(&self, w: &mut W) -> Result<()> {
         let guard = self.store.lock();
         let Store::Sealed(s) = &*guard else {
-            drop(guard);
-            return self.write_meta_v1(w);
+            return Err(Error::Unsupported("sidecar of a mutable (unsealed) index"));
         };
         w.write_all(b"SPND")?;
         w.write_all(&DISK_FORMAT_VERSION.to_le_bytes())?;
@@ -1391,29 +1389,6 @@ impl DiskSpine {
         // An empty hot-tier trailer keeps sidecars byte-identical to earlier writers'.
         w.write_all(&0u32.to_le_bytes())?;
         w.write_all(&0u64.to_le_bytes())?;
-        Ok(())
-    }
-
-    /// The legacy mutable-layout sidecar: text length plus the (rare)
-    /// spilled extribs that live outside the fixed-size records.
-    fn write_meta_v1<W: std::io::Write>(&self, w: &mut W) -> Result<()> {
-        w.write_all(b"SPND")?;
-        w.write_all(&1u16.to_le_bytes())?;
-        w.write_all(&[alphabet_tag(&self.alphabet)])?;
-        w.write_all(&(self.len as u64).to_le_bytes())?;
-        let spill = self.spill.lock();
-        let mut entries: Vec<(u32, &SpillEntry)> = spill.iter().map(|(&n, v)| (n, v)).collect();
-        entries.sort_by_key(|&(n, _)| n);
-        let total: u64 = entries.iter().map(|(_, v)| v.len() as u64).sum();
-        w.write_all(&total.to_le_bytes())?;
-        for (node, v) in entries {
-            for &(prt, pt, dest) in v {
-                w.write_all(&node.to_le_bytes())?;
-                w.write_all(&prt.to_le_bytes())?;
-                w.write_all(&pt.to_le_bytes())?;
-                w.write_all(&dest.to_le_bytes())?;
-            }
-        }
         Ok(())
     }
 
@@ -2174,11 +2149,12 @@ mod sealed_tests {
         assert_eq!(census.extribs, st.extribs_created);
         assert_eq!(census.overflow_records, 0);
         assert_eq!(d.spill_count(), 0);
-        // A mutable index has no census.
+        // A mutable index has no census and no sidecar.
         let mutable =
             DiskSpine::build(a, &codes, Box::new(MemDevice::new()), 8, Box::<Lru>::default())
                 .unwrap();
         assert!(matches!(mutable.sealed_census(), Err(Error::Unsupported(_))));
+        assert!(matches!(mutable.write_meta(&mut Vec::new()), Err(Error::Unsupported(_))));
     }
 
     #[test]
@@ -2421,8 +2397,13 @@ mod reopen_tests {
         )
         .unwrap();
         old.flush().unwrap();
-        let mut v1_meta = Vec::new();
-        old.write_meta(&mut v1_meta).unwrap();
+        // The sidecar an earlier writer left beside it: the v1 header and
+        // an empty spill table.
+        let mut v1_meta = b"SPND".to_vec();
+        v1_meta.extend_from_slice(&1u16.to_le_bytes());
+        v1_meta.push(alphabet_tag(&a));
+        v1_meta.extend_from_slice(&(text.len() as u64).to_le_bytes());
+        v1_meta.extend_from_slice(&0u64.to_le_bytes());
         let expected: Vec<usize> = StringIndex::find_all(&old, &a.encode(b"ACGACG").unwrap());
         drop(old);
 

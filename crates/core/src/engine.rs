@@ -29,9 +29,12 @@
 //! * an optional **telemetry hookup** ([`QueryEngine::with_telemetry`]):
 //!   given a shared [`MetricsRegistry`], the engine records per-stage
 //!   latency histograms ([`Stage::AdmissionWait`], [`Stage::BatchFormation`],
-//!   [`Stage::IndexScan`], [`Stage::ResultMerge`]), end-to-end query
-//!   latencies, batch sizes, and per-query/per-batch tracing spans. Engines
-//!   built with [`QueryEngine::new`] record nothing and pay nothing.
+//!   [`Stage::IndexScan`], [`Stage::ResultMerge`]), one end-to-end latency
+//!   per finished query ([`QUERY_LATENCY`]) plus a count of the unanswered
+//!   ones ([`QUERIES_UNANSWERED`]), batch sizes, and per-query/per-batch
+//!   tracing spans. Rolling windows and SLO burn rates are derived from
+//!   those two at read time ([`strindex::telemetry::RollingWindows`]).
+//!   Engines built with [`QueryEngine::new`] record nothing and pay nothing.
 //!
 //! Any [`ServeIndex`] works. Every [`FallibleSpineOps`] engine is one for
 //! free (a blanket impl answers each pattern with
@@ -74,7 +77,7 @@ use crate::generalized::DocMatch;
 use crate::node::NodeId;
 use crate::occurrences::try_find_all_ends;
 use crate::ops::FallibleSpineOps;
-use strindex::telemetry::{Histogram, MetricsRegistry, SlidingWindow, SloTracker, Stage};
+use strindex::telemetry::{Counter, Histogram, MetricsRegistry, Stage};
 use strindex::{Code, CountersSnapshot};
 
 /// What happens to a submission that finds the admission queue full.
@@ -404,6 +407,13 @@ struct State {
     ledger: Ledger,
 }
 
+/// Registry name of the histogram that takes one submit → finalize latency
+/// per finished query, answered or not.
+pub const QUERY_LATENCY: &str = "engine.query_latency";
+
+/// Registry name of the counter of finished queries that produced no answer.
+pub const QUERIES_UNANSWERED: &str = "engine.queries_unanswered";
+
 /// Stage histograms and span plumbing for one engine, pre-registered so the
 /// worker loop's recording is wait-free. Present only on engines built with
 /// [`QueryEngine::with_telemetry`].
@@ -413,15 +423,12 @@ struct EngineTelemetry {
     batch_formation: Arc<Histogram>,
     index_scan: Arc<Histogram>,
     result_merge: Arc<Histogram>,
-    /// Submit → publish, per query ("engine.query_latency").
+    /// Submit → finalize, one sample per finished query ([`QUERY_LATENCY`]).
     query_latency: Arc<Histogram>,
+    /// Finished queries that produced no answer ([`QUERIES_UNANSWERED`]).
+    unanswered: Arc<Counter>,
     /// Requests coalesced per batch ("engine.batch_size").
     batch_size: Arc<Histogram>,
-    /// Rolling qps/quantile window fed per published query
-    /// ([`QueryEngine::with_observability`]).
-    window: Option<Arc<SlidingWindow>>,
-    /// SLO burn tracking fed per published query.
-    slo: Option<Arc<SloTracker>>,
 }
 
 impl EngineTelemetry {
@@ -431,25 +438,20 @@ impl EngineTelemetry {
             batch_formation: registry.stage(Stage::BatchFormation),
             index_scan: registry.stage(Stage::IndexScan),
             result_merge: registry.stage(Stage::ResultMerge),
-            query_latency: registry.histogram("engine.query_latency"),
+            query_latency: registry.histogram(QUERY_LATENCY),
+            unanswered: registry.counter(QUERIES_UNANSWERED),
             batch_size: registry.histogram("engine.batch_size"),
-            window: None,
-            slo: None,
             registry,
         }
     }
 
-    /// Record one finished query everywhere at once: the cumulative latency
-    /// histogram plus (when attached) the rolling window and SLO tracker.
-    /// `ok` is "the query produced an answer" — timeouts and storage
-    /// failures count against availability.
-    fn record_latency(&self, latency: Duration, ok: bool) {
+    /// Record one finished query, once: its latency, plus one unanswered
+    /// count when it produced no answer (timed out, failed, or lost to a
+    /// worker panic), so every finished query counts against availability.
+    fn record_finished(&self, latency: Duration, answered: bool) {
         self.query_latency.record(latency);
-        if let Some(w) = &self.window {
-            w.record(latency, ok);
-        }
-        if let Some(s) = &self.slo {
-            s.record(latency, ok);
+        if !answered {
+            self.unanswered.incr();
         }
     }
 }
@@ -529,26 +531,6 @@ impl<S: ServeIndex + 'static> QueryEngine<S> {
         registry: Arc<MetricsRegistry>,
     ) -> Self {
         Self::build(index, config, Some(EngineTelemetry::new(registry)))
-    }
-
-    /// [`QueryEngine::with_telemetry`] plus continuous monitoring: every
-    /// published query also feeds `window` (rolling qps/p50/p99/error-rate)
-    /// and `slo` (burn-rate health). Their aggregates are registered as
-    /// `engine.window.*` and `engine.slo.*` gauges on `registry`, so one
-    /// snapshot — or the `/metrics` endpoint — carries the rolling view.
-    pub fn with_observability(
-        index: Arc<S>,
-        config: EngineConfig,
-        registry: Arc<MetricsRegistry>,
-        window: Arc<SlidingWindow>,
-        slo: Arc<SloTracker>,
-    ) -> Self {
-        window.register_gauges(&registry, "engine.window");
-        slo.register_gauges(&registry, "engine.slo");
-        let mut t = EngineTelemetry::new(registry);
-        t.window = Some(window);
-        t.slo = Some(slo);
-        Self::build(index, config, Some(t))
     }
 
     fn build(index: Arc<S>, config: EngineConfig, telemetry: Option<EngineTelemetry>) -> Self {
@@ -786,7 +768,7 @@ impl<S: FallibleSpineOps + Send + Sync + 'static> QueryEngine<S> {
         if let Some(t) = &self.shared.telemetry {
             let published = Instant::now();
             let latency = published - start;
-            t.record_latency(latency, outcome.is_answered());
+            t.record_finished(latency, outcome.is_answered());
             t.registry.record_span(format!("q{id}.explain"), start, latency);
         }
         self.shared.notify_if_idle(&st);
@@ -840,6 +822,9 @@ fn worker_loop<S: ServeIndex + ?Sized>(index: &S, shared: &Shared, who: usize, b
                         if req.deadline.is_some_and(|d| d <= now) {
                             // Deadline passed while queued: finalize without
                             // spending a batch slot or any index work.
+                            if let Some(t) = telemetry {
+                                t.record_finished(now - req.submitted_at, false);
+                            }
                             finalized.push(req.id);
                             st.done.push(QueryResult {
                                 id: req.id,
@@ -917,7 +902,11 @@ fn worker_loop<S: ServeIndex + ?Sized>(index: &S, shared: &Shared, who: usize, b
                 let mut st = shared.lock();
                 st.in_flight -= batch.len();
                 st.ledger.failed += batch.len() as u64;
+                let failed_at = Instant::now();
                 for req in batch {
+                    if let Some(t) = telemetry {
+                        t.record_finished(failed_at - req.submitted_at, false);
+                    }
                     st.done.push(QueryResult {
                         id: req.id,
                         pattern: req.pattern,
@@ -961,7 +950,7 @@ fn worker_loop<S: ServeIndex + ?Sized>(index: &S, shared: &Shared, who: usize, b
             t.registry.record_span(format!("w{who}.batch"), scan_start, published - scan_start);
             for (r, at) in results.iter().zip(&submitted_at) {
                 let latency = published - *at;
-                t.record_latency(latency, r.outcome.is_answered());
+                t.record_finished(latency, r.outcome.is_answered());
                 t.registry.record_span(format!("q{}", r.id), *at, latency);
             }
         }
@@ -1023,19 +1012,22 @@ mod tests {
     use crate::generalized::{GeneralizedSpine, ShardedSpine};
     use crate::occurrences::find_all_ends;
     use std::time::Duration;
+    use strindex::telemetry::{RollingWindows, SloTracker};
     use strindex::Alphabet;
+
+    /// An index whose every batch panics.
+    struct Bomb;
+    impl ServeIndex for Bomb {
+        fn answer_patterns(&self, _patterns: &[&[Code]]) -> Vec<QueryOutcome> {
+            panic!("bomb in answer_patterns")
+        }
+        fn counters_snapshot(&self) -> CountersSnapshot {
+            CountersSnapshot::default()
+        }
+    }
 
     #[test]
     fn worker_panic_fires_the_postmortem_hook_and_respawns() {
-        struct Bomb;
-        impl ServeIndex for Bomb {
-            fn answer_patterns(&self, _patterns: &[&[Code]]) -> Vec<QueryOutcome> {
-                panic!("bomb in answer_patterns")
-            }
-            fn counters_snapshot(&self) -> CountersSnapshot {
-                CountersSnapshot::default()
-            }
-        }
         let cfg = EngineConfig { workers: 1, ..EngineConfig::default() };
         let engine = QueryEngine::new(Arc::new(Bomb), cfg);
         let fired = Arc::new(Mutex::new(Vec::<String>::new()));
@@ -1069,34 +1061,78 @@ mod tests {
         (a.clone(), QueryEngine::new(Arc::new(s), cfg))
     }
 
-    #[test]
-    fn observability_feeds_window_and_slo() {
-        let a = Alphabet::dna();
-        let s = Spine::build_from_bytes(a.clone(), b"AACCACAACA").unwrap();
+    fn telemetry_engine<S: ServeIndex>(index: S) -> (QueryEngine<S>, Arc<MetricsRegistry>) {
         let registry = Arc::new(MetricsRegistry::new());
-        let window = Arc::new(SlidingWindow::new(60, Duration::from_secs(1)));
-        let slo = Arc::new(SloTracker::new(Duration::from_secs(5), 0.999));
-        let engine = QueryEngine::with_observability(
-            Arc::new(s),
-            EngineConfig { workers: 2, ..Default::default() },
-            Arc::clone(&registry),
-            Arc::clone(&window),
-            Arc::clone(&slo),
-        );
+        let cfg = EngineConfig { workers: 1, ..Default::default() };
+        (QueryEngine::with_telemetry(Arc::new(index), cfg, Arc::clone(&registry)), registry)
+    }
+
+    /// Windows and SLO over `registry`'s two engine sources, with gauges.
+    fn watch(registry: &MetricsRegistry) -> Arc<SloTracker> {
+        let windows = Arc::new(RollingWindows::new(
+            registry.histogram(QUERY_LATENCY),
+            registry.counter(QUERIES_UNANSWERED),
+            Instant::now(),
+        ));
+        windows.register_gauges(registry, "engine.window");
+        let slo = Arc::new(SloTracker::new(windows, Duration::from_secs(5), 0.999));
+        slo.register_gauges(registry, "engine.slo");
+        slo
+    }
+
+    #[test]
+    fn windows_and_slo_read_the_engine_sources() {
+        let a = Alphabet::dna();
+        let (engine, registry) =
+            telemetry_engine(Spine::build_from_bytes(a.clone(), b"AACCACAACA").unwrap());
+        let slo = watch(&registry);
         for p in [&b"CA"[..], b"AC", b"A", b"GG"] {
             engine.submit(a.encode(p).unwrap()).unwrap();
         }
         engine.drain();
-        // Every published query landed in the rolling window, none breached
-        // the generous SLO, and the gauges surface through the registry.
-        let agg = window.aggregate();
-        assert_eq!(agg.count, 4);
-        assert_eq!(agg.errors, 0);
-        assert!(slo.healthy());
+        // Every answered query is in the window, none breached the generous
+        // SLO, and the gauges surface through the registry.
         let snap = registry.snapshot();
         assert_eq!(snap.gauge("engine.window.count"), Some(4));
+        assert_eq!(snap.gauge("engine.window.error_rate_ppm"), Some(0));
         assert_eq!(snap.gauge("engine.slo.healthy"), Some(1));
-        assert_eq!(snap.histogram("engine.query_latency").unwrap().count, 4);
+        assert_eq!(snap.histogram(QUERY_LATENCY).unwrap().count, 4);
+        assert_eq!(snap.counter(QUERIES_UNANSWERED), Some(0));
+        assert!(slo.read(Instant::now()).healthy());
+    }
+
+    /// Regression: a request that expired in the queue, or died with its
+    /// batch in a worker panic, was finalized with no telemetry record, so
+    /// the latency histogram, the window and the SLO never saw it.
+    #[test]
+    fn expired_and_panicked_queries_count_as_unanswered() {
+        let a = Alphabet::dna();
+        let (engine, registry) =
+            telemetry_engine(Spine::build_from_bytes(a.clone(), b"AACCACAACA").unwrap());
+        let slo = watch(&registry);
+        let past = Instant::now() - Duration::from_secs(1);
+        for _ in 0..5 {
+            engine.submit_with_deadline(a.encode(b"CA").unwrap(), past).unwrap();
+        }
+        engine.drain();
+        assert_eq!(engine.metrics().timed_out, 5);
+        let snap = registry.snapshot();
+        assert_eq!(snap.histogram(QUERY_LATENCY).unwrap().count, 5);
+        assert_eq!(snap.counter(QUERIES_UNANSWERED), Some(5));
+        assert_eq!(snap.gauge("engine.window.error_rate_ppm"), Some(1_000_000));
+        assert!(!slo.read(Instant::now()).healthy());
+
+        let (bomb, registry) = telemetry_engine(Bomb);
+        let prev_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        bomb.submit(vec![0]).unwrap();
+        bomb.submit(vec![1]).unwrap();
+        let rs = bomb.drain();
+        std::panic::set_hook(prev_hook);
+        assert!(rs.iter().all(|r| matches!(r.outcome, QueryOutcome::Failed(_))));
+        let snap = registry.snapshot();
+        assert_eq!(snap.histogram(QUERY_LATENCY).unwrap().count, 2);
+        assert_eq!(snap.counter(QUERIES_UNANSWERED), Some(2));
     }
 
     #[test]

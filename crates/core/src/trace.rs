@@ -831,15 +831,6 @@ impl Heatmap {
         out
     }
 
-    /// The `k` hottest pages under `map`, hottest first (ties: lower page
-    /// id first).
-    pub fn hottest_pages(&self, map: &PageMap, k: usize) -> Vec<(u32, u64)> {
-        let mut all: Vec<(u32, u64)> = self.page_visits_mapped(map).into_iter().collect();
-        all.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        all.truncate(k);
-        all
-    }
-
     /// The `k` most-visited nodes, hottest first (ties: lower node first).
     pub fn hottest(&self, k: usize) -> Vec<(NodeId, u64)> {
         let mut all: Vec<(NodeId, u64)> =

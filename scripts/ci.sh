@@ -49,6 +49,16 @@ cargo test -q -p spine --lib observe
 cargo test -q -p strindex --lib telemetry
 cargo test -q -p spine-bench --lib flight
 cargo test -q -p spine-bench --lib http
+# Windows and SLO burn read from the latency histogram and the unanswered
+# counter; expired and panicked queries count; a lost prefix pin fails the
+# pages-per-query gate.
+cargo test -q -p strindex --lib -- windows_count_errors_and_quantiles \
+  window_rates_divide_by_covered_time traffic_older_than_the_span_drops_out \
+  burn_is_the_bad_fraction_over_the_budget unhealthy_only_when_both_windows_burn \
+  window_and_slo_gauges_read_the_sources
+cargo test -q -p spine --lib -- engine::tests::windows_and_slo_read_the_engine_sources \
+  engine::tests::expired_and_panicked_queries_count_as_unanswered
+cargo test -q -p spine-bench --lib snapshot::tests::pages_gate_refuses_a_lost_prefix_pin
 
 echo "== hot-page tier: pool pinning and scan hints, backbone-prefix pins, page map, heatmap attribution, earlier sidecars reopen, differential oracle"
 cargo test -q -p pagestore --lib pool

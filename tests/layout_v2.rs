@@ -156,10 +156,15 @@ fn v1_artifact_reports_rebuild_required_then_rebuild_recovers() {
         Box::<Lru>::default(),
     )
     .unwrap();
-    let mut v1_meta = Vec::new();
-    v1.write_meta(&mut v1_meta).unwrap();
     v1.flush().unwrap();
     drop(v1);
+    // The sidecar an earlier writer left beside it: magic, version 1, the
+    // protein alphabet's tag, the text length and an empty spill table.
+    let mut v1_meta = b"SPND".to_vec();
+    v1_meta.extend_from_slice(&1u16.to_le_bytes());
+    v1_meta.push(1);
+    v1_meta.extend_from_slice(&(text.len() as u64).to_le_bytes());
+    v1_meta.extend_from_slice(&0u64.to_le_bytes());
 
     let err = DiskSpine::reopen(
         &mut &v1_meta[..],
