@@ -716,42 +716,83 @@ fn serve(opts: &Opts) {
     let d = Dataset::generate("hc21-sim", opts.scale);
     let index = Arc::new(Spine::build(d.alphabet.clone(), &d.seq).unwrap());
     let workload = serve_workload(&d, 256, 4);
+    let engines: Vec<(usize, QueryEngine<Spine>)> = [1, 2, opts.workers]
+        .into_iter()
+        .map(|workers| {
+            let cfg = EngineConfig { workers, batch_max: 64, ..Default::default() };
+            (workers, QueryEngine::new(Arc::clone(&index), cfg))
+        })
+        .collect();
 
-    let (serial_hits, t_serial) =
-        time(|| workload.iter().map(|p| find_all_ends(index.as_ref(), p).len()).sum::<usize>());
-    let qps_serial = workload.len() as f64 / secs(t_serial).max(1e-9);
-
-    let mut rows = vec![Row::new("serial")
-        .cell("workers", 1.0)
-        .cell("queries", workload.len() as f64)
-        .cell("qps", qps_serial)
-        .cell("speedup", 1.0)
-        .cell("mean-batch", 1.0)];
-
-    for workers in [1, 2, opts.workers] {
-        let cfg = EngineConfig { workers, batch_max: 64, ..Default::default() };
-        let engine = QueryEngine::new(Arc::clone(&index), cfg);
+    // One timed pass of row 0 (the serial loop) or of an engine: its wall
+    // seconds and the occurrences it found.
+    let pass = |row: usize| -> (f64, usize) {
+        if row == 0 {
+            let (hits, t) = time(|| {
+                workload.iter().map(|p| find_all_ends(index.as_ref(), p).len()).sum::<usize>()
+            });
+            return (secs(t), hits);
+        }
+        let engine = &engines[row - 1].1;
         let (results, t) = time(|| {
             for admitted in engine.submit_batch(workload.iter().cloned()) {
                 admitted.expect("default shed policy blocks rather than rejecting");
             }
             engine.drain()
         });
-        let hits: usize = results.iter().map(|r| r.expect_ends().len()).sum();
-        assert_eq!(hits, serial_hits, "engine answers diverge from serial queries");
-        let m = engine.metrics();
-        let qps = workload.len() as f64 / secs(t).max(1e-9);
+        (secs(t), results.iter().map(|r| r.expect_ends().len()).sum())
+    };
+
+    // Each row is the median of SERVE_REPS timed passes: one pass lasts
+    // 1–2 ms, and single passes of one binary spread about 2× from run to
+    // run. After an untimed pass each (the serial one first), the serial
+    // loop and the engines take turns in every repetition, in alternating
+    // order, so that warm-up and drift charge every row alike.
+    const SERVE_REPS: usize = 21;
+    let rows_n = engines.len() + 1;
+    let mut serial_hits = None;
+    let mut walls = vec![Vec::with_capacity(SERVE_REPS); rows_n];
+    for rep in 0..=SERVE_REPS {
+        for i in 0..rows_n {
+            let row = if rep % 2 == 0 { i } else { rows_n - 1 - i };
+            let (wall, hits) = pass(row);
+            let serial = *serial_hits.get_or_insert(hits);
+            assert_eq!(hits, serial, "engine answers diverge from serial queries");
+            if rep > 0 {
+                walls[row].push(wall);
+            }
+        }
+    }
+    let qps: Vec<f64> = walls
+        .iter_mut()
+        .map(|w| {
+            w.sort_by(f64::total_cmp);
+            workload.len() as f64 / w[SERVE_REPS / 2].max(1e-9)
+        })
+        .collect();
+
+    let mut rows = vec![Row::new("serial")
+        .cell("workers", 1.0)
+        .cell("queries", workload.len() as f64)
+        .cell("qps", qps[0])
+        .cell("speedup", 1.0)
+        .cell("mean-batch", 1.0)];
+    for ((workers, engine), engine_qps) in engines.iter().zip(&qps[1..]) {
         rows.push(
             Row::new(format!("engine-w{workers}"))
-                .cell("workers", workers as f64)
+                .cell("workers", *workers as f64)
                 .cell("queries", workload.len() as f64)
-                .cell("qps", qps)
-                .cell("speedup", qps / qps_serial)
-                .cell("mean-batch", m.mean_batch()),
+                .cell("qps", *engine_qps)
+                .cell("speedup", engine_qps / qps[0])
+                .cell("mean-batch", engine.metrics().mean_batch()),
         );
     }
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     print_table(
-        "Serve — batched-concurrent throughput vs serial queries (hc21-sim)",
+        &format!(
+            "Serve — batched-concurrent throughput vs serial queries (hc21-sim; median of \
+             {SERVE_REPS} alternating passes; available_parallelism {cpus})"
+        ),
         &rows,
         opts.json,
     );

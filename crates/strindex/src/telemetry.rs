@@ -1684,10 +1684,13 @@ pub fn spawn_sampler(
     let stop2 = Arc::clone(&stop);
     let thread = std::thread::Builder::new()
         .name("spine-sampler".into())
-        .spawn(move || {
-            while !stop2.load(Relaxed) {
-                series.sample(&registry);
-                std::thread::park_timeout(interval);
+        .spawn(move || loop {
+            // Sample before looking at the flag, so a run stopped before
+            // this thread was first scheduled still gets its first tick.
+            series.sample(&registry);
+            std::thread::park_timeout(interval);
+            if stop2.load(Relaxed) {
+                return;
             }
         })
         .expect("spawn spine-sampler thread");
@@ -2174,6 +2177,19 @@ mod tests {
         std::thread::sleep(Duration::from_millis(5));
         assert_eq!(ts.ticks(), ticks);
         assert_eq!(ts.samples().last().unwrap().counters[0], ("ops".to_string(), 1));
+    }
+
+    /// Regression: the sampler read its stop flag before its first tick,
+    /// so a sampler stopped before its thread was first scheduled took no
+    /// sample at all, although its first tick is promised at spawn.
+    #[test]
+    fn a_sampler_stopped_at_once_still_ticks_once() {
+        let r = Arc::new(MetricsRegistry::new());
+        for _ in 0..50 {
+            let ts = Arc::new(TimeSeries::new(4));
+            spawn_sampler(Arc::clone(&ts), Arc::clone(&r), Duration::from_secs(60)).stop();
+            assert!(ts.ticks() >= 1, "a stopped sampler took no sample");
+        }
     }
 
     #[test]

@@ -102,11 +102,18 @@ cargo test -q --test differential sealed_preorder
 cargo test -q --test segments seal_after_recovery
 cargo test -q --test segments resident_bytes
 
-echo "== serving: one pattern at a time (per-pattern faults, segment errors kept, sharded spine, the example end to end)"
+echo "== serving: one pattern at a time (per-pattern faults, segment errors kept, sharded spine, the example end to end), the hand-off (wakes reach parked threads, idle engines park, no spinning without a spare CPU), the sampler's first tick"
 cargo test -q --test fault_tolerance storage_fault_fails_only_its_own_pattern
 cargo test -q --test segments try_find_all_keeps_the_component_error
 cargo test -q -p spine --lib engine::tests::sharded
 cargo run --release -q --example concurrent_server >/dev/null
+cargo test -q -p spine --lib -- engine::tests::a_submit_wakes_a_parked_worker \
+  engine::tests::a_publish_wakes_a_parked_drainer \
+  engine::tests::a_pop_wakes_a_submitter_parked_on_a_full_queue \
+  engine::tests::an_idle_engine_parks_every_worker \
+  engine::tests::engines_with_a_worker_per_cpu_never_spin \
+  engine::tests::closed_loop_hand_offs_answer_every_query
+cargo test -q -p strindex --lib telemetry::tests::a_sampler_stopped_at_once_still_ticks_once
 
 echo "== observers: one zero-cost idiom for trace and build events; a committed merge survives a failed input deletion"
 cargo test -q -p spine --lib observe::tests::one_observer_idiom_serves_trace_and_build_events
