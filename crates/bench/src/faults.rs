@@ -89,7 +89,7 @@ pub struct SweepReport {
     /// A clean seal retried after the crashes matches the in-memory oracle
     /// on every pattern.
     pub sealed_oracle_match: bool,
-    /// I/O operations (page ops, manifest and sidecar file ops, syncs) in
+    /// I/O operations (page ops, manifest and journal file ops, syncs) in
     /// one clean segment-store lifecycle — the pass-4 crashpoint space.
     /// Recovery ops are part of it: the sweep crashes recovery too.
     pub segment_ops: u64,
@@ -291,7 +291,7 @@ pub fn crashpoint_sweep(quick: bool) -> SweepReport {
     // ---- pass 4: crashpoints across segment commit, merge, and recovery ----
     // A scripted segment-store lifecycle (adds, seals, a durable retire, a
     // merge) is first run clean to count its I/O operations — page ops,
-    // manifest commits, sidecar writes, syncs, deletions, and the recovery
+    // manifest commits, journal appends, syncs, deletions, and the recovery
     // reads of the initial open all charge one shared IoGate. Then the
     // same lifecycle runs once per (strided) operation index with the gate
     // armed: everything from that index on fails, like a crash. Recovery

@@ -18,7 +18,7 @@
 //!   It supports APPEND but pays for the worst-case fan-out on every node.
 //!   It is the layout the paper's §6.2 disk experiments measure (`exp fig7`,
 //!   `exp table7`, `exp buffering`); nothing is sealed from it.
-//! * **Sealed format-v2 layout** ([`DiskSpine::seal`]) — a read-only
+//! * **Sealed layout** ([`DiskSpine::seal`]) — a read-only
 //!   page format with varint/delta-encoded node records in slotted pages
 //!   ([`pagestore::slotted`]) plus backbone labels packed bit-tight into
 //!   `u64` words on dedicated label pages. Records shrink by ~10× for DNA,
@@ -35,12 +35,15 @@
 //!   takes one slice of it and reads no page; only the mutable layout
 //!   runs the §4 backbone scan.
 //!
-//! Every sealed page carries a format-version header; readers check it on
-//! each access and surface [`strindex::Error::FormatVersion`] ("rebuild
-//! required") instead of misparsing, and [`DiskSpine::reopen`] rejects v1
-//! sidecars the same way. APPEND and all query algorithms are the shared
-//! generic ones ([`crate::build`], [`crate::ops`]); [`FallibleSpineOps`]
-//! takes `&self`, so the store lives behind a mutex.
+//! A sealed file describes itself: page 0, written last, holds everything
+//! [`DiskSpine::reopen`] needs besides the pages it describes. Every sealed
+//! page carries a format-version header; readers check it on each access
+//! and surface [`strindex::Error::FormatVersion`] ("rebuild required")
+//! instead of misparsing, and [`DiskSpine::reopen`] rejects files of an
+//! earlier [`DISK_FORMAT_VERSION`] the same way. APPEND and all query
+//! algorithms are the shared generic ones ([`crate::build`],
+//! [`crate::ops`]); [`FallibleSpineOps`] takes `&self`, so the store lives
+//! behind a mutex.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, OnceLock};
@@ -51,8 +54,9 @@ use crate::observe::{BuildEvent, BuildPhase, BuildStats, MemBreakdown, Observer,
 use crate::ops::{FallibleSpineOps, LinkTree, INFALLIBLE_BOUNDARY};
 use crate::preorder::PreorderIndex;
 use pagestore::{
-    slotted, slotted_record, BufferPool, CacheStats, CacheStatsSnapshot, EvictionPolicy,
-    PageDevice, PageHeader, PagedVec, SlottedPageBuilder, PAGE_FORMAT_V2, PAGE_SIZE,
+    read_varint, slotted, slotted_record, write_varint, BufferPool, CacheStats, CacheStatsSnapshot,
+    EvictionPolicy, PageDevice, PageHeader, PagedVec, SlottedPageBuilder, PAGE_FORMAT_V2,
+    PAGE_SIZE,
 };
 use parking_lot::Mutex;
 use strindex::telemetry::{Counter, Histogram, MetricsRegistry};
@@ -72,12 +76,17 @@ type SpillEntry = Vec<(u32, u32, u32)>;
 const SEALED_MAGIC: &[u8; 4] = b"SPV2";
 
 /// On-disk format version this build writes (and the only one it reads).
-/// Version-1 artifacts (the fixed-record layout) are build-time only now;
-/// reopening one yields [`Error::FormatVersion`] — "rebuild required".
-pub const DISK_FORMAT_VERSION: u16 = 2;
+/// Version 1 (the fixed-record layout) is build-time only; version 2 kept
+/// its page directory, byte census and overflow records in a `.meta`
+/// sidecar, which version 3 folds into the page file. Reopening an earlier
+/// version yields [`Error::FormatVersion`] — "rebuild required".
+pub const DISK_FORMAT_VERSION: u16 = 3;
+
+/// Payload bytes per page after the page header.
+const PAGE_BODY: usize = PAGE_SIZE - slotted::PAGE_HEADER_LEN;
 
 /// Packed 64-bit label words per label page (after the page header).
-const WORDS_PER_PAGE: usize = (PAGE_SIZE - slotted::PAGE_HEADER_LEN) / 8;
+const WORDS_PER_PAGE: usize = PAGE_BODY / 8;
 
 /// Byte offsets within a *mutable-layout* node record (little-endian):
 /// `cl:1 | link:4 | lel:4 | rib_count:1 | ribs: R×(cl 1, dest 4, pt 4) |
@@ -162,7 +171,6 @@ fn alphabet_from_tag(t: u8) -> Result<Alphabet> {
 /// panic or a garbage answer.
 mod v2 {
     use super::*;
-    use pagestore::{read_varint, write_varint};
 
     /// A fully decoded node: link `(dest, LEL)`, ribs and extribs in
     /// stored order (the order APPEND created them).
@@ -306,7 +314,7 @@ mod v2 {
 }
 
 // ---------------------------------------------------------------------------
-// Sealed (format-v2) store.
+// Sealed store.
 // ---------------------------------------------------------------------------
 
 /// Structural counts recovered by decoding every record of a sealed index
@@ -320,57 +328,22 @@ pub struct SealedCensus {
     pub ribs: u64,
     /// Total extribs across all records.
     pub extribs: u64,
-    /// Records too large for a slotted page, served from the sidecar
-    /// overflow map instead.
+    /// Records too large for a slotted page, stored on the file's
+    /// overflow pages instead.
     pub overflow_records: u64,
 }
 
-/// The node → page mapping of a [`DiskSpine`] layout, for attributing
-/// per-node observations (heatmap visits, trace events) to the physical
-/// pages that serve them.
+/// Page 0 of a sealed file, written last: every field [`DiskSpine::reopen`]
+/// needs before it reads another page.
 ///
-/// The mutable layout stripes fixed-size records uniformly; the sealed
-/// layout's variable-size slotted pages need the real page directory.
-/// Cheap to clone (the directory is shared).
-#[derive(Debug, Clone)]
-pub enum PageMap {
-    /// Fixed-size records, `records_per_page` per data page, node `i` on
-    /// page `i / records_per_page` (the mutable layout).
-    Uniform {
-        /// Records striped onto each page.
-        records_per_page: usize,
-    },
-    /// The sealed layout: node pages start at `base` (after the file
-    /// header and label pages), and `first_nodes[p]` is the first node of
-    /// relative page `p`.
-    Sealed {
-        /// Absolute page id of the first node page.
-        base: u32,
-        /// First node id of each node page, ascending.
-        first_nodes: Arc<Vec<u32>>,
-    },
-}
-
-impl PageMap {
-    /// Absolute page id serving `node`'s record.
-    pub fn page_of(&self, node: NodeId) -> u32 {
-        match self {
-            PageMap::Uniform { records_per_page } => (node as usize / records_per_page) as u32,
-            PageMap::Sealed { base, first_nodes } => {
-                let pi = first_nodes.partition_point(|&f| f <= node) - 1;
-                base + pi as u32
-            }
-        }
-    }
-}
-
-/// A read-only format-v2 index on a page device.
-///
-/// Page 0 is the file header; pages `1..=label_pages` hold the packed
-/// backbone labels; the next `node_pages` pages hold slotted node records,
-/// one base slot per node.
-struct SealedStore {
-    pool: BufferPool,
+/// ```text
+/// page header (FILE_HEADER) | "SPV2" | version u16 | alphabet tag u8
+/// packing bits u8 | packed-compare flag u8 | text len u64
+/// label pages u32 | node pages u32
+/// encoded vertebrae, links, ribs, extribs: u64 each | overflow pages u32
+/// ```
+struct FileHeader {
+    len: usize,
     /// Bits per packed backbone label.
     bits: u32,
     /// Whether `bits` equals the alphabet's word-packing width, enabling
@@ -379,22 +352,205 @@ struct SealedStore {
     packed_compare: bool,
     label_pages: u32,
     node_pages: u32,
-    /// Number of packed label words (`ceil(len / per_word)`).
-    label_words: usize,
-    /// `first_nodes[p]` = id of the first node on node-page `p`.
-    first_nodes: Arc<Vec<u32>>,
-    /// Encoded records that exceeded [`slotted::MAX_RECORD_LEN`]; their page
-    /// slot holds an empty record as the overflow marker.
-    overflow: FxHashMap<u32, Vec<u8>>,
+    overflow_pages: u32,
     /// Encoded on-device footprint split by edge kind.
     encoded: MemBreakdown,
 }
 
+impl FileHeader {
+    fn write_to(&self, alphabet: &Alphabet, b: &mut [u8]) {
+        b.fill(0);
+        PageHeader {
+            version: PAGE_FORMAT_V2,
+            kind: slotted::kind::FILE_HEADER,
+            count: 0,
+            first_item: 0,
+        }
+        .write_to(b);
+        let b = &mut b[slotted::PAGE_HEADER_LEN..];
+        b[0..4].copy_from_slice(SEALED_MAGIC);
+        b[4..6].copy_from_slice(&DISK_FORMAT_VERSION.to_le_bytes());
+        b[6] = alphabet_tag(alphabet);
+        b[7] = self.bits as u8;
+        b[8] = self.packed_compare as u8;
+        b[9..17].copy_from_slice(&(self.len as u64).to_le_bytes());
+        b[17..21].copy_from_slice(&self.label_pages.to_le_bytes());
+        b[21..25].copy_from_slice(&self.node_pages.to_le_bytes());
+        let e = &self.encoded;
+        for (i, part) in [e.vertebrae, e.links, e.ribs, e.extribs].into_iter().enumerate() {
+            b[25 + 8 * i..33 + 8 * i].copy_from_slice(&part.to_le_bytes());
+        }
+        b[57..61].copy_from_slice(&self.overflow_pages.to_le_bytes());
+    }
+
+    /// Parse page 0 into the index's alphabet and header. A page of another
+    /// format version, or a file of an earlier [`DISK_FORMAT_VERSION`], is
+    /// [`Error::FormatVersion`]; anything else that is not a consistent
+    /// header is [`Error::Parse`].
+    fn read_from(b: &[u8]) -> Result<(Alphabet, FileHeader)> {
+        PageHeader::checked(b, slotted::kind::FILE_HEADER)?;
+        let b = &b[slotted::PAGE_HEADER_LEN..];
+        let u32_at = |at: usize| u32::from_le_bytes(b[at..at + 4].try_into().unwrap());
+        let u64_at = |at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+        if &b[0..4] != SEALED_MAGIC {
+            return Err(Error::Parse("bad sealed file magic".into()));
+        }
+        let version = u16::from_le_bytes([b[4], b[5]]);
+        if version != DISK_FORMAT_VERSION {
+            return Err(Error::FormatVersion { found: version, expected: DISK_FORMAT_VERSION });
+        }
+        let bits = b[7] as u32;
+        if !(1..=8).contains(&bits) {
+            return Err(Error::Parse(format!("packing width {bits} out of range")));
+        }
+        let len = u64_at(9);
+        if len >= u32::MAX as u64 {
+            return Err(Error::Parse(format!("text length {len} exceeds the node id space")));
+        }
+        let alphabet = alphabet_from_tag(b[6])?;
+        let h = FileHeader {
+            len: len as usize,
+            bits,
+            packed_compare: b[8] != 0,
+            label_pages: u32_at(17),
+            node_pages: u32_at(21),
+            overflow_pages: u32_at(57),
+            encoded: MemBreakdown {
+                vertebrae: u64_at(25),
+                links: u64_at(33),
+                ribs: u64_at(41),
+                extribs: u64_at(49),
+            },
+        };
+        if h.node_pages == 0 {
+            return Err(Error::Parse("sealed index must have at least one node page".into()));
+        }
+        if h.label_pages as usize != h.label_words().div_ceil(WORDS_PER_PAGE) {
+            return Err(Error::Parse(format!(
+                "{} label pages for a text of {len} labels",
+                h.label_pages
+            )));
+        }
+        Ok((alphabet, h))
+    }
+
+    /// Packed label words (`ceil(len / labels per word)`).
+    fn label_words(&self) -> usize {
+        self.len.div_ceil((64 / self.bits) as usize)
+    }
+
+    /// Page id of the first overflow page, after the node pages.
+    fn overflow_start(&self) -> u32 {
+        1 + self.label_pages + self.node_pages
+    }
+
+    /// Pages of the whole file.
+    fn file_pages(&self) -> u64 {
+        self.overflow_start() as u64 + self.overflow_pages as u64
+    }
+}
+
+/// Append record `bytes` of `node` to the overflow stream: `node varint |
+/// length varint | bytes`. The stream is cut into overflow pages after the
+/// node pages ([`write_overflow`]).
+fn push_overflow(stream: &mut Vec<u8>, node: u32, bytes: &[u8]) {
+    write_varint(stream, node as u64);
+    write_varint(stream, bytes.len() as u64);
+    stream.extend_from_slice(bytes);
+}
+
+/// Write `stream` onto consecutive overflow pages from page `first`, each
+/// stamped with the format version, its payload length in `count` and its
+/// position in the run in `first_item`. Returns the pages written.
+fn write_overflow(pool: &mut BufferPool, first: u32, stream: &[u8]) -> Result<u32> {
+    let mut pages = 0;
+    for chunk in stream.chunks(PAGE_BODY) {
+        pool.write(first + pages, |b| {
+            b.fill(0);
+            PageHeader {
+                version: PAGE_FORMAT_V2,
+                kind: slotted::kind::OVERFLOW,
+                count: chunk.len() as u16,
+                first_item: pages,
+            }
+            .write_to(b);
+            b[slotted::PAGE_HEADER_LEN..][..chunk.len()].copy_from_slice(chunk);
+        })?;
+        pages += 1;
+    }
+    Ok(pages)
+}
+
+/// Read back the overflow records [`write_overflow`] wrote, by node.
+/// `nodes` is the node count the header promises.
+fn read_overflow(
+    pool: &mut BufferPool,
+    h: &FileHeader,
+    nodes: usize,
+) -> Result<FxHashMap<u32, Vec<u8>>> {
+    let mut stream = Vec::new();
+    for i in 0..h.overflow_pages {
+        pool.read(h.overflow_start() + i, |b| -> Result<()> {
+            let ph = PageHeader::checked(b, slotted::kind::OVERFLOW)?;
+            if ph.first_item != i || ph.count as usize > PAGE_BODY {
+                return Err(Error::Parse(format!("corrupt overflow page {i}")));
+            }
+            stream.extend_from_slice(&b[slotted::PAGE_HEADER_LEN..][..ph.count as usize]);
+            Ok(())
+        })??;
+    }
+    let corrupt = || Error::Parse("corrupt overflow record".into());
+    let field = |at: &mut usize| -> Result<usize> {
+        let (v, n) = read_varint(&stream, *at).ok_or_else(corrupt)?;
+        *at += n;
+        usize::try_from(v).map_err(|_| corrupt())
+    };
+    let mut overflow = FxHashMap::default();
+    let mut at = 0;
+    while at < stream.len() {
+        let (node, len) = (field(&mut at)?, field(&mut at)?);
+        let bytes = stream.get(at..).and_then(|s| s.get(..len)).ok_or_else(corrupt)?;
+        if node >= nodes || overflow.insert(node as u32, bytes.to_vec()).is_some() {
+            return Err(corrupt());
+        }
+        at += len;
+    }
+    Ok(overflow)
+}
+
+/// A read-only sealed index on a page device, laid out as its header `h`
+/// says: page 0 is the header; pages `1..=label_pages` hold the packed
+/// backbone labels; the next `node_pages` pages hold slotted node records,
+/// one slot per node; the last `overflow_pages` pages hold the records too
+/// long for a slot.
+struct SealedStore {
+    pool: BufferPool,
+    h: FileHeader,
+    /// Number of packed label words (`ceil(len / per_word)`).
+    label_words: usize,
+    /// `first_nodes[p]` = id of the first node on node-page `p` (each node
+    /// page's header `first_item`).
+    first_nodes: Vec<u32>,
+    /// Encoded records that exceeded [`slotted::MAX_RECORD_LEN`]; their page
+    /// slot holds an empty record as the overflow marker.
+    overflow: FxHashMap<u32, Vec<u8>>,
+}
+
 impl SealedStore {
+    /// The store `h` describes, over `pool`.
+    fn new(
+        pool: BufferPool,
+        h: FileHeader,
+        first_nodes: Vec<u32>,
+        overflow: FxHashMap<u32, Vec<u8>>,
+    ) -> Self {
+        SealedStore { pool, label_words: h.label_words(), h, first_nodes, overflow }
+    }
+
     /// `(page id, slot)` of `node`'s record.
     fn node_page(&self, node: u32) -> (u32, usize) {
         let pi = self.first_nodes.partition_point(|&f| f <= node) - 1;
-        (1 + self.label_pages + pi as u32, (node - self.first_nodes[pi]) as usize)
+        (1 + self.h.label_pages + pi as u32, (node - self.first_nodes[pi]) as usize)
     }
 
     /// Run `f` over `node`'s encoded record, wherever it lives (page slot
@@ -422,15 +578,26 @@ impl SealedStore {
     }
 
     /// `(link destination, LEL)` of every node, in one sequential pass over
-    /// the node pages (one page fetch per page).
-    /// `nodes` is the node count the header promises; a page table that
-    /// disagrees is corrupt.
-    fn read_links(&mut self, nodes: usize) -> Result<Vec<(u32, u32)>> {
+    /// the node pages (one page fetch per page), rebuilding the page
+    /// directory from each page's `first_item` on the way. `nodes` is the
+    /// node count the header promises; pages that disagree are corrupt.
+    fn read_node_pages(&mut self, nodes: usize) -> Result<Vec<(u32, u32)>> {
         let mut links = Vec::with_capacity(nodes);
-        for pi in 0..self.node_pages {
+        let mut first_nodes = Vec::with_capacity(self.h.node_pages as usize);
+        for pi in 0..self.h.node_pages {
             let (pool, overflow) = (&mut self.pool, &self.overflow);
-            pool.read(1 + self.label_pages + pi, |b| -> Result<()> {
-                for slot in 0..PageHeader::checked(b, slotted::kind::NODES)?.count as usize {
+            pool.read(1 + self.h.label_pages + pi, |b| -> Result<()> {
+                let h = PageHeader::checked(b, slotted::kind::NODES)?;
+                if h.first_item as usize != links.len() || h.count == 0 {
+                    return Err(Error::Parse(format!(
+                        "node page {pi} holds {} records from node {}, after {} records",
+                        h.count,
+                        h.first_item,
+                        links.len()
+                    )));
+                }
+                first_nodes.push(h.first_item);
+                for slot in 0..h.count as usize {
                     let node = links.len() as u32;
                     let link = match slotted_record(b, slot)? {
                         [] => v2::decode_link(overflow.get(&node).ok_or_else(|| {
@@ -449,6 +616,7 @@ impl SealedStore {
                 links.len()
             )));
         }
+        self.first_nodes = first_nodes;
         Ok(links)
     }
 
@@ -468,15 +636,15 @@ impl SealedStore {
 
     /// Label of text position `i` (0-based).
     fn label(&mut self, i: usize) -> Result<Code> {
-        let pw = (64 / self.bits) as usize;
+        let pw = (64 / self.h.bits) as usize;
         let w = self.label_word(i / pw)?;
-        Ok(((w >> ((i % pw) as u32 * self.bits)) & low_mask(self.bits)) as Code)
+        Ok(((w >> ((i % pw) as u32 * self.h.bits)) & low_mask(self.h.bits)) as Code)
     }
 
     /// Labels of text positions `from..to` (0-based, `to` at most the text
     /// length): one fetch per label page, each packed word decoded once.
     fn labels(&mut self, from: usize, to: usize) -> Result<Vec<Code>> {
-        let (bits, pw) = (self.bits, (64 / self.bits) as usize);
+        let (bits, pw) = (self.h.bits, (64 / self.h.bits) as usize);
         let mut out = Vec::with_capacity(to.saturating_sub(from));
         let mut i = from;
         while i < to {
@@ -502,16 +670,16 @@ impl SealedStore {
     /// low bits of one word — the same window [`PackedText::window`]
     /// assembles, so the two compare with one xor.
     fn label_window(&mut self, i: usize) -> Result<u64> {
-        let pw = (64 / self.bits) as usize;
+        let pw = (64 / self.h.bits) as usize;
         let w = i / pw;
         let phase = (i % pw) as u32;
-        let lo = self.label_word(w)? >> (phase * self.bits);
+        let lo = self.label_word(w)? >> (phase * self.h.bits);
         let win = if phase == 0 {
             lo
         } else {
-            lo | (self.label_word(w + 1)? << ((pw as u32 - phase) * self.bits))
+            lo | (self.label_word(w + 1)? << ((pw as u32 - phase) * self.h.bits))
         };
-        Ok(win & low_mask(pw as u32 * self.bits))
+        Ok(win & low_mask(pw as u32 * self.h.bits))
     }
 
     /// Word-at-a-time [`FallibleSpineOps::try_label_run`]: the common run
@@ -523,7 +691,7 @@ impl SealedStore {
         pattern: &PackedText,
         from: usize,
     ) -> Result<usize> {
-        debug_assert_eq!(pattern.bits(), self.bits);
+        debug_assert_eq!(pattern.bits(), self.h.bits);
         let pw = pattern.per_word() as usize;
         let max = (pattern.len() - from).min(text_len - node as usize);
         let mut k = 0usize;
@@ -531,7 +699,7 @@ impl SealedStore {
             let n = (max - k).min(pw) as u32;
             let a = pattern.window(from + k);
             let b = self.label_window(node as usize + k)?;
-            let m = strindex::window_match_len(a, b, self.bits, n) as usize;
+            let m = strindex::window_match_len(a, b, self.h.bits, n) as usize;
             k += m;
             if m < n as usize {
                 break;
@@ -668,7 +836,7 @@ impl DiskSpine {
         Ok((s, stats))
     }
 
-    /// Build a *sealed* format-v2 index on `device`: [`Spine::build`] in
+    /// Build a *sealed* index on `device`: [`Spine::build`] in
     /// memory, then [`seal`](Self::seal). This is the durable build path —
     /// only sealed devices can be [`reopen`](Self::reopen)ed.
     pub fn build_sealed(
@@ -681,12 +849,13 @@ impl DiskSpine {
         Self::seal(&Spine::build(alphabet, text)?, device, pool_pages, policy)
     }
 
-    /// Encode `spine` into the sealed format-v2 layout on a fresh `device`:
-    /// packed label pages followed by slotted pages of varint/delta node
-    /// records (each node's link, ribs and extribs in stored order), with
-    /// the file header written last so a crash mid-seal leaves an
-    /// unreadable — never a half-valid — target. `spine` is only read, so
-    /// a failed seal (e.g. a device fault) leaves it intact.
+    /// Encode `spine` into the sealed layout on a fresh `device`: packed
+    /// label pages, then slotted pages of varint/delta node records (each
+    /// node's link, ribs and extribs in stored order), then overflow pages
+    /// for records too long for a slot, with the file header written last
+    /// so a crash mid-seal leaves an unreadable — never a half-valid —
+    /// target. `spine` is only read, so a failed seal (e.g. a device fault)
+    /// leaves it intact.
     pub fn seal(
         spine: &Spine,
         device: Box<dyn PageDevice>,
@@ -733,6 +902,7 @@ impl DiskSpine {
         let mut encoded =
             MemBreakdown { vertebrae: label_words as u64 * 8, ..MemBreakdown::default() };
         let mut overflow: FxHashMap<u32, Vec<u8>> = FxHashMap::default();
+        let mut overflow_stream = Vec::new();
         let mut first_nodes: Vec<u32> = vec![0];
         let mut node_pages: u32 = 0;
         let mut builder = SlottedPageBuilder::new(0);
@@ -754,63 +924,52 @@ impl DiskSpine {
                 assert!(builder.push(payload), "a fresh slotted page must accept the record");
             }
             if payload.is_empty() {
+                push_overflow(&mut overflow_stream, node, &buf);
                 overflow.insert(node, buf.clone());
             }
         }
         pool.write(1 + label_pages + node_pages, |b| b.copy_from_slice(&builder.finish()))?;
         node_pages += 1;
+        let overflow_pages =
+            write_overflow(&mut pool, 1 + label_pages + node_pages, &overflow_stream)?;
 
         // The header page goes in *last*: until it exists, the device does
         // not parse as a sealed index at all. Barrier first — "last" must be
         // a media-order fact, not just program order, or a crash between the
         // body and the header could leave a header over torn pages.
+        let header = FileHeader {
+            len,
+            bits,
+            packed_compare,
+            label_pages,
+            node_pages,
+            overflow_pages,
+            encoded,
+        };
         pool.sync()?;
-        pool.write(0, |b| {
-            b.fill(0);
-            PageHeader {
-                version: PAGE_FORMAT_V2,
-                kind: slotted::kind::FILE_HEADER,
-                count: 0,
-                first_item: 0,
-            }
-            .write_to(b);
-            let at = slotted::PAGE_HEADER_LEN;
-            b[at..at + 4].copy_from_slice(SEALED_MAGIC);
-            b[at + 4..at + 6].copy_from_slice(&DISK_FORMAT_VERSION.to_le_bytes());
-            b[at + 6] = alphabet_tag(alphabet);
-            b[at + 7] = bits as u8;
-            b[at + 8] = packed_compare as u8;
-            b[at + 9..at + 17].copy_from_slice(&(len as u64).to_le_bytes());
-            b[at + 17..at + 21].copy_from_slice(&label_pages.to_le_bytes());
-            b[at + 21..at + 25].copy_from_slice(&node_pages.to_le_bytes());
-        })?;
+        pool.write(0, |b| header.write_to(alphabet, b))?;
         pool.sync()?;
 
-        let preorder = PreorderIndex::from_links(&links)?;
-        Ok(DiskSpine {
-            alphabet: alphabet.clone(),
-            layout: Layout::new(alphabet),
-            store: Mutex::new(Store::Sealed(SealedStore {
-                pool,
-                bits,
-                packed_compare,
-                label_pages,
-                node_pages,
-                label_words,
-                first_nodes: Arc::new(first_nodes),
-                overflow,
-                encoded,
-            })),
+        let store = SealedStore::new(pool, header, first_nodes, overflow);
+        Ok(Self::sealed(alphabet.clone(), store, PreorderIndex::from_links(&links)?))
+    }
+
+    /// The sealed index over `store`.
+    fn sealed(alphabet: Alphabet, store: SealedStore, preorder: PreorderIndex) -> Self {
+        DiskSpine {
+            layout: Layout::new(&alphabet),
+            alphabet,
+            len: store.h.len,
+            store: Mutex::new(Store::Sealed(store)),
             preorder: Some(preorder),
             spill: Mutex::new(FxHashMap::default()),
             spill_count: AtomicU64::new(0),
-            len,
             counters: Counters::new(),
             telemetry: OnceLock::new(),
-        })
+        }
     }
 
-    /// Is this index in the sealed (read-only, format-v2) layout?
+    /// Is this index in the sealed (read-only) layout?
     pub fn is_sealed(&self) -> bool {
         matches!(&*self.store.lock(), Store::Sealed(_))
     }
@@ -827,76 +986,53 @@ impl DiskSpine {
         self.preorder.as_ref().map_or(0, PreorderIndex::resident_bytes)
     }
 
-    /// Total pages of the sealed file (header + label + node pages), or
-    /// `None` for the mutable layout.
+    /// Total pages of the sealed file (header, label, node and overflow
+    /// pages), or `None` for the mutable layout.
     pub fn file_pages(&self) -> Option<u64> {
         match &*self.store.lock() {
-            Store::Sealed(s) => Some(1 + s.label_pages as u64 + s.node_pages as u64),
+            Store::Sealed(s) => Some(s.h.file_pages()),
             Store::Mutable(_) => None,
         }
-    }
-
-    /// The node → page mapping of the current layout, for attributing
-    /// per-node heat to physical pages ([`crate::trace::Heatmap`]).
-    pub fn page_map(&self) -> PageMap {
-        match &*self.store.lock() {
-            Store::Mutable(v) => PageMap::Uniform { records_per_page: v.records_per_page() },
-            Store::Sealed(s) => {
-                PageMap::Sealed { base: 1 + s.label_pages, first_nodes: Arc::clone(&s.first_nodes) }
-            }
-        }
-    }
-
-    /// Pin `pages` into the buffer pool (fetching absent ones), in order,
-    /// until the pool refuses (it always keeps at least one evictable
-    /// frame). Returns how many of `pages` ended up pinned. Pinned pages
-    /// are never evicted — not even by the mutable layout's full-backbone
-    /// occurrence scan — until [`unpin_all`](Self::unpin_all).
-    pub fn pin_pages(&self, pages: &[u32]) -> Result<usize> {
-        let mut guard = self.store.lock();
-        let pool = match &mut *guard {
-            Store::Mutable(v) => v.pool_mut(),
-            Store::Sealed(s) => &mut s.pool,
-        };
-        let mut pinned = 0;
-        for &p in pages {
-            if pool.pin(p)? {
-                pinned += 1;
-            } else {
-                break;
-            }
-        }
-        Ok(pinned)
     }
 
     /// Pin the pages of the first backbone nodes, spending at most
     /// `max_pages` frames: link destinations concentrate upstream (the
     /// paper's Figure 8), so every valid path leaves through the backbone
-    /// prefix. Returns the pages pinned.
+    /// prefix. Pages are pinned in order until the pool refuses (it always
+    /// keeps one evictable frame), and stay resident — even through the
+    /// mutable layout's full-backbone occurrence scan — until
+    /// [`unpin_all`](Self::unpin_all). Returns the pages pinned.
     pub fn pin_hot_prefix(&self, max_pages: usize) -> Result<usize> {
-        let map = self.page_map();
-        let mut pages: Vec<u32> = Vec::new();
-        for node in 0..=self.len as u32 {
-            if pages.len() >= max_pages {
+        let mut guard = self.store.lock();
+        // Both layouts place nodes on pages in ascending node order: the
+        // mutable records from page 0, the sealed node pages after the
+        // header and label pages.
+        let (pool, pages) = match &mut *guard {
+            Store::Mutable(v) => {
+                let pages = 0..v.page_of(self.len) + 1;
+                (v.pool_mut(), pages)
+            }
+            Store::Sealed(s) => {
+                let first = 1 + s.h.label_pages;
+                (&mut s.pool, first..first + s.h.node_pages)
+            }
+        };
+        let mut pinned = 0;
+        for p in pages.take(max_pages) {
+            if !pool.pin(p)? {
                 break;
             }
-            // Both layouts place nodes on pages in ascending node order.
-            let p = map.page_of(node);
-            if pages.last() != Some(&p) {
-                pages.push(p);
-            }
+            pinned += 1;
         }
-        self.pin_pages(&pages)
+        Ok(pinned)
     }
 
     /// Unpin every pinned page, returning how many were released.
     pub fn unpin_all(&self) -> usize {
-        let mut guard = self.store.lock();
-        let pool = match &mut *guard {
-            Store::Mutable(v) => v.pool_mut(),
-            Store::Sealed(s) => &mut s.pool,
-        };
-        pool.unpin_all()
+        match &mut *self.store.lock() {
+            Store::Mutable(v) => v.pool_mut().unpin_all(),
+            Store::Sealed(s) => s.pool.unpin_all(),
+        }
     }
 
     /// Pages currently pinned in the buffer pool.
@@ -939,7 +1075,7 @@ impl DiskSpine {
     /// memory.
     pub fn mem_breakdown(&self) -> MemBreakdown {
         if let Store::Sealed(s) = &*self.store.lock() {
-            return s.encoded;
+            return s.h.encoded;
         }
         let records = (self.len + 1) as u64; // root included
         let l = &self.layout;
@@ -1136,9 +1272,6 @@ impl DiskSpine {
     /// fault-tolerance harnesses use — an injected fault degrades to a clean
     /// `Err` here instead of a panic.
     pub fn try_find_all(&self, pattern: &[Code]) -> Result<Vec<usize>> {
-        if pattern.is_empty() {
-            return Ok(Vec::new());
-        }
         let before = self.sample_accesses();
         let r = crate::occurrences::try_find_all_ends(self, pattern);
         self.record_query_pages(before);
@@ -1262,7 +1395,7 @@ impl FallibleSpineOps for DiskSpine {
     /// word-at-a-time at that width.
     fn backbone_packing(&self) -> Option<u32> {
         match &*self.store.lock() {
-            Store::Sealed(s) if s.packed_compare => Some(s.bits),
+            Store::Sealed(s) if s.h.packed_compare => Some(s.h.bits),
             _ => None,
         }
     }
@@ -1272,7 +1405,7 @@ impl FallibleSpineOps for DiskSpine {
     /// `try_vertebra_out`, which takes the lock again).
     fn try_label_run(&self, node: NodeId, pattern: &PackedText, from: usize) -> Result<usize> {
         if let Store::Sealed(s) = &mut *self.store.lock() {
-            if s.packed_compare && s.bits == pattern.bits() {
+            if s.h.packed_compare && s.h.bits == pattern.bits() {
                 return s.label_run(self.len, node, pattern, from);
             }
         }
@@ -1329,9 +1462,6 @@ impl StringIndex for DiskSpine {
     }
 
     fn find_all(&self, pattern: &[Code]) -> Vec<usize> {
-        if pattern.is_empty() {
-            return Vec::new();
-        }
         crate::occurrences::find_all_ends(self, pattern)
             .into_iter()
             .map(|end| end as usize - pattern.len())
@@ -1350,167 +1480,39 @@ impl MatchingIndex for DiskSpine {
 }
 
 // ---------------------------------------------------------------------------
-// Durability: close and reopen a disk index.
+// Durability: reopen a sealed index.
 // ---------------------------------------------------------------------------
 
 impl DiskSpine {
-    /// Serialize the sidecar metadata (pair it with a flushed device).
+    /// Reattach to a `device` holding a previously sealed index.
     ///
-    /// A sealed index writes a version-[`DISK_FORMAT_VERSION`] sidecar that
-    /// [`reopen`](Self::reopen) accepts. A mutable index has no sidecar
-    /// ([`Error::Unsupported`]): it is build-time only, and persisting it
-    /// means sealing it ([`Self::build_sealed`] / [`Self::seal`]).
-    pub fn write_meta<W: std::io::Write>(&self, w: &mut W) -> Result<()> {
-        let guard = self.store.lock();
-        let Store::Sealed(s) = &*guard else {
-            return Err(Error::Unsupported("sidecar of a mutable (unsealed) index"));
-        };
-        w.write_all(b"SPND")?;
-        w.write_all(&DISK_FORMAT_VERSION.to_le_bytes())?;
-        w.write_all(&[alphabet_tag(&self.alphabet)])?;
-        w.write_all(&(self.len as u64).to_le_bytes())?;
-        w.write_all(&[s.bits as u8, s.packed_compare as u8])?;
-        w.write_all(&s.label_pages.to_le_bytes())?;
-        w.write_all(&s.node_pages.to_le_bytes())?;
-        for &first in s.first_nodes.iter() {
-            w.write_all(&first.to_le_bytes())?;
-        }
-        for part in [s.encoded.vertebrae, s.encoded.links, s.encoded.ribs, s.encoded.extribs] {
-            w.write_all(&part.to_le_bytes())?;
-        }
-        let mut entries: Vec<(u32, &Vec<u8>)> = s.overflow.iter().map(|(&n, v)| (n, v)).collect();
-        entries.sort_by_key(|&(n, _)| n);
-        w.write_all(&(entries.len() as u64).to_le_bytes())?;
-        for (node, bytes) in entries {
-            w.write_all(&node.to_le_bytes())?;
-            w.write_all(&(bytes.len() as u32).to_le_bytes())?;
-            w.write_all(bytes)?;
-        }
-        // An empty hot-tier trailer keeps sidecars byte-identical to earlier writers'.
-        w.write_all(&0u32.to_le_bytes())?;
-        w.write_all(&0u64.to_le_bytes())?;
-        Ok(())
-    }
-
-    /// Reattach to a `device` holding a previously sealed and flushed
-    /// index, using the sidecar written by [`write_meta`](Self::write_meta).
-    ///
-    /// Only format-[`DISK_FORMAT_VERSION`] artifacts reopen; a version-1
-    /// sidecar (or a device whose header page is not stamped v2) yields
-    /// [`Error::FormatVersion`] — the typed "rebuild required" signal —
-    /// and unrecognizable bytes yield [`Error::Parse`]. Reading stops after
-    /// the overflow table: the hot-tier trailer that earlier writers
-    /// appended (absent, empty, or listing redirects to duplicate records
-    /// past the node pages) is never read, because base slots hold every
-    /// record.
-    pub fn reopen<R: std::io::Read>(
-        meta: &mut R,
+    /// Reads page 0 (the file header), then the overflow pages, then every
+    /// node page once, rebuilding the page directory from each page's
+    /// `first_item` and the in-RAM preorder index from the links. Only
+    /// format-[`DISK_FORMAT_VERSION`] files reopen: an earlier version's
+    /// header, or a page not stamped with the current page format (a v1
+    /// fixed-record file), yields [`Error::FormatVersion`] — the typed
+    /// "rebuild required" signal — and bytes that are not a consistent
+    /// sealed file yield [`Error::Parse`].
+    pub fn reopen(
         device: Box<dyn PageDevice>,
         pool_pages: usize,
         policy: Box<dyn EvictionPolicy>,
     ) -> Result<Self> {
-        let mut magic = [0u8; 4];
-        meta.read_exact(&mut magic)?;
-        if &magic != b"SPND" {
-            return Err(Error::Parse("bad DiskSpine meta magic".into()));
-        }
-        let mut b2 = [0u8; 2];
-        meta.read_exact(&mut b2)?;
-        let version = u16::from_le_bytes(b2);
-        if version != DISK_FORMAT_VERSION {
-            return Err(Error::FormatVersion { found: version, expected: DISK_FORMAT_VERSION });
-        }
-        let mut b1 = [0u8; 1];
-        meta.read_exact(&mut b1)?;
-        let alphabet = alphabet_from_tag(b1[0])?;
-        let mut b8 = [0u8; 8];
-        meta.read_exact(&mut b8)?;
-        let len = u64::from_le_bytes(b8) as usize;
-        let mut bp = [0u8; 2];
-        meta.read_exact(&mut bp)?;
-        let (bits, packed_compare) = (bp[0] as u32, bp[1] != 0);
-        if !(1..=8).contains(&bits) {
-            return Err(Error::Parse(format!("packing width {bits} out of range")));
-        }
-        let mut b4 = [0u8; 4];
-        meta.read_exact(&mut b4)?;
-        let label_pages = u32::from_le_bytes(b4);
-        meta.read_exact(&mut b4)?;
-        let node_pages = u32::from_le_bytes(b4);
-        if node_pages == 0 {
-            return Err(Error::Parse("sealed index must have at least one node page".into()));
-        }
-        let mut first_nodes = Vec::with_capacity(node_pages as usize);
-        for _ in 0..node_pages {
-            meta.read_exact(&mut b4)?;
-            first_nodes.push(u32::from_le_bytes(b4));
-        }
-        if first_nodes[0] != 0 || first_nodes.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(Error::Parse("corrupt sealed page directory".into()));
-        }
-        let mut parts = [0u64; 4];
-        for p in &mut parts {
-            meta.read_exact(&mut b8)?;
-            *p = u64::from_le_bytes(b8);
-        }
-        let encoded = MemBreakdown {
-            vertebrae: parts[0],
-            links: parts[1],
-            ribs: parts[2],
-            extribs: parts[3],
-        };
-        meta.read_exact(&mut b8)?;
-        let overflow_count = u64::from_le_bytes(b8);
-        let mut overflow: FxHashMap<u32, Vec<u8>> = FxHashMap::default();
-        for _ in 0..overflow_count {
-            meta.read_exact(&mut b4)?;
-            let node = u32::from_le_bytes(b4);
-            meta.read_exact(&mut b4)?;
-            let mut bytes = vec![0u8; u32::from_le_bytes(b4) as usize];
-            meta.read_exact(&mut bytes)?;
-            overflow.insert(node, bytes);
-        }
-
+        let device_pages = device.page_count() as u64;
         let mut pool = BufferPool::new(device, pool_pages.max(1), policy);
-        // The device's own header page must agree — a v1 (or foreign)
-        // device fails the per-page version check, not a misparse.
-        pool.read(0, |b| -> Result<()> {
-            PageHeader::checked(b, slotted::kind::FILE_HEADER)?;
-            let at = slotted::PAGE_HEADER_LEN;
-            if &b[at..at + 4] != SEALED_MAGIC {
-                return Err(Error::Parse("bad sealed device magic".into()));
-            }
-            let v = u16::from_le_bytes([b[at + 4], b[at + 5]]);
-            if v != DISK_FORMAT_VERSION {
-                return Err(Error::FormatVersion { found: v, expected: DISK_FORMAT_VERSION });
-            }
-            Ok(())
-        })??;
-
-        let per_word = (64 / bits) as usize;
-        let mut sealed = SealedStore {
-            pool,
-            bits,
-            packed_compare,
-            label_pages,
-            node_pages,
-            label_words: len.div_ceil(per_word),
-            first_nodes: Arc::new(first_nodes),
-            overflow,
-            encoded,
-        };
-        let preorder = PreorderIndex::from_links(&sealed.read_links(len + 1)?)?;
-        Ok(DiskSpine {
-            layout: Layout::new(&alphabet),
-            alphabet,
-            store: Mutex::new(Store::Sealed(sealed)),
-            preorder: Some(preorder),
-            spill: Mutex::new(FxHashMap::default()),
-            spill_count: AtomicU64::new(0),
-            len,
-            counters: Counters::new(),
-            telemetry: OnceLock::new(),
-        })
+        let (alphabet, header) = pool.read(0, FileHeader::read_from)??;
+        if header.file_pages() > device_pages {
+            return Err(Error::Parse(format!(
+                "sealed header describes {} pages, the device holds {device_pages}",
+                header.file_pages()
+            )));
+        }
+        let nodes = header.len + 1;
+        let overflow = read_overflow(&mut pool, &header, nodes)?;
+        let mut store = SealedStore::new(pool, header, Vec::new(), overflow);
+        let links = store.read_node_pages(nodes)?;
+        Ok(Self::sealed(alphabet, store, PreorderIndex::from_links(&links)?))
     }
 }
 
@@ -1718,44 +1720,6 @@ mod tests {
         assert_eq!(mutable.pool_stats().pinned, pinned as u64);
         assert_eq!(mutable.unpin_all(), pinned);
         assert_eq!(mutable.pinned_pages(), 0);
-    }
-
-    #[test]
-    fn page_map_attributes_every_node_within_the_file() {
-        let text = b"AACCACAACAGGTTACGACGACCA".repeat(8);
-        let a = Alphabet::dna();
-        let codes = a.encode(&text).unwrap();
-        let (_, mutable) = disk(&text, 4);
-        let sealed = DiskSpine::build_sealed(
-            a,
-            &codes,
-            Box::new(MemDevice::new()),
-            8,
-            Box::<Lru>::default(),
-        )
-        .unwrap();
-        let mm = mutable.page_map();
-        let sm = sealed.page_map();
-        let pages = sealed.file_pages().unwrap();
-        for node in 0..=sealed.len() as NodeId {
-            assert!((sm.page_of(node) as u64) < pages, "node {node} outside the sealed file");
-            // Uniform mapping agrees with the PagedVec geometry.
-            assert_eq!(mm.page_of(node), (node as usize / mm_records(&mm)) as u32);
-        }
-        // Sealed pages are monotone in node order.
-        let mut last = 0;
-        for node in 0..=sealed.len() as NodeId {
-            let p = sm.page_of(node);
-            assert!(p >= last);
-            last = p;
-        }
-    }
-
-    fn mm_records(m: &PageMap) -> usize {
-        match m {
-            PageMap::Uniform { records_per_page } => *records_per_page,
-            PageMap::Sealed { .. } => panic!("expected the uniform mapping"),
-        }
     }
 }
 
@@ -2149,12 +2113,11 @@ mod sealed_tests {
         assert_eq!(census.extribs, st.extribs_created);
         assert_eq!(census.overflow_records, 0);
         assert_eq!(d.spill_count(), 0);
-        // A mutable index has no census and no sidecar.
+        // A mutable index has no census.
         let mutable =
             DiskSpine::build(a, &codes, Box::new(MemDevice::new()), 8, Box::<Lru>::default())
                 .unwrap();
         assert!(matches!(mutable.sealed_census(), Err(Error::Unsupported(_))));
-        assert!(matches!(mutable.write_meta(&mut Vec::new()), Err(Error::Unsupported(_))));
     }
 
     #[test]
@@ -2170,21 +2133,36 @@ mod sealed_tests {
         let mut chain = src.nodes[3].extribs.to_vec();
         chain.extend(&grafts);
         src.nodes[3].extribs = chain.into();
-        let d =
-            DiskSpine::seal(&src, Box::new(MemDevice::new()), 4, Box::<Lru>::default()).unwrap();
-        let census = d.sealed_census().unwrap();
+        let path = std::env::temp_dir()
+            .join(format!("spine-overflow-record-{}.pages", std::process::id()));
+        let dev = pagestore::FileDevice::create(&path, false).unwrap();
+        let sealed = DiskSpine::seal(&src, Box::new(dev), 4, Box::<Lru>::default()).unwrap();
+        let census = sealed.sealed_census().unwrap();
+        let pages = sealed.file_pages().unwrap();
+        drop(sealed);
         assert_eq!(census.overflow_records, 1);
         assert!(census.extribs >= 2000);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), pages * PAGE_SIZE as u64);
+
+        // The record lives on overflow pages of the file itself, so a
+        // reopen from the file alone answers like the source.
+        let dev = pagestore::FileDevice::open(&path, false).unwrap();
+        let d = DiskSpine::reopen(Box::new(dev), 4, Box::<Lru>::default()).unwrap();
+        assert_eq!(d.sealed_census().unwrap(), census);
+        assert_eq!(d.file_pages(), Some(pages));
+        assert_records_match("reopened overflow", &src, &d);
         // The overflow record answers point lookups like any other.
         for e in grafts.iter().step_by(500) {
             assert_eq!(d.find_extrib(3, e.prt).unwrap(), Some((e.dest, e.pt)));
         }
-        // And ordinary queries still agree with the reference.
+        // And ordinary queries still agree with the source and the reference.
         let r = Spine::build_from_bytes(a.clone(), text).unwrap();
-        for p in [&b"CA"[..], b"ACCA", b"GGTT"] {
+        for p in [&b"CA"[..], b"ACCA", b"GGTT", b""] {
             let p = a.encode(p).unwrap();
+            assert_eq!(StringIndex::find_all(&src, &p), StringIndex::find_all(&d, &p));
             assert_eq!(StringIndex::find_all(&r, &p), StringIndex::find_all(&d, &p));
         }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -2340,11 +2318,15 @@ mod reopen_tests {
         dir.join(format!("dev-{tag}-{}.pages", std::process::id()))
     }
 
+    fn reopen_file(path: &std::path::Path) -> Result<DiskSpine> {
+        DiskSpine::reopen(Box::new(FileDevice::open(path, false)?), 8, Box::<Lru>::default())
+    }
+
     #[test]
     fn seal_flush_reopen_query() {
         let a = Alphabet::dna();
         let text = a.encode(&b"AACCACAACAGGTTACGACGACCA".repeat(16)).unwrap();
-        let dev_path = temp_path("v2");
+        let dev_path = temp_path("v3");
         let built = DiskSpine::build_sealed(
             a.clone(),
             &text,
@@ -2353,23 +2335,17 @@ mod reopen_tests {
             Box::<Lru>::default(),
         )
         .unwrap();
-        let mut meta = Vec::new();
-        built.write_meta(&mut meta).unwrap();
         let before: Vec<usize> = StringIndex::find_all(&built, &a.encode(b"ACGACG").unwrap());
         let census_before = built.sealed_census().unwrap();
+        let encoded_before = built.mem_breakdown();
         drop(built);
 
-        let reopened = DiskSpine::reopen(
-            &mut meta.as_slice(),
-            Box::new(FileDevice::open(&dev_path, false).unwrap()),
-            8,
-            Box::<Lru>::default(),
-        )
-        .unwrap();
+        let reopened = reopen_file(&dev_path).unwrap();
         assert!(reopened.is_sealed());
         assert_eq!(reopened.len(), text.len());
-        // The packed compare survives the round trip.
+        // The packed compare and the byte census survive the round trip.
         assert_eq!(FallibleSpineOps::backbone_packing(&reopened), Some(2));
+        assert_eq!(reopened.mem_breakdown(), encoded_before);
         assert_eq!(StringIndex::find_all(&reopened, &a.encode(b"ACGACG").unwrap()), before);
         assert_eq!(reopened.sealed_census().unwrap(), census_before);
         // Full equivalence against a fresh in-memory build.
@@ -2382,94 +2358,75 @@ mod reopen_tests {
         std::fs::remove_file(&dev_path).ok();
     }
 
+    /// Page 0 is untrusted input: garbage, a truncated page and a header
+    /// whose fields disagree with the file all fail with a typed error,
+    /// never a panic.
     #[test]
-    fn v1_meta_reports_rebuild_required_and_rebuild_recovers() {
+    fn reopen_rejects_garbage_and_truncated_headers() {
+        let reopen = |pages: &[Vec<u8>]| {
+            let mut dev = MemDevice::new();
+            for (i, p) in pages.iter().enumerate() {
+                dev.write_page(i as u32, p).unwrap();
+            }
+            DiskSpine::reopen(Box::new(dev), 2, Box::<Lru>::default())
+        };
+        let mut junk = vec![0u8; PAGE_SIZE];
+        let mut x = 0x9E37_79B9u32;
+        for b in junk.iter_mut() {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            *b = x as u8;
+        }
+        assert!(reopen(&[junk.clone()]).is_err());
+        // An empty device reads page 0 as zeros: page format 0.
+        assert!(matches!(reopen(&[]), Err(Error::FormatVersion { found: 0, .. })));
+
+        // A truncated page 0 on a real file is an I/O error.
+        let path = temp_path("truncated");
+        let dev = FileDevice::create(&path, false).unwrap();
         let a = Alphabet::dna();
-        let text = a.encode(&b"AACCACAACAGGTTACGACGACCA".repeat(4)).unwrap();
-        // A legacy (mutable-layout) artifact: v1 device + v1 sidecar.
-        let v1_path = temp_path("v1");
-        let old = DiskSpine::build(
-            a.clone(),
-            &text,
-            Box::new(FileDevice::create(&v1_path, false).unwrap()),
-            8,
-            Box::<Lru>::default(),
-        )
-        .unwrap();
-        old.flush().unwrap();
-        // The sidecar an earlier writer left beside it: the v1 header and
-        // an empty spill table.
-        let mut v1_meta = b"SPND".to_vec();
-        v1_meta.extend_from_slice(&1u16.to_le_bytes());
-        v1_meta.push(alphabet_tag(&a));
-        v1_meta.extend_from_slice(&(text.len() as u64).to_le_bytes());
-        v1_meta.extend_from_slice(&0u64.to_le_bytes());
-        let expected: Vec<usize> = StringIndex::find_all(&old, &a.encode(b"ACGACG").unwrap());
-        drop(old);
+        let codes = a.encode(b"ACGTTGCA").unwrap();
+        drop(DiskSpine::build_sealed(a, &codes, Box::new(dev), 2, Box::<Lru>::default()));
+        let file = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &file[..100]).unwrap();
+        assert!(matches!(reopen_file(&path), Err(Error::Io { .. })));
+        std::fs::remove_file(&path).ok();
 
-        // The v2 engine refuses it with the typed version error — no
-        // panic, no silent misparse.
-        let err = DiskSpine::reopen(
-            &mut v1_meta.as_slice(),
-            Box::new(FileDevice::open(&v1_path, false).unwrap()),
-            8,
-            Box::<Lru>::default(),
-        )
-        .err()
-        .expect("v1 meta must be rejected");
-        assert!(matches!(err, Error::FormatVersion { found: 1, expected: 2 }), "got {err:?}");
-        assert!(err.to_string().contains("rebuild required"), "{err}");
-
-        // Even a v2 sidecar cannot smuggle in a v1 device: the header page
-        // fails its per-page version check.
-        let sealed_mem = DiskSpine::build_sealed(
-            a.clone(),
-            &text,
-            Box::new(MemDevice::new()),
-            8,
-            Box::<Lru>::default(),
-        )
-        .unwrap();
-        let mut v2_meta = Vec::new();
-        sealed_mem.write_meta(&mut v2_meta).unwrap();
-        let err = DiskSpine::reopen(
-            &mut v2_meta.as_slice(),
-            Box::new(FileDevice::open(&v1_path, false).unwrap()),
-            8,
-            Box::<Lru>::default(),
-        )
-        .err()
-        .expect("v1 device must be rejected");
-        assert!(matches!(err, Error::FormatVersion { .. } | Error::Parse(_)), "got {err:?}");
-
-        // The recovery path: rebuild sealed, write fresh meta, reopen.
-        let v2_path = temp_path("rebuilt");
-        let rebuilt = DiskSpine::build_sealed(
-            a.clone(),
-            &text,
-            Box::new(FileDevice::create(&v2_path, false).unwrap()),
-            8,
-            Box::<Lru>::default(),
-        )
-        .unwrap();
-        let mut meta = Vec::new();
-        rebuilt.write_meta(&mut meta).unwrap();
-        drop(rebuilt);
-        let reopened = DiskSpine::reopen(
-            &mut meta.as_slice(),
-            Box::new(FileDevice::open(&v2_path, false).unwrap()),
-            8,
-            Box::<Lru>::default(),
-        )
-        .unwrap();
-        assert_eq!(StringIndex::find_all(&reopened, &a.encode(b"ACGACG").unwrap()), expected);
-        std::fs::remove_file(&v1_path).ok();
-        std::fs::remove_file(&v2_path).ok();
-    }
-
-    #[test]
-    fn reopen_rejects_garbage_meta() {
-        let dev = Box::new(MemDevice::new());
-        assert!(DiskSpine::reopen(&mut &b"JUNKJUNK"[..], dev, 2, Box::<Lru>::default()).is_err());
+        // A valid header with one field corrupted at a time.
+        let pages: Vec<Vec<u8>> = file.chunks(PAGE_SIZE).map(<[u8]>::to_vec).collect();
+        assert!(reopen(&pages).is_ok());
+        let at = slotted::PAGE_HEADER_LEN;
+        let corrupt = |edit: &dyn Fn(&mut [u8])| {
+            let mut p = pages.clone();
+            edit(&mut p[0][at..]);
+            reopen(&p).err().expect("a corrupt header must not reopen")
+        };
+        let parse = |e: Error| matches!(e, Error::Parse(_));
+        assert!(parse(corrupt(&|b| b[0] = b'X')), "magic");
+        assert!(parse(corrupt(&|b| b[6] = 9)), "alphabet tag");
+        assert!(parse(corrupt(&|b| b[7] = 0)), "zero packing width");
+        assert!(parse(corrupt(&|b| b[7] = 9)), "packing width above 8");
+        assert!(parse(corrupt(&|b| b[9..17].copy_from_slice(&u64::MAX.to_le_bytes()))), "len");
+        assert!(
+            parse(corrupt(&|b| b[9..17].copy_from_slice(&100_000u64.to_le_bytes()))),
+            "label pages disagree with len"
+        );
+        assert!(parse(corrupt(&|b| b[17] = 7)), "label pages");
+        assert!(parse(corrupt(&|b| b[21..25].fill(0))), "no node page");
+        assert!(parse(corrupt(&|b| b[21] = 9)), "pages beyond the device");
+        assert!(parse(corrupt(&|b| b[57] = 1)), "overflow page beyond the device");
+        // A node page whose `first_item` is not the running record count.
+        let mut p = pages.clone();
+        p[2][4] = 1;
+        assert!(parse(reopen(&p).err().unwrap()), "node page first_item");
+        // A label page where a node page belongs: the wrong kind.
+        let mut p = pages.clone();
+        p[2] = p[1].clone();
+        assert!(parse(reopen(&p).err().unwrap()), "page kind");
+        // A node page of another page format version.
+        let mut p = pages.clone();
+        p[2][0] = 1;
+        assert!(matches!(reopen(&p), Err(Error::FormatVersion { found: 1, expected: 2 })));
     }
 }

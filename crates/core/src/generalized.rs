@@ -150,23 +150,27 @@ impl GeneralizedSpine {
         DocMatch { doc, offset: offset - self.starts[doc] }
     }
 
-    /// Does `pattern` occur in any *live* document?
+    /// Does `pattern` occur in any *live* document? The empty pattern
+    /// does exactly when one is live.
     pub fn contains(&self, pattern: &[Code]) -> bool {
         if self.retired.iter().any(|&r| r) {
-            !self.find_all(pattern).is_empty()
-        } else {
-            self.spine.contains(pattern)
+            return !self.find_all(pattern).is_empty();
         }
+        // The first occurrence is in a document unless it is the sentinel's
+        // (only the empty pattern's, over no documents).
+        self.spine.find_first(pattern).is_some_and(|off| off < self.spine.len())
     }
 
     /// All occurrences of `pattern` across all live documents, ordered by
-    /// (document, offset). Retired documents contribute nothing.
+    /// (document, offset). Retired documents contribute nothing. The empty
+    /// pattern occurs at every offset `0..=len` of every live document.
     pub fn find_all(&self, pattern: &[Code]) -> Vec<DocMatch> {
         self.spine
             .find_all(pattern)
             .into_iter()
             .map(|off| self.localize(off))
-            .filter(|m| !self.retired[m.doc])
+            // The empty pattern also ends the concatenation, in the sentinel.
+            .filter(|m| m.doc < self.doc_count() && !self.retired[m.doc])
             .collect()
     }
 
@@ -233,15 +237,9 @@ impl ShardedSpine {
     fn find_all(&self, pattern: &[Code]) -> Vec<DocMatch> {
         let mut out = Vec::new();
         for (shard, ids) in self.shards.iter().zip(&self.global_doc) {
-            if pattern.is_empty() {
-                for (d, &doc) in ids.iter().enumerate() {
-                    out.extend((0..=shard.doc_len(d)).map(|offset| DocMatch { doc, offset }));
-                }
-            } else {
-                out.extend(
-                    shard.find_all(pattern).into_iter().map(|m| DocMatch { doc: ids[m.doc], ..m }),
-                );
-            }
+            out.extend(
+                shard.find_all(pattern).into_iter().map(|m| DocMatch { doc: ids[m.doc], ..m }),
+            );
         }
         out.sort_unstable();
         out

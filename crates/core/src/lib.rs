@@ -87,7 +87,7 @@ pub mod verify;
 pub use approx::ApproxMatch;
 pub use build::Spine;
 pub use compact::CompactSpine;
-pub use disk::{DiskSpine, PageMap, SealedCensus, DISK_FORMAT_VERSION};
+pub use disk::{DiskSpine, SealedCensus, DISK_FORMAT_VERSION};
 pub use engine::{
     CompletionHook, EngineConfig, MetricsSnapshot, PanicHook, QueryEngine, QueryOutcome,
     QueryResult, ServeIndex, ShedPolicy, SubmitError,

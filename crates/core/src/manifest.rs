@@ -39,12 +39,11 @@ const MAGIC: &[u8; 4] = b"SPML";
 ///
 /// Embedding the doc table here (rather than in the segment files) means a
 /// single manifest commit atomically covers the segment list *and* every
-/// document's identity — a half-written sidecar can never disagree with a
-/// committed segment set.
+/// document's identity — a half-written segment file can never disagree
+/// with a committed segment set.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentEntry {
-    /// Segment file id: the data lives in `seg-<id>.pages` +
-    /// `seg-<id>.meta`.
+    /// Segment file id: the data lives in `seg-<id>.pages`.
     pub id: u64,
     /// Global document ids, in concatenation order.
     pub doc_ids: Vec<u64>,

@@ -425,7 +425,7 @@ impl<F: FnMut(ProgressReport)> Observer<BuildEvent> for BuildProgress<F> {
 pub enum MergePhase {
     /// Reading the live documents out of the input segments (merge only).
     Collect,
-    /// Building the replacement segment's pages and sidecar.
+    /// Building the replacement segment's page file.
     Build,
     /// The atomic manifest commit (tmp write, fsyncs, rename).
     Commit,

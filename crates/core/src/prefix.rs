@@ -193,9 +193,6 @@ impl<'a, S: FallibleSpineOps + ?Sized> PrefixView<'a, S> {
 
     /// All occurrence start offsets of `pattern` within the prefix.
     pub fn find_all(&self, pattern: &[Code]) -> Vec<usize> {
-        if pattern.is_empty() {
-            return Vec::new();
-        }
         crate::occurrences::find_all_ends(self, pattern)
             .into_iter()
             .map(|end| end as usize - pattern.len())

@@ -206,9 +206,6 @@ impl StringIndex for Spine {
     }
 
     fn find_all(&self, pattern: &[Code]) -> Vec<usize> {
-        if pattern.is_empty() {
-            return Vec::new();
-        }
         crate::occurrences::find_all_ends(self, pattern)
             .into_iter()
             .map(|end| end as usize - pattern.len())

@@ -11,8 +11,8 @@
 //!   there is no write-ahead log; durability is bought at *seal* time.
 //! * At a size threshold the memtable is **sealed**: its live documents
 //!   are rebuilt into one in-memory [`Spine`](crate::Spine) and encoded as
-//!   an immutable layout-v2 segment file ([`DiskSpine::build_sealed`]:
-//!   APPEND runs once, in memory) plus a reopenable sidecar, and a new
+//!   one immutable, self-describing segment file
+//!   ([`DiskSpine::build_sealed`]: APPEND runs once, in memory), and a new
 //!   [`Manifest`] naming the enlarged segment set is committed.
 //!   Each live segment keeps its link tree in RAM as a preorder index
 //!   (built at seal, rebuilt at reopen; [`crate::preorder`]), so its
@@ -50,7 +50,7 @@
 //! ## Fault injection
 //!
 //! Every I/O operation the store performs — page reads/writes/syncs
-//! through its devices *and* manifest/sidecar file operations — can be
+//! through its devices *and* manifest and journal file operations — can be
 //! charged to an [`IoGate`]. An armed gate fails permanently at a chosen
 //! operation index, which is how the `exp faults` harness crash-tests
 //! every commit, merge, and recovery I/O op and proves recovery always
@@ -96,7 +96,7 @@ fn unix_ms() -> u64 {
 /// ops a workload performs); armed gates additionally fail — permanently,
 /// like a crashed process — every operation from a chosen index on. One
 /// gate is shared by a store's page devices and its file-level manifest
-/// and sidecar operations, so the budget enumerates *every* point a real
+/// and journal operations, so the budget enumerates *every* point a real
 /// crash could hit.
 #[derive(Clone, Default)]
 pub struct IoGate {
@@ -424,7 +424,7 @@ impl SegmentedSpine {
 
     /// Recover a store from its last committed manifest. Memtable contents
     /// at crash time are gone (by design — they were never durable);
-    /// every committed segment reopens through its sidecar. Files in `dir`
+    /// every committed segment reopens from its page file. Files in `dir`
     /// that the manifest does not reference are recorded as orphans
     /// ([`Self::orphan_count`]) and left untouched for inspection.
     ///
@@ -489,19 +489,6 @@ impl SegmentedSpine {
         s.append_journal(&recover)?;
         s.refresh_stats(&s.inner.lock());
         Ok(s)
-    }
-
-    /// [`Self::open`] when a manifest exists, [`Self::create`] otherwise.
-    pub fn open_or_create(
-        alphabet: Alphabet,
-        dir: impl AsRef<Path>,
-        cfg: SegmentConfig,
-    ) -> Result<Self> {
-        if dir.as_ref().join(MANIFEST_FILE).exists() {
-            Self::open(alphabet, dir, cfg)
-        } else {
-            Self::create(alphabet, dir, cfg)
-        }
     }
 
     /// The store's alphabet.
@@ -681,10 +668,8 @@ impl SegmentedSpine {
         // left behind is garbage a future recovery flags as an orphan.
         let t = Instant::now();
         for seg in &old {
-            for path in [self.pages_path(seg.id), self.meta_path(seg.id)] {
-                if charge(&self.cfg.gate, IoOp::Meta).is_ok() {
-                    let _ = fs::remove_file(path);
-                }
+            if charge(&self.cfg.gate, IoOp::Meta).is_ok() {
+                let _ = fs::remove_file(self.pages_path(seg.id));
             }
         }
         nanos[MergePhase::Cleanup.index()] = t.elapsed().as_nanos() as u64;
@@ -761,9 +746,9 @@ impl SegmentedSpine {
         Ok(true)
     }
 
-    /// Write segment `id`'s pages file (sealed layout v2, synced) and
-    /// sidecar. The files are not durable *state* until a manifest commit
-    /// references them — a crash before that leaves them as orphans.
+    /// Write segment `id`'s page file (the sealed layout, synced header
+    /// last). The file is not durable *state* until a manifest commit
+    /// references it — a crash before that leaves it as an orphan.
     fn build_segment(&self, id: u64, docs: &[(u64, Vec<Code>)]) -> Result<Segment> {
         let sep = self.alphabet.separator();
         let mut text = Vec::new();
@@ -781,15 +766,6 @@ impl SegmentedSpine {
             self.cfg.pool_pages,
             Box::<Lru>::default(),
         )?;
-        let mut meta = Vec::new();
-        index.write_meta(&mut meta)?;
-        charge(&self.cfg.gate, IoOp::Meta)?;
-        let mut f =
-            fs::File::create(self.meta_path(id)).map_err(|e| Error::io(e, IoOp::Meta, None))?;
-        charge(&self.cfg.gate, IoOp::Write)?;
-        f.write_all(&meta).map_err(|e| Error::io(e, IoOp::Write, None))?;
-        charge(&self.cfg.gate, IoOp::Sync)?;
-        f.sync_all().map_err(|e| Error::io(e, IoOp::Sync, None))?;
         if self.cfg.hot_pin_pages > 0 {
             index.pin_hot_prefix(self.cfg.hot_pin_pages)?;
         }
@@ -824,10 +800,6 @@ impl SegmentedSpine {
 
     fn pages_path(&self, id: u64) -> PathBuf {
         self.dir.join(format!("seg-{id}.pages"))
-    }
-
-    fn meta_path(&self, id: u64) -> PathBuf {
-        self.dir.join(format!("seg-{id}.meta"))
     }
 
     /// Last committed manifest epoch.
@@ -1191,18 +1163,10 @@ fn replay_journal(dir: &Path, cfg: &SegmentConfig, manifest_epoch: u64) -> Resul
 }
 
 fn open_segment(dir: &Path, e: &SegmentEntry, cfg: &SegmentConfig) -> Result<Segment> {
-    charge(&cfg.gate, IoOp::Meta)?;
-    let meta = fs::read(dir.join(format!("seg-{}.meta", e.id)))
-        .map_err(|err| Error::io(err, IoOp::Meta, None))?;
     charge(&cfg.gate, IoOp::Read)?;
     let dev = FileDevice::open(dir.join(format!("seg-{}.pages", e.id)), false)?;
     let dev = GatedDevice { inner: dev, gate: cfg.gate.clone() };
-    let index = DiskSpine::reopen(
-        &mut meta.as_slice(),
-        Box::new(dev),
-        cfg.pool_pages,
-        Box::<Lru>::default(),
-    )?;
+    let index = DiskSpine::reopen(Box::new(dev), cfg.pool_pages, Box::<Lru>::default())?;
     if cfg.hot_pin_pages > 0 {
         index.pin_hot_prefix(cfg.hot_pin_pages)?;
     }
@@ -1215,28 +1179,23 @@ fn open_segment(dir: &Path, e: &SegmentEntry, cfg: &SegmentConfig) -> Result<Seg
     })
 }
 
-/// The id in a `seg-{id}.pages` or `seg-{id}.meta` file name.
+/// The id in a `seg-{id}.pages` file name.
 fn segment_file_id(path: &Path) -> Option<u64> {
-    let name = path.file_name()?.to_str()?.strip_prefix("seg-")?;
-    name.strip_suffix(".pages").or_else(|| name.strip_suffix(".meta"))?.parse().ok()
+    path.file_name()?.to_str()?.strip_prefix("seg-")?.strip_suffix(".pages")?.parse().ok()
 }
 
 /// Directory entries a committed manifest does not account for: segment
 /// files from commits that never happened, or a `MANIFEST.tmp` from an
 /// interrupted commit.
 fn scan_orphans(dir: &Path, m: &Manifest) -> Result<Vec<PathBuf>> {
-    let mut referenced: BTreeSet<String> = BTreeSet::new();
-    for e in &m.segments {
-        referenced.insert(format!("seg-{}.pages", e.id));
-        referenced.insert(format!("seg-{}.meta", e.id));
-    }
+    let referenced: BTreeSet<String> =
+        m.segments.iter().map(|e| format!("seg-{}.pages", e.id)).collect();
     let mut orphans = Vec::new();
     let entries = fs::read_dir(dir).map_err(|e| Error::io(e, IoOp::Meta, None))?;
     for entry in entries {
         let entry = entry.map_err(|e| Error::io(e, IoOp::Meta, None))?;
         let name = entry.file_name().to_string_lossy().into_owned();
-        let is_segment_file =
-            name.starts_with("seg-") && (name.ends_with(".pages") || name.ends_with(".meta"));
+        let is_segment_file = name.starts_with("seg-") && name.ends_with(".pages");
         if name == MANIFEST_TMP || (is_segment_file && !referenced.contains(&name)) {
             orphans.push(entry.path());
         }

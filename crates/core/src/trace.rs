@@ -25,8 +25,8 @@
 //!   `explain` ([`crate::Spine::explain`], [`crate::CompactSpine`],
 //!   [`crate::GeneralizedSpine`], [`crate::DiskSpine::explain`],
 //!   [`crate::QueryEngine::submit_traced`]).
-//! * [`Heatmap`] — folds traces into per-node visit counts, bucketed node
-//!   ranges, and per-page counts, surfacing backbone hot spots.
+//! * [`Heatmap`] — folds traces into per-node visit counts and bucketed
+//!   node ranges, surfacing backbone hot spots.
 //!
 //! Traces double as verifiers: [`QueryTrace::verify_against_text`] replays
 //! the event sequence over a naive text oracle and checks that every node
@@ -36,12 +36,11 @@
 
 use crate::build::Spine;
 use crate::compact::CompactSpine;
-use crate::disk::PageMap;
 use crate::generalized::GeneralizedSpine;
 use crate::node::{NodeId, ROOT};
 use crate::observe::Observer;
 use crate::ops::FallibleSpineOps;
-use strindex::{Alphabet, Code, FxHashMap};
+use strindex::{Alphabet, Code};
 
 /// Default cap on recorded events per trace; past it, events are counted in
 /// [`QueryTrace::dropped`] instead of stored.
@@ -708,8 +707,7 @@ impl GeneralizedSpine {
 // ---------------------------------------------------------------------------
 
 /// Folds traces into per-node visit counts to surface backbone hot spots:
-/// which text positions the workload's traversals concentrate on, and —
-/// given the records-per-page factor of a disk layout — which pages.
+/// which text positions the workload's traversals concentrate on.
 #[derive(Debug, Clone)]
 pub struct Heatmap {
     /// `visits[i]` = times node `i` was arrived at or probed.
@@ -804,31 +802,6 @@ impl Heatmap {
             .enumerate()
             .map(|(i, c)| (i * per, i * per + c.len(), c.iter().sum()))
             .collect()
-    }
-
-    /// Visit counts folded per disk page, given how many node records share
-    /// a page (node `i` lives on page `i / records_per_page` in the
-    /// *mutable* [`crate::DiskSpine`] layout). For the sealed layout's
-    /// variable-size slotted pages this uniform assumption is wrong — use
-    /// [`page_visits_mapped`](Self::page_visits_mapped) with the engine's
-    /// real [`PageMap`] instead.
-    pub fn page_visits(&self, records_per_page: usize) -> Vec<u64> {
-        let per = records_per_page.max(1);
-        self.visits.chunks(per).map(|c| c.iter().sum()).collect()
-    }
-
-    /// Visit counts attributed to physical pages through the engine's real
-    /// node → page mapping ([`crate::DiskSpine::page_map`]): correct for
-    /// the sealed layout's variable-size slotted pages. Returns
-    /// `page → visits` for every page with heat.
-    pub fn page_visits_mapped(&self, map: &PageMap) -> FxHashMap<u32, u64> {
-        let mut out: FxHashMap<u32, u64> = FxHashMap::default();
-        for (i, &v) in self.visits.iter().enumerate() {
-            if v > 0 {
-                *out.entry(map.page_of(i as NodeId)).or_insert(0) += v;
-            }
-        }
-        out
     }
 
     /// The `k` most-visited nodes, hottest first (ties: lower node first).
@@ -958,9 +931,8 @@ mod tests {
         assert_eq!(h.traces(), 3);
         let total: u64 = h.node_visits().iter().sum();
         assert!(total > 0);
-        // Bucketing and page folding conserve the total.
+        // Bucketing conserves the total.
         assert_eq!(h.bucketed(4).iter().map(|&(_, _, v)| v).sum::<u64>(), total);
-        assert_eq!(h.page_visits(3).iter().sum::<u64>(), total);
         assert_eq!(h.bucketed(4).len(), 4);
         let hottest = h.hottest(3);
         assert!(!hottest.is_empty() && hottest[0].1 >= hottest.last().unwrap().1);

@@ -28,24 +28,12 @@ impl PagedVec {
         policy: Box<dyn EvictionPolicy>,
         record_size: usize,
     ) -> Self {
-        Self::with_len(device, pool_pages, policy, record_size, 0)
-    }
-
-    /// Reattach to a device that already holds `len` records (written by a
-    /// previous [`PagedVec`] with the same `record_size`).
-    pub fn with_len(
-        device: Box<dyn PageDevice>,
-        pool_pages: usize,
-        policy: Box<dyn EvictionPolicy>,
-        record_size: usize,
-        len: usize,
-    ) -> Self {
         assert!((1..=PAGE_SIZE).contains(&record_size));
         PagedVec {
             pool: BufferPool::new(device, pool_pages, policy),
             record_size,
             per_page: PAGE_SIZE / record_size,
-            len,
+            len: 0,
         }
     }
 
@@ -107,7 +95,7 @@ impl PagedVec {
         self.pool.io_stats()
     }
 
-    /// The underlying pool (hit/miss counters, policy name).
+    /// The underlying pool (hit/miss counters).
     pub fn pool(&self) -> &BufferPool {
         &self.pool
     }
@@ -115,11 +103,6 @@ impl PagedVec {
     /// Mutable access to the pool (pinning, scan hints).
     pub fn pool_mut(&mut self) -> &mut BufferPool {
         &mut self.pool
-    }
-
-    /// Records striped onto each page.
-    pub fn records_per_page(&self) -> usize {
-        self.per_page
     }
 
     /// The page holding record `index` (the uniform fixed-size mapping).

@@ -194,11 +194,6 @@ impl BufferPool {
         self.device.stats()
     }
 
-    /// The eviction policy's name (experiment output).
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// Enter a sequential-scan phase: forwards a scan hint to the eviction
     /// policy (so scan-resistant policies stop promoting). Nests; pair
     /// every call with [`BufferPool::end_scan`].

@@ -39,6 +39,9 @@ pub mod kind {
     pub const LABELS: u8 = 1;
     /// A slotted page of variable-length node records.
     pub const NODES: u8 = 2;
+    /// A page of the byte stream holding records too long for a slotted
+    /// page.
+    pub const OVERFLOW: u8 = 3;
 }
 
 /// The fixed 8-byte header at the start of every v2 page.

@@ -114,7 +114,7 @@ mod tests {
                 .find(|&i| &self.text[i..i + pattern.len()] == pattern)
         }
         fn find_all(&self, pattern: &[Code]) -> Vec<usize> {
-            if pattern.is_empty() || pattern.len() > self.text.len() {
+            if pattern.len() > self.text.len() {
                 return Vec::new();
             }
             (0..=self.text.len() - pattern.len())

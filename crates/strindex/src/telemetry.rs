@@ -17,8 +17,8 @@
 //!   (admission wait, batch formation, index scan, result merge, retry
 //!   backoff), so every layer records under the same names.
 //! * Spans — `registry.record_span(name, start, dur)` appends to a bounded
-//!   ring buffer (oldest entries overwritten); [`RegistrySnapshot::to_text`]
-//!   renders a readable trace.
+//!   ring buffer (oldest entries overwritten);
+//!   [`RegistrySnapshot::to_chrome_trace`] renders it for a trace viewer.
 //! * [`RollingWindows`] and [`SloTracker`] — rolling qps, quantiles, error
 //!   rate and SLO burn rates, derived when read from one latency histogram
 //!   and one counter of unanswered queries.
@@ -340,13 +340,6 @@ pub struct SpanRecord {
     pub duration_us: u64,
 }
 
-impl SpanRecord {
-    /// Microseconds from the registry epoch to the span end.
-    pub fn end_us(&self) -> u64 {
-        self.start_us.saturating_add(self.duration_us)
-    }
-}
-
 /// Bounded span storage: a ring that overwrites its oldest entry once full.
 #[derive(Debug)]
 struct SpanRing {
@@ -627,7 +620,7 @@ impl RegistrySnapshot {
     }
 
     /// The change from `earlier` to `self`, as another snapshot — so every
-    /// exporter (`to_text`, `to_json`, `to_prometheus`, `to_chrome_trace`)
+    /// exporter (`to_json`, `to_prometheus`, `to_chrome_trace`)
     /// works on an *interval* just as well as on a cumulative view. This is
     /// the primitive [`TimeSeries`] ticks are built from.
     ///
@@ -666,46 +659,6 @@ impl RegistrySnapshot {
             spans_recorded: self.spans_recorded.saturating_sub(earlier.spans_recorded),
             span_capacity: self.span_capacity,
         }
-    }
-
-    /// Human-readable text export: one line per metric, then the span trace.
-    pub fn to_text(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        for (name, h) in &self.histograms {
-            let _ = writeln!(
-                out,
-                "hist    {name}: n={} mean={:.1} p50={} p95={} p99={} max={}",
-                h.count,
-                h.mean(),
-                h.p50(),
-                h.p95(),
-                h.p99(),
-                h.max,
-            );
-        }
-        for (name, v) in &self.counters {
-            let _ = writeln!(out, "counter {name}: {v}");
-        }
-        for (name, v) in &self.gauges {
-            let _ = writeln!(out, "gauge   {name}: {v}");
-        }
-        for (name, labels, v) in &self.labeled_gauges {
-            let rendered: Vec<String> =
-                labels.iter().map(|(k, lv)| format!("{k}=\"{lv}\"")).collect();
-            let _ = writeln!(out, "gauge   {name}{{{}}}: {v}", rendered.join(","));
-        }
-        let _ = writeln!(
-            out,
-            "spans   {} retained of {} recorded (capacity {})",
-            self.spans.len(),
-            self.spans_recorded,
-            self.span_capacity
-        );
-        for s in &self.spans {
-            let _ = writeln!(out, "  [{:>10}us +{:>8}us] {}", s.start_us, s.duration_us, s.name);
-        }
-        out
     }
 
     /// Machine-readable JSON export (hand-rolled; no external crates).
@@ -1810,9 +1763,6 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\\\""), "histogram name must be escaped: {json}");
         assert!(json.contains("\"c\":1"));
-        let text = snap.to_text();
-        assert!(text.contains("counter c: 1"));
-        assert!(text.contains("spans   1 retained"));
     }
 
     #[test]
@@ -2201,8 +2151,6 @@ mod tests {
         assert_eq!(snap.labeled_gauge("build.ribs", &[("engine", "spine")]), Some(4));
         assert_eq!(snap.labeled_gauge("build.ribs", &[("engine", "disk")]), Some(7));
         assert_eq!(snap.labeled_gauge("build.ribs", &[("engine", "nope")]), None);
-        let text = snap.to_text();
-        assert!(text.contains("build.ribs{engine=\"spine\"}: 4"));
         let json = snap.to_json();
         assert!(json.contains("\"labeled_gauges\":["));
         assert!(json.contains("\"labels\":{\"engine\":\"disk\"}"));

@@ -83,15 +83,21 @@ pub trait StringIndex {
     /// this in O(1).
     fn symbol_at(&self, pos: usize) -> Code;
 
-    /// Does `pattern` (already encoded) occur in the text?
+    /// Does `pattern` (already encoded) occur in the text? The empty
+    /// pattern always does.
     fn contains(&self, pattern: &[Code]) -> bool {
         self.find_first(pattern).is_some()
     }
 
-    /// Start offset of the first (leftmost) occurrence of `pattern`.
+    /// Start offset of the first (leftmost) occurrence of `pattern`
+    /// (`Some(0)` for the empty pattern).
     fn find_first(&self, pattern: &[Code]) -> Option<usize>;
 
     /// All occurrence start offsets of `pattern`, sorted ascending.
+    ///
+    /// The empty pattern occurs at every offset: a text of length `n`
+    /// answers `0..=n`, the empty text `[0]`. Every engine in the
+    /// workspace gives this answer.
     fn find_all(&self, pattern: &[Code]) -> Vec<usize>;
 }
 

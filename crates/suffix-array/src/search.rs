@@ -118,7 +118,8 @@ impl StringIndex for SaIndex {
 
     fn find_all(&self, pattern: &[Code]) -> Vec<usize> {
         if pattern.is_empty() {
-            return Vec::new();
+            // The array holds no entry for the empty suffix at `n`.
+            return (0..=self.text.len()).collect();
         }
         let r = self.range(pattern);
         let mut out: Vec<usize> = self.sa[r].iter().map(|&p| p as usize).collect();

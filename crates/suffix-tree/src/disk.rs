@@ -472,7 +472,7 @@ impl StringIndex for DiskSuffixTree {
     fn find_all(&self, pattern: &[Code]) -> Vec<usize> {
         assert!(self.finished, "finish() the tree before querying");
         if pattern.is_empty() {
-            return Vec::new();
+            return (0..=self.len()).collect();
         }
         let Some(pos) = self.walk(pattern) else {
             return Vec::new();

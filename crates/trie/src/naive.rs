@@ -6,9 +6,10 @@
 
 use strindex::{Alphabet, Code, MatchingIndex, MatchingStats, MaximalMatch, StringIndex};
 
-/// Return all start offsets of `pattern` in `text` by direct scan.
+/// Return all start offsets of `pattern` in `text` by direct scan (the
+/// empty pattern occurs at every offset `0..=n`).
 pub fn scan_all(text: &[Code], pattern: &[Code]) -> Vec<usize> {
-    if pattern.is_empty() || pattern.len() > text.len() {
+    if pattern.len() > text.len() {
         return Vec::new();
     }
     (0..=text.len() - pattern.len()).filter(|&i| &text[i..i + pattern.len()] == pattern).collect()
@@ -118,7 +119,7 @@ mod tests {
         let (_, text) = dna("AAAA");
         let (_, pat) = dna("AA");
         assert_eq!(scan_all(&text, &pat), vec![0, 1, 2]);
-        assert_eq!(scan_all(&text, &[]), Vec::<usize>::new());
+        assert_eq!(scan_all(&text, &[]), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

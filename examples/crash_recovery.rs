@@ -50,9 +50,17 @@ fn main() -> strindex::Result<()> {
     // -- Crash mid-commit --------------------------------------------------
     // Reopen with a gate that hard-fails every I/O operation from index N
     // on — as if the machine lost power there — and try to seal one more
-    // document. The seal writes segment pages, the sidecar, and then the
-    // manifest; the gate kills it partway through.
-    let gate = IoGate::armed(6);
+    // document. The seal writes the segment's page file, then the
+    // manifest; the gate kills it partway through the page file. N is a
+    // few operations past what a recovery of this store costs, counted
+    // first with an unarmed gate.
+    let probe = IoGate::unarmed();
+    drop(SegmentedSpine::open(
+        a.clone(),
+        &dir,
+        SegmentConfig { gate: Some(probe.clone()), ..cfg.clone() },
+    )?);
+    let gate = IoGate::armed(probe.ops() + 3);
     let crashed =
         SegmentedSpine::open(a.clone(), &dir, SegmentConfig { gate: Some(gate), ..cfg.clone() })?;
     crashed.add_document(&a.encode(b"AAAACCCC")?)?;

@@ -37,11 +37,12 @@ echo "== fault-tolerance integration tests"
 cargo test -q --test fault_tolerance
 cargo test -q -p pagestore --test faults
 
-echo "== segment store: manifest codec, lifecycle, differential oracle, engine stress"
+echo "== segment store: manifest codec, lifecycle, differential oracle, engine stress, the crash example end to end"
 cargo test -q -p spine --lib manifest
 cargo test -q -p spine --lib segments
 cargo test -q --test segments
 cargo test -q --test differential segmented_store
+cargo run --release -q --example crash_recovery >/dev/null
 
 echo "== flight recorder: journal codec, timeline ring, postmortem dumps"
 cargo test -q -p spine --lib journal
@@ -60,25 +61,30 @@ cargo test -q -p spine --lib -- engine::tests::windows_and_slo_read_the_engine_s
   engine::tests::expired_and_panicked_queries_count_as_unanswered
 cargo test -q -p spine-bench --lib snapshot::tests::pages_gate_refuses_a_lost_prefix_pin
 
-echo "== hot-page tier: pool pinning and scan hints, backbone-prefix pins, page map, heatmap attribution, earlier sidecars reopen, differential oracle"
+echo "== backbone-prefix pins: pool pinning and scan hints, pins survive scans, heatmaps conserve visits, pinning changes no answer"
 cargo test -q -p pagestore --lib pool
 cargo test -q -p pagestore --test pinning
 cargo test -q -p spine --lib trace
 cargo test -q -p spine --lib pinned_pages_survive_backbone_scans
-cargo test -q -p spine --lib page_map_attributes_every_node_within_the_file
 cargo test -q --test explain
 cargo test -q --test differential hot_tier
 cargo test -q --test segments segments_pin_hot
-cargo test -q --test layout_v2 clustered_sidecars_from_earlier_writers_reopen
 
-echo "== layout v2: codec round-trips, sealed engine, packed-vs-scalar, golden bytes (2-bit DNA included), records vs source nodes"
+echo "== sealed layout (format v3): codec round-trips, sealed engine, packed-vs-scalar, golden bytes (2-bit DNA included), records vs source nodes, one self-describing file (reopen from it alone, overflow pages, untrusted page 0, earlier versions rejected), one orphan per torn seal"
 cargo test -q -p pagestore varint
 cargo test -q -p pagestore slotted
 cargo test -q -p spine disk::
 cargo test -q --test layout_v2
 cargo test -q --test differential packed_scan
-cargo test -q --test layout_v2 sealed_pages_and_sidecars_match_golden_digests
+cargo test -q --test layout_v2 sealed_pages_match_golden_digests
 cargo test -q -p spine --lib sealed_structure_is_node_identical_to_reference
+cargo test -q -p spine --lib -- disk::sealed_tests::oversized_record_takes_the_overflow_path \
+  disk::reopen_tests::reopen_rejects_garbage_and_truncated_headers
+cargo test -q --test layout_v2 v1_artifact_reports_rebuild_required_then_rebuild_recovers
+cargo test -q --test segments seal_after_recovery_never_reuses_an_orphan_id
+
+echo "== the empty pattern: one answer (every offset) on every index surface"
+cargo test -q --test differential empty_pattern_occurs_at_every_offset_on_every_surface
 
 echo "== construction: one APPEND (golden digests, event-sequence cross-engine check, fallible disk prefix views and maximal matches)"
 cargo test -q --test build_observer construction_matches_golden_digests

@@ -77,7 +77,7 @@ fn engines(a: &Alphabet, text: &[Code]) -> Vec<(&'static str, Box<dyn MatchingIn
 
 /// Straight-line scan, independent of every engine under test.
 fn scan_find_all(text: &[Code], pattern: &[Code]) -> Vec<usize> {
-    if pattern.is_empty() || pattern.len() > text.len() {
+    if pattern.len() > text.len() {
         return Vec::new();
     }
     (0..=text.len() - pattern.len()).filter(|&i| &text[i..i + pattern.len()] == pattern).collect()
@@ -213,6 +213,126 @@ fn matching_statistics_agree() {
     }
 }
 
+/// One answer for the empty pattern: it occurs at every offset `0..=n` of
+/// a text (`[0]` for the empty text), and at every offset `0..=len` of
+/// every live document of a collection. Every index surface is asked, the
+/// empty text and the empty collection included.
+#[test]
+fn empty_pattern_occurs_at_every_offset_on_every_surface() {
+    use spine::engine::QueryOutcome;
+    use spine::{DocMatch, SegmentConfig, SegmentedSpine, ShardedSpine};
+    use suffix_tree::DiskSuffixTree;
+    use suffix_trie::SuffixTrie;
+
+    let a = Alphabet::dna();
+    let texts = [&b""[..], b"G", b"ACGTACGTTA", &b"AACCACAACAGGTTACGACGACCA".repeat(9)];
+    for (i, bytes) in texts.iter().enumerate() {
+        let text = a.encode(bytes).unwrap();
+        let n = text.len();
+        let every: Vec<usize> = (0..=n).collect();
+        let ends: Vec<NodeId> = (0..=n as NodeId).collect();
+        assert_eq!(scan_find_all(&text, &[]), every, "the oracle");
+        let mut surfaces = engines(&a, &text);
+        surfaces.push((
+            "disk-suffix-tree",
+            Box::new(
+                DiskSuffixTree::build(
+                    a.clone(),
+                    &text,
+                    Box::new(MemDevice::new()),
+                    8,
+                    Box::<Lru>::default(),
+                )
+                .unwrap(),
+            ),
+        ));
+        for (name, e) in &surfaces {
+            assert_eq!(e.find_all(&[]), every, "{name}, text {i}: find_all");
+            assert_eq!(e.find_first(&[]), Some(0), "{name}, text {i}: find_first");
+            assert!(e.contains(&[]), "{name}, text {i}: contains");
+        }
+        let trie = SuffixTrie::build(a.clone(), &text);
+        assert_eq!(trie.find_all(&[]), every, "trie, text {i}");
+        assert_eq!(trie.occurrence_count(&[]), n + 1, "trie count, text {i}");
+
+        let spine = Spine::build(a.clone(), &text).unwrap();
+        assert_eq!(find_all_ends(&spine, &[]), ends, "find_all_ends, text {i}");
+        match &spine.answer_patterns(&[&[]])[0] {
+            QueryOutcome::Done(got) => assert_eq!(got, &ends, "served, text {i}"),
+            other => panic!("served, text {i}: {other:?}"),
+        }
+        for k in [0, n / 2, n] {
+            let prefix: Vec<usize> = (0..=k).collect();
+            assert_eq!(spine.prefix(k).find_all(&[]), prefix, "prefix {k}, text {i}");
+            assert_eq!(PrefixView::new(&spine, k).find_all(&[]), prefix, "view {k}, text {i}");
+        }
+        for pool in [1, 4] {
+            let mutable = DiskSpine::build(
+                a.clone(),
+                &text,
+                Box::new(MemDevice::new()),
+                pool,
+                Box::<Lru>::default(),
+            )
+            .unwrap();
+            assert_eq!(mutable.try_find_all(&[]).unwrap(), every, "mutable disk, text {i}");
+        }
+        let dir = std::env::temp_dir()
+            .join(format!("spine-differential-empty-{}-{i}", std::process::id()));
+        let reopened = seal_and_reopen(&a, &text, &dir);
+        assert_eq!(reopened.try_find_all(&[]).unwrap(), every, "reopened sealed, text {i}");
+        assert_eq!(reopened.find_all(&[]), every, "reopened sealed, text {i}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // Collections: every offset of every live document, empty documents
+    // included, and nothing for the concatenation's closing sentinel.
+    let docs: Vec<Vec<Code>> =
+        [&b"ACGT"[..], b"", b"GATTACA"].iter().map(|d| a.encode(d).unwrap()).collect();
+    let per_doc = |live: &[usize]| -> Vec<DocMatch> {
+        live.iter()
+            .flat_map(|&doc| (0..=docs[doc].len()).map(move |offset| DocMatch { doc, offset }))
+            .collect()
+    };
+    let mut g = GeneralizedSpine::new(a.clone());
+    assert!(!g.contains(&[]), "no document, no occurrence");
+    assert_eq!(g.find_all(&[]), vec![]);
+    for d in &docs {
+        g.add_document(d).unwrap();
+    }
+    assert_eq!(g.find_all(&[]), per_doc(&[0, 1, 2]));
+    assert_eq!(g.docs_containing(&[]), vec![0, 1, 2]);
+    assert!(g.contains(&[]));
+    g.retire_document(1).unwrap();
+    assert_eq!(g.find_all(&[]), per_doc(&[0, 2]));
+    assert_eq!(g.docs_containing(&[]), vec![0, 2]);
+    assert!(g.contains(&[]), "contains must not flip with a retirement");
+    g.retire_document(0).unwrap();
+    g.retire_document(2).unwrap();
+    assert!(!g.contains(&[]), "every document retired");
+    assert_eq!(g.docs_containing(&[]), Vec::<usize>::new());
+
+    for shards in [1, 2, 3] {
+        let sharded = ShardedSpine::build(a.clone(), &docs, shards).unwrap();
+        match &sharded.answer_patterns(&[&[]])[0] {
+            QueryOutcome::DoneDocs(got) => assert_eq!(got, &per_doc(&[0, 1, 2]), "{shards} shards"),
+            other => panic!("{shards} shards: {other:?}"),
+        }
+    }
+
+    let dir =
+        std::env::temp_dir().join(format!("spine-differential-empty-seg-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = SegmentedSpine::create(a.clone(), &dir, SegmentConfig::default()).unwrap();
+    store.add_document(&docs[0]).unwrap();
+    store.add_document(&docs[1]).unwrap();
+    store.force_seal().unwrap();
+    store.add_document(&docs[2]).unwrap();
+    assert_eq!(store.try_find_all(&[]).unwrap(), per_doc(&[0, 1, 2]), "segments and memtable");
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn generalized_matches_per_document_scan() {
     let a = Alphabet::protein();
@@ -293,14 +413,8 @@ fn hot_tier_machinery_changes_no_answers() {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let dev = pagestore::FileDevice::create(dir.join("seg.pages"), false).unwrap();
-        let ondisk = DiskSpine::seal(&reference, Box::new(dev), 4, Box::<Lru>::default()).unwrap();
-        let mut meta = Vec::new();
-        ondisk.write_meta(&mut meta).unwrap();
-        ondisk.flush().unwrap();
-        std::fs::write(dir.join("seg.meta"), &meta).unwrap();
-        drop(ondisk);
+        drop(DiskSpine::seal(&reference, Box::new(dev), 4, Box::<Lru>::default()).unwrap());
         let reopened = DiskSpine::reopen(
-            &mut std::fs::File::open(dir.join("seg.meta")).unwrap(),
             Box::new(pagestore::FileDevice::open(dir.join("seg.pages"), false).unwrap()),
             4,
             Box::<Lru>::default(),
@@ -335,11 +449,7 @@ fn segmented_store_matches_per_document_oracle() {
     fn seg_oracle(docs: &BTreeMap<u64, Vec<Code>>, pattern: &[Code]) -> Vec<(usize, usize)> {
         let mut out = Vec::new();
         for (&id, d) in docs {
-            if pattern.is_empty() {
-                out.extend((0..=d.len()).map(|off| (id as usize, off)));
-            } else {
-                out.extend(scan_find_all(d, pattern).into_iter().map(|off| (id as usize, off)));
-            }
+            out.extend(scan_find_all(d, pattern).into_iter().map(|off| (id as usize, off)));
         }
         out
     }
@@ -677,18 +787,14 @@ fn links_of<S: FallibleSpineOps + ?Sized>(index: &S) -> Vec<(NodeId, u32)> {
     (0..=index.text_len() as NodeId).map(|j| index.try_link_of(j).unwrap()).collect()
 }
 
-/// Seal `text` to files under `dir`, then reopen it from them.
+/// Seal `text` to a file under `dir`, then reopen it from that file.
 fn seal_and_reopen(a: &Alphabet, text: &[Code], dir: &std::path::Path) -> DiskSpine {
     std::fs::create_dir_all(dir).unwrap();
     let dev = pagestore::FileDevice::create(dir.join("seg.pages"), false).unwrap();
-    let sealed =
-        DiskSpine::build_sealed(a.clone(), text, Box::new(dev), 4, Box::<Lru>::default()).unwrap();
-    let mut meta = Vec::new();
-    sealed.write_meta(&mut meta).unwrap();
-    sealed.flush().unwrap();
-    drop(sealed);
+    drop(
+        DiskSpine::build_sealed(a.clone(), text, Box::new(dev), 4, Box::<Lru>::default()).unwrap(),
+    );
     DiskSpine::reopen(
-        &mut meta.as_slice(),
         Box::new(pagestore::FileDevice::open(dir.join("seg.pages"), false).unwrap()),
         4,
         Box::<Lru>::default(),

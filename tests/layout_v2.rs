@@ -5,14 +5,14 @@
 //!
 //! Complements the unit-level codec proptests in `spine::disk`: here
 //! everything goes through the public API — `build_sealed` / `seal` /
-//! `write_meta` / `reopen` — over real `FileDevice` files where durability
-//! is the claim under test, and frozen digests pin the format's bytes.
+//! `reopen` — over real `FileDevice` files where durability is the claim
+//! under test, and frozen digests pin the format's bytes.
 
 use genseq::rng;
-use pagestore::{FileDevice, Lru, MemDevice, PAGE_SIZE};
+use pagestore::{FileDevice, Lru, MemDevice, PAGE_FORMAT_V2, PAGE_SIZE};
 use proptest::prelude::*;
 use rand::Rng;
-use spine::{DiskSpine, FallibleSpineOps, PageMap, Spine, DISK_FORMAT_VERSION};
+use spine::{DiskSpine, FallibleSpineOps, Spine, DISK_FORMAT_VERSION};
 use strindex::{Alphabet, Code, Error, StringIndex};
 
 fn random_text(a: &Alphabet, len: usize, seed: u64) -> Vec<Code> {
@@ -21,7 +21,7 @@ fn random_text(a: &Alphabet, len: usize, seed: u64) -> Vec<Code> {
 }
 
 fn scan_find_all(text: &[Code], pattern: &[Code]) -> Vec<usize> {
-    if pattern.is_empty() || pattern.len() > text.len() {
+    if pattern.len() > text.len() {
         return Vec::new();
     }
     (0..=text.len() - pattern.len()).filter(|&i| &text[i..i + pattern.len()] == pattern).collect()
@@ -90,15 +90,18 @@ fn page_straddling_texts_answer_exactly() {
     }
 }
 
-/// The durable round-trip: seal onto a real file, flush, write the sidecar,
-/// drop everything, reopen from disk — same answers, same packing, same
-/// census.
+/// Reopen the sealed file at `path`.
+fn reopen(path: &std::path::Path, pool: usize) -> strindex::Result<DiskSpine> {
+    DiskSpine::reopen(Box::new(FileDevice::open(path, false)?), pool, Box::<Lru>::default())
+}
+
+/// The durable round-trip: seal onto a real file, drop everything, reopen
+/// from the file alone — same answers, same packing, same census.
 #[test]
 fn file_device_seal_reopen_round_trip() {
     let a = Alphabet::dna();
     let text = random_text(&a, 1200, 0xF11E);
     let dev_path = tmp("roundtrip.pages");
-    let meta_path = tmp("roundtrip.meta");
 
     let sealed = DiskSpine::build_sealed(
         a.clone(),
@@ -109,19 +112,9 @@ fn file_device_seal_reopen_round_trip() {
     )
     .unwrap();
     let census = sealed.sealed_census().unwrap();
-    let mut meta = Vec::new();
-    sealed.write_meta(&mut meta).unwrap();
-    sealed.flush().unwrap();
-    std::fs::write(&meta_path, &meta).unwrap();
     drop(sealed);
 
-    let reopened = DiskSpine::reopen(
-        &mut std::fs::File::open(&meta_path).unwrap(),
-        Box::new(FileDevice::open(&dev_path, false).unwrap()),
-        4,
-        Box::<Lru>::default(),
-    )
-    .unwrap();
+    let reopened = reopen(&dev_path, 4).unwrap();
     assert!(reopened.is_sealed());
     assert_eq!(reopened.backbone_packing(), Some(2), "packing survives the reopen");
     assert_eq!(reopened.sealed_census().unwrap(), census);
@@ -136,12 +129,13 @@ fn file_device_seal_reopen_round_trip() {
     }
 
     std::fs::remove_file(&dev_path).ok();
-    std::fs::remove_file(&meta_path).ok();
 }
 
-/// Format versioning: a v1 (mutable-layout) sidecar must be rejected with
-/// the *typed* rebuild-required error — not a parse error, not a panic —
-/// and rebuilding through `build_sealed` must recover the exact answers.
+/// Format versioning: a v1 (fixed-record) file and a v2 file (whose page
+/// directory, byte census and overflow records lived in a `.meta`
+/// sidecar) must both be rejected with the *typed* rebuild-required error
+/// — not a parse error, not a panic — and rebuilding through
+/// `build_sealed` must recover the exact answers.
 #[test]
 fn v1_artifact_reports_rebuild_required_then_rebuild_recovers() {
     let a = Alphabet::protein();
@@ -158,50 +152,41 @@ fn v1_artifact_reports_rebuild_required_then_rebuild_recovers() {
     .unwrap();
     v1.flush().unwrap();
     drop(v1);
-    // The sidecar an earlier writer left beside it: magic, version 1, the
-    // protein alphabet's tag, the text length and an empty spill table.
-    let mut v1_meta = b"SPND".to_vec();
-    v1_meta.extend_from_slice(&1u16.to_le_bytes());
-    v1_meta.push(1);
-    v1_meta.extend_from_slice(&(text.len() as u64).to_le_bytes());
-    v1_meta.extend_from_slice(&0u64.to_le_bytes());
+    // A v2 file is today's pages 1..N under a page 0 that ends after the
+    // node page count.
+    let v2_path = tmp("v2-engine.pages");
+    let dev = Box::new(FileDevice::create(&v2_path, false).unwrap());
+    drop(DiskSpine::build_sealed(a.clone(), &text, dev, 8, Box::<Lru>::default()).unwrap());
+    let mut file = std::fs::read(&v2_path).unwrap();
+    file[12..14].copy_from_slice(&2u16.to_le_bytes());
+    file[33..PAGE_SIZE].fill(0);
+    std::fs::write(&v2_path, &file).unwrap();
 
-    let err = DiskSpine::reopen(
-        &mut &v1_meta[..],
-        Box::new(FileDevice::open(&v1_path, false).unwrap()),
-        8,
-        Box::<Lru>::default(),
-    )
-    .err()
-    .expect("a v1 artifact must not reopen under the v2 engine");
-    assert!(
-        matches!(err, Error::FormatVersion { found: 1, expected: DISK_FORMAT_VERSION }),
-        "want the typed version mismatch, got {err:?}"
-    );
-    assert!(err.to_string().contains("rebuild required"), "operator-facing hint: {err}");
+    // A v1 page 0 holds records, so its first byte (the root's label, 0)
+    // fails the page-format check; a v2 page 0 fails the file version.
+    for (what, path, found) in [("v1", &v1_path, 0), ("v2", &v2_path, 2)] {
+        let err = reopen(path, 8).err().expect("an earlier format must not reopen");
+        let want = if found == 0 { PAGE_FORMAT_V2 as u16 } else { DISK_FORMAT_VERSION };
+        assert!(
+            matches!(err, Error::FormatVersion { found: f, expected: e } if f == found && e == want),
+            "{what}: want the typed version mismatch, got {err:?}"
+        );
+        assert!(err.to_string().contains("rebuild required"), "operator-facing hint: {err}");
+    }
 
-    // The prescribed recovery: rebuild into a sealed v2 file and reopen it.
-    let v2_path = tmp("v2-rebuilt.pages");
+    // The prescribed recovery: rebuild into a sealed file and reopen it.
+    let rebuilt_path = tmp("rebuilt.pages");
     let rebuilt = DiskSpine::build_sealed(
         a.clone(),
         &text,
-        Box::new(FileDevice::create(&v2_path, false).unwrap()),
+        Box::new(FileDevice::create(&rebuilt_path, false).unwrap()),
         8,
         Box::<Lru>::default(),
     )
     .unwrap();
-    let mut v2_meta = Vec::new();
-    rebuilt.write_meta(&mut v2_meta).unwrap();
-    rebuilt.flush().unwrap();
     drop(rebuilt);
 
-    let reopened = DiskSpine::reopen(
-        &mut &v2_meta[..],
-        Box::new(FileDevice::open(&v2_path, false).unwrap()),
-        8,
-        Box::<Lru>::default(),
-    )
-    .unwrap();
+    let reopened = reopen(&rebuilt_path, 8).unwrap();
     let reference = Spine::build(a.clone(), &text).unwrap();
     let mut r = rng(0x0BE2);
     for _ in 0..30 {
@@ -209,113 +194,42 @@ fn v1_artifact_reports_rebuild_required_then_rebuild_recovers() {
         let at = r.gen_range(0..=text.len() - len);
         let pattern = &text[at..at + len];
         assert_eq!(reopened.find_all(pattern), reference.find_all(pattern));
+        assert_eq!(reopened.find_all(pattern), scan_find_all(&text, pattern));
     }
 
-    std::fs::remove_file(&v1_path).ok();
-    std::fs::remove_file(&v2_path).ok();
+    for path in [&v1_path, &v2_path, &rebuilt_path] {
+        std::fs::remove_file(path).ok();
+    }
 }
 
 /// Degenerate inputs: the empty text and the single-symbol text seal,
-/// round-trip through the sidecar, and answer correctly.
+/// round-trip through their page file, and answer correctly.
 #[test]
 fn empty_and_len1_texts_seal_and_reopen() {
-    for (a, text) in [
+    for (i, (a, text)) in [
         (Alphabet::dna(), vec![]),
         (Alphabet::dna(), vec![3 as Code]),
         (Alphabet::bytes(), vec![]),
         (Alphabet::bytes(), vec![200 as Code]),
-    ] {
-        let sealed = seal(&a, &text, 2);
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let path = tmp(&format!("degenerate-{i}.pages"));
+        let spine = Spine::build(a.clone(), &text).unwrap();
+        let dev = Box::new(FileDevice::create(&path, false).unwrap());
+        drop(DiskSpine::seal(&spine, dev, 2, Box::<Lru>::default()).unwrap());
+        let sealed = reopen(&path, 2).unwrap();
         assert_eq!(sealed.sealed_census().unwrap().nodes, text.len() as u64 + 1);
         let want_pages = if text.is_empty() { 2 } else { 3 }; // header [+ labels] + nodes
         assert_eq!(sealed.file_pages().unwrap(), want_pages);
-
-        let mut meta = Vec::new();
-        sealed.write_meta(&mut meta).unwrap();
-        // MemDevice round-trip: reopen over the *same* flushed device image
-        // is exercised by the FileDevice test; here the sidecar must at
-        // least parse and reject nothing for the degenerate shapes.
-        sealed.flush().unwrap();
-        assert_eq!(sealed.find_all(&[0]), scan_find_all(&text, &[0]));
-        if !text.is_empty() {
-            assert_eq!(sealed.find_first(&text), Some(0));
+        for p in [&[][..], &[0], &text] {
+            assert_eq!(sealed.find_all(p), scan_find_all(&text, p));
         }
+        assert_eq!(sealed.find_first(&text), Some(0));
         assert!(!sealed.contains(&[0, 0, 0]) || text.len() >= 3);
+        std::fs::remove_file(&path).ok();
     }
-}
-
-/// Sidecars of earlier v2 writers end with a hot-tier trailer: absent
-/// (before the hot tier), empty (plain seals), or listing redirects to
-/// duplicate records on pages appended after the node pages (clustered
-/// seals). Base slots hold every record, so all three reopen the same
-/// way: the trailer is not read, and `file_pages` counts base pages only.
-#[test]
-fn clustered_sidecars_from_earlier_writers_reopen() {
-    let a = Alphabet::dna();
-    let text = random_text(&a, 3000, 0xC1A5);
-    let reference = Spine::build(a.clone(), &text).unwrap();
-    let dev_path = tmp("clustered.pages");
-    let dev = Box::new(FileDevice::create(&dev_path, false).unwrap());
-    let sealed = DiskSpine::seal(&reference, dev, 8, Box::<Lru>::default()).unwrap();
-    let base_pages = sealed.file_pages().unwrap();
-    let PageMap::Sealed { base, first_nodes } = sealed.page_map() else {
-        panic!("a sealed index maps nodes through its page directory")
-    };
-    assert!(first_nodes.len() > 1, "the text must span several node pages");
-    let mut meta = Vec::new();
-    sealed.write_meta(&mut meta).unwrap();
-    sealed.flush().unwrap();
-    drop(sealed);
-
-    // Every plain seal ends its sidecar with 0 hot pages and 0 entries.
-    let trailer = meta.len() - 12;
-    assert_eq!(meta[trailer..], [0u8; 12]);
-
-    // A clustered seal of the backbone prefix duplicated the first node
-    // page's records, slot for slot, onto one page after the node pages,
-    // and listed each node's `(node, page, slot)` redirect in the trailer.
-    let mut file = std::fs::read(&dev_path).unwrap();
-    let first = base as usize * PAGE_SIZE;
-    let hot_page = file[first..first + PAGE_SIZE].to_vec();
-    file.extend_from_slice(&hot_page);
-    std::fs::write(&dev_path, &file).unwrap();
-    let mut listed = meta[..trailer].to_vec();
-    listed.extend_from_slice(&1u32.to_le_bytes());
-    listed.extend_from_slice(&(first_nodes[1] as u64).to_le_bytes());
-    for node in 0..first_nodes[1] {
-        listed.extend_from_slice(&node.to_le_bytes());
-        listed.extend_from_slice(&(base_pages as u32).to_le_bytes());
-        listed.extend_from_slice(&(node as u16).to_le_bytes());
-    }
-
-    let mut r = rng(0xC1A6);
-    let patterns: Vec<Vec<Code>> = (0..40)
-        .map(|i| {
-            let len = r.gen_range(1..=16usize);
-            let at = r.gen_range(0..=text.len() - len);
-            let mut p = text[at..at + len].to_vec();
-            if i % 4 == 0 {
-                p[0] = (p[0] + 1) % a.size() as Code;
-            }
-            p
-        })
-        .collect();
-    for (what, sidecar) in
-        [("missing", &meta[..trailer]), ("empty", &meta[..]), ("listed", &listed[..])]
-    {
-        let reopened = DiskSpine::reopen(
-            &mut &sidecar[..],
-            Box::new(FileDevice::open(&dev_path, false).unwrap()),
-            4,
-            Box::<Lru>::default(),
-        )
-        .unwrap();
-        assert_eq!(reopened.file_pages(), Some(base_pages), "{what}: base pages only");
-        for p in &patterns {
-            assert_eq!(reopened.find_all(p), reference.find_all(p), "{what}: pattern {p:?}");
-        }
-    }
-    std::fs::remove_file(&dev_path).ok();
 }
 
 /// The sealed pages really are smaller: the v2 file footprint must be a
@@ -438,18 +352,18 @@ fn golden_cases() -> Vec<(&'static str, Alphabet, Vec<Code>)> {
     ]
 }
 
-/// `(case, page-file digest, sidecar digest, device reads, writes, syncs)`.
-type Golden = (&'static str, u64, u64, u64, u64, u64);
+/// `(case, page-file digest, device reads, writes, syncs)`.
+type Golden = (&'static str, u64, u64, u64, u64);
 
-/// Frozen format-v2 artifacts of [`golden_cases`], sealed with a 4-frame
+/// Frozen format-v3 page files of [`golden_cases`], sealed with a 4-frame
 /// pool onto `FileDevice` files. A change to these bytes is a format
 /// change: bump `DISK_FORMAT_VERSION` and re-record.
 const GOLDEN: [Golden; 5] = [
-    ("ascii-logs", 0xebb6430bbb240806, 0x698a7a40feda385d, 25, 25, 2),
-    ("dna-separated", 0xf76b6a57605b9f42, 0x96067f426003c8b5, 42, 42, 2),
-    ("protein", 0x6036dd1f521750d8, 0x7b1eb18da5991641, 22, 22, 2),
-    ("bytes", 0x5191ef194f6700af, 0x988a2db18490e3d6, 16, 16, 2),
-    ("dna", 0x235be78cf86eacf8, 0xa285418a3d4b4c98, 24, 24, 2),
+    ("ascii-logs", 0xbe0d20e2527287dd, 25, 25, 2),
+    ("dna-separated", 0x5edb2f17c06bf029, 42, 42, 2),
+    ("protein", 0xbbd6324ae3179f96, 22, 22, 2),
+    ("bytes", 0x66ed502559072157, 16, 16, 2),
+    ("dna", 0xf4391372cd012980, 24, 24, 2),
 ];
 
 /// Seal `text` onto a fresh file at `path`.
@@ -459,28 +373,26 @@ fn seal_file(a: &Alphabet, text: &[Code], path: &std::path::Path) -> DiskSpine {
     DiskSpine::seal(&spine, dev, 4, Box::<Lru>::default()).unwrap()
 }
 
-/// The sealed page files and sidecars are byte-for-byte the frozen ones,
-/// and the target device sees the same reads, writes and syncs.
+/// The sealed page files are byte-for-byte the frozen ones, and the
+/// target device sees the same reads, writes and syncs.
 #[test]
-fn sealed_pages_and_sidecars_match_golden_digests() {
+fn sealed_pages_match_golden_digests() {
     let mut got: Vec<Golden> = Vec::new();
     for (case, a, text) in golden_cases() {
         let path = tmp(&format!("golden-{case}.pages"));
         let sealed = seal_file(&a, &text, &path);
         let (reads, writes) = sealed.io_counts();
         let syncs = sealed.io_syncs();
-        let mut meta = Vec::new();
-        sealed.write_meta(&mut meta).unwrap();
         let pages = sealed.file_pages().unwrap();
         drop(sealed);
         let file = std::fs::read(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(file.len() as u64, pages * PAGE_SIZE as u64, "{case}: file size");
-        got.push((case, fnv1a(&file), fnv1a(&meta), reads, writes, syncs));
+        got.push((case, fnv1a(&file), reads, writes, syncs));
     }
     let table: String = got
         .iter()
-        .map(|(c, p, m, r, w, s)| format!("    ({c:?}, {p:#018x}, {m:#018x}, {r}, {w}, {s}),\n"))
+        .map(|(c, p, r, w, s)| format!("    ({c:?}, {p:#018x}, {r}, {w}, {s}),\n"))
         .collect();
     assert_eq!(got, GOLDEN, "sealed artifacts changed; this run sealed:\n{table}");
 }

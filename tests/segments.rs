@@ -312,12 +312,11 @@ fn seal_after_recovery_never_reuses_an_orphan_id() {
         store.add_document(&enc(&a, b"ACGT")).unwrap();
         store.force_seal().unwrap();
     }
-    // The torn seal of segment 1: both files written, no manifest commit.
+    // The torn seal of segment 1: its one file written, no manifest commit.
     std::fs::write(dir.join("seg-1.pages"), b"torn seal, never committed").unwrap();
-    std::fs::write(dir.join("seg-1.meta"), b"torn sidecar").unwrap();
 
     let store = SegmentedSpine::open(a.clone(), &dir, SegmentConfig::default()).unwrap();
-    assert_eq!(store.orphan_count(), 2);
+    assert_eq!(store.orphan_count(), 1, "one orphan per torn seal");
     store.add_document(&enc(&a, b"GATTACA")).unwrap();
     assert!(store.force_seal().unwrap());
     assert_eq!(
@@ -325,7 +324,7 @@ fn seal_after_recovery_never_reuses_an_orphan_id() {
         b"torn seal, never committed",
         "a seal must not write over an orphan"
     );
-    assert_eq!(store.cleanup_orphans().unwrap(), 2);
+    assert_eq!(store.cleanup_orphans().unwrap(), 1);
     drop(store);
 
     let store = SegmentedSpine::open(a.clone(), &dir, SegmentConfig::default()).unwrap();
