@@ -181,8 +181,8 @@ pub fn crashpoint_sweep(quick: bool) -> SweepReport {
 
     // In-memory oracle: the reference Spine answers every pattern.
     let oracle_index = Spine::build(alphabet.clone(), &text).unwrap();
-    // try_find_all mirrors find_all's empty-pattern convention (both return
-    // an empty answer), so the oracle needs no special-casing.
+    // try_find_all and find_all agree on the empty pattern too (it occurs at
+    // every offset 0..=n), so the oracle needs no special-casing.
     let oracle: Vec<Vec<usize>> = patterns.iter().map(|p| oracle_index.find_all(p)).collect();
 
     // Clean run: establishes the trace length and double-checks answers.

@@ -364,21 +364,15 @@ pub trait ServeIndex: Send + Sync {
 }
 
 /// Every single-backbone engine answers each pattern on its own: locate
-/// its valid path, then enumerate its ends.
+/// its valid path, then enumerate its ends (the empty pattern's path is
+/// the root, so it ends at every node `0..=n`).
 impl<S: FallibleSpineOps + Send + Sync> ServeIndex for S {
     fn answer_patterns(&self, patterns: &[&[Code]]) -> Vec<QueryOutcome> {
         patterns
             .iter()
-            .map(|p| {
-                if p.is_empty() {
-                    // The empty pattern ends at every node (serial
-                    // `find_all_ends` agrees: it accepts all of 0..=n).
-                    return QueryOutcome::Done((0..=self.text_len() as NodeId).collect());
-                }
-                match try_find_all_ends(self, p) {
-                    Ok(ends) => QueryOutcome::Done(ends),
-                    Err(e) => QueryOutcome::Failed(e.to_string()),
-                }
+            .map(|p| match try_find_all_ends(self, p) {
+                Ok(ends) => QueryOutcome::Done(ends),
+                Err(e) => QueryOutcome::Failed(e.to_string()),
             })
             .collect()
     }

@@ -134,20 +134,23 @@ impl GeneralizedSpine {
         &self.spine
     }
 
-    /// Map a concatenation offset to `(document, in-document offset)`.
+    /// Document `d`'s codes, read back from the backbone (node `p + 1`
+    /// carries `text[p]`): the index keeps no other copy of the text.
+    pub(crate) fn document(&self, d: usize) -> Vec<Code> {
+        let start = self.starts[d] + 1;
+        self.spine.nodes()[start..start + self.doc_len(d)].iter().map(|n| n.vertebra_cl).collect()
+    }
+
+    /// Map a concatenation offset to `(document, in-document offset)`;
+    /// `None` at and past the end of the last document.
     ///
     /// Callers that run the low-level occurrence machinery over the
     /// concatenation themselves ([`find_all`](Self::find_all), the segment
     /// store's memtable) translate its positions back to documents with
-    /// it. An offset at or past the end of the last document maps to the
-    /// sentinel document [`doc_count`](Self::doc_count), which holds no
-    /// text.
-    pub fn localize(&self, offset: usize) -> DocMatch {
-        let doc = match self.starts.binary_search(&offset) {
-            Ok(d) => d,
-            Err(i) => i - 1,
-        };
-        DocMatch { doc, offset: offset - self.starts[doc] }
+    /// it. A document's terminator is its offset `doc_len`, where only the
+    /// empty pattern occurs.
+    pub fn localize(&self, offset: usize) -> Option<DocMatch> {
+        localize(&self.starts, offset)
     }
 
     /// Does `pattern` occur in any *live* document? The empty pattern
@@ -168,9 +171,8 @@ impl GeneralizedSpine {
         self.spine
             .find_all(pattern)
             .into_iter()
-            .map(|off| self.localize(off))
-            // The empty pattern also ends the concatenation, in the sentinel.
-            .filter(|m| m.doc < self.doc_count() && !self.retired[m.doc])
+            .filter_map(|off| self.localize(off))
+            .filter(|m| !self.retired[m.doc])
             .collect()
     }
 
@@ -180,6 +182,16 @@ impl GeneralizedSpine {
         docs.dedup();
         docs
     }
+}
+
+/// The one offset-to-document map, shared by [`GeneralizedSpine`] and the
+/// segment store's sealed segments: `starts` holds each document's
+/// concatenation offset (every document is followed by one terminator)
+/// plus a trailing sentinel, the total length. Offsets at or past the
+/// sentinel belong to no document.
+pub(crate) fn localize(starts: &[usize], offset: usize) -> Option<DocMatch> {
+    let doc = starts.partition_point(|&s| s <= offset) - 1;
+    (doc + 1 < starts.len()).then(|| DocMatch { doc, offset: offset - starts[doc] })
 }
 
 /// Documents partitioned round-robin across several generalized indexes,
@@ -413,6 +425,31 @@ mod tests {
         plain.add_document_bytes(b"ACGTACGT").unwrap();
         plain.add_document_bytes(b"TTACG").unwrap();
         assert_eq!(plain.as_spine().nodes(), g.as_spine().nodes());
+    }
+
+    #[test]
+    fn localize_ends_with_the_last_document() {
+        let (a, g) = sample();
+        let n = g.as_spine().len();
+        assert_eq!(n, 9 + 6 + 5);
+        assert_eq!(g.localize(0), Some(DocMatch { doc: 0, offset: 0 }));
+        assert_eq!(g.localize(9), Some(DocMatch { doc: 1, offset: 0 }));
+        // The last document's terminator is its offset `len`; the sentinel
+        // offset `n` and anything past it belong to no document.
+        assert_eq!(g.localize(n - 1), Some(DocMatch { doc: 2, offset: 4 }));
+        assert_eq!(g.localize(n), None);
+        assert_eq!(g.localize(n + 1), None);
+        assert_eq!(GeneralizedSpine::new(a).localize(0), None, "no document, no offset");
+    }
+
+    #[test]
+    fn documents_read_back_from_the_backbone() {
+        let (a, mut g) = sample();
+        g.add_document(&[]).unwrap();
+        assert_eq!(g.document(0), a.encode(b"ACGTACGT").unwrap());
+        assert_eq!(g.document(1), a.encode(b"TTACG").unwrap());
+        assert_eq!(g.document(2), a.encode(b"GGGG").unwrap());
+        assert_eq!(g.document(3), Vec::<Code>::new());
     }
 
     #[test]

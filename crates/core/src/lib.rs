@@ -101,11 +101,10 @@ pub use observe::{
     ProgressReport, Tee,
 };
 pub use ops::{FallibleSpineOps, LinkTree};
+pub use pagestore::IoGate;
 pub use prefix::{PrefixView, SpinePrefix};
 pub use preorder::PreorderIndex;
 pub use search::{locate, try_locate, try_step};
-pub use segments::{
-    spawn_merger, IoGate, MergeHandle, SegmentConfig, SegmentedSpine, SegmentsSnapshot,
-};
+pub use segments::{spawn_merger, MergeHandle, SegmentConfig, SegmentedSpine, SegmentsSnapshot};
 pub use strindex::telemetry;
 pub use trace::{explain, Heatmap, QueryTrace, RecordingSink, TraceEvent, DEFAULT_TRACE_CAPACITY};

@@ -1,29 +1,33 @@
 //! A crash-safe LSM of SPINEs: mutable memtable, immutable sealed
 //! segments, atomic manifest commits.
 //!
-//! [`Spine`](crate::Spine) is append-only and [`DiskSpine`] seals to an
+//! [`Spine`] is append-only and [`DiskSpine`] seals to an
 //! immutable on-disk layout — neither supports deletes or survives being
 //! half-written. [`SegmentedSpine`] composes them into a mutable, durable
 //! collection the way log-structured merge trees do:
 //!
-//! * **Writes** go to an in-memory *memtable* ([`GeneralizedSpine`] plus
-//!   the raw document codes). Memtable contents are volatile by design —
-//!   there is no write-ahead log; durability is bought at *seal* time.
-//! * At a size threshold the memtable is **sealed**: its live documents
-//!   are rebuilt into one in-memory [`Spine`](crate::Spine) and encoded as
-//!   one immutable, self-describing segment file
-//!   ([`DiskSpine::build_sealed`]: APPEND runs once, in memory), and a new
-//!   [`Manifest`] naming the enlarged segment set is committed.
+//! * **Writes** go to an in-memory *memtable*: one [`GeneralizedSpine`],
+//!   whose documents carry consecutive global ids from the memtable's
+//!   first. It holds each document once, in its backbone. Memtable
+//!   contents are volatile by design — there is no write-ahead log;
+//!   durability is bought at *seal* time.
+//! * At a size threshold the memtable is **sealed**: its index, as it
+//!   stands, is encoded as one immutable, self-describing segment file
+//!   ([`DiskSpine::seal`]; no APPEND runs, and the file is the one
+//!   [`Spine::build`] over the same concatenation would give), and a new
+//!   [`Manifest`] naming the enlarged segment set is committed. Memtable
+//!   documents retired before the seal are sealed too, and their
+//!   tombstones ride in the same commit.
 //!   Each live segment keeps its link tree in RAM as a preorder index
 //!   (built at seal, rebuilt at reopen; [`crate::preorder`]), so its
 //!   queries enumerate without reading a page.
 //! * **Retires** of sealed documents become manifest *tombstones*;
-//!   retires of memtable documents just flip a volatile flag (the
-//!   document they hide is volatile too, so crash loses both together —
-//!   never one without the other).
-//! * A **merge** rebuilds the live, untombstoned documents of every
-//!   segment into one fresh segment the same way, commits, then deletes
-//!   the inputs.
+//!   retires of memtable documents just flip the index's volatile flag
+//!   (the document they hide is volatile too, so a crash loses both
+//!   together — never one without the other).
+//! * A **merge** builds one [`Spine`] over the live, untombstoned
+//!   documents of every segment, writes it as one fresh segment the same
+//!   way, commits, then deletes the inputs.
 //!
 //! ## The commit protocol
 //!
@@ -50,8 +54,9 @@
 //! ## Fault injection
 //!
 //! Every I/O operation the store performs — page reads/writes/syncs
-//! through its devices *and* manifest and journal file operations — can be
-//! charged to an [`IoGate`]. An armed gate fails permanently at a chosen
+//! through its devices ([`FaultyDevice`]s over the gate) *and* manifest
+//! and journal file operations — can be charged to one
+//! [`IoGate`]. An armed gate fails permanently at a chosen
 //! operation index, which is how the `exp faults` harness crash-tests
 //! every commit, merge, and recovery I/O op and proves recovery always
 //! lands on a committed epoch.
@@ -64,14 +69,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime};
 
-use pagestore::{FileDevice, IoStats, Lru, PageDevice};
+use pagestore::{FaultyDevice, FileDevice, IoGate, Lru, PageDevice};
 use parking_lot::{Mutex, RwLock};
 use strindex::telemetry::{Histogram, MetricsRegistry};
 use strindex::{Alphabet, Code, CountersSnapshot, Error, IoOp, Result};
 
+use crate::build::Spine;
 use crate::disk::DiskSpine;
 use crate::engine::{QueryOutcome, ServeIndex};
-use crate::generalized::{DocMatch, GeneralizedSpine};
+use crate::generalized::{localize, DocMatch, GeneralizedSpine};
 use crate::journal::{self, JournalEvent, JournalKind, JOURNAL_FILE};
 use crate::manifest::{Manifest, SegmentEntry};
 use crate::observe::MergePhase;
@@ -90,99 +96,17 @@ fn unix_ms() -> u64 {
         .unwrap_or(0)
 }
 
-/// A shared, countable I/O-operation budget for crash injection.
-///
-/// Unarmed gates count operations (so a harness can measure how many I/O
-/// ops a workload performs); armed gates additionally fail — permanently,
-/// like a crashed process — every operation from a chosen index on. One
-/// gate is shared by a store's page devices and its file-level manifest
-/// and journal operations, so the budget enumerates *every* point a real
-/// crash could hit.
-#[derive(Clone, Default)]
-pub struct IoGate {
-    inner: Arc<GateInner>,
-}
-
-#[derive(Default)]
-struct GateInner {
-    ops: AtomicU64,
-    /// Fail every op with index >= `fail_from`, when armed.
-    fail_from: AtomicU64,
-    armed: AtomicBool,
-}
-
-impl IoGate {
-    /// A counting-only gate: never fails.
-    pub fn unarmed() -> Self {
-        Self::default()
-    }
-
-    /// A gate that lets `budget` operations through and then fails every
-    /// operation, permanently — the store is "crashed" from that point.
-    pub fn armed(budget: u64) -> Self {
-        let g = Self::default();
-        g.inner.fail_from.store(budget, Ordering::Relaxed);
-        g.inner.armed.store(true, Ordering::Relaxed);
-        g
-    }
-
-    /// Operations charged so far (failed attempts count too).
-    pub fn ops(&self) -> u64 {
-        self.inner.ops.load(Ordering::Relaxed)
-    }
-
-    fn charge(&self, op: IoOp) -> Result<()> {
-        let k = self.inner.ops.fetch_add(1, Ordering::Relaxed);
-        if self.inner.armed.load(Ordering::Relaxed)
-            && k >= self.inner.fail_from.load(Ordering::Relaxed)
-        {
-            return Err(Error::io(
-                std::io::Error::other(format!("injected segment-store crash at I/O op {k}")),
-                op,
-                None,
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// Charge an optional gate.
+/// Charge a file-level operation to the store's gate, if it has one.
 fn charge(gate: &Option<IoGate>, op: IoOp) -> Result<()> {
+    gate.as_ref().map_or(Ok(()), |g| g.charge(op, None))
+}
+
+/// A segment file's page device: the file itself, or with a gate set, a
+/// [`FaultyDevice`] charging every page operation to it.
+fn segment_device(file: FileDevice, gate: &Option<IoGate>) -> Box<dyn PageDevice> {
     match gate {
-        Some(g) => g.charge(op),
-        None => Ok(()),
-    }
-}
-
-/// A [`PageDevice`] that charges every read, write, and sync to an
-/// [`IoGate`] before forwarding to the wrapped device.
-struct GatedDevice<D: PageDevice> {
-    inner: D,
-    gate: Option<IoGate>,
-}
-
-impl<D: PageDevice> PageDevice for GatedDevice<D> {
-    fn read_page(&mut self, id: u32, buf: &mut [u8]) -> Result<()> {
-        charge(&self.gate, IoOp::Read)?;
-        self.inner.read_page(id, buf)
-    }
-
-    fn write_page(&mut self, id: u32, buf: &[u8]) -> Result<()> {
-        charge(&self.gate, IoOp::Write)?;
-        self.inner.write_page(id, buf)
-    }
-
-    fn page_count(&self) -> u32 {
-        self.inner.page_count()
-    }
-
-    fn sync(&mut self) -> Result<()> {
-        charge(&self.gate, IoOp::Sync)?;
-        self.inner.sync()
-    }
-
-    fn stats(&self) -> &IoStats {
-        self.inner.stats()
+        Some(g) => Box::new(FaultyDevice::gated(file, g.clone())),
+        None => Box::new(file),
     }
 }
 
@@ -231,7 +155,7 @@ pub struct SegmentsSnapshot {
     /// Outstanding tombstones (sealed documents retired but not merged
     /// away).
     pub tombstones: usize,
-    /// Live (unretired) memtable documents.
+    /// Memtable documents, retired ones included.
     pub memtable_docs: usize,
     /// Memtable concatenation size, separators included.
     pub memtable_symbols: usize,
@@ -248,30 +172,29 @@ pub struct SegmentsSnapshot {
     pub merges: u64,
 }
 
-/// One immutable sealed segment: a reopened [`DiskSpine`] plus the
-/// document table that maps its concatenation offsets to global ids.
+/// One immutable sealed segment: a [`DiskSpine`] plus the manifest's
+/// document table for it.
 struct Segment {
-    id: u64,
-    doc_ids: Vec<u64>,
-    doc_lens: Vec<u64>,
-    /// Concatenation starts with a trailing sentinel (see
-    /// [`SegmentEntry::starts`]).
+    entry: SegmentEntry,
+    /// The table's concatenation starts, sentinel included
+    /// ([`SegmentEntry::starts`]).
     starts: Vec<usize>,
     index: DiskSpine,
 }
 
 impl Segment {
-    fn entry(&self) -> SegmentEntry {
-        SegmentEntry { id: self.id, doc_ids: self.doc_ids.clone(), doc_lens: self.doc_lens.clone() }
+    /// Serve `index` under `entry`, pinning its backbone-prefix pages.
+    fn new(entry: SegmentEntry, index: DiskSpine, cfg: &SegmentConfig) -> Result<Segment> {
+        if cfg.hot_pin_pages > 0 {
+            index.pin_hot_prefix(cfg.hot_pin_pages)?;
+        }
+        Ok(Segment { starts: entry.starts(), entry, index })
     }
 
-    /// Map a concatenation offset to `(global doc id, in-document offset)`.
-    fn localize(&self, offset: usize) -> (u64, usize) {
-        let d = match self.starts[..self.doc_ids.len()].binary_search(&offset) {
-            Ok(d) => d,
-            Err(i) => i - 1,
-        };
-        (self.doc_ids[d], offset - self.starts[d])
+    /// Map a concatenation offset to `(global doc id, in-document offset)`;
+    /// `None` at and past the end of the last document.
+    fn localize(&self, offset: usize) -> Option<(u64, usize)> {
+        localize(&self.starts, offset).map(|m| (self.entry.doc_ids[m.doc], m.offset))
     }
 
     /// Reconstruct document `i`'s codes from the index itself (the sealed
@@ -279,7 +202,7 @@ impl Segment {
     /// vertebra leaving backbone node `p`) in one locked pass over the
     /// label pages.
     fn doc_codes(&self, i: usize) -> Result<Vec<Code>> {
-        let (start, end) = (self.starts[i], self.starts[i] + self.doc_lens[i] as usize);
+        let (start, end) = (self.starts[i], self.starts[i] + self.entry.doc_lens[i] as usize);
         if end > self.index.len() {
             return Err(Error::Parse("segment text shorter than its doc table".into()));
         }
@@ -287,52 +210,21 @@ impl Segment {
     }
 }
 
-/// The mutable head of the LSM. Replaced wholesale (fresh `Arc`) at seal,
-/// so snapshots taken before a seal keep reading the old, now-frozen
+/// The mutable head of the LSM: one [`GeneralizedSpine`] whose local
+/// document `d` is global id `first_doc + d` — `add_document` hands ids
+/// out consecutively under the commit lock, and every seal or recovery
+/// starts a fresh memtable at `next_doc`. Its volatile retire flags are
+/// the index's own. Replaced wholesale (fresh `Arc`) at seal, so
+/// snapshots taken before a seal keep reading the old, now-frozen
 /// memtable.
-#[derive(Default)]
 struct Memtable {
-    state: RwLock<MemtableState>,
-}
-
-struct MemtableState {
-    index: GeneralizedSpine,
-    /// Global id of each memtable document, parallel to the index's local
-    /// document numbering.
-    doc_ids: Vec<u64>,
-    /// Raw document codes, kept so sealing need not reconstruct them.
-    codes: Vec<Vec<Code>>,
-    /// Volatile retirement flags. Kept here (not in the inner
-    /// [`GeneralizedSpine`]) so snapshots can capture them by value —
-    /// retiring a memtable document must not change answers under
-    /// already-taken snapshots.
-    retired: Vec<bool>,
-    /// Concatenation length, separators included.
-    symbols: usize,
-}
-
-impl Default for MemtableState {
-    fn default() -> Self {
-        // The alphabet is patched in by `Memtable::new`; `Default` exists
-        // only to satisfy the derive above.
-        MemtableState {
-            index: GeneralizedSpine::new(Alphabet::bytes()),
-            doc_ids: Vec::new(),
-            codes: Vec::new(),
-            retired: Vec::new(),
-            symbols: 0,
-        }
-    }
+    first_doc: u64,
+    index: RwLock<GeneralizedSpine>,
 }
 
 impl Memtable {
-    fn new(alphabet: Alphabet) -> Self {
-        Memtable {
-            state: RwLock::new(MemtableState {
-                index: GeneralizedSpine::new(alphabet),
-                ..MemtableState::default()
-            }),
-        }
+    fn new(alphabet: Alphabet, first_doc: u64) -> Arc<Self> {
+        Arc::new(Memtable { first_doc, index: RwLock::new(GeneralizedSpine::new(alphabet)) })
     }
 }
 
@@ -371,9 +263,9 @@ struct SegStats {
 /// tombstones plus a frozen memtable prefix.
 struct Snapshot {
     memtable: Arc<Memtable>,
-    /// Memtable documents visible to this snapshot.
-    mem_docs: usize,
-    /// Retired flags at snapshot time, one per visible document.
+    /// The retired flag of each memtable document visible to this
+    /// snapshot, by value: documents added later lie past its end, and
+    /// later retirements do not change it.
     mem_retired: Vec<bool>,
     segments: Arc<Vec<Arc<Segment>>>,
     tombstones: Arc<BTreeSet<u64>>,
@@ -403,7 +295,7 @@ impl SegmentedSpine {
         }
         let s = SegmentedSpine {
             inner: Mutex::new(Inner {
-                memtable: Arc::new(Memtable::new(alphabet.clone())),
+                memtable: Memtable::new(alphabet.clone(), 0),
                 segments: Arc::new(Vec::new()),
                 tombstones: Arc::new(BTreeSet::new()),
                 epoch: 0,
@@ -472,7 +364,7 @@ impl SegmentedSpine {
         };
         let s = SegmentedSpine {
             inner: Mutex::new(Inner {
-                memtable: Arc::new(Memtable::new(alphabet.clone())),
+                memtable: Memtable::new(alphabet.clone(), m.next_doc),
                 segments: Arc::new(segments),
                 tombstones: Arc::new(m.tombstones.iter().copied().collect()),
                 epoch: m.epoch,
@@ -502,19 +394,12 @@ impl SegmentedSpine {
     /// a seal failure leaves the document in the memtable and the durable
     /// state untouched.
     pub fn add_document(&self, doc: &[Code]) -> Result<u64> {
-        if let Some(pos) = doc.iter().position(|&c| c as usize >= self.alphabet.size()) {
-            return Err(Error::InvalidSymbol { byte: doc[pos], pos });
-        }
         let mut inner = self.inner.lock();
         let id = inner.next_doc;
         let symbols = {
-            let mut st = inner.memtable.state.write();
-            st.index.add_document(doc)?;
-            st.doc_ids.push(id);
-            st.codes.push(doc.to_vec());
-            st.retired.push(false);
-            st.symbols += doc.len() + 1;
-            st.symbols
+            let mut index = inner.memtable.index.write();
+            index.add_document(doc)?;
+            index.as_spine().len()
         };
         inner.next_doc = id + 1;
         let sealed = if symbols >= self.cfg.memtable_max_symbols {
@@ -527,9 +412,10 @@ impl SegmentedSpine {
     }
 
     /// Retire document `doc` everywhere. Sealed documents get a durable
-    /// manifest tombstone (one atomic commit); memtable documents get a
-    /// volatile flag (the document is volatile too — a crash forgets the
-    /// pair together, never one side). Returns `Ok(true)` if this call
+    /// manifest tombstone (one atomic commit); memtable documents get the
+    /// memtable index's volatile flag (the document is volatile too — a
+    /// crash forgets the pair together, never one side, and the seal makes
+    /// both durable in one commit). Returns `Ok(true)` if this call
     /// retired it, `Ok(false)` if it was already retired (possibly merged
     /// away since), and [`Error::UnknownDocument`] for an id never
     /// assigned — the same semantics as
@@ -539,27 +425,15 @@ impl SegmentedSpine {
         if doc >= inner.next_doc {
             return Err(Error::UnknownDocument { doc });
         }
+        if let Some(local) = doc.checked_sub(inner.memtable.first_doc) {
+            let retired = inner.memtable.index.write().retire_document(local as usize)?;
+            self.refresh_stats(&inner);
+            return Ok(retired);
+        }
         if inner.tombstones.contains(&doc) {
             return Ok(false);
         }
-        let mem_hit = {
-            let mut st = inner.memtable.state.write();
-            match st.doc_ids.iter().position(|&d| d == doc) {
-                Some(local) => {
-                    if st.retired[local] {
-                        return Ok(false);
-                    }
-                    st.retired[local] = true;
-                    true
-                }
-                None => false,
-            }
-        };
-        if mem_hit {
-            self.refresh_stats(&inner);
-            return Ok(true);
-        }
-        let sealed = inner.segments.iter().any(|s| s.doc_ids.binary_search(&doc).is_ok());
+        let sealed = inner.segments.iter().any(|s| s.entry.doc_ids.binary_search(&doc).is_ok());
         if !sealed {
             // Assigned once, but already retired and compacted away (or
             // lost with a pre-crash memtable): idempotent no-op.
@@ -571,7 +445,7 @@ impl SegmentedSpine {
             epoch: inner.epoch + 1,
             next_doc: inner.next_doc,
             next_segment: inner.next_segment,
-            segments: inner.segments.iter().map(|s| s.entry()).collect(),
+            segments: inner.segments.iter().map(|s| s.entry.clone()).collect(),
             tombstones: tombstones.iter().copied().collect(),
         };
         self.commit_manifest(&manifest)?;
@@ -592,7 +466,7 @@ impl SegmentedSpine {
     }
 
     /// Seal the memtable now regardless of size. Returns whether a
-    /// segment was created (an empty or fully-retired memtable seals to
+    /// segment was created (a memtable with no live document seals to
     /// nothing).
     pub fn force_seal(&self) -> Result<bool> {
         let mut inner = self.inner.lock();
@@ -625,33 +499,41 @@ impl SegmentedSpine {
     fn merge_locked(&self, inner: &mut Inner) -> Result<bool> {
         let mut nanos = [0u64; MergePhase::COUNT];
         let t = Instant::now();
-        let mut docs: Vec<(u64, Vec<Code>)> = Vec::new();
+        // Segments hold ascending ids, oldest first, so the live documents
+        // concatenate in id order.
+        let sep = self.alphabet.separator();
+        let mut text = Vec::new();
+        let mut entry =
+            SegmentEntry { id: inner.next_segment, doc_ids: Vec::new(), doc_lens: Vec::new() };
         for seg in inner.segments.iter() {
-            for (i, &d) in seg.doc_ids.iter().enumerate() {
+            for (i, &d) in seg.entry.doc_ids.iter().enumerate() {
                 if inner.tombstones.contains(&d) {
                     continue;
                 }
-                docs.push((d, seg.doc_codes(i)?));
+                text.extend(seg.doc_codes(i)?);
+                text.push(sep);
+                entry.doc_ids.push(d);
+                entry.doc_lens.push(seg.entry.doc_lens[i]);
             }
         }
-        docs.sort_by_key(|&(id, _)| id);
         nanos[MergePhase::Collect.index()] = t.elapsed().as_nanos() as u64;
+        let docs = entry.doc_ids.len() as u64;
         let dropped_tombstones = inner.tombstones.len() as u64;
         let old: Vec<Arc<Segment>> = (*inner.segments).clone();
         let mut segments: Vec<Arc<Segment>> = Vec::new();
         let mut next_segment = inner.next_segment;
         let t = Instant::now();
-        if !docs.is_empty() {
-            let seg = self.build_segment(next_segment, &docs)?;
+        if docs > 0 {
+            let spine = Spine::build(self.alphabet.clone(), &text)?;
+            segments.push(Arc::new(self.write_segment(entry, &spine)?));
             next_segment += 1;
-            segments.push(Arc::new(seg));
         }
         nanos[MergePhase::Build.index()] = t.elapsed().as_nanos() as u64;
         let manifest = Manifest {
             epoch: inner.epoch + 1,
             next_doc: inner.next_doc,
             next_segment,
-            segments: segments.iter().map(|s| s.entry()).collect(),
+            segments: segments.iter().map(|s| s.entry.clone()).collect(),
             // Every tombstoned sealed document was just compacted away.
             tombstones: Vec::new(),
         };
@@ -669,7 +551,7 @@ impl SegmentedSpine {
         let t = Instant::now();
         for seg in &old {
             if charge(&self.cfg.gate, IoOp::Meta).is_ok() {
-                let _ = fs::remove_file(self.pages_path(seg.id));
+                let _ = fs::remove_file(self.pages_path(seg.entry.id));
             }
         }
         nanos[MergePhase::Cleanup.index()] = t.elapsed().as_nanos() as u64;
@@ -680,50 +562,52 @@ impl SegmentedSpine {
             kind: JournalKind::Merge,
             epoch: manifest.epoch,
             unix_ms: unix_ms(),
-            docs: docs.len() as u64,
+            docs,
             aux: dropped_tombstones,
-            inputs: old.iter().map(|s| s.id).collect(),
-            outputs: inner.segments.iter().map(|s| s.id).collect(),
+            inputs: old.iter().map(|s| s.entry.id).collect(),
+            outputs: inner.segments.iter().map(|s| s.entry.id).collect(),
             phase_nanos: nanos,
         })?;
         Ok(true)
     }
 
-    /// Seal the memtable's live documents into a new segment and commit.
-    /// No-op (fresh memtable, no commit) when nothing is live.
+    /// Seal the memtable's index as it stands into a new segment, and
+    /// commit it together with a tombstone for each memtable document
+    /// retired before the seal (a crash keeps both or loses both; the next
+    /// merge drops them). A memtable with no live document resets to a
+    /// fresh one without a commit.
     fn seal_locked(&self, inner: &mut Inner) -> Result<bool> {
-        let docs: Vec<(u64, Vec<Code>)> = {
-            let st = inner.memtable.state.read();
-            if st.doc_ids.is_empty() {
-                return Ok(false);
-            }
-            st.doc_ids
-                .iter()
-                .zip(&st.codes)
-                .zip(&st.retired)
-                .filter(|&(_, &r)| !r)
-                .map(|((&id, codes), _)| (id, codes.clone()))
-                .collect()
-        };
-        if docs.is_empty() {
-            // Everything was retired before sealing: nothing to persist,
-            // and nothing durable referenced those ids. Just reset.
-            inner.memtable = Arc::new(Memtable::new(self.alphabet.clone()));
+        let memtable = inner.memtable.clone();
+        let index = memtable.index.read();
+        let live = index.live_doc_count() as u64;
+        if live == 0 {
+            // Nothing to persist, and nothing durable referenced those ids.
+            inner.memtable = Memtable::new(self.alphabet.clone(), inner.next_doc);
             return Ok(false);
         }
         let mut nanos = [0u64; MergePhase::COUNT];
         let id = inner.next_segment;
+        let first = memtable.first_doc;
+        let docs = 0..index.doc_count();
+        let entry = SegmentEntry {
+            id,
+            doc_ids: docs.clone().map(|d| first + d as u64).collect(),
+            doc_lens: docs.clone().map(|d| index.doc_len(d) as u64).collect(),
+        };
+        let mut tombstones = (*inner.tombstones).clone();
+        tombstones.extend(docs.filter(|&d| index.is_retired(d)).map(|d| first + d as u64));
         let t = Instant::now();
-        let seg = self.build_segment(id, &docs)?;
+        let seg = self.write_segment(entry, index.as_spine())?;
         nanos[MergePhase::Build.index()] = t.elapsed().as_nanos() as u64;
+        drop(index);
         let mut segments: Vec<Arc<Segment>> = (*inner.segments).clone();
         segments.push(Arc::new(seg));
         let manifest = Manifest {
             epoch: inner.epoch + 1,
             next_doc: inner.next_doc,
             next_segment: id + 1,
-            segments: segments.iter().map(|s| s.entry()).collect(),
-            tombstones: inner.tombstones.iter().copied().collect(),
+            segments: segments.iter().map(|s| s.entry.clone()).collect(),
+            tombstones: tombstones.iter().copied().collect(),
         };
         let t = Instant::now();
         self.commit_manifest(&manifest)?;
@@ -731,13 +615,14 @@ impl SegmentedSpine {
         inner.epoch = manifest.epoch;
         inner.next_segment = id + 1;
         inner.segments = Arc::new(segments);
-        inner.memtable = Arc::new(Memtable::new(self.alphabet.clone()));
+        inner.tombstones = Arc::new(tombstones);
+        inner.memtable = Memtable::new(self.alphabet.clone(), inner.next_doc);
         self.stats.seals.fetch_add(1, Ordering::Relaxed);
         self.append_journal(&JournalEvent {
             kind: JournalKind::Seal,
             epoch: manifest.epoch,
             unix_ms: unix_ms(),
-            docs: docs.len() as u64,
+            docs: live,
             aux: 0,
             inputs: Vec::new(),
             outputs: vec![id],
@@ -746,34 +631,18 @@ impl SegmentedSpine {
         Ok(true)
     }
 
-    /// Write segment `id`'s page file (the sealed layout, synced header
-    /// last). The file is not durable *state* until a manifest commit
-    /// references it — a crash before that leaves it as an orphan.
-    fn build_segment(&self, id: u64, docs: &[(u64, Vec<Code>)]) -> Result<Segment> {
-        let sep = self.alphabet.separator();
-        let mut text = Vec::new();
-        for (_, codes) in docs {
-            text.extend_from_slice(codes);
-            text.push(sep);
-        }
+    /// Write segment `entry.id`'s page file: `spine` in the sealed layout
+    /// (synced, header last), served under the document table `entry`.
+    /// The one sealing path: a seal passes the memtable's own index, a
+    /// merge the index it built over the live documents. The file is not
+    /// durable *state* until a manifest commit references it — a crash
+    /// before that leaves it as an orphan.
+    fn write_segment(&self, entry: SegmentEntry, spine: &Spine) -> Result<Segment> {
         charge(&self.cfg.gate, IoOp::Write)?;
-        let dev = FileDevice::create(self.pages_path(id), false)?;
-        let dev = GatedDevice { inner: dev, gate: self.cfg.gate.clone() };
-        let index = DiskSpine::build_sealed(
-            self.alphabet.clone(),
-            &text,
-            Box::new(dev),
-            self.cfg.pool_pages,
-            Box::<Lru>::default(),
-        )?;
-        if self.cfg.hot_pin_pages > 0 {
-            index.pin_hot_prefix(self.cfg.hot_pin_pages)?;
-        }
-        let doc_ids: Vec<u64> = docs.iter().map(|&(d, _)| d).collect();
-        let doc_lens: Vec<u64> = docs.iter().map(|(_, c)| c.len() as u64).collect();
-        let entry = SegmentEntry { id, doc_ids, doc_lens };
-        let starts = entry.starts();
-        Ok(Segment { id, doc_ids: entry.doc_ids, doc_lens: entry.doc_lens, starts, index })
+        let file = FileDevice::create(self.pages_path(entry.id), false)?;
+        let device = segment_device(file, &self.cfg.gate);
+        let index = DiskSpine::seal(spine, device, self.cfg.pool_pages, Box::<Lru>::default())?;
+        Segment::new(entry, index, &self.cfg)
     }
 
     /// The atomic commit: temp file, fsync, rename, directory fsync.
@@ -891,44 +760,31 @@ impl SegmentedSpine {
     /// Sorted global ids of every live document (memtable and sealed).
     pub fn live_doc_ids(&self) -> Vec<u64> {
         let snap = self.snapshot();
-        let mut ids = Vec::new();
-        {
-            let st = snap.memtable.state.read();
-            for (local, &id) in st.doc_ids.iter().take(snap.mem_docs).enumerate() {
-                if !snap.mem_retired[local] && !snap.tombstones.contains(&id) {
-                    ids.push(id);
-                }
-            }
-        }
+        let mut ids: Vec<u64> = (snap.memtable.first_doc..)
+            .zip(&snap.mem_retired)
+            .filter_map(|(id, &retired)| (!retired).then_some(id))
+            .collect();
         for seg in snap.segments.iter() {
-            for &id in &seg.doc_ids {
-                if !snap.tombstones.contains(&id) {
-                    ids.push(id);
-                }
-            }
+            ids.extend(seg.entry.doc_ids.iter().filter(|id| !snap.tombstones.contains(id)));
         }
         ids.sort_unstable();
         ids
     }
 
     /// The codes of live document `doc`, or `None` if it is retired or was
-    /// never assigned.
+    /// never assigned. A memtable document is read back from the
+    /// memtable's backbone, a sealed one from its segment's label pages.
     pub fn document(&self, doc: u64) -> Result<Option<Vec<Code>>> {
         let snap = self.snapshot();
+        if let Some(local) = doc.checked_sub(snap.memtable.first_doc) {
+            let live = snap.mem_retired.get(local as usize) == Some(&false);
+            return Ok(live.then(|| snap.memtable.index.read().document(local as usize)));
+        }
         if snap.tombstones.contains(&doc) {
             return Ok(None);
         }
-        {
-            let st = snap.memtable.state.read();
-            if let Some(local) = st.doc_ids.iter().take(snap.mem_docs).position(|&d| d == doc) {
-                if snap.mem_retired[local] {
-                    return Ok(None);
-                }
-                return Ok(Some(st.codes[local].clone()));
-            }
-        }
         for seg in snap.segments.iter() {
-            if let Ok(i) = seg.doc_ids.binary_search(&doc) {
+            if let Ok(i) = seg.entry.doc_ids.binary_search(&doc) {
                 return Ok(Some(seg.doc_codes(i)?));
             }
         }
@@ -947,12 +803,10 @@ impl SegmentedSpine {
     pub fn explain(&self, pattern: &[Code]) -> Vec<(String, QueryTrace)> {
         let snap = self.snapshot();
         let mut out = Vec::with_capacity(1 + snap.segments.len());
-        {
-            let st = snap.memtable.state.read();
-            out.push(("memtable".to_string(), crate::trace::explain(&st.index, pattern)));
-        }
+        let memtable = crate::trace::explain(&*snap.memtable.index.read(), pattern);
+        out.push(("memtable".to_string(), memtable));
         for seg in snap.segments.iter() {
-            out.push((format!("seg-{}", seg.id), seg.index.explain(pattern)));
+            out.push((format!("seg-{}", seg.entry.id), seg.index.explain(pattern)));
         }
         out
     }
@@ -962,7 +816,8 @@ impl SegmentedSpine {
     /// gauges on `/metrics`; an id that has since been merged away simply
     /// stops appearing here.
     pub fn segment_pages(&self) -> Vec<(u64, u64)> {
-        self.snapshot().segments.iter().map(|s| (s.id, s.index.file_pages().unwrap_or(0))).collect()
+        let snap = self.snapshot();
+        snap.segments.iter().map(|s| (s.entry.id, s.index.file_pages().unwrap_or(0))).collect()
     }
 
     /// The gauge values as one consistent snapshot.
@@ -1011,14 +866,13 @@ impl SegmentedSpine {
 
     fn refresh_stats(&self, inner: &Inner) {
         let (mem_docs, mem_symbols, mem_live) = {
-            let st = inner.memtable.state.read();
-            let live = st.retired.iter().filter(|&&r| !r).count();
-            (st.doc_ids.len(), st.symbols, live)
+            let index = inner.memtable.index.read();
+            (index.doc_count(), index.as_spine().len(), index.live_doc_count())
         };
         let sealed_live: usize = inner
             .segments
             .iter()
-            .map(|s| s.doc_ids.iter().filter(|d| !inner.tombstones.contains(d)).count())
+            .map(|s| s.entry.doc_ids.iter().filter(|d| !inner.tombstones.contains(d)).count())
             .sum();
         let s = &self.stats;
         s.epoch.store(inner.epoch, Ordering::Relaxed);
@@ -1042,60 +896,43 @@ impl SegmentedSpine {
         let segments = inner.segments.clone();
         let tombstones = inner.tombstones.clone();
         drop(inner);
-        let (mem_docs, mem_retired) = {
-            let st = memtable.state.read();
-            (st.doc_ids.len(), st.retired.clone())
+        let mem_retired = {
+            let index = memtable.index.read();
+            (0..index.doc_count()).map(|d| index.is_retired(d)).collect()
         };
-        Snapshot { memtable, mem_docs, mem_retired, segments, tombstones }
+        Snapshot { memtable, mem_retired, segments, tombstones }
     }
 }
 
 impl Snapshot {
     /// Every occurrence of `pattern` among this snapshot's live documents,
-    /// ordered by (doc, offset). The memtable, then each segment: the empty
-    /// pattern occurs at every offset of every document, boundaries
-    /// included (the per-document analogue of the single-backbone `0..=n`
-    /// answer); any other pattern's concatenation ends
-    /// ([`try_find_all_ends`]: a walk of the memtable's child lists or of a
-    /// segment's in-RAM preorder index) are localized to `(doc, offset)`.
-    /// Retired and tombstoned documents are filtered out, and a component's
-    /// error is returned as it is.
+    /// ordered by (doc, offset). The memtable and each segment take the
+    /// same steps: their concatenation ends ([`try_find_all_ends`]: a walk
+    /// of the memtable's child lists or of a segment's in-RAM preorder
+    /// index) are localized to `(doc, offset)` by the one map, which drops
+    /// the closing sentinel — so the empty pattern occurs at every offset
+    /// `0..=len` of every document. Retired and tombstoned documents are
+    /// filtered out, and a component's error is returned as it is.
     fn find_all(&self, pattern: &[Code]) -> Result<Vec<DocMatch>> {
         let at = |id: u64, offset: usize| DocMatch { doc: id as usize, offset };
         let mut ms = Vec::new();
         {
-            let st = self.memtable.state.read();
-            let live = |local: usize| {
-                !self.mem_retired[local] && !self.tombstones.contains(&st.doc_ids[local])
-            };
-            if pattern.is_empty() {
-                for local in (0..self.mem_docs).filter(|&local| live(local)) {
-                    let id = st.doc_ids[local];
-                    ms.extend((0..=st.index.doc_len(local)).map(|offset| at(id, offset)));
-                }
-            } else if self.mem_docs > 0 {
-                for end in try_find_all_ends(&st.index, pattern)? {
-                    let m = st.index.localize(end as usize - pattern.len());
-                    // Documents added after the snapshot localize past it.
-                    if m.doc < self.mem_docs && live(m.doc) {
-                        ms.push(at(st.doc_ids[m.doc], m.offset));
-                    }
+            let index = self.memtable.index.read();
+            for end in try_find_all_ends(&*index, pattern)? {
+                let Some(m) = index.localize(end as usize - pattern.len()) else { continue };
+                // Documents added after the snapshot lie past its flags.
+                if self.mem_retired.get(m.doc) == Some(&false) {
+                    ms.push(at(self.memtable.first_doc + m.doc as u64, m.offset));
                 }
             }
         }
         for seg in self.segments.iter() {
-            if pattern.is_empty() {
-                for (&id, &len) in seg.doc_ids.iter().zip(&seg.doc_lens) {
-                    if !self.tombstones.contains(&id) {
-                        ms.extend((0..=len as usize).map(|offset| at(id, offset)));
-                    }
-                }
-            } else {
-                for end in try_find_all_ends(&seg.index, pattern)? {
-                    let (id, offset) = seg.localize(end as usize - pattern.len());
-                    if !self.tombstones.contains(&id) {
-                        ms.push(at(id, offset));
-                    }
+            for end in try_find_all_ends(&seg.index, pattern)? {
+                let Some((id, offset)) = seg.localize(end as usize - pattern.len()) else {
+                    continue;
+                };
+                if !self.tombstones.contains(&id) {
+                    ms.push(at(id, offset));
                 }
             }
         }
@@ -1121,7 +958,7 @@ impl ServeIndex for SegmentedSpine {
 
     fn counters_snapshot(&self) -> CountersSnapshot {
         let snap = self.snapshot();
-        let mut agg = FallibleSpineOps::ops_counters(&snap.memtable.state.read().index).snapshot();
+        let mut agg = FallibleSpineOps::ops_counters(&*snap.memtable.index.read()).snapshot();
         for seg in snap.segments.iter() {
             agg += FallibleSpineOps::ops_counters(&seg.index).snapshot();
         }
@@ -1164,19 +1001,10 @@ fn replay_journal(dir: &Path, cfg: &SegmentConfig, manifest_epoch: u64) -> Resul
 
 fn open_segment(dir: &Path, e: &SegmentEntry, cfg: &SegmentConfig) -> Result<Segment> {
     charge(&cfg.gate, IoOp::Read)?;
-    let dev = FileDevice::open(dir.join(format!("seg-{}.pages", e.id)), false)?;
-    let dev = GatedDevice { inner: dev, gate: cfg.gate.clone() };
-    let index = DiskSpine::reopen(Box::new(dev), cfg.pool_pages, Box::<Lru>::default())?;
-    if cfg.hot_pin_pages > 0 {
-        index.pin_hot_prefix(cfg.hot_pin_pages)?;
-    }
-    Ok(Segment {
-        id: e.id,
-        doc_ids: e.doc_ids.clone(),
-        doc_lens: e.doc_lens.clone(),
-        starts: e.starts(),
-        index,
-    })
+    let file = FileDevice::open(dir.join(format!("seg-{}.pages", e.id)), false)?;
+    let device = segment_device(file, &cfg.gate);
+    let index = DiskSpine::reopen(device, cfg.pool_pages, Box::<Lru>::default())?;
+    Segment::new(e.clone(), index, cfg)
 }
 
 /// The id in a `seg-{id}.pages` file name.
@@ -1285,6 +1113,11 @@ mod tests {
         let d0 = s.add_document(&enc(&a, "ACGTACGT")).unwrap();
         let d1 = s.add_document(&enc(&a, "TTTT")).unwrap();
         assert_eq!((d0, d1), (0, 1));
+        // A separator inside a document is refused before anything is
+        // appended, and takes no id.
+        let bad = s.add_document(&[0, a.separator()]);
+        assert!(matches!(bad, Err(Error::InvalidSymbol { pos: 1, .. })), "{bad:?}");
+        assert_eq!(s.stats().memtable_symbols, 9 + 5);
         assert_eq!(matches_of(&s, &a, "ACGT"), vec![(0, 0), (0, 4)]);
         // Seal, then add more on top: queries span memtable + segment.
         assert!(s.force_seal().unwrap());
@@ -1308,6 +1141,27 @@ mod tests {
         assert_eq!(s.live_doc_ids(), vec![0]);
         assert_eq!(s.document(d0).unwrap().unwrap(), enc(&a, "ACGTACGT"));
         assert_eq!(s.document(d1).unwrap(), None);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn segment_localize_ends_with_the_last_document() {
+        let a = dna();
+        let dir = tmpdir("localize");
+        let s = SegmentedSpine::create(a.clone(), &dir, SegmentConfig::default()).unwrap();
+        s.add_document(&enc(&a, "ACGT")).unwrap();
+        s.add_document(&enc(&a, "GA")).unwrap();
+        assert!(s.force_seal().unwrap());
+        let snap = s.snapshot();
+        let seg = &snap.segments[0];
+        let n = seg.index.len();
+        assert_eq!(n, 5 + 3);
+        assert_eq!(seg.localize(0), Some((0, 0)));
+        assert_eq!(seg.localize(5), Some((1, 0)));
+        // The last document's terminator is its offset `len`; the sentinel
+        // offset `n` belongs to no document.
+        assert_eq!(seg.localize(n - 1), Some((1, 2)));
+        assert_eq!(seg.localize(n), None);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1353,29 +1207,12 @@ mod tests {
         s.merge_once().unwrap();
         // The snapshot still sees exactly docs {0, 1}: segment files were
         // deleted by the merge, but its handles keep them readable.
-        let pat = enc(&a, "AC");
-        let outs = {
-            // Re-resolve through the snapshot manually, mirroring
-            // answer_patterns' component walk.
-            let st = snap_before.memtable.state.read();
-            let mut got: Vec<(usize, usize)> = st
-                .index
-                .find_all(&pat)
-                .into_iter()
-                .filter(|m| m.doc < snap_before.mem_docs && !snap_before.mem_retired[m.doc])
-                .map(|m| (st.doc_ids[m.doc] as usize, m.offset))
-                .collect();
-            for seg in snap_before.segments.iter() {
-                for start in seg.index.try_find_all(&pat).unwrap() {
-                    let (id, off) = seg.localize(start);
-                    if !snap_before.tombstones.contains(&id) {
-                        got.push((id as usize, off));
-                    }
-                }
-            }
-            got.sort_unstable();
-            got
-        };
+        let outs: Vec<(usize, usize)> = snap_before
+            .find_all(&enc(&a, "AC"))
+            .unwrap()
+            .iter()
+            .map(|m| (m.doc, m.offset))
+            .collect();
         assert_eq!(outs, vec![(0, 0), (1, 0)]);
         let _ = fs::remove_dir_all(&dir);
     }

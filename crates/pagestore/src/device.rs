@@ -4,8 +4,9 @@
 //! The wrapper devices compose: a [`RetryDevice`] over a [`FlakyDevice`]
 //! over a [`MemDevice`] is a storage stack that suffers transient faults
 //! and rides them out; a [`FaultyDevice`] injects a *permanent* fault at an
-//! exact operation index, which the `exp faults` crashpoint sweep uses to
-//! hit every I/O site of a recorded trace.
+//! exact operation index of its [`IoGate`], which the `exp faults`
+//! crashpoint sweeps use to hit every I/O site of a recorded trace (a
+//! segment store shares one gate across its devices and file operations).
 
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -251,39 +252,83 @@ impl PageDevice for FileDevice {
 // Fault injection and retry.
 // ---------------------------------------------------------------------------
 
-/// A fault-injection wrapper: forwards to an inner device until a budget of
-/// operations is spent, then fails every call with a **permanent** I/O
-/// error. Used by the crashpoint sweep to verify that the buffer pool and
-/// the engines built on it propagate storage failures as `Err` instead of
-/// corrupting state or panicking.
+/// A shared, countable I/O-operation budget for crash injection.
+///
+/// Unarmed gates only count operations, so a harness can measure how many
+/// a workload performs; armed gates also fail every operation from a chosen
+/// index on, **permanently**, like a crashed process. Clones share one
+/// count: a gate shared by several devices and by file-level operations (a
+/// segment store's manifest and journal) enumerates every point a real
+/// crash could hit.
+#[derive(Clone)]
+pub struct IoGate {
+    ops: Arc<AtomicU64>,
+    /// Every operation from this index on fails.
+    fail_from: u64,
+}
+
+impl IoGate {
+    /// A counting-only gate: never fails.
+    pub fn unarmed() -> Self {
+        Self::armed(u64::MAX)
+    }
+
+    /// A gate that lets `budget` operations through and then fails every
+    /// operation, permanently.
+    pub fn armed(budget: u64) -> Self {
+        IoGate { ops: Arc::default(), fail_from: budget }
+    }
+
+    /// Operations charged so far (failed attempts count too).
+    pub fn ops(&self) -> u64 {
+        self.ops.load(Relaxed)
+    }
+
+    /// Charge one `op` (on `page`, when page-granular): `Err` once the
+    /// budget is spent.
+    pub fn charge(&self, op: IoOp, page: Option<u32>) -> Result<()> {
+        let k = self.ops.fetch_add(1, Relaxed);
+        if k >= self.fail_from {
+            let e = std::io::Error::other(format!("injected fault at I/O op {k}"));
+            return Err(Error::io(e, op, page));
+        }
+        Ok(())
+    }
+}
+
+/// A fault-injection wrapper: charges every read, write and sync to an
+/// [`IoGate`] before forwarding it, so once the gate's budget is spent
+/// every call fails with a **permanent** I/O error. Used by the crashpoint
+/// sweeps to verify that the buffer pool and the engines built on it
+/// propagate storage failures as `Err` instead of corrupting state or
+/// panicking.
 pub struct FaultyDevice<D: PageDevice> {
     inner: D,
-    remaining: u64,
+    gate: IoGate,
 }
 
 impl<D: PageDevice> FaultyDevice<D> {
-    /// Fail every operation after the first `ops_before_failure` succeed.
+    /// Fail every operation after the first `ops_before_failure` succeed
+    /// (a gate of its own).
     pub fn new(inner: D, ops_before_failure: u64) -> Self {
-        FaultyDevice { inner, remaining: ops_before_failure }
+        Self::gated(inner, IoGate::armed(ops_before_failure))
     }
 
-    fn spend(&mut self, op: IoOp, page: u32) -> Result<()> {
-        if self.remaining == 0 {
-            return Err(Error::io(std::io::Error::other("injected device fault"), op, Some(page)));
-        }
-        self.remaining -= 1;
-        Ok(())
+    /// Charge every operation to `gate`, which other devices and file
+    /// operations may share.
+    pub fn gated(inner: D, gate: IoGate) -> Self {
+        FaultyDevice { inner, gate }
     }
 }
 
 impl<D: PageDevice> PageDevice for FaultyDevice<D> {
     fn read_page(&mut self, id: u32, buf: &mut [u8]) -> Result<()> {
-        self.spend(IoOp::Read, id)?;
+        self.gate.charge(IoOp::Read, Some(id))?;
         self.inner.read_page(id, buf)
     }
 
     fn write_page(&mut self, id: u32, buf: &[u8]) -> Result<()> {
-        self.spend(IoOp::Write, id)?;
+        self.gate.charge(IoOp::Write, Some(id))?;
         self.inner.write_page(id, buf)
     }
 
@@ -294,7 +339,7 @@ impl<D: PageDevice> PageDevice for FaultyDevice<D> {
     fn sync(&mut self) -> Result<()> {
         // A sync is a faultable operation like any other: fsync can fail,
         // and the crashpoint sweep must be able to land exactly on it.
-        self.spend(IoOp::Sync, 0)?;
+        self.gate.charge(IoOp::Sync, None)?;
         self.inner.sync()
     }
 
@@ -707,6 +752,26 @@ mod faulty_tests {
         assert!(!e.is_transient());
         let msg = e.to_string();
         assert!(msg.contains("read of page 7"), "{msg}");
+    }
+
+    #[test]
+    fn a_shared_gate_spends_one_budget_across_devices() {
+        let gate = IoGate::armed(3);
+        let mut a = FaultyDevice::gated(MemDevice::new(), gate.clone());
+        let mut b = FaultyDevice::gated(MemDevice::new(), gate.clone());
+        let buf = [0u8; PAGE_SIZE];
+        a.write_page(0, &buf).unwrap();
+        b.write_page(0, &buf).unwrap();
+        gate.charge(IoOp::Meta, None).unwrap(); // a file operation
+        let e = b.write_page(5, &buf).unwrap_err();
+        assert!(!e.is_transient());
+        assert!(e.to_string().contains("write of page 5"), "{e}");
+        assert!(a.sync().is_err(), "the fault is permanent for every holder");
+        assert_eq!(gate.ops(), 5, "failed attempts count too");
+        let counting = IoGate::unarmed();
+        let mut c = FaultyDevice::gated(MemDevice::new(), counting.clone());
+        c.sync().unwrap();
+        assert_eq!(counting.ops(), 1);
     }
 
     #[test]

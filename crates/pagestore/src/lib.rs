@@ -27,7 +27,7 @@ pub mod slotted;
 pub mod varint;
 
 pub use device::{
-    FaultyDevice, FileDevice, FlakyDevice, IoStats, MemDevice, PageDevice, RetryDevice,
+    FaultyDevice, FileDevice, FlakyDevice, IoGate, IoStats, MemDevice, PageDevice, RetryDevice,
     RetryPolicy, PAGE_SIZE,
 };
 pub use paged::PagedVec;

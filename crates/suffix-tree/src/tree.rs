@@ -306,11 +306,6 @@ impl SuffixTree {
             + self.text.capacity()
     }
 
-    /// Bytes per indexed character of the *measured Rust representation*.
-    pub fn bytes_per_char(&self) -> f64 {
-        self.heap_bytes() as f64 / self.len().max(1) as f64
-    }
-
     /// Bytes per indexed character of a reasonable *packed* suffix-tree
     /// layout: per node, edge start/end (8), suffix link (4), one
     /// first-occurrence annotation (4), plus 5 bytes per child edge and the

@@ -42,6 +42,7 @@ cargo test -q -p spine --lib manifest
 cargo test -q -p spine --lib segments
 cargo test -q --test segments
 cargo test -q --test differential segmented_store
+cargo test -q -p pagestore --lib faulty_tests::a_shared_gate_spends_one_budget_across_devices
 cargo run --release -q --example crash_recovery >/dev/null
 
 echo "== flight recorder: journal codec, timeline ring, postmortem dumps"
@@ -85,6 +86,13 @@ cargo test -q --test segments seal_after_recovery_never_reuses_an_orphan_id
 
 echo "== the empty pattern: one answer (every offset) on every index surface"
 cargo test -q --test differential empty_pattern_occurs_at_every_offset_on_every_surface
+
+echo "== the memtable seals its own index: the file build_sealed writes, retired documents with their tombstone, one offset-to-document map"
+cargo test -q --test segments a_memtable_seals_to_the_file_build_sealed_writes
+cargo test -q --test segments retired_memtable_documents_seal_with_their_tombstone
+cargo test -q -p spine --lib -- generalized::tests::localize_ends_with_the_last_document \
+  generalized::tests::documents_read_back_from_the_backbone \
+  segments::tests::segment_localize_ends_with_the_last_document
 
 echo "== construction: one APPEND (golden digests, event-sequence cross-engine check, fallible disk prefix views and maximal matches)"
 cargo test -q --test build_observer construction_matches_golden_digests

@@ -320,15 +320,30 @@ fn empty_pattern_occurs_at_every_offset_on_every_surface() {
         }
     }
 
+    // The store: one segment ending with an empty document, one ending
+    // with a non-empty one, and a memtable holding a retired document.
+    let store_docs: Vec<Vec<Code>> =
+        [&b"ACGT"[..], b"", b"GATTACA", b"TTA", b""].iter().map(|d| a.encode(d).unwrap()).collect();
     let dir =
         std::env::temp_dir().join(format!("spine-differential-empty-seg-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = SegmentedSpine::create(a.clone(), &dir, SegmentConfig::default()).unwrap();
-    store.add_document(&docs[0]).unwrap();
-    store.add_document(&docs[1]).unwrap();
-    store.force_seal().unwrap();
-    store.add_document(&docs[2]).unwrap();
-    assert_eq!(store.try_find_all(&[]).unwrap(), per_doc(&[0, 1, 2]), "segments and memtable");
+    for (id, d) in store_docs.iter().enumerate() {
+        store.add_document(d).unwrap();
+        if id == 1 || id == 2 {
+            store.force_seal().unwrap();
+        }
+    }
+    store.retire_document(3).unwrap();
+    let want: Vec<DocMatch> = [0, 1, 2, 4]
+        .iter()
+        .flat_map(|&doc| (0..=store_docs[doc].len()).map(move |offset| DocMatch { doc, offset }))
+        .collect();
+    assert_eq!(store.try_find_all(&[]).unwrap(), want, "segments and memtable");
+    match &store.answer_patterns(&[&[]])[0] {
+        QueryOutcome::DoneDocs(got) => assert_eq!(got, &want, "served segments and memtable"),
+        other => panic!("served segments and memtable: {other:?}"),
+    }
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -468,3 +468,120 @@ fn merge_survives_a_failed_input_deletion() {
     assert_eq!(matches_of(&store, &enc(&a, b"ACGTACGT")), vec![(0, 0)]);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Sealing encodes the memtable's own index, with no second APPEND, so
+/// the segment file must be byte for byte the one `build_sealed` writes
+/// over the same concatenation — empty and length-1 documents included.
+#[test]
+fn a_memtable_seals_to_the_file_build_sealed_writes() {
+    use pagestore::{FileDevice, Lru};
+    use spine::DiskSpine;
+
+    for (i, a) in [Alphabet::dna(), Alphabet::protein()].into_iter().enumerate() {
+        let dir = tmpdir(&format!("seal-bytes-{i}"));
+        let store = SegmentedSpine::create(a.clone(), &dir, SegmentConfig::default()).unwrap();
+        let texts: [&[u8]; 5] = [b"ACGTACGTAC", b"", b"A", b"CATCATTACA", b"GATTACA"];
+        let mut concatenation = Vec::new();
+        for t in texts {
+            store.add_document(&enc(&a, t)).unwrap();
+            concatenation.extend(enc(&a, t));
+            concatenation.push(a.separator());
+        }
+        assert!(store.force_seal().unwrap());
+        drop(store);
+
+        let reference = dir.join("reference.pages");
+        let device = FileDevice::create(&reference, false).unwrap();
+        let built = DiskSpine::build_sealed(
+            a.clone(),
+            &concatenation,
+            Box::new(device),
+            16,
+            Box::<Lru>::default(),
+        )
+        .unwrap();
+        drop(built);
+        let sealed = std::fs::read(dir.join("seg-0.pages")).unwrap();
+        assert!(!sealed.is_empty());
+        assert!(sealed == std::fs::read(&reference).unwrap(), "alphabet {i}: the files differ");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A memtable document retired before its seal is sealed with the rest,
+/// and its tombstone rides in the seal's own manifest commit: a crash keeps
+/// both or loses both, and the next merge drops the document's bytes.
+#[test]
+fn retired_memtable_documents_seal_with_their_tombstone() {
+    use spine::{JournalKind, Manifest};
+
+    let a = Alphabet::dna();
+    let dir = tmpdir("retired-seal");
+    let cfg = SegmentConfig { merge_min_segments: 8, ..Default::default() };
+    let store = SegmentedSpine::create(a.clone(), &dir, cfg.clone()).unwrap();
+    let texts: [&[u8]; 3] = [b"ACGTAC", b"GGACGT", b"TTAC"];
+    for t in texts {
+        store.add_document(&enc(&a, t)).unwrap();
+    }
+    assert!(store.retire_document(1).unwrap());
+    let check = |store: &SegmentedSpine, when: &str| {
+        assert_eq!(store.live_doc_ids(), vec![0, 2], "{when}");
+        assert_eq!(matches_of(store, &enc(&a, b"ACGT")), vec![(0, 0)], "{when}");
+        assert_eq!(matches_of(store, &enc(&a, b"GG")), vec![], "{when}");
+        assert_eq!(matches_of(store, &enc(&a, b"AC")), vec![(0, 0), (0, 4), (2, 2)], "{when}");
+        assert_eq!(store.document(1).unwrap(), None, "{when}");
+        assert_eq!(store.document(2).unwrap(), Some(enc(&a, b"TTAC")), "{when}");
+    };
+    check(&store, "in the memtable");
+
+    let epoch = store.epoch();
+    assert!(store.force_seal().unwrap());
+    assert_eq!(store.epoch(), epoch + 1, "one commit");
+    let manifest = Manifest::decode(&std::fs::read(dir.join("MANIFEST")).unwrap()).unwrap();
+    assert_eq!(manifest.segments.len(), 1);
+    assert_eq!(manifest.segments[0].doc_ids, vec![0, 1, 2], "the retired document is sealed");
+    assert_eq!(manifest.tombstones, vec![1], "with its tombstone");
+    let seal = store.recent_journal(1).unwrap().remove(0);
+    assert_eq!((seal.kind, seal.epoch, seal.docs), (JournalKind::Seal, epoch + 1, 2));
+    assert_eq!(store.stats().tombstones, 1);
+    check(&store, "sealed");
+    drop(store);
+
+    let store = SegmentedSpine::open(a.clone(), &dir, cfg.clone()).unwrap();
+    check(&store, "reopened");
+    assert!(store.merge_once().unwrap());
+    assert_eq!(store.stats().tombstones, 0);
+    check(&store, "merged");
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Crash the same script at every I/O operation: recovery finds the
+    // sealed documents and the tombstone together, or neither.
+    let mut outcomes = [0u32; 2];
+    for k in 0.. {
+        use spine::IoGate;
+        let dir = tmpdir(&format!("retired-seal-crash-{k}"));
+        let gated = SegmentConfig { gate: Some(IoGate::armed(k)), ..cfg.clone() };
+        let run = SegmentedSpine::create(a.clone(), &dir, gated).and_then(|store| {
+            for t in texts {
+                store.add_document(&enc(&a, t))?;
+            }
+            store.retire_document(1)?;
+            store.force_seal()
+        });
+        // A crash inside `create` may leave no manifest at all.
+        if let Ok(store) = SegmentedSpine::open(a.clone(), &dir, cfg.clone()) {
+            let state = (store.live_doc_ids(), store.stats().tombstones);
+            assert!(state == (vec![], 0) || state == (vec![0, 2], 1), "k={k}: {state:?}");
+            if state.1 == 1 {
+                check(&store, "recovered");
+            }
+            outcomes[state.1] += 1;
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        if run.is_ok() {
+            break;
+        }
+    }
+    assert!(outcomes[0] > 1 && outcomes[1] > 1, "both outcomes reached: {outcomes:?}");
+}
