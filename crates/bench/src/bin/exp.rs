@@ -1329,35 +1329,9 @@ fn http_get_cmd(opts: &Opts) {
 // ---------------------------------------------------------------------------
 fn faults(opts: &Opts) {
     let (r, t) = time(|| spine_bench::crashpoint_sweep(opts.quick));
-    let rows = vec![
-        Row::new("crashpoints")
-            .cell("trace-ops", r.trace_ops as f64)
-            .cell("tested", r.tested as f64)
-            .cell("build-errs", r.build_faults as f64)
-            .cell("query-errs", r.query_faults as f64)
-            .cell("flush-errs", r.flush_faults as f64)
-            .cell("panics", r.panics as f64)
-            .cell("swallowed", r.swallowed as f64),
-        Row::new("degraded-mode")
-            .cell("burst-oracle-ok", r.burst_oracle_match as u8 as f64)
-            .cell("prob-oracle-ok", r.probability_oracle_match as u8 as f64)
-            .cell("retries-absorbed", r.retries_absorbed as f64)
-            .cell("sweep-secs", secs(t)),
-        Row::new("seal-rebuild")
-            .cell("seal-ops", r.seal_ops as f64)
-            .cell("seal-errs", r.seal_faults as f64)
-            .cell("source-intact", r.sealed_source_intact as u8 as f64)
-            .cell("reseal-oracle-ok", r.sealed_oracle_match as u8 as f64),
-        Row::new("segment-store")
-            .cell("lifecycle-ops", r.segment_ops as f64)
-            .cell("crash-errs", r.segment_faults as f64)
-            .cell("recoveries-ok", r.segment_recoveries as f64)
-            .cell("torn", r.segment_torn as f64)
-            .cell("orphaned", r.segment_orphaned as f64),
-    ];
     print_table(
         "Faults — crashpoint sweep (hard faults) + retry layer vs oracle (transient)",
-        &rows,
+        &r.rows(secs(t)),
         opts.json,
     );
     assert!(

@@ -25,6 +25,7 @@ use spine::{
 };
 use strindex::{Alphabet, Code, StringIndex};
 
+use crate::report::Row;
 use crate::rng;
 use crate::Dataset;
 
@@ -128,6 +129,37 @@ impl SweepReport {
             && self.segment_faults > 0
             && self.segment_torn == 0
             && self.segment_journal_divergences == 0
+    }
+
+    /// The four rows `exp faults` prints, one per pass; `sweep_secs` is
+    /// the whole sweep's wall time.
+    pub fn rows(&self, sweep_secs: f64) -> Vec<Row> {
+        vec![
+            Row::new("crashpoints")
+                .cell("trace-ops", self.trace_ops as f64)
+                .cell("tested", self.tested as f64)
+                .cell("build-errs", self.build_faults as f64)
+                .cell("query-errs", self.query_faults as f64)
+                .cell("flush-errs", self.flush_faults as f64)
+                .cell("panics", self.panics as f64)
+                .cell("swallowed", self.swallowed as f64),
+            Row::new("degraded-mode")
+                .cell("burst-oracle-ok", self.burst_oracle_match as u8 as f64)
+                .cell("prob-oracle-ok", self.probability_oracle_match as u8 as f64)
+                .cell("retries-absorbed", self.retries_absorbed as f64)
+                .cell("sweep-secs", sweep_secs),
+            Row::new("seal-rebuild")
+                .cell("seal-ops", self.seal_ops as f64)
+                .cell("seal-errs", self.seal_faults as f64)
+                .cell("source-intact", self.sealed_source_intact as u8 as f64)
+                .cell("reseal-oracle-ok", self.sealed_oracle_match as u8 as f64),
+            Row::new("segment-store")
+                .cell("lifecycle-ops", self.segment_ops as f64)
+                .cell("crash-errs", self.segment_faults as f64)
+                .cell("recoveries-ok", self.segment_recoveries as f64)
+                .cell("torn", self.segment_torn as f64)
+                .cell("orphaned", self.segment_orphaned as f64),
+        ]
     }
 }
 

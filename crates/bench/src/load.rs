@@ -683,6 +683,8 @@ pub fn run_plan<S: ServeIndex + 'static>(
 /// pattern answers with its occurrence end positions (matching the SPINE
 /// convention `end = start + len`), so every comparison engine rides the
 /// same batching, queueing, and telemetry path as SPINE itself.
+/// [`StringIndex::find_all`] already gives starts ascending, and `0..=n`
+/// for the empty pattern, so the ends need no sorting and ε no branch.
 pub struct ServeAdapter<T: StringIndex + Send + Sync> {
     index: T,
     probe: Option<fn(&T) -> CountersSnapshot>,
@@ -697,10 +699,6 @@ impl<T: StringIndex + Send + Sync> ServeAdapter<T> {
     pub fn with_probe(index: T, probe: fn(&T) -> CountersSnapshot) -> Self {
         ServeAdapter { index, probe: Some(probe) }
     }
-
-    pub fn index(&self) -> &T {
-        &self.index
-    }
 }
 
 impl<T: StringIndex + Send + Sync> ServeIndex for ServeAdapter<T> {
@@ -708,17 +706,8 @@ impl<T: StringIndex + Send + Sync> ServeIndex for ServeAdapter<T> {
         patterns
             .iter()
             .map(|p| {
-                if p.is_empty() {
-                    return QueryOutcome::Done((0..=self.index.text_len() as NodeId).collect());
-                }
-                let mut ends: Vec<NodeId> = self
-                    .index
-                    .find_all(p)
-                    .into_iter()
-                    .map(|start| (start + p.len()) as NodeId)
-                    .collect();
-                ends.sort_unstable();
-                QueryOutcome::Done(ends)
+                let starts = self.index.find_all(p).into_iter();
+                QueryOutcome::Done(starts.map(|start| (start + p.len()) as NodeId).collect())
             })
             .collect()
     }
@@ -1436,14 +1425,27 @@ mod tests {
 
     #[test]
     fn serve_adapter_agrees_with_spine() {
+        // A text short enough for the quadratic suffix trie; patterns are
+        // ε, substrings of it (hits) and substrings of a later stretch of
+        // the corpus (mostly misses).
         let c = tiny_corpus(CorpusKind::Dna);
-        let spine = Spine::build(c.alphabet.clone(), &c.text).unwrap();
-        let sa = ServeAdapter::new(SaIndex::build(c.alphabet.clone(), &c.text));
-        let queries = mix_queries(&c, MixKind::Uniform, 32);
-        let patterns: Vec<&[Code]> = queries.iter().map(|q| q.as_slice()).collect();
-        let a = spine.answer_patterns(&patterns);
-        let b = sa.answer_patterns(&patterns);
-        assert_eq!(a, b);
+        let (a, text) = (&c.alphabet, &c.text[..400]);
+        let mut patterns: Vec<&[Code]> = vec![&[]];
+        patterns.extend((0..40).map(|i| &text[i * 9..i * 9 + 3 + i % 8]));
+        patterns.extend((0..40).map(|i| &c.text[10_000 + i * 50..10_010 + i * 50 + i % 4]));
+        let want = Spine::build(a.clone(), text).unwrap().answer_patterns(&patterns);
+        assert!(want.contains(&QueryOutcome::Done(Vec::new())), "some patterns must miss");
+        let adapters = [
+            ("suffix array", BoxedServe::new(ServeAdapter::new(SaIndex::build(a.clone(), text)))),
+            (
+                "suffix tree",
+                BoxedServe::new(ServeAdapter::new(SuffixTree::build(a.clone(), text).unwrap())),
+            ),
+            ("suffix trie", BoxedServe::new(ServeAdapter::new(SuffixTrie::build(a.clone(), text)))),
+        ];
+        for (name, adapter) in adapters {
+            assert_eq!(adapter.answer_patterns(&patterns), want, "{name}");
+        }
     }
 
     #[test]

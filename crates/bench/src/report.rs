@@ -33,29 +33,40 @@ pub fn print_table(title: &str, rows: &[Row], json: bool) {
         }
         return;
     }
-    println!("\n== {title} ==");
+    print!("{}", render_table(title, rows));
+}
+
+/// The text form of [`print_table`]: a title line, then each row under a
+/// header of its column names, repeated whenever those names differ from
+/// the previous row's (one table may hold rows measuring different things).
+pub fn render_table(title: &str, rows: &[Row]) -> String {
+    let mut out = format!("\n== {title} ==\n");
     if rows.is_empty() {
-        println!("(no rows)");
-        return;
+        return out + "(no rows)\n";
     }
-    let cols: Vec<&str> = rows[0].cells.iter().map(|(n, _)| n.as_str()).collect();
     let label_w = rows.iter().map(|r| r.label.len()).max().unwrap_or(4).max(8);
-    print!("{:label_w$}", "dataset");
-    for c in &cols {
-        print!("  {c:>14}");
-    }
-    println!();
+    let mut header: Option<Vec<&str>> = None;
     for r in rows {
-        print!("{:label_w$}", r.label);
-        for (_, v) in &r.cells {
-            if v.abs() >= 1000.0 || (*v != 0.0 && v.fract() == 0.0) {
-                print!("  {v:>14.0}");
-            } else {
-                print!("  {v:>14.4}");
+        let cols: Vec<&str> = r.cells.iter().map(|(n, _)| n.as_str()).collect();
+        if header.as_ref() != Some(&cols) {
+            out += &format!("{:label_w$}", "dataset");
+            for c in &cols {
+                out += &format!("  {c:>14}");
             }
+            out.push('\n');
+            header = Some(cols);
         }
-        println!();
+        out += &format!("{:label_w$}", r.label);
+        for (_, v) in &r.cells {
+            out += &if v.abs() >= 1000.0 || (*v != 0.0 && v.fract() == 0.0) {
+                format!("  {v:>14.0}")
+            } else {
+                format!("  {v:>14.4}")
+            };
+        }
+        out.push('\n');
     }
+    out
 }
 
 /// The `exp serve --metrics` deliverable: a plain run and an instrumented run
@@ -197,6 +208,30 @@ mod tests {
         assert!(s.starts_with('{') && s.ends_with('}'));
         assert!(s.contains("\\\""));
         assert!(s.contains("\"inf\":null"));
+    }
+
+    #[test]
+    fn render_table_heads_each_row_with_its_own_columns() {
+        // The four `exp faults` rows, with counts a full sweep reports.
+        let report = crate::faults::SweepReport {
+            segment_recoveries: 82,
+            segment_orphaned: 54,
+            ..Default::default()
+        };
+        let rows = report.rows(0.57);
+        let text = render_table("faults", &rows);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.iter().filter(|l| l.starts_with("dataset")).count(), 4, "{text}");
+        for r in &rows {
+            let at = lines.iter().position(|l| l.starts_with(&r.label)).unwrap();
+            let header: Vec<&str> = lines[at - 1].split_whitespace().skip(1).collect();
+            let names: Vec<&str> = r.cells.iter().map(|(n, _)| n.as_str()).collect();
+            assert_eq!(header, names, "{text}");
+        }
+        // Rows that share their columns share one header.
+        let same = [Row::new("a").cell("x", 1.0), Row::new("b").cell("x", 2.0)];
+        assert_eq!(render_table("t", &same).matches("dataset").count(), 1);
+        assert!(render_table("t", &[]).ends_with("(no rows)\n"));
     }
 
     #[test]

@@ -37,7 +37,7 @@ use crate::node::{Extrib, Node, NodeId, Rib, ROOT};
 use crate::observe::{BuildEvent, BuildPhase, BuildStats, MemBreakdown, Observer, Off};
 use crate::ops::{FallibleSpineOps, LinkTree};
 use std::time::Instant;
-use strindex::{Alphabet, Code, Counters, Error, OnlineIndex, PackedText, Result, StringIndex};
+use strindex::{Alphabet, Code, Counters, Error, OnlineIndex, Result, StringIndex};
 
 /// Where APPEND writes: the node storage of one layout. APPEND reads the
 /// link chain back through [`FallibleSpineOps`], so a layout implements
@@ -212,18 +212,21 @@ fn extend_via_extribs<S: NodeStore, O: Observer<BuildEvent>>(
 pub struct Spine {
     pub(crate) alphabet: Alphabet,
     pub(crate) nodes: Vec<Node>,
+    /// The backbone labels, one store: `labels[i]` is text symbol `i`, the
+    /// label of the vertebra leaving node `i`.
+    pub(crate) labels: Vec<Code>,
     pub(crate) counters: Counters,
-    /// Backbone labels word-packed at `alphabet.pack_bits()` for the packed
-    /// search fast path; `None` for unpackable alphabets, or from the first
-    /// appended code that does not fit (a DNA separator).
-    pub(crate) packed: Option<PackedText>,
 }
 
 impl Spine {
     /// An empty index (just the root) over `alphabet`.
     pub fn new(alphabet: Alphabet) -> Self {
-        let packed = alphabet.pack_bits().map(PackedText::new);
-        Spine { alphabet, nodes: vec![Node::new(Code::MAX)], counters: Counters::new(), packed }
+        Spine {
+            alphabet,
+            nodes: vec![Node::default()],
+            labels: Vec::new(),
+            counters: Counters::new(),
+        }
     }
 
     /// Build the index for an encoded text in one call.
@@ -246,6 +249,7 @@ impl Spine {
     ) -> Result<Self> {
         let mut s = Spine::new(alphabet);
         s.nodes.reserve(text.len());
+        s.labels.reserve_exact(text.len());
         extend(&mut s, text, observer)?;
         Ok(s)
     }
@@ -278,8 +282,9 @@ impl Spine {
     }
 
     /// Heap bytes split by edge kind, consistent with [`Spine::heap_bytes`]:
-    /// edges count by length (they are exact-length slices) and the
-    /// link-child list ids count with the links.
+    /// edges count by length (they are exact-length slices), the
+    /// link-child list ids count with the links, and the vertebrae are the
+    /// label store, one byte per symbol.
     pub fn mem_breakdown(&self) -> MemBreakdown {
         let n = self.nodes.len() as u64;
         let ribs: u64 = self
@@ -293,7 +298,7 @@ impl Spine {
             .map(|nd| nd.extribs.len() as u64 * std::mem::size_of::<Extrib>() as u64)
             .sum();
         MemBreakdown {
-            vertebrae: n * std::mem::size_of::<Code>() as u64,
+            vertebrae: self.labels.len() as u64 * std::mem::size_of::<Code>() as u64,
             // link + LEL, plus first_child + next_sibling.
             links: n * 4 * std::mem::size_of::<NodeId>() as u64,
             ribs,
@@ -332,7 +337,7 @@ impl Spine {
     /// highlights that "the data string is not required any more once the
     /// index is constructed" — this is that property made executable.
     pub fn recover_text(&self) -> Vec<Code> {
-        self.nodes[1..].iter().map(|n| n.vertebra_cl).collect()
+        self.labels.clone()
     }
 }
 
@@ -342,18 +347,12 @@ impl NodeStore for Spine {
     #[inline(always)]
     fn push_node(&mut self, c: Code) -> Result<NodeId> {
         let t = self.nodes.len() as NodeId;
-        self.nodes.push(Node::new(c));
+        self.nodes.push(Node::default());
+        self.labels.push(c);
         if t == 1 {
             // The first node links to the root without a `set_link`, so
             // it joins the root's child list here.
             self.nodes[ROOT as usize].first_child = t;
-        }
-        // Keep the packed shadow of the backbone labels in sync; a code that
-        // does not fit the packing (DNA separator) disables it for good.
-        if let Some(p) = &mut self.packed {
-            if !p.try_push(c) {
-                self.packed = None;
-            }
         }
         Ok(t)
     }
@@ -391,7 +390,7 @@ impl FallibleSpineOps for Spine {
 
     #[inline]
     fn try_vertebra_out(&self, node: NodeId) -> Result<Option<Code>> {
-        Ok(self.nodes.get(node as usize + 1).map(|n| n.vertebra_cl))
+        Ok(self.labels.get(node as usize).copied())
     }
 
     #[inline]
@@ -412,27 +411,6 @@ impl FallibleSpineOps for Spine {
 
     fn ops_counters(&self) -> &Counters {
         &self.counters
-    }
-
-    fn backbone_packing(&self) -> Option<u32> {
-        self.packed.as_ref().map(|p| p.bits())
-    }
-
-    #[inline]
-    fn try_label_run(&self, node: NodeId, pattern: &PackedText, from: usize) -> Result<usize> {
-        match &self.packed {
-            Some(p) => Ok(p.lcp(node as usize, pattern, from, pattern.len() - from)),
-            None => {
-                let mut k = 0;
-                while from + k < pattern.len() {
-                    match self.nodes.get(node as usize + k + 1) {
-                        Some(n) if n.vertebra_cl == pattern.get(from + k) => k += 1,
-                        _ => break,
-                    }
-                }
-                Ok(k)
-            }
-        }
     }
 
     fn link_tree(&self) -> Option<LinkTree<'_>> {
@@ -577,7 +555,7 @@ mod tests {
         // Scan phase was timed and memory was accounted.
         assert!(st.nodes_per_sec().is_some());
         assert!(st.mem.total() > 0);
-        assert_eq!(st.mem.vertebrae, 11);
+        assert_eq!(st.mem.vertebrae, 10);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //!
 //! * **Implicit vertebras** — creation order equals logical order, so the
 //!   vertebra destination field disappears; character labels are bit-packed
-//!   (2 bits for DNA, 5 for protein) in [`PackedChars`].
+//!   in [`PackedChars`] at [`Alphabet::label_bits`] (3 bits for DNA, whose
+//!   separator is a fifth code; 5 for protein).
 //! * **Small numeric labels** — measured PT/LEL/PRT maxima stay far below
 //!   2¹⁶ (Table 3), so labels are `u16`s; the rare larger value parks in an
 //!   overflow table behind an in-slot sentinel, exactly the paper's
@@ -34,7 +35,7 @@ use crate::observe::{BuildEvent, MemBreakdown, Observer, Off};
 use crate::ops::{FallibleSpineOps, INFALLIBLE_BOUNDARY};
 use strindex::{
     Alphabet, Code, Counters, FxHashMap, MatchingIndex, MatchingStats, MaximalMatch, OnlineIndex,
-    PackedText, Result, StringIndex,
+    Result, StringIndex,
 };
 
 /// In-slot sentinel meaning "the true value lives in the overflow table".
@@ -216,10 +217,6 @@ pub struct CompactSpine {
     slot_overflow: FxHashMap<(u32, u8), (u32, u32)>,
     stats: CompactStats,
     counters: Counters,
-    /// Word-packed shadow of `chars` at `alphabet.pack_bits()` (2-bit DNA /
-    /// 5-bit protein) for the packed search fast path; `None` for
-    /// unpackable alphabets or once a code does not fit the packing.
-    packed: Option<PackedText>,
 }
 
 impl CompactSpine {
@@ -236,7 +233,6 @@ impl CompactSpine {
         // complement: up to size−1 ribs plus room for extrib chains.
         let max_cap = (alphabet.size() - 1) + 4;
         let caps: Vec<usize> = (1..=3).chain([max_cap.max(4)]).collect();
-        let alphabet_packing = alphabet.pack_bits().map(PackedText::new);
         CompactSpine {
             alphabet,
             chars: PackedChars::new(bits),
@@ -247,7 +243,6 @@ impl CompactSpine {
             slot_overflow: FxHashMap::default(),
             stats: CompactStats::default(),
             counters: Counters::new(),
-            packed: alphabet_packing,
         }
     }
 
@@ -500,11 +495,6 @@ impl NodeStore for CompactSpine {
     #[inline(always)]
     fn push_node(&mut self, c: Code) -> Result<NodeId> {
         self.chars.push(c);
-        if let Some(p) = &mut self.packed {
-            if !p.try_push(c) {
-                self.packed = None;
-            }
-        }
         self.lels.push(0);
         self.ptrs.push(ROOT);
         Ok(self.len() as NodeId)
@@ -587,25 +577,6 @@ impl FallibleSpineOps for CompactSpine {
 
     fn ops_counters(&self) -> &Counters {
         &self.counters
-    }
-
-    fn backbone_packing(&self) -> Option<u32> {
-        self.packed.as_ref().map(|p| p.bits())
-    }
-
-    #[inline]
-    fn try_label_run(&self, node: NodeId, pattern: &PackedText, from: usize) -> Result<usize> {
-        match &self.packed {
-            Some(p) => Ok(p.lcp(node as usize, pattern, from, pattern.len() - from)),
-            None => {
-                let max = (pattern.len() - from).min(self.len().saturating_sub(node as usize));
-                let mut k = 0;
-                while k < max && self.chars.get(node as usize + k) == pattern.get(from + k) {
-                    k += 1;
-                }
-                Ok(k)
-            }
-        }
     }
 }
 
@@ -991,12 +962,6 @@ mod persist {
                 let prt = r_u32(r)?;
                 slot_overflow.insert((node, pos), (pt, prt));
             }
-            // Rebuild the word-packed shadow from the persisted labels
-            // (gives up cleanly if any code exceeds the packing).
-            let packed = alphabet.pack_bits().and_then(|bits| {
-                let codes: Vec<Code> = (0..n).map(|i| chars.get(i)).collect();
-                PackedText::from_codes(bits, &codes)
-            });
             Ok(CompactSpine {
                 alphabet,
                 chars,
@@ -1007,7 +972,6 @@ mod persist {
                 slot_overflow,
                 stats: CompactStats::default(),
                 counters: Counters::new(),
-                packed,
             })
         }
 

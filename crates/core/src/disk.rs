@@ -865,7 +865,7 @@ impl DiskSpine {
         let alphabet = spine.alphabet_ref();
         let nodes = spine.nodes();
         let len = spine.len();
-        let codes = spine.recover_text();
+        let codes = &spine.labels;
         // Packing width: the alphabet's word-compare width when every label
         // fits it (a DNA separator does not), else just enough bits for the
         // code space — still a bit-tight store, compared scalar.
@@ -874,7 +874,7 @@ impl DiskSpine {
             _ => (alphabet.label_bits(), false),
         };
         let packed =
-            PackedText::from_codes(bits, &codes).expect("labels fit the chosen packing width");
+            PackedText::from_codes(bits, codes).expect("labels fit the chosen packing width");
         let words = packed.words();
         let label_words = words.len();
         let label_pages = label_words.div_ceil(WORDS_PER_PAGE) as u32;
@@ -1909,8 +1909,8 @@ mod sealed_tests {
             assert_eq!(rec.ribs, &n.ribs[..], "{what}: ribs of {id}");
             assert_eq!(rec.extribs, &n.extribs[..], "{what}: extribs of {id}");
         }
-        for (i, n) in spine.nodes()[1..].iter().enumerate() {
-            assert_eq!(s.label(i).unwrap(), n.vertebra_cl, "{what}: label {i}");
+        for (i, &c) in spine.labels.iter().enumerate() {
+            assert_eq!(s.label(i).unwrap(), c, "{what}: label {i}");
         }
     }
 

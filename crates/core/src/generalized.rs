@@ -13,9 +13,7 @@ use crate::engine::{QueryOutcome, ServeIndex};
 use crate::node::NodeId;
 use crate::observe::{BuildEvent, Observer, Off};
 use crate::ops::{FallibleSpineOps, LinkTree};
-use strindex::{
-    Alphabet, Code, Counters, CountersSnapshot, Error, PackedText, Result, StringIndex,
-};
+use strindex::{Alphabet, Code, Counters, CountersSnapshot, Error, Result, StringIndex};
 
 /// An occurrence localized to a document.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -134,11 +132,11 @@ impl GeneralizedSpine {
         &self.spine
     }
 
-    /// Document `d`'s codes, read back from the backbone (node `p + 1`
-    /// carries `text[p]`): the index keeps no other copy of the text.
+    /// Document `d`'s codes, read back from the backbone's label store:
+    /// the index keeps no other copy of the text.
     pub(crate) fn document(&self, d: usize) -> Vec<Code> {
-        let start = self.starts[d] + 1;
-        self.spine.nodes()[start..start + self.doc_len(d)].iter().map(|n| n.vertebra_cl).collect()
+        let start = self.starts[d];
+        self.spine.labels[start..start + self.doc_len(d)].to_vec()
     }
 
     /// Map a concatenation offset to `(document, in-document offset)`;
@@ -305,18 +303,6 @@ impl FallibleSpineOps for GeneralizedSpine {
 
     fn ops_counters(&self) -> &Counters {
         self.spine.ops_counters()
-    }
-
-    fn backbone_packing(&self) -> Option<u32> {
-        // A DNA concatenation self-disables (separators exceed 2 bits); a
-        // protein one packs separators verbatim, which never match a
-        // pattern code, so the word compare stays exact.
-        self.spine.backbone_packing()
-    }
-
-    #[inline]
-    fn try_label_run(&self, node: NodeId, pattern: &PackedText, from: usize) -> Result<usize> {
-        self.spine.try_label_run(node, pattern, from)
     }
 
     fn link_tree(&self) -> Option<LinkTree<'_>> {

@@ -46,21 +46,20 @@ pub struct Extrib {
 /// One backbone node.
 ///
 /// The outgoing vertebra is implicit: node `i`'s vertebra points to `i + 1`
-/// and its character label is `nodes[i + 1].vertebra_cl` (the paper's
-/// "implicit vertebra edge" optimization, valid because creation order and
-/// logical order coincide).
+/// (the paper's "implicit vertebra edge" optimization, valid because
+/// creation order and logical order coincide), and its character label is
+/// text symbol `i`, which the layout's one label store holds
+/// ([`crate::Spine::recover_text`] reads it back).
 ///
 /// Links form a tree rooted at [`ROOT`] (every link points upstream). Each
 /// node heads an intrusive list of its *link children* — the nodes whose
 /// link points here — threaded through `first_child` / `next_sibling`, so
 /// occurrence enumeration can walk the tree downward instead of scanning
 /// the backbone (DESIGN.md §16). Edges are exact-length boxed slices: most
-/// nodes hold zero to two of each, and a `Vec` would reserve four.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// nodes hold zero to two of each, and a `Vec` would reserve four. The
+/// default node is a fresh tail: linked to the root with LEL 0, no edges.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Node {
-    /// Character label of the *incoming* vertebra — i.e. text character `i`
-    /// for node `i`. Unused for the root.
-    pub vertebra_cl: Code,
     /// Destination of the upstream link: the first-occurrence end of this
     /// node's longest early-terminating suffix ([`ROOT`] if none).
     pub link: NodeId,
@@ -92,18 +91,6 @@ fn push_exact<T>(slot: &mut Box<[T]>, item: T) {
 }
 
 impl Node {
-    pub(crate) fn new(vertebra_cl: Code) -> Self {
-        Node {
-            vertebra_cl,
-            link: ROOT,
-            lel: 0,
-            first_child: NO_CHILD,
-            next_sibling: NO_CHILD,
-            ribs: Box::default(),
-            extribs: Box::default(),
-        }
-    }
-
     pub(crate) fn push_rib(&mut self, rib: Rib) {
         push_exact(&mut self.ribs, rib);
     }
@@ -138,7 +125,7 @@ mod tests {
 
     #[test]
     fn rib_lookup_by_character() {
-        let mut n = Node::new(0);
+        let mut n = Node::default();
         n.push_rib(Rib { cl: 2, dest: 7, pt: 3 });
         n.push_rib(Rib { cl: 1, dest: 9, pt: 1 });
         assert_eq!(n.rib(1).unwrap().dest, 9);
@@ -149,7 +136,7 @@ mod tests {
 
     #[test]
     fn extrib_lookup_by_prt() {
-        let mut n = Node::new(0);
+        let mut n = Node::default();
         n.push_extrib(Extrib { prt: 1, pt: 4, dest: 12 });
         assert_eq!(n.extrib(1).unwrap().pt, 4);
         assert!(n.extrib(2).is_none());
@@ -157,9 +144,9 @@ mod tests {
     }
 
     #[test]
-    fn node_is_56_bytes() {
-        // Two `Vec` headers (48 B) plus the scalar fields made a 64-byte
-        // node; boxed slices pay for the two child-list ids and shrink it.
-        assert_eq!(std::mem::size_of::<Node>(), 56);
+    fn node_is_48_bytes() {
+        // Two boxed-slice headers (32 B) plus four `u32` ids; the label
+        // lives in the layout's label store.
+        assert_eq!(std::mem::size_of::<Node>(), 48);
     }
 }

@@ -90,10 +90,12 @@ pub trait FallibleSpineOps {
     }
 
     /// Bits per symbol of this representation's word-packed backbone
-    /// labels, or `None` when only character-at-a-time comparison is
-    /// available (byte alphabets, or a packing disabled by a separator
-    /// code). `Some(bits)` promises [`try_label_run`](Self::try_label_run)
-    /// compares word-at-a-time against a pattern packed at the same width.
+    /// labels, or `None` when it compares one character at a time. Only a
+    /// sealed [`crate::DiskSpine`] packs, where a scalar label read is a
+    /// locked page access, and only when every label fits the alphabet's
+    /// packing (not byte alphabets, not a DNA separator). `Some(bits)`
+    /// promises [`try_label_run`](Self::try_label_run) compares
+    /// word-at-a-time against a pattern packed at the same width.
     /// Metadata; never touches storage.
     fn backbone_packing(&self) -> Option<u32> {
         None
@@ -101,11 +103,11 @@ pub trait FallibleSpineOps {
 
     /// Length of the common run of `pattern[from..]` and the backbone
     /// labels leaving `node` (the text suffix starting at position `node`).
-    /// The default walks vertebras one character at a time; packed
-    /// representations override it with a word-at-a-time compare, and
-    /// page-resident ones read label pages, so the compare can fail. Does
-    /// not touch the work counters — the search loop accounts for the run
-    /// in bulk so totals match the scalar path exactly.
+    /// The default walks vertebras one character at a time; the sealed
+    /// layout overrides it with a word-at-a-time compare of its label
+    /// pages, so the compare can fail. Does not touch the work counters —
+    /// the search loop accounts for the run in bulk so totals match the
+    /// scalar path exactly.
     fn try_label_run(&self, node: NodeId, pattern: &PackedText, from: usize) -> Result<usize> {
         let mut k = 0;
         while from + k < pattern.len() {

@@ -83,7 +83,7 @@ impl StringIndex for SpinePrefix<'_> {
 
     fn symbol_at(&self, pos: usize) -> Code {
         assert!(pos < self.len as usize);
-        self.spine.nodes()[pos + 1].vertebra_cl
+        self.spine.labels[pos]
     }
 
     fn find_first(&self, pattern: &[Code]) -> Option<usize> {
@@ -111,8 +111,8 @@ mod tests {
             for node in 0..=k as NodeId {
                 let f = &fresh.nodes()[node as usize];
                 if node != ROOT {
-                    let v = &full.nodes()[node as usize];
-                    assert_eq!((v.vertebra_cl, v.link, v.lel), (f.vertebra_cl, f.link, f.lel));
+                    let (v, i) = (&full.nodes()[node as usize], node as usize - 1);
+                    assert_eq!((full.labels[i], v.link, v.lel), (fresh.labels[i], f.link, f.lel));
                 }
                 let mut view_ribs: Vec<Rib> = view.ribs(node).copied().collect();
                 let mut fresh_ribs = f.ribs.clone();

@@ -103,9 +103,9 @@ pub fn try_locate_traced<S: FallibleSpineOps + ?Sized, T: Observer<TraceEvent>>(
     pattern: &[Code],
 ) -> Result<Option<NodeId>> {
     // Word-packed fast path: only untraced (a recording observer needs the
-    // per-decision event stream the scalar walk emits), and only when both
-    // the structure packs its backbone labels and every pattern code fits
-    // the packing (a separator would not).
+    // per-decision event stream the scalar walk emits), only on the sealed
+    // layout (the one that packs its backbone labels), and only when every
+    // pattern code fits the packing (a separator would not).
     if !T::ENABLED {
         if let Some(bits) = s.backbone_packing() {
             if let Some(packed) = PackedText::from_codes(bits, pattern) {
@@ -128,7 +128,8 @@ pub fn try_locate_traced<S: FallibleSpineOps + ?Sized, T: Observer<TraceEvent>>(
     Ok(Some(node))
 }
 
-/// The word-packed valid-path walk. Vertebra runs — the only edges a
+/// The word-packed valid-path walk of the sealed layout, whose label reads
+/// are page accesses under a lock. Vertebra runs — the only edges a
 /// backbone-label compare can take — are matched a `u64` word at a time via
 /// [`FallibleSpineOps::try_label_run`]; the first position the run cannot
 /// absorb falls back to the scalar [`try_step`], which handles the rib/
@@ -198,7 +199,7 @@ impl StringIndex for Spine {
     }
 
     fn symbol_at(&self, pos: usize) -> Code {
-        self.nodes()[pos + 1].vertebra_cl
+        self.labels[pos]
     }
 
     fn find_first(&self, pattern: &[Code]) -> Option<usize> {
@@ -266,6 +267,24 @@ mod tests {
         assert_eq!(s.find_first(&enc(&a, b"AAC")), Some(0));
         assert_eq!(s.find_first(&enc(&a, b"G")), None);
         assert_eq!(s.find_first(&enc(&a, b"CAACA")), Some(5));
+    }
+
+    #[test]
+    fn in_memory_layouts_compare_labels_scalar() {
+        // Each in-memory layout holds its labels once, so none offers the
+        // word-packed compare; only the sealed layout, whose label reads
+        // are page accesses, packs them.
+        for a in [Alphabet::dna(), Alphabet::protein()] {
+            let text: Vec<Code> = (0..100).map(|i| (i * 7 % a.size()) as Code).collect();
+            let mut g = crate::GeneralizedSpine::new(a.clone());
+            g.add_document(&text).unwrap();
+            let packings = [
+                Spine::build(a.clone(), &text).unwrap().backbone_packing(),
+                g.backbone_packing(),
+                crate::CompactSpine::build(a.clone(), &text).unwrap().backbone_packing(),
+            ];
+            assert_eq!(packings, [None; 3], "{:?}", a.kind());
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use crate::build::Spine;
 use crate::node::ROOT;
-use strindex::Alphabet;
+use strindex::{Alphabet, Code};
 
 /// Maximum numeric label values over the whole index (Table 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -171,12 +171,13 @@ impl Spine {
     }
 
     /// Total heap bytes of the reference representation: the node vector
-    /// (child-list ids inline) plus the exact-length rib/extrib slices,
-    /// which [`Spine::mem_breakdown`] counts the same way.
+    /// (child-list ids inline), the label store, and the exact-length
+    /// rib/extrib slices, which [`Spine::mem_breakdown`] counts the same way.
     pub fn heap_bytes(&self) -> usize {
         let nodes = self.nodes.capacity() * std::mem::size_of::<crate::node::Node>();
+        let labels = self.labels.capacity() * std::mem::size_of::<Code>();
         let mem = self.mem_breakdown();
-        nodes + (mem.ribs + mem.extribs) as usize
+        nodes + labels + (mem.ribs + mem.extribs) as usize
     }
 }
 

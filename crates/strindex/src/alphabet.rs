@@ -129,8 +129,8 @@ impl Alphabet {
         self.size as Code
     }
 
-    /// Bits needed to store one character label (2 for DNA, 5 for protein —
-    /// the figures quoted in §5 of the paper). Includes the separator code.
+    /// Bits needed to store one character label, separator code included:
+    /// 3 for DNA (one more than §5's 2), 5 for protein, 7 ASCII, 8 bytes.
     pub fn label_bits(&self) -> u32 {
         usize::BITS - (self.code_space() - 1).leading_zeros()
     }
@@ -142,9 +142,9 @@ impl Alphabet {
     /// ordinary symbols `0..size` — 2 bits for DNA, 5 for protein, the
     /// densities quoted by the packed-trie literature. The separator code
     /// happens to fit the protein packing (20 < 32) but not the DNA one
-    /// (4 > 3); packing callers handle both by storing codes verbatim and
-    /// self-disabling (scalar fallback) on any code `try_push` rejects —
-    /// see `strindex::packed`.
+    /// (4 > 3); a packing caller stores codes verbatim and falls back to
+    /// `label_bits` and a scalar compare when one does not fit — see
+    /// `strindex::packed`.
     pub fn pack_bits(&self) -> Option<u32> {
         match self.kind {
             AlphabetKind::Dna => Some(2),
@@ -258,6 +258,11 @@ mod tests {
         assert_eq!(Alphabet::protein().pack_bits(), Some(5));
         assert_eq!(Alphabet::ascii().pack_bits(), None);
         assert_eq!(Alphabet::bytes().pack_bits(), None);
+        // Label widths count the separator: DNA needs a third bit for it.
+        let label_bits =
+            [Alphabet::dna(), Alphabet::protein(), Alphabet::ascii(), Alphabet::bytes()]
+                .map(|a| a.label_bits());
+        assert_eq!(label_bits, [3, 5, 7, 8]);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Word-packed symbol sequences for word-at-a-time comparison.
 //!
 //! Small alphabets waste most of a byte per symbol: DNA needs 2 bits,
-//! proteins 5. Packing codes into `u64` words lets the backbone scan of the
-//! SPINE engines compare runs of labels one word at a time instead of one
-//! character at a time — the technique of Takagi et al.'s packed compact
+//! proteins 5. Packing codes into `u64` words lets the sealed SPINE layout,
+//! whose labels live on pages, compare runs of them one word at a time, not
+//! one character at a time — the technique of Takagi et al.'s packed compact
 //! tries and Kolpakov–Kucherov's word-level string matching.
 //!
 //! Layout: `per_word = 64 / bits` symbols per word, symbol `i` at bit

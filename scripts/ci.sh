@@ -94,6 +94,15 @@ cargo test -q -p spine --lib -- generalized::tests::localize_ends_with_the_last_
   generalized::tests::documents_read_back_from_the_backbone \
   segments::tests::segment_localize_ends_with_the_last_document
 
+echo "== one label store per in-memory layout: 48-byte nodes, no word-packed shadow (only the sealed layout packs), label widths 3/5/7/8 bits"
+cargo test -q -p spine --lib -- node::tests::node_is_48_bytes \
+  search::tests::in_memory_layouts_compare_labels_scalar
+cargo test -q -p strindex --lib alphabet::tests::pack_bits_covers_every_ordinary_symbol
+
+echo "== exp tables head each row with its own columns; ServeAdapter answers like the spine path"
+cargo test -q -p spine-bench --lib -- report::tests::render_table_heads_each_row_with_its_own_columns \
+  load::tests::serve_adapter_agrees_with_spine
+
 echo "== construction: one APPEND (golden digests, event-sequence cross-engine check, fallible disk prefix views and maximal matches)"
 cargo test -q --test build_observer construction_matches_golden_digests
 cargo test -q --test build_observer reconcile

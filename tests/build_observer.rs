@@ -19,7 +19,7 @@ use spine::{
     Node, Observer, Rib, Spine, Tee, ROOT,
 };
 use std::mem::size_of;
-use strindex::{Alphabet, Code};
+use strindex::{Alphabet, Code, StringIndex};
 
 /// Records every structural build event, so engines compare event for
 /// event. Phase timings differ run to run and are skipped.
@@ -75,8 +75,9 @@ fn reconcile(a: &Alphabet, text: &[Code]) -> (Spine, BuildStats) {
     assert_eq!(st.case4_extrib, st.extribs_created, "one extrib per CASE 4 creation");
     assert!(st.ribs_created >= st.case3_root, "CASE 3 walks create at least one rib each");
 
-    // Memory accounting covers every node (Code is one byte per vertebra).
-    assert_eq!(st.mem.vertebrae as usize, text.len() + 1, "one vertebra byte per node");
+    // Memory accounting covers every symbol: the label store holds one
+    // `Code` byte per vertebra.
+    assert_eq!(st.mem.vertebrae as usize, text.len(), "one label byte per symbol");
     assert_eq!(
         st.mem.total(),
         st.mem.vertebrae + st.mem.links + st.mem.ribs + st.mem.extribs,
@@ -84,11 +85,13 @@ fn reconcile(a: &Alphabet, text: &[Code]) -> (Spine, BuildStats) {
     );
 
     // Edges are exact-length slices: the breakdown counts them by length,
-    // and `heap_bytes` counts them the same way, so what it adds on top is
-    // the node vector — a whole number of nodes, at least one per node.
+    // and `heap_bytes` counts them the same way. A batch build sizes the
+    // label store exactly, so what `heap_bytes` adds on top of edges and
+    // labels is the node vector — a whole number of nodes, at least one
+    // per node.
     assert_eq!(st.mem.ribs, ribs_present * size_of::<Rib>() as u64, "rib bytes by length");
     assert_eq!(st.mem.extribs, extribs_present * size_of::<Extrib>() as u64, "extrib bytes");
-    let node_bytes = s.heap_bytes() as u64 - st.mem.ribs - st.mem.extribs;
+    let node_bytes = s.heap_bytes() as u64 - st.mem.ribs - st.mem.extribs - st.mem.vertebrae;
     assert_eq!(node_bytes % size_of::<Node>() as u64, 0, "heap_bytes holds whole nodes");
     assert!(node_bytes >= std::mem::size_of_val(nodes) as u64, "every node counted");
 
@@ -261,11 +264,13 @@ fn event_digest(events: &[BuildEvent]) -> u64 {
 }
 
 /// Digest of every field of every node, link-child lists and edge order
-/// included.
+/// included. Node `i`'s incoming label is text symbol `i - 1`, read from
+/// the label store; the root has none and hashes `Code::MAX`.
 fn node_digest(s: &Spine) -> u64 {
     let mut h = Fnv::new();
-    for n in s.nodes() {
-        h.bytes(&[n.vertebra_cl]).u32(n.link).u32(n.lel).u32(n.first_child).u32(n.next_sibling);
+    for (i, n) in s.nodes().iter().enumerate() {
+        let label = i.checked_sub(1).map_or(Code::MAX, |p| s.symbol_at(p));
+        h.bytes(&[label]).u32(n.link).u32(n.lel).u32(n.first_child).u32(n.next_sibling);
         h.u32(n.ribs.len() as u32);
         for r in n.ribs.iter() {
             h.bytes(&[r.cl]).u32(r.dest).u32(r.pt);
