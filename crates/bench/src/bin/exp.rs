@@ -56,7 +56,7 @@
 use pagestore::{
     Clock, EvictionPolicy, Fifo, FileDevice, Lru, MemDevice, PageDevice, PrefixPriority, PAGE_SIZE,
 };
-use spine::{CompactSpine, DiskSpine, Spine};
+use spine::{CompactSpine, DiskSpine, SealedSpine, Spine};
 use spine_bench::{dna_presets, print_table, protein_presets, query_for, secs, time, Dataset, Row};
 use strindex::MatchingIndex;
 use suffix_array::SaIndex;
@@ -659,12 +659,12 @@ fn buffering(opts: &Opts) {
         // Stress the link-chain access pattern (where Figure 8's locality
         // lives): matching statistics only, no sequential occurrence scan.
         let (reads0, _) = sp.io_counts();
-        let (h0, m0) = sp.pool_counts();
+        let p0 = sp.pool_stats();
         let (_, t) = time(|| sp.matching_statistics(&query));
         let (reads1, _) = sp.io_counts();
-        let (h1, m1) = sp.pool_counts();
-        let dh = (h1 - h0) as f64;
-        let dm = (m1 - m0) as f64;
+        let p1 = sp.pool_stats();
+        let dh = (p1.hits - p0.hits) as f64;
+        let dm = (p1.misses - p0.misses) as f64;
         rows.push(
             Row::new(name)
                 .cell("pool-pages", pool as f64)
@@ -817,7 +817,7 @@ fn serve(opts: &Opts) {
     ];
     let mut disk_rows = Vec::new();
     for (name, policy, budget) in configs {
-        let engine = DiskSpine::seal(&source, Box::new(MemDevice::new()), pool, policy).unwrap();
+        let engine = SealedSpine::seal(&source, Box::new(MemDevice::new()), pool, policy).unwrap();
         let pinned = engine.pin_hot_prefix(budget).unwrap();
         let before = engine.pool_stats();
         let hits: usize = probes
@@ -1372,7 +1372,7 @@ fn verify(opts: &Opts) {
         }
         // Seal the same prefix and check its preorder index against the
         // sealed link records it was built from.
-        let sealed = DiskSpine::build_sealed(
+        let sealed = SealedSpine::build_sealed(
             d.alphabet.clone(),
             &d.seq,
             Box::new(MemDevice::new()),
@@ -1383,8 +1383,7 @@ fn verify(opts: &Opts) {
         let links: Vec<_> = (0..=d.seq.len() as u32)
             .map(|j| spine::FallibleSpineOps::try_link_of(&sealed, j).unwrap())
             .collect();
-        let preorder = sealed.preorder().expect("a sealed index keeps its preorder index");
-        let preorder_violations = preorder.check(&links);
+        let preorder_violations = sealed.preorder().check(&links);
         for v in preorder_violations.iter().take(3) {
             eprintln!("  PREORDER VIOLATION {name}: {v}");
         }
@@ -1543,8 +1542,8 @@ fn explain(opts: &Opts) {
 // ---------------------------------------------------------------------------
 // Bench-snapshot: BENCH_serve.json — the serving benchmark's headline
 // numbers (throughput, tail latency from `engine.query_latency`, mean
-// pages/query from `disk.pages_per_query`), with an optional `--check`
-// regression gate against a committed baseline.
+// pages/query from the sealed index's pool misses), with an optional
+// `--check` regression gate against a committed baseline.
 // ---------------------------------------------------------------------------
 fn bench_snapshot(opts: &Opts) {
     use spine::engine::{EngineConfig, QueryEngine};
@@ -1594,16 +1593,17 @@ fn bench_snapshot(opts: &Opts) {
     assert!(m.is_consistent(), "ledger invariant violated: {m:?}");
     assert_eq!(m.completed, served, "not every query completed");
 
-    // Disk phase: pages/query under memory pressure, recorded into the same
-    // registry's `disk.pages_per_query` histogram at a fixed pool size. The
-    // index is sealed once under the scan-resistant `SegmentedLru`, with
-    // its backbone-prefix pages pinned (`exp serve`'s `prefix-pin-slru`
-    // row). Enumeration walks the sealed index's in-RAM preorder index, so
-    // the pages counted are locate's.
+    // Disk phase: pages/query under memory pressure at a fixed pool size —
+    // the pool misses (device page fetches) of one serial pass over the
+    // probes, divided by the probe count, as `exp serve`'s disk table
+    // counts them. The index is sealed once under the scan-resistant
+    // `SegmentedLru`, with its backbone-prefix pages pinned (`exp serve`'s
+    // `prefix-pin-slru` row). Enumeration walks the sealed index's in-RAM
+    // preorder index, so the pages counted are locate's.
     let dd = Dataset::generate("eco-sim", scale.min(0.005));
     let pool = pool_pages(dd.seq.len(), SPINE_V2_REC);
     let source = Spine::build(dd.alphabet.clone(), &dd.seq).unwrap();
-    let disk = DiskSpine::seal(
+    let disk = SealedSpine::seal(
         &source,
         Box::new(MemDevice::new()),
         pool,
@@ -1612,21 +1612,19 @@ fn bench_snapshot(opts: &Opts) {
     .unwrap();
     let probes: Vec<&[strindex::Code]> =
         (0..dd.seq.len().saturating_sub(16)).step_by(997).map(|i| &dd.seq[i..i + 12]).collect();
-    assert!(disk.is_sealed(), "bench disk phase must serve from the v2 layout");
+    assert!(!probes.is_empty(), "no disk probes");
     let pinned = disk.pin_hot_prefix((pool / 4).max(1)).unwrap();
-    disk.attach_telemetry(&registry);
-
-    // Measured pass: the single-query flow `disk.pages_per_query` records
-    // exactly (one before/after miss delta per query).
+    let before = disk.pool_stats();
     for w in &probes {
         std::hint::black_box(disk.try_find_all(w).expect("MemDevice cannot fail").len());
     }
     let ps = disk.pool_stats();
+    let pages_per_query = (ps.misses - before.misses) as f64 / probes.len() as f64;
     eprintln!(
         "disk pool (cap {pool}, {pinned} pinned): {} hits / {} misses ({:.1}% hit rate)",
         ps.hits,
         ps.misses,
-        100.0 * ps.hits as f64 / (ps.hits + ps.misses).max(1) as f64,
+        100.0 * ps.hit_rate(),
     );
 
     // Disk-engine latency: the same serving engine the in-memory phase used,
@@ -1656,8 +1654,6 @@ fn bench_snapshot(opts: &Opts) {
     let snap = registry.snapshot();
     let lat = snap.histogram("engine.query_latency").expect("latency histogram");
     assert_eq!(lat.count, served, "latency histogram misses queries");
-    let pages = snap.histogram("disk.pages_per_query").expect("pages-per-query histogram");
-    assert!(!pages.is_empty(), "no disk queries recorded");
     let dsnap = dregistry.snapshot();
     let dlat = dsnap.histogram("engine.query_latency").expect("disk latency histogram");
     assert_eq!(dlat.count, dworkload.len() as u64, "disk latency histogram misses queries");
@@ -1669,7 +1665,7 @@ fn bench_snapshot(opts: &Opts) {
         qps: workload.len() as f64 / secs(t).max(1e-9),
         p50_us: dlat.p50() / 1_000, // histograms record nanoseconds
         p99_us: dlat.p99() / 1_000,
-        pages_per_query: pages.mean(),
+        pages_per_query,
     };
     let json = s.to_json();
     let out = opts.out.clone().unwrap_or_else(|| "BENCH_serve.json".to_string());
@@ -1804,11 +1800,12 @@ fn build_snapshot_section(d: &Dataset, dd: &Dataset, pool: usize) -> spine_bench
     let (_reads, build_writes) = dsk.io_counts();
     assert_eq!(dstats.extrib_spills, dsk.spill_count(), "spill events must match the side table");
     let source = Spine::build(dd.alphabet.clone(), &dd.seq).unwrap();
-    let sealed = DiskSpine::seal(&source, Box::new(MemDevice::new()), pool, Box::<Lru>::default())
-        .expect("sealing the bench index must not fail");
+    let sealed =
+        SealedSpine::seal(&source, Box::new(MemDevice::new()), pool, Box::<Lru>::default())
+            .expect("sealing the bench index must not fail");
     let (_sreads, seal_writes) = sealed.io_counts();
     let page_writes = build_writes + seal_writes;
-    let file_pages = sealed.file_pages().expect("sealed index has a page count");
+    let file_pages = sealed.file_pages();
     let disk_bytes_per_node = (file_pages * PAGE_SIZE as u64) as f64 / (dd.seq.len() as f64 + 1.0);
     eprintln!(
         "seal[summary]:   {} v1 build writes + {} v2 seal writes; {} v2 pages, \

@@ -20,8 +20,8 @@ use std::path::Path;
 use pagestore::{FaultyDevice, FlakyDevice, Lru, MemDevice, PageDevice, RetryDevice, RetryPolicy};
 use spine::journal::decode_all;
 use spine::{
-    DiskSpine, IoGate, JournalEvent, JournalKind, SegmentConfig, SegmentedSpine, Spine,
-    JOURNAL_FILE,
+    DiskSpine, IoGate, JournalEvent, JournalKind, SealedSpine, SegmentConfig, SegmentedSpine,
+    Spine, JOURNAL_FILE,
 };
 use strindex::{Alphabet, Code, StringIndex};
 
@@ -273,13 +273,13 @@ pub fn crashpoint_sweep(quick: bool) -> SweepReport {
 
     // ---- pass 3: crashpoints while sealing to layout v2 --------------------
     // Build the in-memory source index once, then crash the *target* device
-    // at every (strided) operation index during `DiskSpine::seal`. Each
+    // at every (strided) operation index during `SealedSpine::seal`. Each
     // crash must surface as a clean `Err`, must leave the source index
     // answering queries (the committed version survives), and a clean retry
     // must produce a sealed index that matches the oracle.
     let src = Spine::build(alphabet.clone(), &text).expect("clean source build must not fail");
     let sealed =
-        DiskSpine::seal(&src, Box::new(MemDevice::new()), POOL_PAGES, Box::<Lru>::default())
+        SealedSpine::seal(&src, Box::new(MemDevice::new()), POOL_PAGES, Box::<Lru>::default())
             .expect("clean seal must not fail");
     let (seal_reads, seal_writes) = sealed.io_counts();
     // Syncs spend fault budget too (the barrier can fail like any op), so
@@ -294,7 +294,7 @@ pub fn crashpoint_sweep(quick: bool) -> SweepReport {
     while k < report.seal_ops {
         let device = Box::new(FaultyDevice::new(MemDevice::new(), k));
         match catch_unwind(AssertUnwindSafe(|| {
-            DiskSpine::seal(&src, device, POOL_PAGES, Box::<Lru>::default())
+            SealedSpine::seal(&src, device, POOL_PAGES, Box::<Lru>::default())
         })) {
             Ok(Ok(_)) => report.swallowed += 1,
             Ok(Err(_)) => report.seal_faults += 1,
@@ -311,7 +311,7 @@ pub fn crashpoint_sweep(quick: bool) -> SweepReport {
     std::panic::set_hook(prev_hook);
 
     // Recovery: a clean retry of the rebuild answers every pattern exactly.
-    match DiskSpine::seal(&src, Box::new(MemDevice::new()), POOL_PAGES, Box::<Lru>::default()) {
+    match SealedSpine::seal(&src, Box::new(MemDevice::new()), POOL_PAGES, Box::<Lru>::default()) {
         Ok(resealed) => {
             let answers: Result<Vec<_>, _> =
                 patterns.iter().map(|p| resealed.try_find_all(p)).collect();

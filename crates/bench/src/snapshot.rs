@@ -81,8 +81,8 @@ pub struct BenchSnapshot {
     pub p50_us: u64,
     /// 99th-percentile disk-engine query latency, microseconds.
     pub p99_us: u64,
-    /// Mean device pages fetched (pool misses) per disk query
-    /// (from `disk.pages_per_query`).
+    /// Mean device pages fetched (pool misses) per disk query: the sealed
+    /// index's pool misses over one serial probe pass, per probe.
     pub pages_per_query: f64,
 }
 

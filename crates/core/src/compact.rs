@@ -786,7 +786,6 @@ mod tests {
 mod persist {
     use super::*;
     use std::io::{Read, Write};
-    use strindex::AlphabetKind;
 
     const MAGIC: &[u8; 4] = b"SPNC";
     const VERSION: u16 = 1;
@@ -821,31 +820,12 @@ mod persist {
         Ok(u64::from_le_bytes(b))
     }
 
-    fn kind_tag(k: AlphabetKind) -> u8 {
-        match k {
-            AlphabetKind::Dna => 0,
-            AlphabetKind::Protein => 1,
-            AlphabetKind::Ascii => 2,
-            AlphabetKind::Bytes => 3,
-        }
-    }
-
-    fn alphabet_from_tag(t: u8) -> Result<Alphabet> {
-        Ok(match t {
-            0 => Alphabet::dna(),
-            1 => Alphabet::protein(),
-            2 => Alphabet::ascii(),
-            3 => Alphabet::bytes(),
-            other => return Err(strindex::Error::Parse(format!("unknown alphabet tag {other}"))),
-        })
-    }
-
     impl CompactSpine {
         /// Serialize the index to `w` (format `SPNC`, version 1).
         pub fn write_to<W: Write>(&self, w: &mut W) -> Result<()> {
             w.write_all(MAGIC)?;
             w_u16(w, VERSION)?;
-            w.write_all(&[kind_tag(self.alphabet.kind())])?;
+            w.write_all(&[self.alphabet.tag()])?;
             w_u64(w, self.len() as u64)?;
             // Packed characters.
             w_u32(w, self.chars.bits)?;
@@ -913,7 +893,7 @@ mod persist {
             if version != VERSION {
                 return Err(strindex::Error::Parse(format!("unsupported version {version}")));
             }
-            let alphabet = alphabet_from_tag(r_u8(r)?)?;
+            let alphabet = Alphabet::from_tag(r_u8(r)?)?;
             let n = r_u64(r)? as usize;
             let bits = r_u32(r)?;
             if bits != alphabet.label_bits() {

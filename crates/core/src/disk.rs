@@ -1,6 +1,6 @@
 //! Page-resident SPINE (the paper's §6.2 disk experiments).
 //!
-//! Node records are striped over pages behind a bounded buffer pool
+//! Node records live on a page device behind a bounded buffer pool
 //! ([`pagestore`]); construction and search perform real page traffic, so
 //! the pool's hit rate and the device's read/write counts expose SPINE's
 //! locality — the effect behind the paper's 2× on-disk speedups (Figure 7,
@@ -9,95 +9,333 @@
 //! `exp buffering` experiment compares it against LRU/FIFO/Clock under
 //! memory pressure.
 //!
-//! Two physical layouts share this engine:
+//! [`PagedSpine`] is the surface every page layout shares: the
+//! [`FallibleSpineOps`], [`StringIndex`] and [`MatchingIndex`] impls, pool
+//! accounting, pinning, EXPLAIN and prefix views, written once over the
+//! layout's record accessors. Two layouts instantiate it:
 //!
-//! * **Mutable layout** — the paper's generic fixed-size record ("without
-//!   any extra disk-specific optimization"): one record per node holding
-//!   the vertebra label, link, rib slots, and two extrib slots (more spill
-//!   to an in-memory side table, counted in [`DiskSpine::spill_count`]).
-//!   It supports APPEND but pays for the worst-case fan-out on every node.
-//!   It is the layout the paper's §6.2 disk experiments measure (`exp fig7`,
+//! * [`DiskSpine`] — the paper's generic fixed-size record ("without any
+//!   extra disk-specific optimization"): one record per node holding the
+//!   vertebra label, link, rib slots, and two extrib slots (more spill to
+//!   an in-memory side table, counted in [`DiskSpine::spill_count`]). It
+//!   takes APPEND but pays for the worst-case fan-out on every node. It is
+//!   the layout the paper's §6.2 disk experiments measure (`exp fig7`,
 //!   `exp table7`, `exp buffering`); nothing is sealed from it.
-//! * **Sealed layout** ([`DiskSpine::seal`]) — a read-only
-//!   page format with varint/delta-encoded node records in slotted pages
-//!   ([`pagestore::slotted`]) plus backbone labels packed bit-tight into
-//!   `u64` words on dedicated label pages. Records shrink by ~10× for DNA,
-//!   so a fixed pool covers far more nodes and queries touch fewer pages.
-//!   When every label fits the alphabet's packing width
-//!   ([`strindex::Alphabet::pack_bits`]), backbone label runs are compared
-//!   a whole word at a time ([`FallibleSpineOps::try_label_run`]).
-//!   It is encoded straight from the nodes of an in-memory [`Spine`], so a
-//!   seal runs APPEND once, in memory ([`DiskSpine::build_sealed`]).
-//!   A sealed index also keeps its link tree in RAM as a preorder index
-//!   ([`crate::preorder`], 16 B per node, outside the store mutex), built
-//!   at seal from the links the encoder reads and at [`DiskSpine::reopen`]
-//!   with one sequential pass over the node pages. Occurrence enumeration
-//!   takes one slice of it and reads no page; only the mutable layout
-//!   runs the §4 backbone scan.
+//! * [`SealedSpine`](crate::SealedSpine) — the read-only, self-describing format-v3 page file
+//!   ([`crate::sealed`]), encoded from an in-memory [`crate::Spine`]. It
+//!   takes no APPEND.
 //!
-//! A sealed file describes itself: page 0, written last, holds everything
-//! [`DiskSpine::reopen`] needs besides the pages it describes. Every sealed
-//! page carries a format-version header; readers check it on each access
-//! and surface [`strindex::Error::FormatVersion`] ("rebuild required")
-//! instead of misparsing, and [`DiskSpine::reopen`] rejects files of an
-//! earlier [`DISK_FORMAT_VERSION`] the same way. APPEND and all query
-//! algorithms are the shared generic ones ([`crate::build`],
-//! [`crate::ops`]); [`FallibleSpineOps`] takes `&self`, so the store lives
-//! behind a mutex.
+//! APPEND and all query algorithms are the shared generic ones
+//! ([`crate::build`], [`crate::ops`]). [`FallibleSpineOps`] takes `&self`,
+//! so each layout keeps its buffer pool behind a mutex, and that mutex
+//! guards the pool alone.
 
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, OnceLock};
+use std::ops::Range;
+use std::sync::Arc;
 
-use crate::build::{self, NodeStore, Spine};
-use crate::node::{Extrib, NodeId, Rib};
+use crate::build::{self, NodeStore};
+use crate::node::NodeId;
 use crate::observe::{BuildEvent, BuildPhase, BuildStats, MemBreakdown, Observer, Off};
 use crate::ops::{FallibleSpineOps, LinkTree, INFALLIBLE_BOUNDARY};
-use crate::preorder::PreorderIndex;
-use pagestore::{
-    read_varint, slotted, slotted_record, write_varint, BufferPool, CacheStats, CacheStatsSnapshot,
-    EvictionPolicy, PageDevice, PageHeader, PagedVec, SlottedPageBuilder, PAGE_FORMAT_V2,
-    PAGE_SIZE,
-};
+use crate::prefix::PrefixView;
+use crate::trace::QueryTrace;
+use layout::PageLayout;
+use pagestore::{BufferPool, CacheStats, CacheStatsSnapshot, EvictionPolicy, PageDevice, PagedVec};
 use parking_lot::Mutex;
-use strindex::telemetry::{Counter, Histogram, MetricsRegistry};
 use strindex::{
-    Alphabet, Code, Counters, Error, FxHashMap, MatchingIndex, MatchingStats, MaximalMatch,
-    OnlineIndex, PackedText, Result, StringIndex,
+    Alphabet, Code, Counters, FxHashMap, MatchingIndex, MatchingStats, MaximalMatch, OnlineIndex,
+    PackedText, Result, StringIndex,
 };
+
+/// What a page layout gives the shared [`PagedSpine`] surface. The trait is
+/// public inside a crate-private module, so the crate's two layouts are the
+/// only ones: callers name [`DiskSpine`] or [`crate::SealedSpine`], never
+/// the trait.
+pub(crate) mod layout {
+    use super::*;
+
+    /// A page layout's record accessors and its buffer pool.
+    pub trait PageLayout {
+        /// Run `f` on the buffer pool, under the layout's one lock.
+        fn with_pool<R>(&self, f: impl FnOnce(&mut BufferPool) -> R) -> R;
+
+        /// The pages holding the node records of a `len`-symbol text, in
+        /// ascending node order.
+        fn node_pages(&self, len: usize) -> Range<u32>;
+
+        /// Backbone label of text position `i` (the vertebra leaving node
+        /// `i`).
+        fn label(&self, i: usize) -> Result<Code>;
+
+        /// `(destination, LEL)` of `node`'s link.
+        fn link(&self, node: NodeId) -> Result<(NodeId, u32)>;
+
+        /// `(destination, PT)` of `node`'s rib labeled `c`.
+        fn rib(&self, node: NodeId, c: Code) -> Result<Option<(NodeId, u32)>>;
+
+        /// `(destination, PT)` of `node`'s extrib in the chain `prt`.
+        fn extrib(&self, node: NodeId, prt: u32) -> Result<Option<(NodeId, u32)>>;
+
+        /// [`FallibleSpineOps::backbone_packing`].
+        fn packing(&self) -> Option<u32> {
+            None
+        }
+
+        /// The word-at-a-time [`FallibleSpineOps::try_label_run`] over a
+        /// `len`-symbol text, or `None` when the layout does not pack at
+        /// `pattern`'s width, so the scalar walk runs instead.
+        fn label_run(
+            &self,
+            _len: usize,
+            _node: NodeId,
+            _pattern: &PackedText,
+            _from: usize,
+        ) -> Option<Result<usize>> {
+            None
+        }
+
+        /// [`FallibleSpineOps::scan_begin`].
+        fn scan_begin(&self) {}
+
+        /// [`FallibleSpineOps::scan_end`].
+        fn scan_end(&self) {}
+
+        /// [`FallibleSpineOps::link_tree`].
+        fn link_tree(&self) -> Option<LinkTree<'_>> {
+            None
+        }
+    }
+}
+
+/// A SPINE index whose node records live on a page device behind a bounded
+/// buffer pool, in the page layout `L`: [`DiskSpine`] or
+/// [`SealedSpine`](crate::SealedSpine).
+///
+/// Every accessor returns `Result`: the records sit behind a buffer pool
+/// over a fallible device, so any hop can surface an I/O error.
+/// [`FallibleSpineOps`] and [`try_find_all`](Self::try_find_all) propagate
+/// these; the `StringIndex`/`MatchingIndex` impls expect at their boundary.
+pub struct PagedSpine<L> {
+    alphabet: Alphabet,
+    pub(crate) len: usize,
+    counters: Counters,
+    /// The buffer pool's cache counters, read without the layout's lock.
+    cache: Arc<CacheStats>,
+    pub(crate) layout: L,
+}
+
+impl<L: PageLayout> PagedSpine<L> {
+    /// The index of a `len`-symbol text stored in `layout`, whose buffer
+    /// pool counts into `cache`.
+    pub(crate) fn over(alphabet: Alphabet, len: usize, cache: Arc<CacheStats>, layout: L) -> Self {
+        PagedSpine { alphabet, len, counters: Counters::new(), cache, layout }
+    }
+
+    /// Number of indexed characters.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Is the index empty?
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Work counters.
+    pub fn counters(&self) -> &Counters {
+        &self.counters
+    }
+
+    /// Snapshot of the buffer pool's cache counters: hits, misses (device
+    /// page fetches), evictions and pinned pages. Reads no lock.
+    pub fn pool_stats(&self) -> CacheStatsSnapshot {
+        self.cache.snapshot()
+    }
+
+    /// (reads, writes) page counts at the device.
+    pub fn io_counts(&self) -> (u64, u64) {
+        self.layout.with_pool(|pool| {
+            let io = pool.io_stats();
+            (io.reads(), io.writes())
+        })
+    }
+
+    /// Durability barriers issued at the device (sealing issues two: one
+    /// before the header page, one after). Together with [`Self::io_counts`]
+    /// this spans the crashpoint index space the fault sweep enumerates.
+    pub fn io_syncs(&self) -> u64 {
+        self.layout.with_pool(|pool| pool.io_stats().syncs())
+    }
+
+    /// Flush dirty pages to the device.
+    pub fn flush(&self) -> Result<()> {
+        self.layout.with_pool(BufferPool::flush)
+    }
+
+    /// Pin the pages of the first backbone nodes, spending at most
+    /// `max_pages` frames: link destinations concentrate upstream (the
+    /// paper's Figure 8), so every valid path leaves through the backbone
+    /// prefix. Pages are pinned in order until the pool refuses (it always
+    /// keeps one evictable frame), and stay resident — even through the
+    /// fixed-record layout's full-backbone occurrence scan — until
+    /// [`unpin_all`](Self::unpin_all). Returns the pages pinned.
+    pub fn pin_hot_prefix(&self, max_pages: usize) -> Result<usize> {
+        let pages = self.layout.node_pages(self.len);
+        self.layout.with_pool(|pool| {
+            let mut pinned = 0;
+            for p in pages.take(max_pages) {
+                if !pool.pin(p)? {
+                    break;
+                }
+                pinned += 1;
+            }
+            Ok(pinned)
+        })
+    }
+
+    /// Unpin every pinned page, returning how many were released.
+    pub fn unpin_all(&self) -> usize {
+        self.layout.with_pool(BufferPool::unpin_all)
+    }
+
+    /// Fallible [`StringIndex::find_all`]: start offsets of every occurrence,
+    /// or `Err` if the device fails mid-traversal. This is the entry point
+    /// fault-tolerance harnesses use — an injected fault degrades to a clean
+    /// `Err` here instead of a panic.
+    pub fn try_find_all(&self, pattern: &[Code]) -> Result<Vec<usize>> {
+        let ends = crate::occurrences::try_find_all_ends(self, pattern)?;
+        Ok(ends.into_iter().map(|end| end as usize - pattern.len()).collect())
+    }
+
+    /// EXPLAIN `pattern` over the page-resident index: the structural trace
+    /// of [`crate::trace::explain`] plus
+    /// [`crate::trace::TraceEvent::PageFetches`] events attributing buffer
+    /// pool hits and device reads to individual traversal steps (sampled
+    /// from the pool's cumulative counters around each step — exact in
+    /// single-query flows, an upper bound while concurrent queries share
+    /// the pool). A storage failure mid-traversal is captured in
+    /// [`QueryTrace::error`] with the partial trace retained. Traced walks
+    /// always take the scalar path (the event stream is the point), so
+    /// traces are step-identical across layouts.
+    pub fn explain(&self, pattern: &[Code]) -> QueryTrace {
+        crate::trace::explain(self, pattern)
+    }
+
+    /// View this index as the index of its length-`len` prefix (see
+    /// [`PrefixView`]).
+    pub fn prefix(&self, len: usize) -> PrefixView<'_, Self> {
+        PrefixView::new(self, len)
+    }
+}
+
+impl<L: PageLayout> FallibleSpineOps for PagedSpine<L> {
+    fn text_len(&self) -> usize {
+        self.len
+    }
+
+    fn try_vertebra_out(&self, node: NodeId) -> Result<Option<Code>> {
+        if (node as usize) < self.len {
+            self.layout.label(node as usize).map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+
+    fn try_link_of(&self, node: NodeId) -> Result<(NodeId, u32)> {
+        self.layout.link(node)
+    }
+
+    fn try_rib_of(&self, node: NodeId, c: Code) -> Result<Option<(NodeId, u32)>> {
+        self.layout.rib(node, c)
+    }
+
+    fn try_extrib_of(&self, node: NodeId, prt: u32) -> Result<Option<(NodeId, u32)>> {
+        self.layout.extrib(node, prt)
+    }
+
+    fn ops_counters(&self) -> &Counters {
+        &self.counters
+    }
+
+    fn storage_counters(&self) -> Option<(u64, u64)> {
+        let s = self.pool_stats();
+        Some((s.hits, s.misses))
+    }
+
+    fn backbone_packing(&self) -> Option<u32> {
+        self.layout.packing()
+    }
+
+    fn try_label_run(&self, node: NodeId, pattern: &PackedText, from: usize) -> Result<usize> {
+        match self.layout.label_run(self.len, node, pattern, from) {
+            Some(run) => run,
+            None => crate::ops::scalar_label_run(self, node, pattern, from),
+        }
+    }
+
+    fn scan_begin(&self, _from: NodeId) {
+        self.layout.scan_begin();
+    }
+
+    fn scan_end(&self) {
+        self.layout.scan_end();
+    }
+
+    fn link_tree(&self) -> Option<LinkTree<'_>> {
+        self.layout.link_tree()
+    }
+}
+
+impl<L: PageLayout> StringIndex for PagedSpine<L> {
+    fn alphabet(&self) -> &Alphabet {
+        &self.alphabet
+    }
+
+    fn text_len(&self) -> usize {
+        self.len
+    }
+
+    fn symbol_at(&self, pos: usize) -> Code {
+        self.layout.label(pos).expect(INFALLIBLE_BOUNDARY)
+    }
+
+    fn find_first(&self, pattern: &[Code]) -> Option<usize> {
+        crate::search::locate(self, pattern).map(|end| end as usize - pattern.len())
+    }
+
+    fn find_all(&self, pattern: &[Code]) -> Vec<usize> {
+        self.try_find_all(pattern).expect(INFALLIBLE_BOUNDARY)
+    }
+}
+
+impl<L: PageLayout> MatchingIndex for PagedSpine<L> {
+    fn matching_statistics(&self, query: &[Code]) -> MatchingStats {
+        crate::matching::matching_statistics(self, query).expect(INFALLIBLE_BOUNDARY)
+    }
+
+    fn maximal_matches(&self, query: &[Code], min_len: usize) -> Vec<MaximalMatch> {
+        crate::matching::maximal_matches(self, query, min_len).expect(INFALLIBLE_BOUNDARY)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The fixed-record layout.
+// ---------------------------------------------------------------------------
 
 /// Inline extrib slots per record; chains are short (Table 4's steep decay),
 /// so two suffice for almost every node.
 const EXTRIB_SLOTS: usize = 2;
 
-/// Spilled extribs of one node: `(prt, pt, dest)` triples.
-type SpillEntry = Vec<(u32, u32, u32)>;
-
-/// Magic stamped into page 0 of a sealed device.
-const SEALED_MAGIC: &[u8; 4] = b"SPV2";
-
-/// On-disk format version this build writes (and the only one it reads).
-/// Version 1 (the fixed-record layout) is build-time only; version 2 kept
-/// its page directory, byte census and overflow records in a `.meta`
-/// sidecar, which version 3 folds into the page file. Reopening an earlier
-/// version yields [`Error::FormatVersion`] — "rebuild required".
-pub const DISK_FORMAT_VERSION: u16 = 3;
-
-/// Payload bytes per page after the page header.
-const PAGE_BODY: usize = PAGE_SIZE - slotted::PAGE_HEADER_LEN;
-
-/// Packed 64-bit label words per label page (after the page header).
-const WORDS_PER_PAGE: usize = PAGE_BODY / 8;
-
-/// Byte offsets within a *mutable-layout* node record (little-endian):
+/// Byte offsets within a fixed node record (little-endian):
 /// `cl:1 | link:4 | lel:4 | rib_count:1 | ribs: R×(cl 1, dest 4, pt 4) |
 /// extrib_count:1 | extribs: 2×(dest 4, pt 4, prt 4)`.
-struct Layout {
+struct Geometry {
     rib_slots: usize,
 }
 
-impl Layout {
+impl Geometry {
     fn new(alphabet: &Alphabet) -> Self {
-        Layout { rib_slots: alphabet.code_space() }
+        Geometry { rib_slots: alphabet.code_space() }
     }
 
     fn record_size(&self) -> usize {
@@ -125,670 +363,97 @@ fn put_u32(r: &mut [u8], off: usize, v: u32) {
     r[off..off + 4].copy_from_slice(&v.to_le_bytes());
 }
 
-fn low_mask(bits: u32) -> u64 {
-    if bits >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << bits) - 1
-    }
+/// The paper's fixed records: one per node, striped over pages from page 0
+/// ([`PagedVec`]), with extribs past the inline slots in a side table.
+pub struct FixedRecords {
+    geometry: Geometry,
+    records: Mutex<PagedVec>,
+    /// Extribs beyond the inline slots, by node: `(prt, pt, dest)` in the
+    /// order APPEND created them. Written only by APPEND (`&mut`).
+    spill: FxHashMap<u32, Vec<(u32, u32, u32)>>,
 }
 
-fn alphabet_tag(a: &Alphabet) -> u8 {
-    match a.kind() {
-        strindex::AlphabetKind::Dna => 0,
-        strindex::AlphabetKind::Protein => 1,
-        strindex::AlphabetKind::Ascii => 2,
-        strindex::AlphabetKind::Bytes => 3,
-    }
-}
-
-fn alphabet_from_tag(t: u8) -> Result<Alphabet> {
-    Ok(match t {
-        0 => Alphabet::dna(),
-        1 => Alphabet::protein(),
-        2 => Alphabet::ascii(),
-        3 => Alphabet::bytes(),
-        t => return Err(Error::Parse(format!("unknown alphabet tag {t}"))),
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Format-v2 node record codec.
-// ---------------------------------------------------------------------------
-
-/// The varint/delta node record of format v2.
-///
-/// ```text
-/// link.dest varint | link.lel varint
-/// rib_count varint | ribs: (cl 1B, dest−node varint, pt varint)…
-/// ext_count varint | extribs: (prt varint, pt varint, dest−node varint)…
-/// ```
-///
-/// Destinations are stored relative to the owning node: APPEND only ever
-/// creates ribs/extribs pointing at the freshly appended tail node, so
-/// `dest > node` always holds and deltas stay small. The decoder treats any
-/// malformed input as [`Error::Parse`] — corrupt-page defense, never a
-/// panic or a garbage answer.
-mod v2 {
-    use super::*;
-
-    /// A fully decoded node: link `(dest, LEL)`, ribs and extribs in
-    /// stored order (the order APPEND created them).
-    #[derive(Debug, Clone, Default, PartialEq, Eq)]
-    pub(super) struct NodeRecord {
-        pub link: (u32, u32),
-        pub ribs: Vec<Rib>,
-        pub extribs: Vec<Extrib>,
+impl PageLayout for FixedRecords {
+    fn with_pool<R>(&self, f: impl FnOnce(&mut BufferPool) -> R) -> R {
+        f(self.records.lock().pool_mut())
     }
 
-    /// Encode the record of `node` (its link, ribs and extribs), appending
-    /// to `out`. Returns the byte spans of the link and rib sections (the
-    /// remainder is the extrib section) so the sealer can attribute the
-    /// footprint per edge kind.
-    pub(super) fn encode(
-        node: u32,
-        link: (u32, u32),
-        ribs: &[Rib],
-        extribs: &[Extrib],
-        out: &mut Vec<u8>,
-    ) -> (usize, usize) {
-        let mut link_b = write_varint(out, link.0 as u64);
-        link_b += write_varint(out, link.1 as u64);
-        let mut ribs_b = write_varint(out, ribs.len() as u64);
-        for r in ribs {
-            debug_assert!(r.dest > node, "rib destinations always point forward");
-            out.push(r.cl);
-            ribs_b += 1;
-            ribs_b += write_varint(out, (r.dest - node) as u64);
-            ribs_b += write_varint(out, r.pt as u64);
-        }
-        write_varint(out, extribs.len() as u64);
-        for e in extribs {
-            debug_assert!(e.dest > node, "extrib destinations always point forward");
-            write_varint(out, e.prt as u64);
-            write_varint(out, e.pt as u64);
-            write_varint(out, (e.dest - node) as u64);
-        }
-        (link_b, ribs_b)
+    fn node_pages(&self, len: usize) -> Range<u32> {
+        let per_page = pagestore::PAGE_SIZE / self.geometry.record_size();
+        0..(len / per_page) as u32 + 1
     }
 
-    fn truncated() -> Error {
-        Error::Parse("truncated v2 node record".into())
+    fn label(&self, i: usize) -> Result<Code> {
+        self.records.lock().read(i + 1, |r| r[0])
     }
 
-    fn take(buf: &[u8], at: &mut usize) -> Result<u64> {
-        let (v, n) = read_varint(buf, *at).ok_or_else(truncated)?;
-        *at += n;
-        Ok(v)
+    fn link(&self, node: NodeId) -> Result<(NodeId, u32)> {
+        self.records.lock().read(node as usize, |r| (get_u32(r, 1), get_u32(r, 5)))
     }
 
-    fn narrow(v: u64) -> Result<u32> {
-        u32::try_from(v).map_err(|_| Error::Parse("v2 record field exceeds u32".into()))
+    fn rib(&self, node: NodeId, c: Code) -> Result<Option<(NodeId, u32)>> {
+        let g = &self.geometry;
+        self.records.lock().read(node as usize, |r| {
+            (0..r[9] as usize)
+                .map(|i| g.rib_off(i))
+                .find(|&off| r[off] == c)
+                .map(|off| (get_u32(r, off + 1), get_u32(r, off + 5)))
+        })
     }
 
-    fn fwd(node: u32, delta: u32) -> Result<u32> {
-        node.checked_add(delta)
-            .filter(|&d| d > node)
-            .ok_or_else(|| Error::Parse("v2 destination delta out of range".into()))
-    }
-
-    fn byte(buf: &[u8], at: &mut usize) -> Result<u8> {
-        let b = *buf.get(*at).ok_or_else(truncated)?;
-        *at += 1;
-        Ok(b)
-    }
-
-    /// Decode a whole record; rejects trailing bytes.
-    pub(super) fn decode(node: u32, buf: &[u8]) -> Result<NodeRecord> {
-        let mut at = 0;
-        let link = (narrow(take(buf, &mut at)?)?, narrow(take(buf, &mut at)?)?);
-        let rib_count = take(buf, &mut at)? as usize;
-        let mut ribs = Vec::with_capacity(rib_count.min(256));
-        for _ in 0..rib_count {
-            let cl = byte(buf, &mut at)?;
-            let delta = narrow(take(buf, &mut at)?)?;
-            let pt = narrow(take(buf, &mut at)?)?;
-            ribs.push(Rib { cl, dest: fwd(node, delta)?, pt });
-        }
-        let ext_count = take(buf, &mut at)? as usize;
-        let mut extribs = Vec::with_capacity(ext_count.min(256));
-        for _ in 0..ext_count {
-            let prt = narrow(take(buf, &mut at)?)?;
-            let pt = narrow(take(buf, &mut at)?)?;
-            let delta = narrow(take(buf, &mut at)?)?;
-            extribs.push(Extrib { prt, pt, dest: fwd(node, delta)? });
-        }
-        if at != buf.len() {
-            return Err(Error::Parse("trailing bytes after v2 node record".into()));
-        }
-        Ok(NodeRecord { link, ribs, extribs })
-    }
-
-    /// The first two varints only: a node's link (reopen's preorder pass,
-    /// traced enumeration).
-    pub(super) fn decode_link(buf: &[u8]) -> Result<(u32, u32)> {
-        let mut at = 0;
-        Ok((narrow(take(buf, &mut at)?)?, narrow(take(buf, &mut at)?)?))
-    }
-
-    /// Scan the rib section for label `c`.
-    pub(super) fn find_rib(buf: &[u8], node: u32, c: Code) -> Result<Option<(u32, u32)>> {
-        let mut at = 0;
-        take(buf, &mut at)?; // link dest
-        take(buf, &mut at)?; // link lel
-        let rib_count = take(buf, &mut at)? as usize;
-        for _ in 0..rib_count {
-            let cl = byte(buf, &mut at)?;
-            let delta = narrow(take(buf, &mut at)?)?;
-            let pt = narrow(take(buf, &mut at)?)?;
-            if cl == c {
-                return Ok(Some((fwd(node, delta)?, pt)));
-            }
-        }
-        Ok(None)
-    }
-
-    /// Scan the extrib section for the chain with parent-rib threshold
-    /// `prt`; returns `(dest, pt)` of the first match in stored order.
-    pub(super) fn find_extrib(buf: &[u8], node: u32, prt: u32) -> Result<Option<(u32, u32)>> {
-        let mut at = 0;
-        take(buf, &mut at)?; // link dest
-        take(buf, &mut at)?; // link lel
-        let rib_count = take(buf, &mut at)? as usize;
-        for _ in 0..rib_count {
-            byte(buf, &mut at)?;
-            take(buf, &mut at)?;
-            take(buf, &mut at)?;
-        }
-        let ext_count = take(buf, &mut at)? as usize;
-        for _ in 0..ext_count {
-            let eprt = narrow(take(buf, &mut at)?)?;
-            let pt = narrow(take(buf, &mut at)?)?;
-            let delta = narrow(take(buf, &mut at)?)?;
-            if eprt == prt {
-                return Ok(Some((fwd(node, delta)?, pt)));
-            }
-        }
-        Ok(None)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sealed store.
-// ---------------------------------------------------------------------------
-
-/// Structural counts recovered by decoding every record of a sealed index
-/// ([`DiskSpine::sealed_census`]); reconciles with the
-/// [`BuildStats`] event stream of the build that produced it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SealedCensus {
-    /// Records decoded (text length + 1 for the root).
-    pub nodes: u64,
-    /// Total ribs across all records.
-    pub ribs: u64,
-    /// Total extribs across all records.
-    pub extribs: u64,
-    /// Records too large for a slotted page, stored on the file's
-    /// overflow pages instead.
-    pub overflow_records: u64,
-}
-
-/// Page 0 of a sealed file, written last: every field [`DiskSpine::reopen`]
-/// needs before it reads another page.
-///
-/// ```text
-/// page header (FILE_HEADER) | "SPV2" | version u16 | alphabet tag u8
-/// packing bits u8 | packed-compare flag u8 | text len u64
-/// label pages u32 | node pages u32
-/// encoded vertebrae, links, ribs, extribs: u64 each | overflow pages u32
-/// ```
-struct FileHeader {
-    len: usize,
-    /// Bits per packed backbone label.
-    bits: u32,
-    /// Whether `bits` equals the alphabet's word-packing width, enabling
-    /// word-at-a-time label comparison (false ⇒ scalar compare over the
-    /// same packed labels).
-    packed_compare: bool,
-    label_pages: u32,
-    node_pages: u32,
-    overflow_pages: u32,
-    /// Encoded on-device footprint split by edge kind.
-    encoded: MemBreakdown,
-}
-
-impl FileHeader {
-    fn write_to(&self, alphabet: &Alphabet, b: &mut [u8]) {
-        b.fill(0);
-        PageHeader {
-            version: PAGE_FORMAT_V2,
-            kind: slotted::kind::FILE_HEADER,
-            count: 0,
-            first_item: 0,
-        }
-        .write_to(b);
-        let b = &mut b[slotted::PAGE_HEADER_LEN..];
-        b[0..4].copy_from_slice(SEALED_MAGIC);
-        b[4..6].copy_from_slice(&DISK_FORMAT_VERSION.to_le_bytes());
-        b[6] = alphabet_tag(alphabet);
-        b[7] = self.bits as u8;
-        b[8] = self.packed_compare as u8;
-        b[9..17].copy_from_slice(&(self.len as u64).to_le_bytes());
-        b[17..21].copy_from_slice(&self.label_pages.to_le_bytes());
-        b[21..25].copy_from_slice(&self.node_pages.to_le_bytes());
-        let e = &self.encoded;
-        for (i, part) in [e.vertebrae, e.links, e.ribs, e.extribs].into_iter().enumerate() {
-            b[25 + 8 * i..33 + 8 * i].copy_from_slice(&part.to_le_bytes());
-        }
-        b[57..61].copy_from_slice(&self.overflow_pages.to_le_bytes());
-    }
-
-    /// Parse page 0 into the index's alphabet and header. A page of another
-    /// format version, or a file of an earlier [`DISK_FORMAT_VERSION`], is
-    /// [`Error::FormatVersion`]; anything else that is not a consistent
-    /// header is [`Error::Parse`].
-    fn read_from(b: &[u8]) -> Result<(Alphabet, FileHeader)> {
-        PageHeader::checked(b, slotted::kind::FILE_HEADER)?;
-        let b = &b[slotted::PAGE_HEADER_LEN..];
-        let u32_at = |at: usize| u32::from_le_bytes(b[at..at + 4].try_into().unwrap());
-        let u64_at = |at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
-        if &b[0..4] != SEALED_MAGIC {
-            return Err(Error::Parse("bad sealed file magic".into()));
-        }
-        let version = u16::from_le_bytes([b[4], b[5]]);
-        if version != DISK_FORMAT_VERSION {
-            return Err(Error::FormatVersion { found: version, expected: DISK_FORMAT_VERSION });
-        }
-        let bits = b[7] as u32;
-        if !(1..=8).contains(&bits) {
-            return Err(Error::Parse(format!("packing width {bits} out of range")));
-        }
-        let len = u64_at(9);
-        if len >= u32::MAX as u64 {
-            return Err(Error::Parse(format!("text length {len} exceeds the node id space")));
-        }
-        let alphabet = alphabet_from_tag(b[6])?;
-        let h = FileHeader {
-            len: len as usize,
-            bits,
-            packed_compare: b[8] != 0,
-            label_pages: u32_at(17),
-            node_pages: u32_at(21),
-            overflow_pages: u32_at(57),
-            encoded: MemBreakdown {
-                vertebrae: u64_at(25),
-                links: u64_at(33),
-                ribs: u64_at(41),
-                extribs: u64_at(49),
-            },
-        };
-        if h.node_pages == 0 {
-            return Err(Error::Parse("sealed index must have at least one node page".into()));
-        }
-        if h.label_pages as usize != h.label_words().div_ceil(WORDS_PER_PAGE) {
-            return Err(Error::Parse(format!(
-                "{} label pages for a text of {len} labels",
-                h.label_pages
-            )));
-        }
-        Ok((alphabet, h))
-    }
-
-    /// Packed label words (`ceil(len / labels per word)`).
-    fn label_words(&self) -> usize {
-        self.len.div_ceil((64 / self.bits) as usize)
-    }
-
-    /// Page id of the first overflow page, after the node pages.
-    fn overflow_start(&self) -> u32 {
-        1 + self.label_pages + self.node_pages
-    }
-
-    /// Pages of the whole file.
-    fn file_pages(&self) -> u64 {
-        self.overflow_start() as u64 + self.overflow_pages as u64
-    }
-}
-
-/// Append record `bytes` of `node` to the overflow stream: `node varint |
-/// length varint | bytes`. The stream is cut into overflow pages after the
-/// node pages ([`write_overflow`]).
-fn push_overflow(stream: &mut Vec<u8>, node: u32, bytes: &[u8]) {
-    write_varint(stream, node as u64);
-    write_varint(stream, bytes.len() as u64);
-    stream.extend_from_slice(bytes);
-}
-
-/// Write `stream` onto consecutive overflow pages from page `first`, each
-/// stamped with the format version, its payload length in `count` and its
-/// position in the run in `first_item`. Returns the pages written.
-fn write_overflow(pool: &mut BufferPool, first: u32, stream: &[u8]) -> Result<u32> {
-    let mut pages = 0;
-    for chunk in stream.chunks(PAGE_BODY) {
-        pool.write(first + pages, |b| {
-            b.fill(0);
-            PageHeader {
-                version: PAGE_FORMAT_V2,
-                kind: slotted::kind::OVERFLOW,
-                count: chunk.len() as u16,
-                first_item: pages,
-            }
-            .write_to(b);
-            b[slotted::PAGE_HEADER_LEN..][..chunk.len()].copy_from_slice(chunk);
+    fn extrib(&self, node: NodeId, prt: u32) -> Result<Option<(NodeId, u32)>> {
+        let g = &self.geometry;
+        let inline = self.records.lock().read(node as usize, |r| {
+            let count = (r[g.extrib_count_off()] as usize).min(EXTRIB_SLOTS);
+            (0..count)
+                .map(|i| g.extrib_off(i))
+                .find(|&off| get_u32(r, off + 8) == prt)
+                .map(|off| (get_u32(r, off), get_u32(r, off + 4)))
         })?;
-        pages += 1;
-    }
-    Ok(pages)
-}
-
-/// Read back the overflow records [`write_overflow`] wrote, by node.
-/// `nodes` is the node count the header promises.
-fn read_overflow(
-    pool: &mut BufferPool,
-    h: &FileHeader,
-    nodes: usize,
-) -> Result<FxHashMap<u32, Vec<u8>>> {
-    let mut stream = Vec::new();
-    for i in 0..h.overflow_pages {
-        pool.read(h.overflow_start() + i, |b| -> Result<()> {
-            let ph = PageHeader::checked(b, slotted::kind::OVERFLOW)?;
-            if ph.first_item != i || ph.count as usize > PAGE_BODY {
-                return Err(Error::Parse(format!("corrupt overflow page {i}")));
-            }
-            stream.extend_from_slice(&b[slotted::PAGE_HEADER_LEN..][..ph.count as usize]);
-            Ok(())
-        })??;
-    }
-    let corrupt = || Error::Parse("corrupt overflow record".into());
-    let field = |at: &mut usize| -> Result<usize> {
-        let (v, n) = read_varint(&stream, *at).ok_or_else(corrupt)?;
-        *at += n;
-        usize::try_from(v).map_err(|_| corrupt())
-    };
-    let mut overflow = FxHashMap::default();
-    let mut at = 0;
-    while at < stream.len() {
-        let (node, len) = (field(&mut at)?, field(&mut at)?);
-        let bytes = stream.get(at..).and_then(|s| s.get(..len)).ok_or_else(corrupt)?;
-        if node >= nodes || overflow.insert(node as u32, bytes.to_vec()).is_some() {
-            return Err(corrupt());
-        }
-        at += len;
-    }
-    Ok(overflow)
-}
-
-/// A read-only sealed index on a page device, laid out as its header `h`
-/// says: page 0 is the header; pages `1..=label_pages` hold the packed
-/// backbone labels; the next `node_pages` pages hold slotted node records,
-/// one slot per node; the last `overflow_pages` pages hold the records too
-/// long for a slot.
-struct SealedStore {
-    pool: BufferPool,
-    h: FileHeader,
-    /// Number of packed label words (`ceil(len / per_word)`).
-    label_words: usize,
-    /// `first_nodes[p]` = id of the first node on node-page `p` (each node
-    /// page's header `first_item`).
-    first_nodes: Vec<u32>,
-    /// Encoded records that exceeded [`slotted::MAX_RECORD_LEN`]; their page
-    /// slot holds an empty record as the overflow marker.
-    overflow: FxHashMap<u32, Vec<u8>>,
-}
-
-impl SealedStore {
-    /// The store `h` describes, over `pool`.
-    fn new(
-        pool: BufferPool,
-        h: FileHeader,
-        first_nodes: Vec<u32>,
-        overflow: FxHashMap<u32, Vec<u8>>,
-    ) -> Self {
-        SealedStore { pool, label_words: h.label_words(), h, first_nodes, overflow }
+        Ok(inline.or_else(|| {
+            let spilled = self.spill.get(&node)?;
+            spilled.iter().find(|&&(p, _, _)| p == prt).map(|&(_, pt, dest)| (dest, pt))
+        }))
     }
 
-    /// `(page id, slot)` of `node`'s record.
-    fn node_page(&self, node: u32) -> (u32, usize) {
-        let pi = self.first_nodes.partition_point(|&f| f <= node) - 1;
-        (1 + self.h.label_pages + pi as u32, (node - self.first_nodes[pi]) as usize)
+    // Only this layout scans (a sealed index walks its preorder index), so
+    // only its pool takes the scan hint.
+    fn scan_begin(&self) {
+        self.with_pool(BufferPool::begin_scan);
     }
 
-    /// Run `f` over `node`'s encoded record, wherever it lives (page slot
-    /// or overflow map). The page's version header is checked on every
-    /// access ([`slotted_record`]).
-    fn with_record<R>(&mut self, node: u32, f: impl FnOnce(&[u8]) -> Result<R>) -> Result<R> {
-        let (page, slot) = self.node_page(node);
-        let mut f = Some(f);
-        let inline = self.pool.read(page, |b| match slotted_record(b, slot) {
-            Err(e) => Some(Err(e)),
-            // Empty record = overflow marker (every real record holds at
-            // least the two link varints).
-            Ok([]) => None,
-            Ok(rec) => Some((f.take().unwrap())(rec)),
-        })?;
-        match inline {
-            Some(r) => r,
-            None => {
-                let bytes = self.overflow.get(&node).ok_or_else(|| {
-                    Error::Parse(format!("sealed node {node} marked overflow but absent"))
-                })?;
-                (f.take().unwrap())(bytes)
-            }
-        }
-    }
-
-    /// `(link destination, LEL)` of every node, in one sequential pass over
-    /// the node pages (one page fetch per page), rebuilding the page
-    /// directory from each page's `first_item` on the way. `nodes` is the
-    /// node count the header promises; pages that disagree are corrupt.
-    fn read_node_pages(&mut self, nodes: usize) -> Result<Vec<(u32, u32)>> {
-        let mut links = Vec::with_capacity(nodes);
-        let mut first_nodes = Vec::with_capacity(self.h.node_pages as usize);
-        for pi in 0..self.h.node_pages {
-            let (pool, overflow) = (&mut self.pool, &self.overflow);
-            pool.read(1 + self.h.label_pages + pi, |b| -> Result<()> {
-                let h = PageHeader::checked(b, slotted::kind::NODES)?;
-                if h.first_item as usize != links.len() || h.count == 0 {
-                    return Err(Error::Parse(format!(
-                        "node page {pi} holds {} records from node {}, after {} records",
-                        h.count,
-                        h.first_item,
-                        links.len()
-                    )));
-                }
-                first_nodes.push(h.first_item);
-                for slot in 0..h.count as usize {
-                    let node = links.len() as u32;
-                    let link = match slotted_record(b, slot)? {
-                        [] => v2::decode_link(overflow.get(&node).ok_or_else(|| {
-                            Error::Parse(format!("sealed node {node} marked overflow but absent"))
-                        })?)?,
-                        rec => v2::decode_link(rec)?,
-                    };
-                    links.push(link);
-                }
-                Ok(())
-            })??;
-        }
-        if links.len() != nodes {
-            return Err(Error::Parse(format!(
-                "sealed node pages hold {} records for {nodes} nodes",
-                links.len()
-            )));
-        }
-        self.first_nodes = first_nodes;
-        Ok(links)
-    }
-
-    /// Packed label word `w` (words past the end read as zero, mirroring
-    /// [`PackedText::window`]).
-    fn label_word(&mut self, w: usize) -> Result<u64> {
-        if w >= self.label_words {
-            return Ok(0);
-        }
-        let page = 1 + (w / WORDS_PER_PAGE) as u32;
-        let off = slotted::PAGE_HEADER_LEN + (w % WORDS_PER_PAGE) * 8;
-        self.pool.read(page, |b| -> Result<u64> {
-            PageHeader::checked(b, slotted::kind::LABELS)?;
-            Ok(u64::from_le_bytes(b[off..off + 8].try_into().unwrap()))
-        })?
-    }
-
-    /// Label of text position `i` (0-based).
-    fn label(&mut self, i: usize) -> Result<Code> {
-        let pw = (64 / self.h.bits) as usize;
-        let w = self.label_word(i / pw)?;
-        Ok(((w >> ((i % pw) as u32 * self.h.bits)) & low_mask(self.h.bits)) as Code)
-    }
-
-    /// Labels of text positions `from..to` (0-based, `to` at most the text
-    /// length): one fetch per label page, each packed word decoded once.
-    fn labels(&mut self, from: usize, to: usize) -> Result<Vec<Code>> {
-        let (bits, pw) = (self.h.bits, (64 / self.h.bits) as usize);
-        let mut out = Vec::with_capacity(to.saturating_sub(from));
-        let mut i = from;
-        while i < to {
-            let page = i / pw / WORDS_PER_PAGE;
-            let page_end = ((page + 1) * WORDS_PER_PAGE * pw).min(to);
-            self.pool.read(1 + page as u32, |b| -> Result<()> {
-                PageHeader::checked(b, slotted::kind::LABELS)?;
-                for w in i / pw..=(page_end - 1) / pw {
-                    let off = slotted::PAGE_HEADER_LEN + (w % WORDS_PER_PAGE) * 8;
-                    let word = u64::from_le_bytes(b[off..off + 8].try_into().unwrap());
-                    for j in i.max(w * pw)..page_end.min((w + 1) * pw) {
-                        out.push(((word >> ((j % pw) as u32 * bits)) & low_mask(bits)) as Code);
-                    }
-                }
-                Ok(())
-            })??;
-            i = page_end;
-        }
-        Ok(out)
-    }
-
-    /// Up to `per_word` labels starting at position `i`, packed into the
-    /// low bits of one word — the same window [`PackedText::window`]
-    /// assembles, so the two compare with one xor.
-    fn label_window(&mut self, i: usize) -> Result<u64> {
-        let pw = (64 / self.h.bits) as usize;
-        let w = i / pw;
-        let phase = (i % pw) as u32;
-        let lo = self.label_word(w)? >> (phase * self.h.bits);
-        let win = if phase == 0 {
-            lo
-        } else {
-            lo | (self.label_word(w + 1)? << ((pw as u32 - phase) * self.h.bits))
-        };
-        Ok(win & low_mask(pw as u32 * self.h.bits))
-    }
-
-    /// Word-at-a-time [`FallibleSpineOps::try_label_run`]: the common run
-    /// of `pattern[from..]` and the backbone labels leaving `node`.
-    fn label_run(
-        &mut self,
-        text_len: usize,
-        node: u32,
-        pattern: &PackedText,
-        from: usize,
-    ) -> Result<usize> {
-        debug_assert_eq!(pattern.bits(), self.h.bits);
-        let pw = pattern.per_word() as usize;
-        let max = (pattern.len() - from).min(text_len - node as usize);
-        let mut k = 0usize;
-        while k < max {
-            let n = (max - k).min(pw) as u32;
-            let a = pattern.window(from + k);
-            let b = self.label_window(node as usize + k)?;
-            let m = strindex::window_match_len(a, b, self.h.bits, n) as usize;
-            k += m;
-            if m < n as usize {
-                break;
-            }
-        }
-        Ok(k)
+    fn scan_end(&self) {
+        self.with_pool(BufferPool::end_scan);
     }
 }
 
-/// The physical store behind a [`DiskSpine`]: append-friendly fixed
-/// records, or the sealed read-optimized v2 layout.
-enum Store {
-    Mutable(PagedVec),
-    Sealed(SealedStore),
-}
-
-impl Store {
-    fn pool(&self) -> &BufferPool {
-        match self {
-            Store::Mutable(v) => v.pool(),
-            Store::Sealed(s) => &s.pool,
-        }
-    }
-
-    fn flush(&mut self) -> Result<()> {
-        match self {
-            Store::Mutable(v) => v.flush(),
-            Store::Sealed(s) => s.pool.flush(),
-        }
-    }
-}
-
-/// Registry handles for per-query disk accounting
-/// ([`DiskSpine::attach_telemetry`]).
-struct DiskTelemetry {
-    /// The pool's shared cache counters, sampled around each query to turn
-    /// cumulative misses into a per-query device-fetch count.
-    cache: Arc<CacheStats>,
-    /// Pages *fetched from the device* (pool misses) per
-    /// `try_locate`/`try_find_all` ("disk.pages_per_query"). Pool hits are
-    /// free; this histogram measures real I/O, which is what the layout-v2
-    /// record density exists to cut.
-    pages_per_query: Arc<Histogram>,
-    /// Extrib lookups that fell through to the spill side table
-    /// ("disk.spill_lookups").
-    spill_lookups: Arc<Counter>,
-}
-
-/// A SPINE index whose node table lives on a page device.
-pub struct DiskSpine {
-    alphabet: Alphabet,
-    layout: Layout,
-    store: Mutex<Store>,
-    /// The sealed layout's link tree in preorder, held in RAM outside the
-    /// store lock: occurrence enumeration reads it without a page fetch.
-    /// `None` for the mutable layout, which keeps the §4 scan.
-    preorder: Option<PreorderIndex>,
-    /// Extribs beyond the inline slots (mutable layout only).
-    spill: Mutex<FxHashMap<u32, SpillEntry>>,
-    spill_count: AtomicU64,
-    len: usize,
-    counters: Counters,
-    telemetry: OnceLock<DiskTelemetry>,
-}
+/// A SPINE index on a page device in the paper's fixed-record layout; it
+/// takes APPEND ([`OnlineIndex::push`]):
+///
+/// ```
+/// # use strindex::OnlineIndex;
+/// fn append(index: &mut spine::DiskSpine) -> strindex::Result<()> {
+///     index.push(0)
+/// }
+/// ```
+pub type DiskSpine = PagedSpine<FixedRecords>;
 
 impl DiskSpine {
-    /// An empty (mutable-layout) disk index over `alphabet`, storing
-    /// records on `device` with a pool of `pool_pages` frames and the given
-    /// eviction policy.
+    /// An empty index over `alphabet`, storing records on `device` with a
+    /// pool of `pool_pages` frames and the given eviction policy.
     pub fn new(
         alphabet: Alphabet,
         device: Box<dyn PageDevice>,
         pool_pages: usize,
         policy: Box<dyn EvictionPolicy>,
     ) -> Result<Self> {
-        let layout = Layout::new(&alphabet);
-        let mut records = PagedVec::new(device, pool_pages, policy, layout.record_size());
+        let geometry = Geometry::new(&alphabet);
+        let mut records = PagedVec::new(device, pool_pages, policy, geometry.record_size());
         records.push_zeroed()?; // root
-        Ok(DiskSpine {
-            alphabet,
-            layout,
-            store: Mutex::new(Store::Mutable(records)),
-            preorder: None,
-            spill: Mutex::new(FxHashMap::default()),
-            spill_count: AtomicU64::new(0),
-            len: 0,
-            counters: Counters::new(),
-            telemetry: OnceLock::new(),
-        })
+        let cache = records.pool().stats_handle();
+        let layout =
+            FixedRecords { geometry, records: Mutex::new(records), spill: FxHashMap::default() };
+        Ok(Self::over(alphabet, 0, cache, layout))
     }
 
     /// Build from an encoded text.
@@ -836,471 +501,23 @@ impl DiskSpine {
         Ok((s, stats))
     }
 
-    /// Build a *sealed* index on `device`: [`Spine::build`] in
-    /// memory, then [`seal`](Self::seal). This is the durable build path —
-    /// only sealed devices can be [`reopen`](Self::reopen)ed.
-    pub fn build_sealed(
-        alphabet: Alphabet,
-        text: &[Code],
-        device: Box<dyn PageDevice>,
-        pool_pages: usize,
-        policy: Box<dyn EvictionPolicy>,
-    ) -> Result<Self> {
-        Self::seal(&Spine::build(alphabet, text)?, device, pool_pages, policy)
-    }
-
-    /// Encode `spine` into the sealed layout on a fresh `device`: packed
-    /// label pages, then slotted pages of varint/delta node records (each
-    /// node's link, ribs and extribs in stored order), then overflow pages
-    /// for records too long for a slot, with the file header written last
-    /// so a crash mid-seal leaves an unreadable — never a half-valid —
-    /// target. `spine` is only read, so a failed seal (e.g. a device fault)
-    /// leaves it intact.
-    pub fn seal(
-        spine: &Spine,
-        device: Box<dyn PageDevice>,
-        pool_pages: usize,
-        policy: Box<dyn EvictionPolicy>,
-    ) -> Result<DiskSpine> {
-        let alphabet = spine.alphabet_ref();
-        let nodes = spine.nodes();
-        let len = spine.len();
-        let codes = &spine.labels;
-        // Packing width: the alphabet's word-compare width when every label
-        // fits it (a DNA separator does not), else just enough bits for the
-        // code space — still a bit-tight store, compared scalar.
-        let (bits, packed_compare) = match alphabet.pack_bits() {
-            Some(b) if codes.iter().all(|&c| (c as u64) <= low_mask(b)) => (b, true),
-            _ => (alphabet.label_bits(), false),
-        };
-        let packed =
-            PackedText::from_codes(bits, codes).expect("labels fit the chosen packing width");
-        let words = packed.words();
-        let label_words = words.len();
-        let label_pages = label_words.div_ceil(WORDS_PER_PAGE) as u32;
-
-        let mut pool = BufferPool::new(device, pool_pages.max(1), policy);
-        for p in 0..label_pages as usize {
-            let chunk = &words[p * WORDS_PER_PAGE..((p + 1) * WORDS_PER_PAGE).min(label_words)];
-            pool.write(1 + p as u32, |b| {
-                b.fill(0);
-                PageHeader {
-                    version: PAGE_FORMAT_V2,
-                    kind: slotted::kind::LABELS,
-                    count: chunk.len() as u16,
-                    first_item: (p * WORDS_PER_PAGE) as u32,
-                }
-                .write_to(b);
-                let mut at = slotted::PAGE_HEADER_LEN;
-                for &w in chunk {
-                    b[at..at + 8].copy_from_slice(&w.to_le_bytes());
-                    at += 8;
-                }
-            })?;
-        }
-
-        let mut encoded =
-            MemBreakdown { vertebrae: label_words as u64 * 8, ..MemBreakdown::default() };
-        let mut overflow: FxHashMap<u32, Vec<u8>> = FxHashMap::default();
-        let mut overflow_stream = Vec::new();
-        let mut first_nodes: Vec<u32> = vec![0];
-        let mut node_pages: u32 = 0;
-        let mut builder = SlottedPageBuilder::new(0);
-        let mut buf = Vec::new();
-        let mut links = Vec::with_capacity(nodes.len());
-        for (node, n) in (0u32..).zip(nodes) {
-            links.push((n.link, n.lel));
-            buf.clear();
-            let (link_b, ribs_b) = v2::encode(node, (n.link, n.lel), &n.ribs, &n.extribs, &mut buf);
-            encoded.links += link_b as u64;
-            encoded.ribs += ribs_b as u64;
-            encoded.extribs += (buf.len() - link_b - ribs_b) as u64;
-            let payload: &[u8] = if buf.len() <= slotted::MAX_RECORD_LEN { &buf } else { &[] };
-            if !builder.push(payload) {
-                pool.write(1 + label_pages + node_pages, |b| b.copy_from_slice(&builder.finish()))?;
-                node_pages += 1;
-                builder = SlottedPageBuilder::new(node);
-                first_nodes.push(node);
-                assert!(builder.push(payload), "a fresh slotted page must accept the record");
-            }
-            if payload.is_empty() {
-                push_overflow(&mut overflow_stream, node, &buf);
-                overflow.insert(node, buf.clone());
-            }
-        }
-        pool.write(1 + label_pages + node_pages, |b| b.copy_from_slice(&builder.finish()))?;
-        node_pages += 1;
-        let overflow_pages =
-            write_overflow(&mut pool, 1 + label_pages + node_pages, &overflow_stream)?;
-
-        // The header page goes in *last*: until it exists, the device does
-        // not parse as a sealed index at all. Barrier first — "last" must be
-        // a media-order fact, not just program order, or a crash between the
-        // body and the header could leave a header over torn pages.
-        let header = FileHeader {
-            len,
-            bits,
-            packed_compare,
-            label_pages,
-            node_pages,
-            overflow_pages,
-            encoded,
-        };
-        pool.sync()?;
-        pool.write(0, |b| header.write_to(alphabet, b))?;
-        pool.sync()?;
-
-        let store = SealedStore::new(pool, header, first_nodes, overflow);
-        Ok(Self::sealed(alphabet.clone(), store, PreorderIndex::from_links(&links)?))
-    }
-
-    /// The sealed index over `store`.
-    fn sealed(alphabet: Alphabet, store: SealedStore, preorder: PreorderIndex) -> Self {
-        DiskSpine {
-            layout: Layout::new(&alphabet),
-            alphabet,
-            len: store.h.len,
-            store: Mutex::new(Store::Sealed(store)),
-            preorder: Some(preorder),
-            spill: Mutex::new(FxHashMap::default()),
-            spill_count: AtomicU64::new(0),
-            counters: Counters::new(),
-            telemetry: OnceLock::new(),
-        }
-    }
-
-    /// Is this index in the sealed (read-only) layout?
-    pub fn is_sealed(&self) -> bool {
-        matches!(&*self.store.lock(), Store::Sealed(_))
-    }
-
-    /// The sealed layout's in-RAM preorder index of its link tree (`None`
-    /// for the mutable layout).
-    pub fn preorder(&self) -> Option<&PreorderIndex> {
-        self.preorder.as_ref()
-    }
-
-    /// Bytes held in RAM beside the buffer pool: the preorder index, 16
-    /// per node (0 for the mutable layout).
-    pub fn resident_bytes(&self) -> u64 {
-        self.preorder.as_ref().map_or(0, PreorderIndex::resident_bytes)
-    }
-
-    /// Total pages of the sealed file (header, label, node and overflow
-    /// pages), or `None` for the mutable layout.
-    pub fn file_pages(&self) -> Option<u64> {
-        match &*self.store.lock() {
-            Store::Sealed(s) => Some(s.h.file_pages()),
-            Store::Mutable(_) => None,
-        }
-    }
-
-    /// Pin the pages of the first backbone nodes, spending at most
-    /// `max_pages` frames: link destinations concentrate upstream (the
-    /// paper's Figure 8), so every valid path leaves through the backbone
-    /// prefix. Pages are pinned in order until the pool refuses (it always
-    /// keeps one evictable frame), and stay resident — even through the
-    /// mutable layout's full-backbone occurrence scan — until
-    /// [`unpin_all`](Self::unpin_all). Returns the pages pinned.
-    pub fn pin_hot_prefix(&self, max_pages: usize) -> Result<usize> {
-        let mut guard = self.store.lock();
-        // Both layouts place nodes on pages in ascending node order: the
-        // mutable records from page 0, the sealed node pages after the
-        // header and label pages.
-        let (pool, pages) = match &mut *guard {
-            Store::Mutable(v) => {
-                let pages = 0..v.page_of(self.len) + 1;
-                (v.pool_mut(), pages)
-            }
-            Store::Sealed(s) => {
-                let first = 1 + s.h.label_pages;
-                (&mut s.pool, first..first + s.h.node_pages)
-            }
-        };
-        let mut pinned = 0;
-        for p in pages.take(max_pages) {
-            if !pool.pin(p)? {
-                break;
-            }
-            pinned += 1;
-        }
-        Ok(pinned)
-    }
-
-    /// Unpin every pinned page, returning how many were released.
-    pub fn unpin_all(&self) -> usize {
-        match &mut *self.store.lock() {
-            Store::Mutable(v) => v.pool_mut().unpin_all(),
-            Store::Sealed(s) => s.pool.unpin_all(),
-        }
-    }
-
-    /// Pages currently pinned in the buffer pool.
-    pub fn pinned_pages(&self) -> usize {
-        self.store.lock().pool().pinned_count()
-    }
-
-    /// Snapshot of the buffer pool's cache counters (hits, misses,
-    /// evictions, pins).
-    pub fn pool_stats(&self) -> CacheStatsSnapshot {
-        self.store.lock().pool().stats_handle().snapshot()
-    }
-
-    /// Decode every sealed record and return the structural totals; the
-    /// numbers reconcile with the originating build's [`BuildStats`]
-    /// (`ribs == ribs_created`, `extribs == extribs_created`).
-    pub fn sealed_census(&self) -> Result<SealedCensus> {
-        let mut guard = self.store.lock();
-        let Store::Sealed(s) = &mut *guard else {
-            return Err(Error::Unsupported("census of a mutable (unsealed) index"));
-        };
-        let mut c = SealedCensus::default();
-        for node in 0..=self.len as u32 {
-            let rec = s.with_record(node, |b| v2::decode(node, b))?;
-            c.nodes += 1;
-            c.ribs += rec.ribs.len() as u64;
-            c.extribs += rec.extribs.len() as u64;
-            if s.overflow.contains_key(&node) {
-                c.overflow_records += 1;
-            }
-        }
-        Ok(c)
-    }
-
-    /// Bytes split by edge kind. For the mutable layout this is derived
-    /// from the fixed record geometry (field spans × record count) plus the
-    /// spill side table; for a sealed index it is the exact encoded
-    /// on-device footprint (labels under `vertebrae`, varint sections under
-    /// `links`/`ribs`/`extribs`). Logical on-device bytes, not buffer-pool
-    /// memory.
+    /// Bytes split by edge kind, derived from the fixed record geometry
+    /// (field spans × record count) plus the spill side table. Logical
+    /// on-device bytes, not buffer-pool memory.
     pub fn mem_breakdown(&self) -> MemBreakdown {
-        if let Store::Sealed(s) = &*self.store.lock() {
-            return s.h.encoded;
-        }
         let records = (self.len + 1) as u64; // root included
-        let l = &self.layout;
+        let slots = self.layout.geometry.rib_slots as u64;
         MemBreakdown {
-            vertebrae: records,                           // cl: 1 byte
-            links: records * 8,                           // link + lel
-            ribs: records * (1 + l.rib_slots as u64 * 9), // count + slots
-            extribs: records * (1 + EXTRIB_SLOTS as u64 * 12)       // count + slots
-                + self.spill.lock().values().map(|v| v.len() as u64 * 12).sum::<u64>(),
+            vertebrae: records,              // cl: 1 byte
+            links: records * 8,              // link + lel
+            ribs: records * (1 + slots * 9), // count + slots
+            extribs: records * (1 + EXTRIB_SLOTS as u64 * 12) + self.spill_count() * 12,
         }
     }
 
-    /// Number of indexed characters.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Is the index empty?
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Buffer-pool hit rate so far.
-    pub fn hit_rate(&self) -> f64 {
-        self.store.lock().pool().hit_rate()
-    }
-
-    /// Cumulative buffer-pool (hits, misses).
-    pub fn pool_counts(&self) -> (u64, u64) {
-        let g = self.store.lock();
-        (g.pool().hits(), g.pool().misses())
-    }
-
-    /// (reads, writes) page counts at the device.
-    pub fn io_counts(&self) -> (u64, u64) {
-        let g = self.store.lock();
-        let io = g.pool().io_stats();
-        (io.reads(), io.writes())
-    }
-
-    /// Durability barriers issued at the device (sealing issues two: one
-    /// before the header page, one after). Together with [`Self::io_counts`]
-    /// this spans the crashpoint index space the fault sweep enumerates.
-    pub fn io_syncs(&self) -> u64 {
-        let g = self.store.lock();
-        g.pool().io_stats().syncs()
-    }
-
-    /// Extribs that did not fit the inline record slots (mutable layout;
-    /// zero for a sealed index, whose records carry every extrib).
+    /// Extribs that did not fit the inline record slots.
     pub fn spill_count(&self) -> u64 {
-        self.spill_count.load(Relaxed)
-    }
-
-    /// Flush dirty pages to the device.
-    pub fn flush(&self) -> Result<()> {
-        self.store.lock().flush()
-    }
-
-    /// Work counters.
-    pub fn counters(&self) -> &Counters {
-        &self.counters
-    }
-
-    /// Wire this index's storage accounting into `registry`: the buffer
-    /// pool's hit/miss/eviction counts as `disk.pool.*` gauges, pages
-    /// fetched from the device per query as the `disk.pages_per_query`
-    /// histogram, and spill side-table consultations as the
-    /// `disk.spill_lookups` counter.
-    ///
-    /// Attach once, before serving; later calls keep the first hookup.
-    pub fn attach_telemetry(&self, registry: &MetricsRegistry) {
-        let store = self.store.lock();
-        store.pool().attach_telemetry(registry, "disk.pool");
-        let _ = self.telemetry.set(DiskTelemetry {
-            cache: store.pool().stats_handle(),
-            pages_per_query: registry.histogram("disk.pages_per_query"),
-            spill_lookups: registry.counter("disk.spill_lookups"),
-        });
-    }
-
-    /// Pool misses (device page fetches) so far, if telemetry is attached —
-    /// the before/after sample that turns cumulative counters into a
-    /// per-query delta. Concurrent queries share the counters, so a query
-    /// racing others may attribute their fetches to itself; per-query
-    /// numbers are exact in single-query flows (the `exp disk`
-    /// experiments) and an upper bound under concurrency.
-    fn sample_accesses(&self) -> Option<u64> {
-        self.telemetry.get().map(|t| t.cache.snapshot().misses)
-    }
-
-    fn record_query_pages(&self, before: Option<u64>) {
-        if let (Some(t), Some(b)) = (self.telemetry.get(), before) {
-            let after = t.cache.snapshot().misses;
-            t.pages_per_query.record_value(after.saturating_sub(b));
-        }
-    }
-
-    // ----- record access ----------------------------------------------------
-    //
-    // Every accessor returns `Result`: the records live behind a buffer pool
-    // over a fallible device, so any hop can surface an I/O error.
-    // [`FallibleSpineOps`] and `try_find_all` propagate these; the
-    // `StringIndex`/`MatchingIndex` impls expect at their boundary. Each
-    // accessor dispatches on the physical layout.
-
-    /// Backbone labels of text positions `from..to` (0-based, `to` at most
-    /// [`Self::len`]) under one lock: the sealed layout fetches each label
-    /// page once and decodes each packed word once.
-    pub(crate) fn labels(&self, from: usize, to: usize) -> Result<Vec<Code>> {
-        debug_assert!(to <= self.len, "labels past the text");
-        match &mut *self.store.lock() {
-            Store::Sealed(s) => s.labels(from, to),
-            Store::Mutable(v) => (from..to).map(|i| v.read(i + 1, |r| r[0])).collect(),
-        }
-    }
-
-    fn read_cl(&self, node: u32) -> Result<Code> {
-        debug_assert!(node >= 1, "the root has no incoming vertebra");
-        match &mut *self.store.lock() {
-            Store::Mutable(v) => v.read(node as usize, |r| r[0]),
-            Store::Sealed(s) => s.label(node as usize - 1),
-        }
-    }
-
-    fn read_link(&self, node: u32) -> Result<(u32, u32)> {
-        match &mut *self.store.lock() {
-            Store::Mutable(v) => v.read(node as usize, |r| (get_u32(r, 1), get_u32(r, 5))),
-            Store::Sealed(s) => s.with_record(node, v2::decode_link),
-        }
-    }
-
-    fn find_rib(&self, node: u32, c: Code) -> Result<Option<(u32, u32)>> {
-        let l = &self.layout;
-        match &mut *self.store.lock() {
-            Store::Mutable(v) => v.read(node as usize, |r| {
-                let count = r[9] as usize;
-                for i in 0..count {
-                    let off = l.rib_off(i);
-                    if r[off] == c {
-                        return Some((get_u32(r, off + 1), get_u32(r, off + 5)));
-                    }
-                }
-                None
-            }),
-            Store::Sealed(s) => s.with_record(node, |rec| v2::find_rib(rec, node, c)),
-        }
-    }
-
-    fn find_extrib(&self, node: u32, prt: u32) -> Result<Option<(u32, u32)>> {
-        let inline = {
-            let l = &self.layout;
-            match &mut *self.store.lock() {
-                // Sealed records carry their whole chain — no side table.
-                Store::Sealed(s) => {
-                    return s.with_record(node, |rec| v2::find_extrib(rec, node, prt));
-                }
-                Store::Mutable(v) => v.read(node as usize, |r| {
-                    let count = (r[l.extrib_count_off()] as usize).min(EXTRIB_SLOTS);
-                    for i in 0..count {
-                        let off = l.extrib_off(i);
-                        if get_u32(r, off + 8) == prt {
-                            return Some((get_u32(r, off), get_u32(r, off + 4)));
-                        }
-                    }
-                    None
-                })?,
-            }
-        };
-        Ok(inline.or_else(|| {
-            if let Some(t) = self.telemetry.get() {
-                t.spill_lookups.incr();
-            }
-            self.spill
-                .lock()
-                .get(&node)
-                .and_then(|v| v.iter().find(|&&(p, _, _)| p == prt).map(|&(_, pt, d)| (d, pt)))
-        }))
-    }
-
-    // ----- fallible query surface -------------------------------------------
-
-    /// Fallible [`crate::search::locate`]: the end node of `pattern`'s first
-    /// occurrence, `Ok(None)` if absent, `Err` on a storage failure.
-    pub fn try_locate(&self, pattern: &[Code]) -> Result<Option<NodeId>> {
-        let before = self.sample_accesses();
-        let r = crate::search::try_locate(self, pattern);
-        self.record_query_pages(before);
-        r
-    }
-
-    /// Fallible [`StringIndex::find_all`]: start offsets of every occurrence,
-    /// or `Err` if the device fails mid-traversal. This is the entry point
-    /// fault-tolerance harnesses use — an injected fault degrades to a clean
-    /// `Err` here instead of a panic.
-    pub fn try_find_all(&self, pattern: &[Code]) -> Result<Vec<usize>> {
-        let before = self.sample_accesses();
-        let r = crate::occurrences::try_find_all_ends(self, pattern);
-        self.record_query_pages(before);
-        Ok(r?.into_iter().map(|end| end as usize - pattern.len()).collect())
-    }
-
-    /// EXPLAIN `pattern` over the page-resident index: the structural trace
-    /// of [`crate::trace::explain`] plus
-    /// [`crate::trace::TraceEvent::PageFetches`] events attributing buffer
-    /// pool hits and device reads to individual traversal steps (sampled
-    /// from the pool's cumulative counters around each step — exact in
-    /// single-query flows, an upper bound while concurrent queries share
-    /// the pool). A storage failure mid-traversal is captured in
-    /// [`crate::trace::QueryTrace::error`] with the partial trace retained.
-    /// Traced walks always take the scalar path (the event stream is the
-    /// point), so sealed and mutable traces are step-identical.
-    pub fn explain(&self, pattern: &[Code]) -> crate::trace::QueryTrace {
-        let before = self.sample_accesses();
-        let t = crate::trace::explain(self, pattern);
-        self.record_query_pages(before);
-        t
-    }
-}
-
-/// The records APPEND writes: only the mutable layout takes appends.
-fn records(store: &mut Mutex<Store>) -> Result<&mut PagedVec> {
-    match store.get_mut() {
-        Store::Mutable(v) => Ok(v),
-        Store::Sealed(_) => Err(Error::Unsupported("append to a sealed index")),
+        self.layout.spill.values().map(|v| v.len() as u64).sum()
     }
 }
 
@@ -1308,7 +525,7 @@ impl NodeStore for DiskSpine {
     /// A zeroed fixed-size record, labeled `c`; a zeroed link is the root
     /// with LEL 0.
     fn push_node(&mut self, c: Code) -> Result<NodeId> {
-        let v = records(&mut self.store)?;
+        let v = self.layout.records.get_mut();
         let idx = v.push_zeroed()?;
         v.write(idx, |r| r[0] = c)?;
         self.len += 1;
@@ -1316,18 +533,18 @@ impl NodeStore for DiskSpine {
     }
 
     fn set_link(&mut self, node: NodeId, dest: NodeId, lel: u32) -> Result<()> {
-        records(&mut self.store)?.write(node as usize, |r| {
+        self.layout.records.get_mut().write(node as usize, |r| {
             put_u32(r, 1, dest);
             put_u32(r, 5, lel);
         })
     }
 
     fn add_rib(&mut self, node: NodeId, c: Code, dest: NodeId, pt: u32) -> Result<()> {
-        let l = &self.layout;
-        records(&mut self.store)?.write(node as usize, |r| {
+        let FixedRecords { geometry: g, records, .. } = &mut self.layout;
+        records.get_mut().write(node as usize, |r| {
             let count = r[9] as usize;
-            assert!(count < l.rib_slots, "rib slots exhausted");
-            let off = l.rib_off(count);
+            assert!(count < g.rib_slots, "rib slots exhausted");
+            let off = g.rib_off(count);
             r[off] = c;
             put_u32(r, off + 1, dest);
             put_u32(r, off + 5, pt);
@@ -1337,12 +554,12 @@ impl NodeStore for DiskSpine {
 
     /// Extribs beyond the record's inline slots spill to the side table.
     fn add_extrib(&mut self, node: NodeId, prt: u32, dest: NodeId, pt: u32) -> Result<bool> {
-        let l = &self.layout;
-        let spilled = records(&mut self.store)?.write(node as usize, |r| {
-            let co = l.extrib_count_off();
+        let FixedRecords { geometry: g, records, spill } = &mut self.layout;
+        let spilled = records.get_mut().write(node as usize, |r| {
+            let co = g.extrib_count_off();
             let count = r[co] as usize;
             if count < EXTRIB_SLOTS {
-                let off = l.extrib_off(count);
+                let off = g.extrib_off(count);
                 put_u32(r, off, dest);
                 put_u32(r, off + 4, pt);
                 put_u32(r, off + 8, prt);
@@ -1351,90 +568,9 @@ impl NodeStore for DiskSpine {
             count >= EXTRIB_SLOTS
         })?;
         if spilled {
-            self.spill.get_mut().entry(node).or_default().push((prt, pt, dest));
-            self.spill_count.fetch_add(1, Relaxed);
+            spill.entry(node).or_default().push((prt, pt, dest));
         }
         Ok(spilled)
-    }
-}
-
-impl FallibleSpineOps for DiskSpine {
-    fn text_len(&self) -> usize {
-        self.len
-    }
-
-    fn try_vertebra_out(&self, node: NodeId) -> Result<Option<Code>> {
-        if (node as usize) < self.len {
-            Ok(Some(self.read_cl(node + 1)?))
-        } else {
-            Ok(None)
-        }
-    }
-
-    fn try_link_of(&self, node: NodeId) -> Result<(NodeId, u32)> {
-        self.read_link(node)
-    }
-
-    fn try_rib_of(&self, node: NodeId, c: Code) -> Result<Option<(NodeId, u32)>> {
-        self.find_rib(node, c)
-    }
-
-    fn try_extrib_of(&self, node: NodeId, prt: u32) -> Result<Option<(NodeId, u32)>> {
-        self.find_extrib(node, prt)
-    }
-
-    fn ops_counters(&self) -> &Counters {
-        &self.counters
-    }
-
-    fn storage_counters(&self) -> Option<(u64, u64)> {
-        Some(self.pool_counts())
-    }
-
-    /// `Some(bits)` when the sealed store can compare backbone labels
-    /// word-at-a-time at that width.
-    fn backbone_packing(&self) -> Option<u32> {
-        match &*self.store.lock() {
-            Store::Sealed(s) if s.h.packed_compare => Some(s.h.bits),
-            _ => None,
-        }
-    }
-
-    /// The sealed fast path compares whole label words under the store
-    /// lock; the scalar fallback must not hold it (it calls
-    /// `try_vertebra_out`, which takes the lock again).
-    fn try_label_run(&self, node: NodeId, pattern: &PackedText, from: usize) -> Result<usize> {
-        if let Store::Sealed(s) = &mut *self.store.lock() {
-            if s.h.packed_compare && s.h.bits == pattern.bits() {
-                return s.label_run(self.len, node, pattern, from);
-            }
-        }
-        let mut k = 0;
-        while from + k < pattern.len() {
-            match self.try_vertebra_out(node + k as NodeId)? {
-                Some(c) if c == pattern.get(from + k) => k += 1,
-                _ => break,
-            }
-        }
-        Ok(k)
-    }
-
-    // Only the mutable layout scans (a sealed index walks its preorder
-    // index), so only its pool takes the scan hint.
-    fn scan_begin(&self, _from: NodeId) {
-        if let Store::Mutable(v) = &mut *self.store.lock() {
-            v.pool_mut().begin_scan();
-        }
-    }
-
-    fn scan_end(&self) {
-        if let Store::Mutable(v) = &mut *self.store.lock() {
-            v.pool_mut().end_scan();
-        }
-    }
-
-    fn link_tree(&self) -> Option<LinkTree<'_>> {
-        self.preorder.as_ref().map(LinkTree::Preorder)
     }
 }
 
@@ -1444,83 +580,12 @@ impl OnlineIndex for DiskSpine {
     }
 }
 
-impl StringIndex for DiskSpine {
-    fn alphabet(&self) -> &Alphabet {
-        &self.alphabet
-    }
-
-    fn text_len(&self) -> usize {
-        self.len
-    }
-
-    fn symbol_at(&self, pos: usize) -> Code {
-        self.read_cl(pos as u32 + 1).expect(INFALLIBLE_BOUNDARY)
-    }
-
-    fn find_first(&self, pattern: &[Code]) -> Option<usize> {
-        crate::search::locate(self, pattern).map(|end| end as usize - pattern.len())
-    }
-
-    fn find_all(&self, pattern: &[Code]) -> Vec<usize> {
-        crate::occurrences::find_all_ends(self, pattern)
-            .into_iter()
-            .map(|end| end as usize - pattern.len())
-            .collect()
-    }
-}
-
-impl MatchingIndex for DiskSpine {
-    fn matching_statistics(&self, query: &[Code]) -> MatchingStats {
-        crate::matching::matching_statistics(self, query).expect(INFALLIBLE_BOUNDARY)
-    }
-
-    fn maximal_matches(&self, query: &[Code], min_len: usize) -> Vec<MaximalMatch> {
-        crate::matching::maximal_matches(self, query, min_len).expect(INFALLIBLE_BOUNDARY)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Durability: reopen a sealed index.
-// ---------------------------------------------------------------------------
-
-impl DiskSpine {
-    /// Reattach to a `device` holding a previously sealed index.
-    ///
-    /// Reads page 0 (the file header), then the overflow pages, then every
-    /// node page once, rebuilding the page directory from each page's
-    /// `first_item` and the in-RAM preorder index from the links. Only
-    /// format-[`DISK_FORMAT_VERSION`] files reopen: an earlier version's
-    /// header, or a page not stamped with the current page format (a v1
-    /// fixed-record file), yields [`Error::FormatVersion`] — the typed
-    /// "rebuild required" signal — and bytes that are not a consistent
-    /// sealed file yield [`Error::Parse`].
-    pub fn reopen(
-        device: Box<dyn PageDevice>,
-        pool_pages: usize,
-        policy: Box<dyn EvictionPolicy>,
-    ) -> Result<Self> {
-        let device_pages = device.page_count() as u64;
-        let mut pool = BufferPool::new(device, pool_pages.max(1), policy);
-        let (alphabet, header) = pool.read(0, FileHeader::read_from)??;
-        if header.file_pages() > device_pages {
-            return Err(Error::Parse(format!(
-                "sealed header describes {} pages, the device holds {device_pages}",
-                header.file_pages()
-            )));
-        }
-        let nodes = header.len + 1;
-        let overflow = read_overflow(&mut pool, &header, nodes)?;
-        let mut store = SealedStore::new(pool, header, Vec::new(), overflow);
-        let links = store.read_node_pages(nodes)?;
-        Ok(Self::sealed(alphabet, store, PreorderIndex::from_links(&links)?))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::build::Spine;
-    use pagestore::{Lru, MemDevice, PrefixPriority};
+    use crate::SealedSpine;
+    use pagestore::{Lru, MemDevice, PrefixPriority, PAGE_SIZE};
 
     fn disk(text: &[u8], pool_pages: usize) -> (Alphabet, DiskSpine) {
         let a = Alphabet::dna();
@@ -1615,7 +680,8 @@ mod tests {
             Box::<PrefixPriority>::default(),
         )
         .unwrap();
-        assert!(d.hit_rate() > 0.5, "hit rate {}", d.hit_rate());
+        let rate = d.pool_stats().hit_rate();
+        assert!(rate > 0.5, "hit rate {rate}");
     }
 
     #[test]
@@ -1636,34 +702,27 @@ mod tests {
 
     #[test]
     fn disk_spine_is_send_and_sync() {
-        // The query engine serves a DiskSpine from multiple workers; this
-        // holds because the device, policy, and spill counter are all
-        // Send/Sync-compatible now.
+        // The query engine serves both layouts from multiple workers; this
+        // holds because the device, policy, and spill table are all
+        // Send/Sync-compatible.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<DiskSpine>();
+        assert_send_sync::<SealedSpine>();
     }
 
     #[test]
     fn telemetry_accounts_pages_and_pool_state() {
         let text = b"AACCACAACAGGTTACGACGACCA".repeat(8);
         let (a, d) = disk(&text, 1); // single-frame pool: every hop touches a page
-        let reg = MetricsRegistry::new();
-        d.attach_telemetry(&reg);
+        let before = d.pool_stats();
         d.try_find_all(&a.encode(b"ACGACG").unwrap()).unwrap();
-        d.try_locate(&a.encode(b"CA").unwrap()).unwrap();
-        let snap = reg.snapshot();
-        let pages = snap.histogram("disk.pages_per_query").unwrap();
-        assert_eq!(pages.count, 2);
-        assert!(pages.max > 0, "queries under pressure must touch pages");
-        // Pool gauges are live views of the same pool the queries used.
-        let hits = snap.gauge("disk.pool.hits").unwrap();
-        let misses = snap.gauge("disk.pool.misses").unwrap();
-        let (h, m) = d.pool_counts();
-        assert_eq!((hits, misses), (h, m));
-        assert!(snap.gauge("disk.pool.evictions").unwrap() > 0);
-        // Registered at attach time (counts consultations of the side
-        // table, i.e. extrib lookups the inline slots could not answer).
-        assert!(snap.counter("disk.spill_lookups").is_some());
+        crate::search::try_locate(&d, &a.encode(b"CA").unwrap()).unwrap();
+        let after = d.pool_stats();
+        assert!(after.misses > before.misses, "queries under pressure must miss the pool");
+        assert!(after.evictions > before.evictions, "a single frame evicts on every miss");
+        assert_eq!(after.pinned, 0);
+        // The trace hook reads the same counters.
+        assert_eq!(d.storage_counters(), Some((after.hits, after.misses)));
     }
 
     #[test]
@@ -1696,7 +755,7 @@ mod tests {
 
     #[test]
     fn pinned_pages_survive_backbone_scans() {
-        // Only the mutable layout runs the §4 scan (`exp fig7` and
+        // Only the fixed-record layout runs the §4 scan (`exp fig7` and
         // `exp table7` measure it); a sealed index walks its preorder index.
         let text = b"AACCACAACAGGTTACGACGACCA".repeat(16);
         let a = Alphabet::dna();
@@ -1709,476 +768,16 @@ mod tests {
             Box::<Lru>::default(),
         )
         .unwrap();
-        assert!(mutable.link_tree().is_none(), "the mutable layout scans");
+        assert!(mutable.link_tree().is_none(), "the fixed-record layout scans");
         let pinned = mutable.pin_hot_prefix(3).unwrap();
         assert!(pinned > 0, "a prefix page must pin");
-        assert_eq!(mutable.pinned_pages(), pinned);
+        assert_eq!(mutable.pool_stats().pinned, pinned as u64);
         // A full-backbone occurrence scan cannot flush the pinned set.
         let p = a.encode(b"CA").unwrap();
         assert!(!mutable.try_find_all(&p).unwrap().is_empty());
-        assert_eq!(mutable.pinned_pages(), pinned);
         assert_eq!(mutable.pool_stats().pinned, pinned as u64);
         assert_eq!(mutable.unpin_all(), pinned);
-        assert_eq!(mutable.pinned_pages(), 0);
-    }
-}
-
-#[cfg(test)]
-mod v2_codec_tests {
-    use super::v2::{self, NodeRecord};
-    use super::*;
-    use proptest::prelude::*;
-
-    fn rt(node: u32, rec: &NodeRecord) -> Vec<u8> {
-        let mut buf = Vec::new();
-        let (link_b, ribs_b) = v2::encode(node, rec.link, &rec.ribs, &rec.extribs, &mut buf);
-        assert!(link_b >= 2 && link_b + ribs_b <= buf.len());
-        buf
-    }
-
-    #[test]
-    fn empty_record_round_trips() {
-        let rec = NodeRecord::default();
-        let buf = rt(7, &rec);
-        assert_eq!(buf, vec![0, 0, 0, 0], "two zero link varints + two zero counts");
-        assert_eq!(v2::decode(7, &buf).unwrap(), rec);
-        assert_eq!(v2::decode_link(&buf).unwrap(), (0, 0));
-        assert_eq!(v2::find_rib(&buf, 7, 3).unwrap(), None);
-        assert_eq!(v2::find_extrib(&buf, 7, 9).unwrap(), None);
-    }
-
-    #[test]
-    fn max_degree_record_round_trips() {
-        // A bytes-alphabet node can fan out one rib per code (254) plus a
-        // long extrib chain — the worst record v2 must carry inline.
-        let node = 1000u32;
-        let rec = NodeRecord {
-            link: (u32::MAX, u32::MAX),
-            ribs: (0..254u32)
-                .map(|i| Rib { cl: i as Code, dest: node + 1 + i, pt: i * 17 })
-                .collect(),
-            extribs: (0..40u32)
-                .map(|i| Extrib { prt: i * 3, pt: i * 5, dest: node + 300 + i })
-                .collect(),
-        };
-        let buf = rt(node, &rec);
-        assert!(buf.len() <= slotted::MAX_RECORD_LEN, "max-degree record fits one page slot");
-        assert_eq!(v2::decode(node, &buf).unwrap(), rec);
-        assert_eq!(v2::decode_link(&buf).unwrap(), rec.link);
-        for r in &rec.ribs {
-            assert_eq!(v2::find_rib(&buf, node, r.cl).unwrap(), Some((r.dest, r.pt)));
-        }
-        for e in &rec.extribs {
-            assert_eq!(v2::find_extrib(&buf, node, e.prt).unwrap(), Some((e.dest, e.pt)));
-        }
-        assert_eq!(v2::find_rib(&buf, node, 255).unwrap(), None);
-    }
-
-    #[test]
-    fn every_strict_prefix_is_rejected_cleanly() {
-        let node = 42u32;
-        let rec = NodeRecord {
-            link: (300, 7),
-            ribs: vec![Rib { cl: 0, dest: 43, pt: 1 }, Rib { cl: 2, dest: 99999, pt: 500 }],
-            extribs: vec![
-                Extrib { prt: 1, pt: 2, dest: 44 },
-                Extrib { prt: 128, pt: 300, dest: 45 },
-            ],
-        };
-        let buf = rt(node, &rec);
-        for cut in 0..buf.len() {
-            assert!(v2::decode(node, &buf[..cut]).is_err(), "prefix of {cut} bytes must fail");
-        }
-        // Trailing garbage is rejected too.
-        let mut long = buf.clone();
-        long.push(0);
-        assert!(v2::decode(node, &long).is_err());
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        #[test]
-        fn random_records_round_trip(
-            node in 0u32..1_000_000,
-            link_dest in 0u32..2_000_000,
-            lel in 0u32..1_000_000,
-            ribs in proptest::collection::vec((0u32..=255, 1u32..100_000, 0u32..1_000_000), 0..12),
-            extribs in proptest::collection::vec((0u32..500_000, 0u32..500_000, 1u32..100_000), 0..10),
-        ) {
-            // Unique rib labels / chain prts, as the build guarantees.
-            let mut seen = std::collections::HashSet::new();
-            let ribs: Vec<Rib> = ribs
-                .into_iter()
-                .filter(|&(cl, _, _)| seen.insert(cl))
-                .map(|(cl, delta, pt)| Rib { cl: cl as Code, dest: node + delta, pt })
-                .collect();
-            let mut seen = std::collections::HashSet::new();
-            let extribs: Vec<Extrib> = extribs
-                .into_iter()
-                .filter(|&(prt, _, _)| seen.insert(prt))
-                .map(|(prt, pt, delta)| Extrib { prt, pt, dest: node + delta })
-                .collect();
-            let rec = NodeRecord { link: (link_dest, lel), ribs, extribs };
-            let buf = rt(node, &rec);
-            prop_assert_eq!(v2::decode(node, &buf).unwrap(), rec.clone());
-            prop_assert_eq!(v2::decode_link(&buf).unwrap(), rec.link);
-            for r in &rec.ribs {
-                prop_assert_eq!(v2::find_rib(&buf, node, r.cl).unwrap(), Some((r.dest, r.pt)));
-            }
-            for e in &rec.extribs {
-                prop_assert_eq!(v2::find_extrib(&buf, node, e.prt).unwrap(), Some((e.dest, e.pt)));
-            }
-        }
-
-        #[test]
-        fn arbitrary_bytes_never_panic_the_decoder(
-            bytes in proptest::collection::vec(0u8..=255, 0..64),
-            node in 0u32..1_000_000,
-        ) {
-            // Any outcome is fine except a panic or a nonsensical Ok: if it
-            // decodes, re-encoding must reproduce the input exactly.
-            if let Ok(rec) = v2::decode(node, &bytes) {
-                let mut out = Vec::new();
-                v2::encode(node, rec.link, &rec.ribs, &rec.extribs, &mut out);
-                prop_assert_eq!(out, bytes);
-            }
-            let _ = v2::decode_link(&bytes);
-            let _ = v2::find_rib(&bytes, node, 0);
-            let _ = v2::find_extrib(&bytes, node, 0);
-        }
-    }
-}
-
-#[cfg(test)]
-mod sealed_tests {
-    use super::*;
-    use crate::build::Spine;
-    use pagestore::{FaultyDevice, Lru, MemDevice};
-
-    fn seal(text: &[u8], pool_pages: usize) -> (Alphabet, DiskSpine) {
-        let a = Alphabet::dna();
-        let codes = a.encode(text).unwrap();
-        let d = DiskSpine::build_sealed(
-            a.clone(),
-            &codes,
-            Box::new(MemDevice::new()),
-            pool_pages,
-            Box::<Lru>::default(),
-        )
-        .unwrap();
-        (a, d)
-    }
-
-    #[test]
-    fn sealed_equals_reference_engine() {
-        let text = b"AACCACAACAGGTTACGACGACCAACCACAACA".repeat(4);
-        let (a, d) = seal(&text, 4);
-        assert!(d.is_sealed());
-        assert!(d.file_pages().is_some());
-        let r = Spine::build_from_bytes(a.clone(), &text).unwrap();
-        for p in [&b"CA"[..], b"ACCAA", b"GGTT", b"TACGACG", b"AACCACAACA", b"", b"TTTTT"] {
-            let p = a.encode(p).unwrap();
-            assert_eq!(StringIndex::find_all(&r, &p), StringIndex::find_all(&d, &p));
-            assert_eq!(StringIndex::find_first(&r, &p), StringIndex::find_first(&d, &p));
-            assert_eq!(d.try_find_all(&p).unwrap(), StringIndex::find_all(&d, &p));
-        }
-        for pos in [0, 1, text.len() - 1] {
-            assert_eq!(StringIndex::symbol_at(&r, pos), StringIndex::symbol_at(&d, pos));
-        }
-        let q = a.encode(b"TTACGACCACAACAGGAACC").unwrap();
-        assert_eq!(
-            MatchingIndex::maximal_matches(&r, &q, 3),
-            MatchingIndex::maximal_matches(&d, &q, 3)
-        );
-        assert_eq!(
-            MatchingIndex::matching_statistics(&r, &q),
-            MatchingIndex::matching_statistics(&d, &q)
-        );
-    }
-
-    /// Decode every sealed record and compare it with the node it was
-    /// sealed from: link, ribs and extribs in stored order.
-    fn assert_records_match(what: &str, spine: &Spine, d: &DiskSpine) {
-        assert_eq!(d.len(), spine.len(), "{what}: length");
-        let mut guard = d.store.lock();
-        let Store::Sealed(s) = &mut *guard else { panic!("{what}: not sealed") };
-        for (id, n) in (0u32..).zip(spine.nodes()) {
-            let rec = s.with_record(id, |b| v2::decode(id, b)).unwrap();
-            assert_eq!(rec.link, (n.link, n.lel), "{what}: link of {id}");
-            assert_eq!(rec.ribs, &n.ribs[..], "{what}: ribs of {id}");
-            assert_eq!(rec.extribs, &n.extribs[..], "{what}: extribs of {id}");
-        }
-        for (i, &c) in spine.labels.iter().enumerate() {
-            assert_eq!(s.label(i).unwrap(), c, "{what}: label {i}");
-        }
-    }
-
-    /// A fixed xorshift draw of `len` symbols from `symbols`. Few symbols
-    /// make rib thresholds collide, so many nodes carry two or more
-    /// extribs and their stored order shows.
-    fn drawn(symbols: &[Code], len: usize, seed: u64) -> Vec<Code> {
-        let mut x = 0x5EA1_0000 + seed;
-        (0..len)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                symbols[(x % symbols.len() as u64) as usize]
-            })
-            .collect()
-    }
-
-    #[test]
-    fn sealed_structure_is_node_identical_to_reference() {
-        let dna = Alphabet::dna();
-        let mut separated = Vec::new();
-        for doc in 0..6 {
-            separated.extend(drawn(&[0, 1, 2, 3], 200, doc));
-            separated.push(dna.separator());
-        }
-        // `(corpus, alphabet, text, extribs the busiest node must hold)`.
-        let texts = [
-            ("dna-separated", dna.clone(), separated, 2),
-            ("protein", Alphabet::protein(), drawn(&[0, 7, 19], 1500, 7), 2),
-            ("bytes", Alphabet::bytes(), drawn(&[0, 200, 253], 1500, 8), 2),
-            ("periodic", dna.clone(), dna.encode(&b"AACCACAACA".repeat(30)).unwrap(), 1),
-        ];
-        for (what, a, codes, busiest) in texts {
-            let spine = Spine::build(a, &codes).unwrap();
-            let most = spine.nodes().iter().map(|n| n.extribs.len()).max().unwrap();
-            assert!(most >= busiest, "{what}: the text must exercise extribs");
-            let d = DiskSpine::seal(&spine, Box::new(MemDevice::new()), 4, Box::<Lru>::default())
-                .unwrap();
-            assert_records_match(what, &spine, &d);
-        }
-    }
-
-    #[test]
-    fn packed_compare_widths_per_alphabet() {
-        // DNA: 2-bit words; protein: 5-bit; bytes: bit-tight store but
-        // scalar compare.
-        let (_, d) = seal(b"ACGTACGTTTGG", 4);
-        assert_eq!(FallibleSpineOps::backbone_packing(&d), Some(2));
-
-        let a = Alphabet::protein();
-        let codes = a.encode(b"MKVLAARDWYHQCGGG").unwrap();
-        let d = DiskSpine::build_sealed(
-            a.clone(),
-            &codes,
-            Box::new(MemDevice::new()),
-            4,
-            Box::<Lru>::default(),
-        )
-        .unwrap();
-        assert_eq!(FallibleSpineOps::backbone_packing(&d), Some(5));
-        let r = Spine::build(a.clone(), &codes).unwrap();
-        for p in [&b"VLA"[..], b"GGG", b"MKVLA", b"WWW"] {
-            let p = a.encode(p).unwrap();
-            assert_eq!(StringIndex::find_all(&r, &p), StringIndex::find_all(&d, &p));
-        }
-
-        let a = Alphabet::bytes();
-        let codes = a.encode(b"mississippi$mississippi").unwrap();
-        let d = DiskSpine::build_sealed(
-            a.clone(),
-            &codes,
-            Box::new(MemDevice::new()),
-            4,
-            Box::<Lru>::default(),
-        )
-        .unwrap();
-        assert_eq!(FallibleSpineOps::backbone_packing(&d), None);
-        let r = Spine::build(a.clone(), &codes).unwrap();
-        for p in [&b"issi"[..], b"ppi$m", b"zzz"] {
-            let p = a.encode(p).unwrap();
-            assert_eq!(StringIndex::find_all(&r, &p), StringIndex::find_all(&d, &p));
-        }
-    }
-
-    #[test]
-    fn label_ranges_read_back_the_text_across_label_pages() {
-        // 8-bit labels pack 8 per word, so 9 000 bytes span three label
-        // pages; the ranges start and end on, before and after the page
-        // and word boundaries.
-        let a = Alphabet::bytes();
-        let text = drawn(&(0..254).collect::<Vec<Code>>(), 9000, 0x1ABE15);
-        let d =
-            DiskSpine::build_sealed(a, &text, Box::new(MemDevice::new()), 2, Box::<Lru>::default())
-                .unwrap();
-        let page = WORDS_PER_PAGE * 8;
-        for (from, to) in [(0, 0), (0, 9000), (3, 11), (page - 1, page + 1), (page, 2 * page + 9)] {
-            assert_eq!(d.labels(from, to).unwrap(), &text[from..to], "labels {from}..{to}");
-        }
-        let mutable = DiskSpine::build(
-            Alphabet::bytes(),
-            &text[..300],
-            Box::new(MemDevice::new()),
-            2,
-            Box::<Lru>::default(),
-        )
-        .unwrap();
-        assert_eq!(mutable.labels(7, 300).unwrap(), &text[7..300]);
-    }
-
-    #[test]
-    fn separator_in_text_disables_packed_compare_but_not_queries() {
-        // A DNA concatenation with document separators cannot pack at
-        // 2 bits; the seal falls back to a 3-bit scalar-compared store.
-        let a = Alphabet::dna();
-        let sep = a.separator();
-        let mut codes = a.encode(b"ACGTACGT").unwrap();
-        codes.push(sep);
-        codes.extend(a.encode(b"TTACG").unwrap());
-        let mut src = Spine::new(a.clone());
-        for &c in &codes {
-            src.push(c).unwrap();
-        }
-        let patterns: Vec<Vec<Code>> =
-            [&b"ACG"[..], b"TTACG", b"GTT"].iter().map(|p| a.encode(p).unwrap()).collect();
-        let before: Vec<_> = patterns.iter().map(|p| StringIndex::find_all(&src, p)).collect();
-        let d =
-            DiskSpine::seal(&src, Box::new(MemDevice::new()), 4, Box::<Lru>::default()).unwrap();
-        assert_eq!(FallibleSpineOps::backbone_packing(&d), None);
-        for (p, want) in patterns.iter().zip(&before) {
-            assert_eq!(&StringIndex::find_all(&d, p), want);
-        }
-    }
-
-    #[test]
-    fn word_boundary_patterns_match_reference() {
-        // DNA packs 32 symbols per word; sweep pattern starts and lengths
-        // across the word boundary so every phase of the two-shift window
-        // assembly is exercised at the engine level.
-        let text: Vec<u8> = (0..200).map(|i: usize| b"ACGT"[(i * 7 + i / 3) % 4]).collect();
-        let (a, d) = seal(&text, 4);
-        let r = Spine::build_from_bytes(a.clone(), &text).unwrap();
-        for start in [0usize, 1, 30, 31, 32, 33, 63, 64, 65] {
-            for len in [0usize, 1, 2, 31, 32, 33, 64, 65] {
-                if start + len > text.len() {
-                    continue;
-                }
-                let p = a.encode(&text[start..start + len]).unwrap();
-                assert_eq!(
-                    StringIndex::find_all(&r, &p),
-                    StringIndex::find_all(&d, &p),
-                    "start {start} len {len}"
-                );
-            }
-        }
-        // Near-miss patterns that diverge at each offset within a word.
-        for flip in [0usize, 1, 31, 32, 33] {
-            let mut q = text[..40].to_vec();
-            q[flip] = if q[flip] == b'A' { b'C' } else { b'A' };
-            let p = a.encode(&q).unwrap();
-            assert_eq!(StringIndex::find_all(&r, &p), StringIndex::find_all(&d, &p));
-        }
-    }
-
-    #[test]
-    fn sealed_under_memory_pressure() {
-        let text = b"AACCACAACAGGTTACGACGACCA".repeat(8);
-        let (a, d) = seal(&text, 1); // single-frame pool
-        let r = Spine::build_from_bytes(a.clone(), &text).unwrap();
-        for p in [&b"CA"[..], b"ACCAA", b"GGTT", b"TACGACG"] {
-            let p = a.encode(p).unwrap();
-            assert_eq!(StringIndex::find_all(&r, &p), StringIndex::find_all(&d, &p));
-        }
-        let (reads, _) = d.io_counts();
-        assert!(reads > 0, "pressure must cause reads");
-    }
-
-    #[test]
-    fn sealed_rejects_appends() {
-        let (_, mut d) = seal(b"ACGTACGT", 2);
-        assert!(matches!(d.push(0), Err(Error::Unsupported(_))));
-        // Still fully queryable afterwards.
-        let a = Alphabet::dna();
-        assert_eq!(StringIndex::find_all(&d, &a.encode(b"CGT").unwrap()), vec![1, 5]);
-    }
-
-    #[test]
-    fn census_reconciles_with_build_stats() {
-        let text = b"AACCACAACAGGTTACGACGACCAACCACAACA".repeat(3);
-        let a = Alphabet::dna();
-        let codes = a.encode(&text).unwrap();
-        let (src, st) = Spine::build_with_stats(a.clone(), &codes).unwrap();
-        let d =
-            DiskSpine::seal(&src, Box::new(MemDevice::new()), 4, Box::<Lru>::default()).unwrap();
-        let census = d.sealed_census().unwrap();
-        assert_eq!(census.nodes, codes.len() as u64 + 1);
-        assert_eq!(census.ribs, st.ribs_created);
-        // Every extrib the build created is in a sealed record.
-        assert!(st.extribs_created > 0, "the text must exercise extribs");
-        assert_eq!(census.extribs, st.extribs_created);
-        assert_eq!(census.overflow_records, 0);
-        assert_eq!(d.spill_count(), 0);
-        // A mutable index has no census.
-        let mutable =
-            DiskSpine::build(a, &codes, Box::new(MemDevice::new()), 8, Box::<Lru>::default())
-                .unwrap();
-        assert!(matches!(mutable.sealed_census(), Err(Error::Unsupported(_))));
-    }
-
-    #[test]
-    fn oversized_record_takes_the_overflow_path() {
-        let text = b"AACCACAACAGGTTACGACGACCA";
-        let a = Alphabet::dna();
-        let mut src = Spine::build_from_bytes(a.clone(), text).unwrap();
-        // Graft an absurd extrib chain onto node 3: prts far outside any
-        // real pathlength, so queries never take them, but the encoded
-        // record blows past MAX_RECORD_LEN.
-        let grafts: Vec<Extrib> =
-            (0..2000u32).map(|i| Extrib { prt: 10_000_000 + i, pt: 5, dest: 4 + i % 7 }).collect();
-        let mut chain = src.nodes[3].extribs.to_vec();
-        chain.extend(&grafts);
-        src.nodes[3].extribs = chain.into();
-        let path = std::env::temp_dir()
-            .join(format!("spine-overflow-record-{}.pages", std::process::id()));
-        let dev = pagestore::FileDevice::create(&path, false).unwrap();
-        let sealed = DiskSpine::seal(&src, Box::new(dev), 4, Box::<Lru>::default()).unwrap();
-        let census = sealed.sealed_census().unwrap();
-        let pages = sealed.file_pages().unwrap();
-        drop(sealed);
-        assert_eq!(census.overflow_records, 1);
-        assert!(census.extribs >= 2000);
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), pages * PAGE_SIZE as u64);
-
-        // The record lives on overflow pages of the file itself, so a
-        // reopen from the file alone answers like the source.
-        let dev = pagestore::FileDevice::open(&path, false).unwrap();
-        let d = DiskSpine::reopen(Box::new(dev), 4, Box::<Lru>::default()).unwrap();
-        assert_eq!(d.sealed_census().unwrap(), census);
-        assert_eq!(d.file_pages(), Some(pages));
-        assert_records_match("reopened overflow", &src, &d);
-        // The overflow record answers point lookups like any other.
-        for e in grafts.iter().step_by(500) {
-            assert_eq!(d.find_extrib(3, e.prt).unwrap(), Some((e.dest, e.pt)));
-        }
-        // And ordinary queries still agree with the source and the reference.
-        let r = Spine::build_from_bytes(a.clone(), text).unwrap();
-        for p in [&b"CA"[..], b"ACCA", b"GGTT", b""] {
-            let p = a.encode(p).unwrap();
-            assert_eq!(StringIndex::find_all(&src, &p), StringIndex::find_all(&d, &p));
-            assert_eq!(StringIndex::find_all(&r, &p), StringIndex::find_all(&d, &p));
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn failed_seal_leaves_source_intact() {
-        let text = b"AACCACAACAGGTTACGACGACCA".repeat(2);
-        let a = Alphabet::dna();
-        let codes = a.encode(&text).unwrap();
-        let src = Spine::build(a.clone(), &codes).unwrap();
-        let dead = FaultyDevice::new(MemDevice::new(), 0);
-        assert!(DiskSpine::seal(&src, Box::new(dead), 4, Box::<Lru>::default()).is_err());
-        let p = a.encode(b"ACGACG").unwrap();
-        let r = Spine::build(a.clone(), &codes).unwrap();
-        assert_eq!(StringIndex::find_all(&src, &p), StringIndex::find_all(&r, &p));
-        let d =
-            DiskSpine::seal(&src, Box::new(MemDevice::new()), 4, Box::<Lru>::default()).unwrap();
-        assert_eq!(StringIndex::find_all(&d, &p), StringIndex::find_all(&r, &p));
+        assert_eq!(mutable.pool_stats().pinned, 0);
     }
 
     #[test]
@@ -2195,11 +794,12 @@ mod sealed_tests {
         )
         .unwrap();
         let mutable_mem = src.mem_breakdown();
-        let mutable_pages = (codes.len() + 1).div_ceil(PAGE_SIZE / src.layout.record_size()) as u64;
+        let record = src.layout.geometry.record_size();
+        let mutable_pages = (codes.len() + 1).div_ceil(PAGE_SIZE / record) as u64;
         let spine = Spine::build(a.clone(), &codes).unwrap();
-        let d =
-            DiskSpine::seal(&spine, Box::new(MemDevice::new()), 8, Box::<Lru>::default()).unwrap();
-        let sealed_pages = d.file_pages().unwrap();
+        let d = SealedSpine::seal(&spine, Box::new(MemDevice::new()), 8, Box::<Lru>::default())
+            .unwrap();
+        let sealed_pages = d.file_pages();
         let nodes = codes.len() as u64 + 1;
         assert!(
             sealed_pages * 3 < mutable_pages,
@@ -2213,220 +813,8 @@ mod sealed_tests {
             mutable_mem.total()
         );
         // The headline number: < 10 encoded bytes per node for DNA, vs the
-        // 80-byte fixed record of the mutable layout.
+        // 80-byte fixed record.
+        assert_eq!(record, 80);
         assert!(sealed_mem.bytes_per_node(nodes) < 10.0);
-    }
-
-    #[test]
-    fn empty_and_tiny_texts_seal() {
-        let a = Alphabet::dna();
-        let d = DiskSpine::build_sealed(
-            a.clone(),
-            &[],
-            Box::new(MemDevice::new()),
-            2,
-            Box::<Lru>::default(),
-        )
-        .unwrap();
-        assert_eq!(d.len(), 0);
-        assert!(d.is_empty());
-        assert_eq!(d.file_pages(), Some(2)); // header + one (root-only) node page
-        assert_eq!(StringIndex::find_all(&d, &a.encode(b"A").unwrap()), Vec::<usize>::new());
-        assert_eq!(d.sealed_census().unwrap().nodes, 1);
-
-        let d = DiskSpine::build_sealed(
-            a.clone(),
-            &a.encode(b"G").unwrap(),
-            Box::new(MemDevice::new()),
-            2,
-            Box::<Lru>::default(),
-        )
-        .unwrap();
-        assert_eq!(d.len(), 1);
-        assert_eq!(StringIndex::find_all(&d, &a.encode(b"G").unwrap()), vec![0]);
-        assert_eq!(StringIndex::find_all(&d, &a.encode(b"C").unwrap()), Vec::<usize>::new());
-        assert_eq!(StringIndex::symbol_at(&d, 0), a.encode(b"G").unwrap()[0]);
-    }
-
-    #[test]
-    fn sealed_explain_matches_reference_structure() {
-        let text = b"AACCACAACAGGTTACGACGACCA".repeat(4);
-        let (a, d) = seal(&text, 1); // single-frame pool: every hop faults
-        let codes = a.encode(&text).unwrap();
-        let r = Spine::build_from_bytes(a.clone(), &text).unwrap();
-        for p in [&b"CA"[..], b"ACCAA", b"TACGACG", b"TTTT"] {
-            let p = a.encode(p).unwrap();
-            let dt = d.explain(&p);
-            dt.verify_against_text(&codes).unwrap();
-            assert_eq!(dt.structural_events(), r.explain(&p).structural_events());
-            let (hits, misses) = dt.page_fetches();
-            assert!(hits + misses > 0, "a single-frame pool must show traffic");
-        }
-    }
-
-    #[test]
-    fn sealed_telemetry_accounts_pages() {
-        let text = b"AACCACAACAGGTTACGACGACCA".repeat(8);
-        let (a, d) = seal(&text, 1);
-        let reg = MetricsRegistry::new();
-        d.attach_telemetry(&reg);
-        d.try_find_all(&a.encode(b"ACGACG").unwrap()).unwrap();
-        d.try_locate(&a.encode(b"CA").unwrap()).unwrap();
-        let snap = reg.snapshot();
-        let pages = snap.histogram("disk.pages_per_query").unwrap();
-        assert_eq!(pages.count, 2);
-        assert!(pages.max > 0);
-        let (h, m) = d.pool_counts();
-        assert_eq!(snap.gauge("disk.pool.hits").unwrap(), h);
-        assert_eq!(snap.gauge("disk.pool.misses").unwrap(), m);
-    }
-
-    #[test]
-    fn packed_counters_match_scalar_totals() {
-        // The packed fast path must account runs exactly like the scalar
-        // walk: same nodes_checked / edges totals for the same queries.
-        let text = b"AACCACAACAGGTTACGACGACCA".repeat(4);
-        let (a, d) = seal(&text, 8);
-        let r = Spine::build_from_bytes(a.clone(), &text).unwrap();
-        for p in [&b"ACGACGACCA"[..], b"AACCACAACAGGTT", b"CA", b"GGTTAC"] {
-            let p = a.encode(p).unwrap();
-            d.counters().reset();
-            r.counters().reset();
-            assert_eq!(d.try_locate(&p).unwrap(), crate::search::locate(&r, &p));
-            assert_eq!(
-                d.counters().nodes_checked(),
-                r.counters().nodes_checked(),
-                "node checks for {p:?}"
-            );
-            assert_eq!(
-                d.counters().edges_traversed(),
-                r.counters().edges_traversed(),
-                "edges {p:?}"
-            );
-        }
-    }
-}
-
-#[cfg(test)]
-mod reopen_tests {
-    use super::*;
-    use pagestore::{FileDevice, Lru, MemDevice};
-
-    fn temp_path(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("spine-reopen-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(format!("dev-{tag}-{}.pages", std::process::id()))
-    }
-
-    fn reopen_file(path: &std::path::Path) -> Result<DiskSpine> {
-        DiskSpine::reopen(Box::new(FileDevice::open(path, false)?), 8, Box::<Lru>::default())
-    }
-
-    #[test]
-    fn seal_flush_reopen_query() {
-        let a = Alphabet::dna();
-        let text = a.encode(&b"AACCACAACAGGTTACGACGACCA".repeat(16)).unwrap();
-        let dev_path = temp_path("v3");
-        let built = DiskSpine::build_sealed(
-            a.clone(),
-            &text,
-            Box::new(FileDevice::create(&dev_path, false).unwrap()),
-            8,
-            Box::<Lru>::default(),
-        )
-        .unwrap();
-        let before: Vec<usize> = StringIndex::find_all(&built, &a.encode(b"ACGACG").unwrap());
-        let census_before = built.sealed_census().unwrap();
-        let encoded_before = built.mem_breakdown();
-        drop(built);
-
-        let reopened = reopen_file(&dev_path).unwrap();
-        assert!(reopened.is_sealed());
-        assert_eq!(reopened.len(), text.len());
-        // The packed compare and the byte census survive the round trip.
-        assert_eq!(FallibleSpineOps::backbone_packing(&reopened), Some(2));
-        assert_eq!(reopened.mem_breakdown(), encoded_before);
-        assert_eq!(StringIndex::find_all(&reopened, &a.encode(b"ACGACG").unwrap()), before);
-        assert_eq!(reopened.sealed_census().unwrap(), census_before);
-        // Full equivalence against a fresh in-memory build.
-        let r = crate::Spine::build(a.clone(), &text).unwrap();
-        let q = a.encode(b"TTACGACCACAACAGG").unwrap();
-        assert_eq!(
-            MatchingIndex::maximal_matches(&r, &q, 3),
-            MatchingIndex::maximal_matches(&reopened, &q, 3)
-        );
-        std::fs::remove_file(&dev_path).ok();
-    }
-
-    /// Page 0 is untrusted input: garbage, a truncated page and a header
-    /// whose fields disagree with the file all fail with a typed error,
-    /// never a panic.
-    #[test]
-    fn reopen_rejects_garbage_and_truncated_headers() {
-        let reopen = |pages: &[Vec<u8>]| {
-            let mut dev = MemDevice::new();
-            for (i, p) in pages.iter().enumerate() {
-                dev.write_page(i as u32, p).unwrap();
-            }
-            DiskSpine::reopen(Box::new(dev), 2, Box::<Lru>::default())
-        };
-        let mut junk = vec![0u8; PAGE_SIZE];
-        let mut x = 0x9E37_79B9u32;
-        for b in junk.iter_mut() {
-            x ^= x << 13;
-            x ^= x >> 17;
-            x ^= x << 5;
-            *b = x as u8;
-        }
-        assert!(reopen(&[junk.clone()]).is_err());
-        // An empty device reads page 0 as zeros: page format 0.
-        assert!(matches!(reopen(&[]), Err(Error::FormatVersion { found: 0, .. })));
-
-        // A truncated page 0 on a real file is an I/O error.
-        let path = temp_path("truncated");
-        let dev = FileDevice::create(&path, false).unwrap();
-        let a = Alphabet::dna();
-        let codes = a.encode(b"ACGTTGCA").unwrap();
-        drop(DiskSpine::build_sealed(a, &codes, Box::new(dev), 2, Box::<Lru>::default()));
-        let file = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &file[..100]).unwrap();
-        assert!(matches!(reopen_file(&path), Err(Error::Io { .. })));
-        std::fs::remove_file(&path).ok();
-
-        // A valid header with one field corrupted at a time.
-        let pages: Vec<Vec<u8>> = file.chunks(PAGE_SIZE).map(<[u8]>::to_vec).collect();
-        assert!(reopen(&pages).is_ok());
-        let at = slotted::PAGE_HEADER_LEN;
-        let corrupt = |edit: &dyn Fn(&mut [u8])| {
-            let mut p = pages.clone();
-            edit(&mut p[0][at..]);
-            reopen(&p).err().expect("a corrupt header must not reopen")
-        };
-        let parse = |e: Error| matches!(e, Error::Parse(_));
-        assert!(parse(corrupt(&|b| b[0] = b'X')), "magic");
-        assert!(parse(corrupt(&|b| b[6] = 9)), "alphabet tag");
-        assert!(parse(corrupt(&|b| b[7] = 0)), "zero packing width");
-        assert!(parse(corrupt(&|b| b[7] = 9)), "packing width above 8");
-        assert!(parse(corrupt(&|b| b[9..17].copy_from_slice(&u64::MAX.to_le_bytes()))), "len");
-        assert!(
-            parse(corrupt(&|b| b[9..17].copy_from_slice(&100_000u64.to_le_bytes()))),
-            "label pages disagree with len"
-        );
-        assert!(parse(corrupt(&|b| b[17] = 7)), "label pages");
-        assert!(parse(corrupt(&|b| b[21..25].fill(0))), "no node page");
-        assert!(parse(corrupt(&|b| b[21] = 9)), "pages beyond the device");
-        assert!(parse(corrupt(&|b| b[57] = 1)), "overflow page beyond the device");
-        // A node page whose `first_item` is not the running record count.
-        let mut p = pages.clone();
-        p[2][4] = 1;
-        assert!(parse(reopen(&p).err().unwrap()), "node page first_item");
-        // A label page where a node page belongs: the wrong kind.
-        let mut p = pages.clone();
-        p[2] = p[1].clone();
-        assert!(parse(reopen(&p).err().unwrap()), "page kind");
-        // A node page of another page format version.
-        let mut p = pages.clone();
-        p[2][0] = 1;
-        assert!(matches!(reopen(&p), Err(Error::FormatVersion { found: 1, expected: 2 })));
     }
 }

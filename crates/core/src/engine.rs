@@ -57,8 +57,9 @@
 //! structure keeps a link tree, the §4 backbone scan otherwise): the
 //! reference [`crate::Spine`], the §5 [`crate::CompactSpine`], a
 //! [`crate::GeneralizedSpine`] over many documents, or a page-resident
-//! [`crate::DiskSpine`] — whose storage faults degrade the affected
-//! requests to [`QueryOutcome::Failed`] instead of tearing down the server.
+//! [`crate::DiskSpine`] or [`crate::SealedSpine`] — whose storage faults
+//! degrade the affected requests to [`QueryOutcome::Failed`] instead of
+//! tearing down the server.
 //! Composite indexes implement [`ServeIndex`] directly and answer with
 //! document-level matches ([`QueryOutcome::DoneDocs`]): the segmented LSM
 //! store ([`crate::SegmentedSpine`]), and [`crate::ShardedSpine`], which

@@ -55,7 +55,8 @@
 //! scan), [`preorder`] (the sealed link tree's preorder index),
 //! [`matching`] (matching statistics & maximal matches), [`compact`] (the
 //! §5 Link-Table/Rib-Table layout, < 12 bytes per character), [`disk`]
-//! (page-resident engine), [`generalized`] (multi-string indexes),
+//! (the page-resident surface and the paper's fixed records), [`sealed`]
+//! (the read-only sealed page file), [`generalized`] (multi-string indexes),
 //! [`segments`] (crash-safe LSM of immutable sealed segments with atomic
 //! manifest commit), [`prefix`] (prefix partitioning), [`stats`] (the
 //! paper's measurement hooks), [`observe`] (the one zero-cost observer
@@ -78,6 +79,7 @@ pub mod ops;
 pub mod prefix;
 pub mod preorder;
 pub mod repeats;
+pub mod sealed;
 pub mod search;
 pub mod segments;
 pub mod stats;
@@ -87,7 +89,7 @@ pub mod verify;
 pub use approx::ApproxMatch;
 pub use build::Spine;
 pub use compact::CompactSpine;
-pub use disk::{DiskSpine, SealedCensus, DISK_FORMAT_VERSION};
+pub use disk::DiskSpine;
 pub use engine::{
     CompletionHook, EngineConfig, MetricsSnapshot, PanicHook, QueryEngine, QueryOutcome,
     QueryResult, ServeIndex, ShedPolicy, SubmitError,
@@ -102,8 +104,9 @@ pub use observe::{
 };
 pub use ops::{FallibleSpineOps, LinkTree};
 pub use pagestore::IoGate;
-pub use prefix::{PrefixView, SpinePrefix};
+pub use prefix::PrefixView;
 pub use preorder::PreorderIndex;
+pub use sealed::{SealedCensus, SealedSpine, DISK_FORMAT_VERSION};
 pub use search::{locate, try_locate, try_step};
 pub use segments::{spawn_merger, MergeHandle, SegmentConfig, SegmentedSpine, SegmentsSnapshot};
 pub use strindex::telemetry;

@@ -13,10 +13,10 @@
 //!   whole subtrees under those link children of `fo(w)` whose LEL is at
 //!   least `|w|`: O(occ + σ·|w|) work, then a sort (DESIGN.md §16). The
 //!   in-memory [`crate::Spine`] and [`crate::GeneralizedSpine`] walk their
-//!   child lists; a sealed [`crate::DiskSpine`] takes one slice of its
+//!   child lists; a [`crate::SealedSpine`] takes one slice of its
 //!   in-RAM preorder index ([`crate::preorder`]) and reads no page.
 //! * **The paper's backbone scan** (everything else: the §5 compact
-//!   layout, the mutable page-resident layout, prefix views). Node
+//!   layout, the fixed-record [`crate::DiskSpine`], prefix views). Node
 //!   `j > fo(w)` ends an occurrence iff `lel(j) ≥ |w|` and `link(j)` points
 //!   at an already-discovered end (binary search in the paper's *target
 //!   node buffer*): O(n − fo(w)) link reads. The batched entry point

@@ -1,8 +1,8 @@
 //! The one abstract SPINE surface, shared by every physical representation.
 //!
 //! The reference layout ([`crate::Spine`]), the paper's §5 compact layout
-//! ([`crate::CompactSpine`]) and the page-resident engine
-//! ([`crate::DiskSpine`]) store the same logical structure.
+//! ([`crate::CompactSpine`]) and the page-resident layouts
+//! ([`crate::disk::PagedSpine`]) store the same logical structure.
 //! [`FallibleSpineOps`] exposes that structure — vertebra labels, links,
 //! ribs, extrib chains — and APPEND ([`crate::build`]), search
 //! ([`crate::search`]), occurrence enumeration ([`crate::occurrences`]),
@@ -11,8 +11,8 @@
 //!
 //! Every accessor returns `Result`, because a page-resident representation
 //! can fail mid-traversal (a page read can error). The in-memory
-//! representations answer `Ok(..)`, which the optimizer erases;
-//! [`crate::DiskSpine`] propagates real device errors. The plain-valued
+//! representations answer `Ok(..)`, which the optimizer erases; the
+//! page-resident ones propagate real device errors. The plain-valued
 //! entry points ([`crate::search::locate`],
 //! [`crate::occurrences::find_all_ends`], the `StringIndex` and
 //! `MatchingIndex` impls) are one-line `expect`s at that boundary.
@@ -20,8 +20,8 @@
 //! One optional accessor, [`link_tree`](FallibleSpineOps::link_tree), lets
 //! occurrence enumeration walk a link tree instead of scanning the backbone
 //! ([`LinkTree`]): the child lists of the in-memory [`crate::Spine`] and
-//! [`crate::GeneralizedSpine`], or the preorder index every sealed
-//! [`crate::DiskSpine`] keeps in RAM.
+//! [`crate::GeneralizedSpine`], or the preorder index every
+//! [`crate::SealedSpine`] keeps in RAM.
 
 use crate::node::{Node, NodeId};
 use crate::preorder::PreorderIndex;
@@ -53,10 +53,10 @@ pub enum LinkTree<'a> {
 ///
 /// This is the surface the construction, the concurrent query engine and
 /// every traversal are written against. In-memory representations cannot
-/// fail and implement it with `Ok(..)`; [`crate::DiskSpine`] surfaces
-/// buffer-pool/device errors so an injected storage fault degrades a query
-/// to a clean `Err` (and, at the engine level, a `Failed` outcome) instead
-/// of a panic.
+/// fail and implement it with `Ok(..)`; the page-resident
+/// [`crate::disk::PagedSpine`] surfaces buffer-pool/device errors so an
+/// injected storage fault degrades a query to a clean `Err` (and, at the
+/// engine level, a `Failed` outcome) instead of a panic.
 pub trait FallibleSpineOps {
     /// Number of indexed characters (metadata; never touches storage).
     fn text_len(&self) -> usize;
@@ -91,7 +91,7 @@ pub trait FallibleSpineOps {
 
     /// Bits per symbol of this representation's word-packed backbone
     /// labels, or `None` when it compares one character at a time. Only a
-    /// sealed [`crate::DiskSpine`] packs, where a scalar label read is a
+    /// [`crate::SealedSpine`] packs, where a scalar label read is a
     /// locked page access, and only when every label fits the alphabet's
     /// packing (not byte alphabets, not a DNA separator). `Some(bits)`
     /// promises [`try_label_run`](Self::try_label_run) compares
@@ -109,19 +109,12 @@ pub trait FallibleSpineOps {
     /// the search loop accounts for the run in bulk so totals match the
     /// scalar path exactly.
     fn try_label_run(&self, node: NodeId, pattern: &PackedText, from: usize) -> Result<usize> {
-        let mut k = 0;
-        while from + k < pattern.len() {
-            match self.try_vertebra_out(node + k as NodeId)? {
-                Some(c) if c == pattern.get(from + k) => k += 1,
-                _ => break,
-            }
-        }
-        Ok(k)
+        scalar_label_run(self, node, pattern, from)
     }
 
     /// The traversal is about to scan the backbone sequentially from node
-    /// `from` to the tail (the occurrence scan of §4). The mutable
-    /// page-resident layout switches its buffer pool into scan mode here
+    /// `from` to the tail (the occurrence scan of §4). The fixed-record
+    /// [`crate::DiskSpine`] switches its buffer pool into scan mode here
     /// (scan-resistant eviction); in-memory structures ignore it, and
     /// structures with a [`link_tree`](Self::link_tree) never scan.
     /// Purely advisory: never fails, never changes answers.
@@ -138,4 +131,22 @@ pub trait FallibleSpineOps {
     fn link_tree(&self) -> Option<LinkTree<'_>> {
         None
     }
+}
+
+/// [`FallibleSpineOps::try_label_run`] one vertebra at a time: the default,
+/// and the fallback of a layout that packs at another width.
+pub(crate) fn scalar_label_run<S: FallibleSpineOps + ?Sized>(
+    s: &S,
+    node: NodeId,
+    pattern: &PackedText,
+    from: usize,
+) -> Result<usize> {
+    let mut k = 0;
+    while from + k < pattern.len() {
+        match s.try_vertebra_out(node + k as NodeId)? {
+            Some(c) if c == pattern.get(from + k) => k += 1,
+            _ => break,
+        }
+    }
+    Ok(k)
 }

@@ -11,87 +11,22 @@
 //! [`PrefixView`] is a zero-copy view implementing that filter over any
 //! representation, and answers through the one [`FallibleSpineOps`]
 //! search, so a disk index's prefix reports device errors like the index
-//! itself. [`SpinePrefix`] adds the edge iterators of the reference
-//! layout; the crate's tests verify it is *structurally identical* to an
+//! itself. The crate's tests verify it is *structurally identical* to an
 //! index freshly built on the prefix.
 
 use crate::build::Spine;
-use crate::node::{Extrib, NodeId, Rib};
+use crate::node::NodeId;
 use crate::ops::FallibleSpineOps;
 use strindex::{Alphabet, Code, Counters, Result, StringIndex};
 
-/// A read-only view of a [`Spine`] restricted to its first `len`
-/// characters.
-pub struct SpinePrefix<'a> {
-    spine: &'a Spine,
-    len: NodeId,
-}
-
 impl Spine {
-    /// View this index as the index of its length-`len` prefix.
+    /// View this index as the index of its length-`len` prefix (see
+    /// [`PrefixView`]).
     ///
     /// # Panics
     /// Panics if `len > self.len()`.
-    pub fn prefix(&self, len: usize) -> SpinePrefix<'_> {
-        assert!(len <= self.len(), "prefix longer than the indexed text");
-        SpinePrefix { spine: self, len: len as NodeId }
-    }
-}
-
-impl SpinePrefix<'_> {
-    /// Length of the viewed prefix.
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// Is the viewed prefix empty?
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Ribs of `node` that exist in the prefix fragment (destination ≤ len).
-    pub fn ribs(&self, node: NodeId) -> impl Iterator<Item = &Rib> {
-        let len = self.len;
-        self.spine.nodes()[node as usize].ribs.iter().filter(move |r| r.dest <= len)
-    }
-
-    /// Extribs of `node` that exist in the prefix fragment.
-    pub fn extribs(&self, node: NodeId) -> impl Iterator<Item = &Extrib> {
-        let len = self.len;
-        self.spine.nodes()[node as usize].extribs.iter().filter(move |e| e.dest <= len)
-    }
-
-    /// This fragment as a generic [`PrefixView`].
-    fn view(&self) -> PrefixView<'_, Spine> {
-        PrefixView { inner: self.spine, len: self.len }
-    }
-
-    /// Walk the valid path for `pattern` within the fragment.
-    pub fn locate(&self, pattern: &[Code]) -> Option<NodeId> {
-        self.view().locate(pattern)
-    }
-}
-
-impl StringIndex for SpinePrefix<'_> {
-    fn alphabet(&self) -> &Alphabet {
-        self.spine.alphabet_ref()
-    }
-
-    fn text_len(&self) -> usize {
-        self.len as usize
-    }
-
-    fn symbol_at(&self, pos: usize) -> Code {
-        assert!(pos < self.len as usize);
-        self.spine.labels[pos]
-    }
-
-    fn find_first(&self, pattern: &[Code]) -> Option<usize> {
-        self.locate(pattern).map(|end| end as usize - pattern.len())
-    }
-
-    fn find_all(&self, pattern: &[Code]) -> Vec<usize> {
-        self.view().find_all(pattern)
+    pub fn prefix(&self, len: usize) -> PrefixView<'_, Spine> {
+        PrefixView::new(self, len)
     }
 }
 
@@ -109,21 +44,23 @@ mod tests {
             let fresh = Spine::build(a.clone(), &full_text[..k]).unwrap();
             let view = full.prefix(k);
             for node in 0..=k as NodeId {
-                let f = &fresh.nodes()[node as usize];
-                if node != ROOT {
-                    let (v, i) = (&full.nodes()[node as usize], node as usize - 1);
-                    assert_eq!((full.labels[i], v.link, v.lel), (fresh.labels[i], f.link, f.lel));
+                let at = |s: &dyn FallibleSpineOps| {
+                    let vertebra = s.try_vertebra_out(node).unwrap();
+                    let link = (node != ROOT).then(|| s.try_link_of(node).unwrap());
+                    (vertebra, link)
+                };
+                assert_eq!(at(&view), at(&fresh), "vertebra and link at node {node}, prefix {k}");
+                for c in 0..a.code_space() as Code {
+                    let (got, want) = (view.try_rib_of(node, c), fresh.try_rib_of(node, c));
+                    assert_eq!(got.unwrap(), want.unwrap(), "rib {c} at node {node}, prefix {k}");
                 }
-                let mut view_ribs: Vec<Rib> = view.ribs(node).copied().collect();
-                let mut fresh_ribs = f.ribs.clone();
-                view_ribs.sort_by_key(|r| r.cl);
-                fresh_ribs.sort_by_key(|r| r.cl);
-                assert_eq!(view_ribs[..], fresh_ribs[..], "ribs at node {node}, prefix {k}");
-                let mut view_ex: Vec<Extrib> = view.extribs(node).copied().collect();
-                let mut fresh_ex = f.extribs.clone();
-                view_ex.sort_by_key(|e| e.prt);
-                fresh_ex.sort_by_key(|e| e.prt);
-                assert_eq!(view_ex[..], fresh_ex[..], "extribs at node {node}, prefix {k}");
+                // Every chain of the full index's node, so the view's
+                // filter must drop exactly the chains the prefix lacks.
+                for prt in full.nodes()[node as usize].extribs.iter().map(|e| e.prt) {
+                    let (got, want) =
+                        (view.try_extrib_of(node, prt), fresh.try_extrib_of(node, prt));
+                    assert_eq!(got.unwrap(), want.unwrap(), "chain {prt} at {node}, prefix {k}");
+                }
             }
         }
     }
@@ -170,7 +107,8 @@ mod tests {
 /// restricting to destinations ≤ `len` yields exactly the index of the
 /// length-`len` prefix. Works over the reference, compact, and disk
 /// layouts alike; the view keeps no link tree, so it enumerates with the
-/// §4 scan, and it forwards the inner structure's storage errors.
+/// §4 scan, and it forwards the inner structure's storage errors. Over an
+/// inner [`StringIndex`] it is one too, answering for the prefix.
 pub struct PrefixView<'a, S: FallibleSpineOps + ?Sized> {
     inner: &'a S,
     len: NodeId,
@@ -186,17 +124,43 @@ impl<'a, S: FallibleSpineOps + ?Sized> PrefixView<'a, S> {
         PrefixView { inner, len: len as NodeId }
     }
 
+    /// Length of the viewed prefix.
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Is the viewed prefix empty?
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
     /// Walk the valid path for `pattern` within the fragment.
     pub fn locate(&self, pattern: &[Code]) -> Option<NodeId> {
         crate::search::locate(self, pattern)
     }
+}
 
-    /// All occurrence start offsets of `pattern` within the prefix.
-    pub fn find_all(&self, pattern: &[Code]) -> Vec<usize> {
-        crate::occurrences::find_all_ends(self, pattern)
-            .into_iter()
-            .map(|end| end as usize - pattern.len())
-            .collect()
+impl<S: FallibleSpineOps + StringIndex + ?Sized> StringIndex for PrefixView<'_, S> {
+    fn alphabet(&self) -> &Alphabet {
+        self.inner.alphabet()
+    }
+
+    fn text_len(&self) -> usize {
+        self.len as usize
+    }
+
+    fn symbol_at(&self, pos: usize) -> Code {
+        assert!(pos < self.len as usize, "position past the prefix");
+        self.inner.symbol_at(pos)
+    }
+
+    fn find_first(&self, pattern: &[Code]) -> Option<usize> {
+        self.locate(pattern).map(|end| end as usize - pattern.len())
+    }
+
+    fn find_all(&self, pattern: &[Code]) -> Vec<usize> {
+        let ends = crate::occurrences::find_all_ends(self, pattern);
+        ends.into_iter().map(|end| end as usize - pattern.len()).collect()
     }
 }
 
@@ -241,14 +205,6 @@ impl crate::CompactSpine {
     }
 }
 
-impl crate::DiskSpine {
-    /// View this disk index as the index of its length-`len` prefix
-    /// (see [`PrefixView`]).
-    pub fn prefix(&self, len: usize) -> PrefixView<'_, crate::DiskSpine> {
-        PrefixView::new(self, len)
-    }
-}
-
 #[cfg(test)]
 mod view_tests {
     use super::*;
@@ -276,7 +232,7 @@ mod view_tests {
         use pagestore::{Lru, MemDevice};
         let a = Alphabet::dna();
         let text = a.encode(b"AACCACAACA").unwrap();
-        let d = crate::DiskSpine::build(
+        let disk = crate::DiskSpine::build(
             a.clone(),
             &text,
             Box::new(MemDevice::new()),
@@ -284,9 +240,19 @@ mod view_tests {
             Box::<Lru>::default(),
         )
         .unwrap();
-        let view = d.prefix(5);
-        assert_eq!(view.find_all(&a.encode(b"CA").unwrap()), vec![3]);
-        assert!(view.locate(&a.encode(b"ACAA").unwrap()).is_none());
+        let sealed = crate::SealedSpine::build_sealed(
+            a.clone(),
+            &text,
+            Box::new(MemDevice::new()),
+            4,
+            Box::<Lru>::default(),
+        )
+        .unwrap();
+        let views: [&dyn StringIndex; 2] = [&disk.prefix(5), &sealed.prefix(5)];
+        for view in views {
+            assert_eq!(view.find_all(&a.encode(b"CA").unwrap()), vec![3]);
+            assert!(!view.contains(&a.encode(b"ACAA").unwrap()));
+        }
     }
 
     #[test]

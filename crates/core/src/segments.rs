@@ -1,7 +1,7 @@
 //! A crash-safe LSM of SPINEs: mutable memtable, immutable sealed
 //! segments, atomic manifest commits.
 //!
-//! [`Spine`] is append-only and [`DiskSpine`] seals to an
+//! [`Spine`] is append-only and [`SealedSpine`] seals to an
 //! immutable on-disk layout — neither supports deletes or survives being
 //! half-written. [`SegmentedSpine`] composes them into a mutable, durable
 //! collection the way log-structured merge trees do:
@@ -13,7 +13,7 @@
 //!   durability is bought at *seal* time.
 //! * At a size threshold the memtable is **sealed**: its index, as it
 //!   stands, is encoded as one immutable, self-describing segment file
-//!   ([`DiskSpine::seal`]; no APPEND runs, and the file is the one
+//!   ([`SealedSpine::seal`]; no APPEND runs, and the file is the one
 //!   [`Spine::build`] over the same concatenation would give), and a new
 //!   [`Manifest`] naming the enlarged segment set is committed. Memtable
 //!   documents retired before the seal are sealed too, and their
@@ -34,7 +34,7 @@
 //! Every durable state transition — seal, retire, merge — is one manifest
 //! replacement: encode, write `MANIFEST.tmp`, `fsync` it, `rename` over
 //! `MANIFEST`, `fsync` the directory. Segment files are written (and
-//! synced, header-last — see [`DiskSpine::seal`]) *before* the manifest
+//! synced, header-last — see [`SealedSpine::seal`]) *before* the manifest
 //! that references them, so at every instant the bytes `MANIFEST` names
 //! are complete and synced. A crash at any point leaves either the old
 //! manifest or the new one, never a torn state; files written for a commit
@@ -72,10 +72,9 @@ use std::time::{Duration, Instant, SystemTime};
 use pagestore::{FaultyDevice, FileDevice, IoGate, Lru, PageDevice};
 use parking_lot::{Mutex, RwLock};
 use strindex::telemetry::{Histogram, MetricsRegistry};
-use strindex::{Alphabet, Code, CountersSnapshot, Error, IoOp, Result};
+use strindex::{Alphabet, Code, CountersSnapshot, Error, IoOp, Result, StringIndex};
 
 use crate::build::Spine;
-use crate::disk::DiskSpine;
 use crate::engine::{QueryOutcome, ServeIndex};
 use crate::generalized::{localize, DocMatch, GeneralizedSpine};
 use crate::journal::{self, JournalEvent, JournalKind, JOURNAL_FILE};
@@ -83,6 +82,7 @@ use crate::manifest::{Manifest, SegmentEntry};
 use crate::observe::MergePhase;
 use crate::occurrences::try_find_all_ends;
 use crate::ops::FallibleSpineOps;
+use crate::sealed::SealedSpine;
 use crate::trace::QueryTrace;
 
 const MANIFEST_FILE: &str = "MANIFEST";
@@ -172,19 +172,19 @@ pub struct SegmentsSnapshot {
     pub merges: u64,
 }
 
-/// One immutable sealed segment: a [`DiskSpine`] plus the manifest's
+/// One immutable sealed segment: a [`SealedSpine`] plus the manifest's
 /// document table for it.
 struct Segment {
     entry: SegmentEntry,
     /// The table's concatenation starts, sentinel included
     /// ([`SegmentEntry::starts`]).
     starts: Vec<usize>,
-    index: DiskSpine,
+    index: SealedSpine,
 }
 
 impl Segment {
     /// Serve `index` under `entry`, pinning its backbone-prefix pages.
-    fn new(entry: SegmentEntry, index: DiskSpine, cfg: &SegmentConfig) -> Result<Segment> {
+    fn new(entry: SegmentEntry, index: SealedSpine, cfg: &SegmentConfig) -> Result<Segment> {
         if cfg.hot_pin_pages > 0 {
             index.pin_hot_prefix(cfg.hot_pin_pages)?;
         }
@@ -335,7 +335,7 @@ impl SegmentedSpine {
         replay_journal(&dir, &cfg, m.epoch)?;
         let mut segments = Vec::with_capacity(m.segments.len());
         for e in &m.segments {
-            segments.push(Arc::new(open_segment(&dir, e, &cfg)?));
+            segments.push(Arc::new(open_segment(&dir, e, &alphabet, &cfg)?));
         }
         let orphans = scan_orphans(&dir, &m)?;
         // A crash between writing `seg-N.*` and the manifest rename leaves
@@ -641,7 +641,7 @@ impl SegmentedSpine {
         charge(&self.cfg.gate, IoOp::Write)?;
         let file = FileDevice::create(self.pages_path(entry.id), false)?;
         let device = segment_device(file, &self.cfg.gate);
-        let index = DiskSpine::seal(spine, device, self.cfg.pool_pages, Box::<Lru>::default())?;
+        let index = SealedSpine::seal(spine, device, self.cfg.pool_pages, Box::<Lru>::default())?;
         Segment::new(entry, index, &self.cfg)
     }
 
@@ -817,7 +817,7 @@ impl SegmentedSpine {
     /// stops appearing here.
     pub fn segment_pages(&self) -> Vec<(u64, u64)> {
         let snap = self.snapshot();
-        snap.segments.iter().map(|s| (s.entry.id, s.index.file_pages().unwrap_or(0))).collect()
+        snap.segments.iter().map(|s| (s.entry.id, s.index.file_pages())).collect()
     }
 
     /// The gauge values as one consistent snapshot.
@@ -884,8 +884,8 @@ impl SegmentedSpine {
         s.orphans.store(inner.orphans.len() as u64, Ordering::Relaxed);
         let backlog = inner.segments.len().saturating_sub(1) + inner.tombstones.len();
         s.merge_backlog.store(backlog as u64, Ordering::Relaxed);
-        let pinned: usize = inner.segments.iter().map(|sg| sg.index.pinned_pages()).sum();
-        s.hot_pinned.store(pinned as u64, Ordering::Relaxed);
+        let pinned: u64 = inner.segments.iter().map(|sg| sg.index.pool_stats().pinned).sum();
+        s.hot_pinned.store(pinned, Ordering::Relaxed);
         let resident: u64 = inner.segments.iter().map(|sg| sg.index.resident_bytes()).sum();
         s.resident_bytes.store(resident, Ordering::Relaxed);
     }
@@ -999,11 +999,27 @@ fn replay_journal(dir: &Path, cfg: &SegmentConfig, manifest_epoch: u64) -> Resul
     Ok(())
 }
 
-fn open_segment(dir: &Path, e: &SegmentEntry, cfg: &SegmentConfig) -> Result<Segment> {
+/// Reopen segment `e`, which must have been sealed under `alphabet`: a
+/// segment of another alphabet would answer the store's codes as its own.
+fn open_segment(
+    dir: &Path,
+    e: &SegmentEntry,
+    alphabet: &Alphabet,
+    cfg: &SegmentConfig,
+) -> Result<Segment> {
     charge(&cfg.gate, IoOp::Read)?;
     let file = FileDevice::open(dir.join(format!("seg-{}.pages", e.id)), false)?;
     let device = segment_device(file, &cfg.gate);
-    let index = DiskSpine::reopen(device, cfg.pool_pages, Box::<Lru>::default())?;
+    let index = SealedSpine::reopen(device, cfg.pool_pages, Box::<Lru>::default())?;
+    let sealed = StringIndex::alphabet(&index);
+    if sealed != alphabet {
+        return Err(Error::Parse(format!(
+            "segment {} was sealed under the {:?} alphabet, not the store's {:?}",
+            e.id,
+            sealed.kind(),
+            alphabet.kind()
+        )));
+    }
     Segment::new(e.clone(), index, cfg)
 }
 

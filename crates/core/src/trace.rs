@@ -23,7 +23,7 @@
 //! * [`QueryTrace`] — the `explain(pattern)` result: the event list, the
 //!   outcome, and text/JSON renderings. Every engine in the crate exposes
 //!   `explain` ([`crate::Spine::explain`], [`crate::CompactSpine`],
-//!   [`crate::GeneralizedSpine`], [`crate::DiskSpine::explain`],
+//!   [`crate::GeneralizedSpine`], [`crate::disk::PagedSpine::explain`],
 //!   [`crate::QueryEngine::submit_traced`]).
 //! * [`Heatmap`] — folds traces into per-node visit counts and bucketed
 //!   node ranges, surfacing backbone hot spots.

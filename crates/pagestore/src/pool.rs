@@ -13,12 +13,11 @@ use crate::device::{IoStats, PageDevice, PAGE_SIZE};
 use crate::policy::EvictionPolicy;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
-use strindex::telemetry::MetricsRegistry;
 use strindex::{Error, FxHashMap, IoOp, Result};
 
 /// Shared cache counters as relaxed atomics, so observers on other threads
-/// (the telemetry registry's gauges, an engine polling a [`BufferPool`] it
-/// holds behind a lock) can read them without touching the pool itself.
+/// (an index polling a [`BufferPool`] it holds behind a lock) can read them
+/// without touching the pool itself.
 /// Clone the `Arc` out with [`BufferPool::stats_handle`].
 ///
 /// `misses` counts **every** device page fetch — it is the honest
@@ -173,20 +172,6 @@ impl BufferPool {
     /// keeps counting) for as long as the pool does.
     pub fn stats_handle(&self) -> Arc<CacheStats> {
         Arc::clone(&self.stats)
-    }
-
-    /// Register this pool's cache counters as gauges on `registry`:
-    /// `{prefix}.hits` / `.misses` / `.evictions` / `.pinned`, all polled
-    /// live at snapshot time.
-    pub fn attach_telemetry(&self, registry: &MetricsRegistry, prefix: &str) {
-        let g = |f: fn(&CacheStats) -> u64| {
-            let s = self.stats_handle();
-            move || f(&s)
-        };
-        registry.gauge(&format!("{prefix}.hits"), g(CacheStats::hits));
-        registry.gauge(&format!("{prefix}.misses"), g(CacheStats::misses));
-        registry.gauge(&format!("{prefix}.evictions"), g(CacheStats::evictions));
-        registry.gauge(&format!("{prefix}.pinned"), g(CacheStats::pinned));
     }
 
     /// Device I/O counters.
@@ -489,20 +474,6 @@ mod tests {
         assert_eq!(snap.accesses(), 3);
         assert_eq!(snap.hit_rate(), 0.0);
         assert_eq!(CacheStatsSnapshot::default().hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn attach_telemetry_registers_live_gauges() {
-        let reg = MetricsRegistry::new();
-        let mut p = pool(1);
-        p.attach_telemetry(&reg, "pool");
-        p.read(0, |_| ()).unwrap();
-        p.read(1, |_| ()).unwrap(); // evicts page 0
-        let snap = reg.snapshot();
-        assert_eq!(snap.gauge("pool.misses"), Some(2));
-        assert_eq!(snap.gauge("pool.evictions"), Some(1));
-        assert_eq!(snap.gauge("pool.hits"), Some(0));
-        assert_eq!(snap.gauge("pool.pinned"), Some(0));
     }
 
     #[test]

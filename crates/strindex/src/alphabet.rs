@@ -113,6 +113,30 @@ impl Alphabet {
         self.kind
     }
 
+    /// The byte a persisted index stores for its alphabet (the sealed page
+    /// file's header, the compact layout's `SPNC` file): DNA 0, protein 1,
+    /// ASCII 2, bytes 3. [`Alphabet::from_tag`] reads it back.
+    pub fn tag(&self) -> u8 {
+        match self.kind {
+            AlphabetKind::Dna => 0,
+            AlphabetKind::Protein => 1,
+            AlphabetKind::Ascii => 2,
+            AlphabetKind::Bytes => 3,
+        }
+    }
+
+    /// The alphabet a persisted [`Alphabet::tag`] names; any other byte is
+    /// [`Error::Parse`].
+    pub fn from_tag(tag: u8) -> Result<Self> {
+        Ok(match tag {
+            0 => Self::dna(),
+            1 => Self::protein(),
+            2 => Self::ascii(),
+            3 => Self::bytes(),
+            t => return Err(Error::Parse(format!("unknown alphabet tag {t}"))),
+        })
+    }
+
     /// Number of ordinary symbols (excluding the separator).
     pub fn size(&self) -> usize {
         self.size as usize
@@ -263,6 +287,16 @@ mod tests {
             [Alphabet::dna(), Alphabet::protein(), Alphabet::ascii(), Alphabet::bytes()]
                 .map(|a| a.label_bits());
         assert_eq!(label_bits, [3, 5, 7, 8]);
+    }
+
+    #[test]
+    fn tags_round_trip_and_reject_unknown_bytes() {
+        let all = [Alphabet::dna(), Alphabet::protein(), Alphabet::ascii(), Alphabet::bytes()];
+        assert_eq!(all.clone().map(|a| a.tag()), [0, 1, 2, 3], "persisted bytes never change");
+        for a in all {
+            assert_eq!(Alphabet::from_tag(a.tag()).unwrap(), a);
+        }
+        assert!(matches!(Alphabet::from_tag(4), Err(Error::Parse(_))));
     }
 
     #[test]

@@ -87,7 +87,7 @@ pub enum Error {
         expected: u16,
     },
     /// The operation is not supported in the engine's current state (e.g.
-    /// appending to a sealed read-only index).
+    /// creating a segment store over an existing one).
     Unsupported(&'static str),
     /// A document id that names no document in the collection — never
     /// assigned, or assigned by a different collection. Distinct from

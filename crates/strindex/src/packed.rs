@@ -20,7 +20,7 @@ use crate::alphabet::Code;
 
 /// Mask covering the low `bits` bits (`bits <= 64`).
 #[inline]
-fn low_mask(bits: u32) -> u64 {
+pub fn low_mask(bits: u32) -> u64 {
     if bits >= 64 {
         u64::MAX
     } else {

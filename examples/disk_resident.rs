@@ -43,7 +43,7 @@ fn main() -> strindex::Result<()> {
         t0.elapsed().as_secs_f64(),
         reads,
         writes,
-        100.0 * index.hit_rate()
+        100.0 * index.pool_stats().hit_rate()
     );
 
     // Queries work straight off the pool.

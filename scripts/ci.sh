@@ -74,13 +74,13 @@ cargo test -q --test segments segments_pin_hot
 echo "== sealed layout (format v3): codec round-trips, sealed engine, packed-vs-scalar, golden bytes (2-bit DNA included), records vs source nodes, one self-describing file (reopen from it alone, overflow pages, untrusted page 0, earlier versions rejected), one orphan per torn seal"
 cargo test -q -p pagestore varint
 cargo test -q -p pagestore slotted
-cargo test -q -p spine disk::
+cargo test -q -p spine -- disk:: sealed::
 cargo test -q --test layout_v2
 cargo test -q --test differential packed_scan
 cargo test -q --test layout_v2 sealed_pages_match_golden_digests
 cargo test -q -p spine --lib sealed_structure_is_node_identical_to_reference
-cargo test -q -p spine --lib -- disk::sealed_tests::oversized_record_takes_the_overflow_path \
-  disk::reopen_tests::reopen_rejects_garbage_and_truncated_headers
+cargo test -q -p spine --lib -- sealed::tests::oversized_record_takes_the_overflow_path \
+  sealed::reopen_tests::reopen_rejects_garbage_and_truncated_headers
 cargo test -q --test layout_v2 v1_artifact_reports_rebuild_required_then_rebuild_recovers
 cargo test -q --test segments seal_after_recovery_never_reuses_an_orphan_id
 
@@ -98,6 +98,15 @@ echo "== one label store per in-memory layout: 48-byte nodes, no word-packed sha
 cargo test -q -p spine --lib -- node::tests::node_is_48_bytes \
   search::tests::in_memory_layouts_compare_labels_scalar
 cargo test -q -p strindex --lib alphabet::tests::pack_bits_covers_every_ordinary_symbol
+
+echo "== one type per disk layout: SealedSpine takes no push, pool_stats() counts pages under pressure, one prefix view, one alphabet tag codec, segments refuse a foreign alphabet"
+cargo test -q -p spine --doc sealed::SealedSpine
+cargo test -q -p spine --lib -- disk::tests::telemetry_accounts_pages_and_pool_state \
+  sealed::tests::sealed_telemetry_accounts_pages prefix::tests::fragment_is_structurally_a_fresh_build \
+  prefix::view_tests::disk_prefix_answers_prefix_queries
+cargo test -q -p strindex --lib alphabet::tests::tags_round_trip_and_reject_unknown_bytes
+cargo test -q --test parallel prefix_views_structurally_identical_under_concurrent_readers
+cargo test -q --test segments open_refuses_a_segment_sealed_under_another_alphabet
 
 echo "== exp tables head each row with its own columns; ServeAdapter answers like the spine path"
 cargo test -q -p spine-bench --lib -- report::tests::render_table_heads_each_row_with_its_own_columns \

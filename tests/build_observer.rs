@@ -393,7 +393,8 @@ fn golden_build(case: &'static str, a: &Alphabet, docs: &[Vec<Code>]) -> GoldenB
     )
     .unwrap();
     d.flush().unwrap();
-    let (disk_io, disk_syncs, disk_pool) = (d.io_counts(), d.io_syncs(), d.pool_counts());
+    let pool = d.pool_stats();
+    let (disk_io, disk_syncs, disk_pool) = (d.io_counts(), d.io_syncs(), (pool.hits, pool.misses));
     drop(d);
     let file = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).ok();

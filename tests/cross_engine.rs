@@ -7,7 +7,7 @@
 
 use genseq::preset;
 use pagestore::{Lru, MemDevice, PrefixPriority};
-use spine::{CompactSpine, DiskSpine, FallibleSpineOps, Spine};
+use spine::{CompactSpine, DiskSpine, FallibleSpineOps, SealedSpine, Spine};
 use strindex::{Alphabet, Code, MatchingIndex, StringIndex};
 use suffix_array::SaIndex;
 use suffix_tree::{DiskSuffixTree, SuffixTree};
@@ -20,7 +20,7 @@ struct Engines {
     spine: Spine,
     compact: CompactSpine,
     disk: DiskSpine,
-    disk_v2: DiskSpine,
+    disk_v2: SealedSpine,
     st: SuffixTree,
     st_disk: DiskSuffixTree,
     sa: SaIndex,
@@ -42,7 +42,7 @@ fn engines(name: &str, scale: f64) -> Engines {
             Box::<PrefixPriority>::default(),
         )
         .unwrap(),
-        disk_v2: DiskSpine::build_sealed(
+        disk_v2: SealedSpine::build_sealed(
             alphabet.clone(),
             &text,
             Box::new(MemDevice::new()),

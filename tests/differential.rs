@@ -24,7 +24,7 @@ use spine::occurrences::{find_all_ends, find_all_ends_batch, occurrences_from, T
 use spine::search::locate;
 use spine::{
     CompactSpine, DiskSpine, FallibleSpineOps, GeneralizedSpine, PrefixView, PreorderIndex,
-    ServeIndex, Spine,
+    SealedSpine, ServeIndex, Spine,
 };
 use strindex::{Alphabet, Code, MatchingIndex, OnlineIndex, StringIndex};
 use suffix_array::SaIndex;
@@ -59,7 +59,7 @@ fn engines(a: &Alphabet, text: &[Code]) -> Vec<(&'static str, Box<dyn MatchingIn
     built.push((
         "disk-spine-v2",
         Box::new(
-            DiskSpine::build_sealed(
+            SealedSpine::build_sealed(
                 a.clone(),
                 text,
                 Box::new(MemDevice::new()),
@@ -419,7 +419,7 @@ fn hot_tier_machinery_changes_no_answers() {
         let pats = patterns_for(&a, &text, seed ^ 0xBEEF);
 
         let plain =
-            DiskSpine::seal(&reference, Box::new(MemDevice::new()), 4, Box::<Lru>::default())
+            SealedSpine::seal(&reference, Box::new(MemDevice::new()), 4, Box::<Lru>::default())
                 .unwrap();
 
         // Persist + reopen the sealed file.
@@ -428,8 +428,8 @@ fn hot_tier_machinery_changes_no_answers() {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let dev = pagestore::FileDevice::create(dir.join("seg.pages"), false).unwrap();
-        drop(DiskSpine::seal(&reference, Box::new(dev), 4, Box::<Lru>::default()).unwrap());
-        let reopened = DiskSpine::reopen(
+        drop(SealedSpine::seal(&reference, Box::new(dev), 4, Box::<Lru>::default()).unwrap());
+        let reopened = SealedSpine::reopen(
             Box::new(pagestore::FileDevice::open(dir.join("seg.pages"), false).unwrap()),
             4,
             Box::<Lru>::default(),
@@ -803,13 +803,14 @@ fn links_of<S: FallibleSpineOps + ?Sized>(index: &S) -> Vec<(NodeId, u32)> {
 }
 
 /// Seal `text` to a file under `dir`, then reopen it from that file.
-fn seal_and_reopen(a: &Alphabet, text: &[Code], dir: &std::path::Path) -> DiskSpine {
+fn seal_and_reopen(a: &Alphabet, text: &[Code], dir: &std::path::Path) -> SealedSpine {
     std::fs::create_dir_all(dir).unwrap();
     let dev = pagestore::FileDevice::create(dir.join("seg.pages"), false).unwrap();
     drop(
-        DiskSpine::build_sealed(a.clone(), text, Box::new(dev), 4, Box::<Lru>::default()).unwrap(),
+        SealedSpine::build_sealed(a.clone(), text, Box::new(dev), 4, Box::<Lru>::default())
+            .unwrap(),
     );
-    DiskSpine::reopen(
+    SealedSpine::reopen(
         Box::new(pagestore::FileDevice::open(dir.join("seg.pages"), false).unwrap()),
         4,
         Box::<Lru>::default(),
@@ -841,14 +842,14 @@ fn sealed_preorder_walk_matches_scan_and_oracle() {
             let what = format!("alphabet {ai}, text {i}");
             let source = Spine::build(a.clone(), text).unwrap();
             let sealed =
-                DiskSpine::seal(&source, Box::new(MemDevice::new()), 4, Box::<Lru>::default())
+                SealedSpine::seal(&source, Box::new(MemDevice::new()), 4, Box::<Lru>::default())
                     .unwrap();
             let dir = std::env::temp_dir()
                 .join(format!("spine-differential-sealed-{}-{ai}-{i}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
             let reopened = seal_and_reopen(a, text, &dir);
             assert_eq!(sealed.preorder(), reopened.preorder(), "{what}: seal vs reopen index");
-            check_preorder(&what, sealed.preorder().unwrap(), &links_of(&reopened));
+            check_preorder(&what, sealed.preorder(), &links_of(&reopened));
 
             let mut pats = patterns_for(a, text, 0x5EED + i as u64);
             pats.push(Vec::new());
@@ -921,7 +922,7 @@ proptest! {
     ) {
         let a = [Alphabet::dna(), Alphabet::protein(), Alphabet::bytes()][alpha].clone();
         let text = random_text(&a, len, seed);
-        let sealed = DiskSpine::build_sealed(
+        let sealed = SealedSpine::build_sealed(
             a.clone(),
             &text,
             Box::new(MemDevice::new()),
@@ -929,7 +930,7 @@ proptest! {
             Box::<Lru>::default(),
         )
         .unwrap();
-        let ix = sealed.preorder().expect("a sealed index keeps its preorder index");
+        let ix = sealed.preorder();
         let links = links_of(&sealed);
         check_preorder(&format!("seed {seed}"), ix, &links);
         prop_assert_eq!(ix.check(&links), Vec::<String>::new(), "exp verify's checker agrees");
@@ -956,7 +957,7 @@ proptest! {
         let per_word = 64 / bits as usize;
         let text = random_text(&a, per_word * 4 + 7, seed);
         let reference = Spine::build(a.clone(), &text).unwrap();
-        let sealed = DiskSpine::build_sealed(
+        let sealed = SealedSpine::build_sealed(
             a.clone(),
             &text,
             Box::new(MemDevice::new()),

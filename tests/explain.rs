@@ -15,7 +15,7 @@ use pagestore::{Lru, MemDevice};
 use proptest::prelude::*;
 use rand::Rng;
 use spine::engine::{EngineConfig, QueryEngine};
-use spine::{CompactSpine, DiskSpine, Heatmap, QueryTrace, Spine, TraceEvent};
+use spine::{CompactSpine, DiskSpine, Heatmap, QueryTrace, SealedSpine, Spine, TraceEvent};
 use std::sync::Arc;
 use strindex::{Alphabet, Code};
 
@@ -75,7 +75,7 @@ fn exercise(a: &Alphabet, text: &[Code], seed: u64) {
     // The sealed layout-v2 engine. Traced walks always take the scalar
     // path (the packed word compare has no per-step story to tell), so its
     // structural trace must be event-identical to every other engine's.
-    let sealed = DiskSpine::build_sealed(
+    let sealed = SealedSpine::build_sealed(
         a.clone(),
         text,
         Box::new(MemDevice::new()),
@@ -234,7 +234,7 @@ fn heatmap_conserves_visit_counts() {
     assert_eq!(total, bucket_total);
     assert!(heat.node_visits()[0] >= pats.len() as u64, "every trace visits the root");
 
-    let sealed = DiskSpine::build_sealed(
+    let sealed = SealedSpine::build_sealed(
         a.clone(),
         &text,
         Box::new(MemDevice::new()),

@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use pagestore::{FaultyDevice, FlakyDevice, Lru, MemDevice, RetryDevice, RetryPolicy};
 use spine::engine::{EngineConfig, QueryEngine, QueryOutcome, ServeIndex, ShedPolicy, SubmitError};
-use spine::{DiskSpine, FallibleSpineOps, NodeId, Spine};
+use spine::{DiskSpine, FallibleSpineOps, NodeId, PrefixView, SealedSpine, Spine};
 use strindex::{Alphabet, Code, Counters, Error, IoOp, Result, StringIndex};
 
 fn paper_spine() -> (Alphabet, Spine) {
@@ -458,7 +458,7 @@ fn engine_over_retry_wrapped_flaky_disk_matches_oracle() {
 /// Both disk layouts over `text` on a device that dies right after the
 /// build (or seal): each query's first page fetch misses the 1-frame pool
 /// and hits the dead device.
-fn dead_after_build(a: &Alphabet, text: &[Code]) -> Vec<(&'static str, DiskSpine)> {
+fn dead_after_build(a: &Alphabet, text: &[Code]) -> Vec<(&'static str, Box<dyn FallibleSpineOps>)> {
     let clean =
         DiskSpine::build(a.clone(), text, Box::new(MemDevice::new()), 1, Box::<Lru>::default())
             .unwrap();
@@ -467,11 +467,11 @@ fn dead_after_build(a: &Alphabet, text: &[Code]) -> Vec<(&'static str, DiskSpine
     let mutable = DiskSpine::build(a.clone(), text, Box::new(faulty), 1, Box::<Lru>::default());
 
     let spine = Spine::build(a.clone(), text).unwrap();
-    let clean = DiskSpine::seal(&spine, Box::new(MemDevice::new()), 1, Box::<Lru>::default());
+    let clean = SealedSpine::seal(&spine, Box::new(MemDevice::new()), 1, Box::<Lru>::default());
     let (r, w) = clean.as_ref().unwrap().io_counts();
     let faulty = FaultyDevice::new(MemDevice::new(), r + w + clean.unwrap().io_syncs());
-    let sealed = DiskSpine::seal(&spine, Box::new(faulty), 1, Box::<Lru>::default());
-    vec![("mutable", mutable.unwrap()), ("sealed", sealed.unwrap())]
+    let sealed = SealedSpine::seal(&spine, Box::new(faulty), 1, Box::<Lru>::default());
+    vec![("mutable", Box::new(mutable.unwrap())), ("sealed", Box::new(sealed.unwrap()))]
 }
 
 /// Run `f`, failing the test with `what` if it panics.
@@ -490,7 +490,7 @@ fn disk_prefix_views_report_device_faults() {
     for (layout, disk) in dead_after_build(&a, &text) {
         for k in [text.len() / 3, text.len()] {
             for p in &patterns {
-                let got = no_panic(layout, || try_find_all_ends(&disk.prefix(k), p));
+                let got = no_panic(layout, || try_find_all_ends(&PrefixView::new(&*disk, k), p));
                 assert!(got.is_err(), "{layout}: prefix {k}, pattern {p:?} must fail");
             }
         }
@@ -518,7 +518,7 @@ fn disk_maximal_matches_report_device_faults() {
     let query = a.encode(b"TTACGACGACCAACCACAAGGTTACCA").unwrap();
     for (layout, disk) in dead_after_build(&a, &text) {
         for min_len in [1, 4] {
-            let got = no_panic(layout, || maximal_matches(&disk, &query, min_len));
+            let got = no_panic(layout, || maximal_matches(&*disk, &query, min_len));
             assert!(got.is_err(), "{layout}: maximal matches ≥ {min_len} must fail");
         }
     }

@@ -12,7 +12,7 @@ use genseq::rng;
 use pagestore::{FileDevice, Lru, MemDevice, PAGE_FORMAT_V2, PAGE_SIZE};
 use proptest::prelude::*;
 use rand::Rng;
-use spine::{DiskSpine, FallibleSpineOps, Spine, DISK_FORMAT_VERSION};
+use spine::{DiskSpine, FallibleSpineOps, SealedSpine, Spine, DISK_FORMAT_VERSION};
 use strindex::{Alphabet, Code, Error, StringIndex};
 
 fn random_text(a: &Alphabet, len: usize, seed: u64) -> Vec<Code> {
@@ -27,8 +27,8 @@ fn scan_find_all(text: &[Code], pattern: &[Code]) -> Vec<usize> {
     (0..=text.len() - pattern.len()).filter(|&i| &text[i..i + pattern.len()] == pattern).collect()
 }
 
-fn seal(a: &Alphabet, text: &[Code], pool: usize) -> DiskSpine {
-    DiskSpine::build_sealed(
+fn seal(a: &Alphabet, text: &[Code], pool: usize) -> SealedSpine {
+    SealedSpine::build_sealed(
         a.clone(),
         text,
         Box::new(MemDevice::new()),
@@ -56,7 +56,8 @@ fn census_reconciles_with_build_stats_across_alphabets() {
         let text = random_text(&a, len, 0xCE1505 + len as u64);
         let (spine, st) = Spine::build_with_stats(a.clone(), &text).unwrap();
         let sealed =
-            DiskSpine::seal(&spine, Box::new(MemDevice::new()), 8, Box::<Lru>::default()).unwrap();
+            SealedSpine::seal(&spine, Box::new(MemDevice::new()), 8, Box::<Lru>::default())
+                .unwrap();
         let census = sealed.sealed_census().unwrap();
         assert_eq!(census.nodes, len as u64 + 1, "one record per backbone node plus the root");
         assert_eq!(census.ribs, st.ribs_created, "rib records vs observer");
@@ -74,7 +75,7 @@ fn page_straddling_texts_answer_exactly() {
     // > 511 words × 32 symbols/word forces a second label page.
     let text = random_text(&a, 17_000, 0x57D0);
     let sealed = seal(&a, &text, 6);
-    let pages = sealed.file_pages().unwrap();
+    let pages = sealed.file_pages();
     assert!(pages > 4, "17k nodes must spread over several pages, got {pages}");
 
     let mut r = rng(0x57D1);
@@ -91,8 +92,8 @@ fn page_straddling_texts_answer_exactly() {
 }
 
 /// Reopen the sealed file at `path`.
-fn reopen(path: &std::path::Path, pool: usize) -> strindex::Result<DiskSpine> {
-    DiskSpine::reopen(Box::new(FileDevice::open(path, false)?), pool, Box::<Lru>::default())
+fn reopen(path: &std::path::Path, pool: usize) -> strindex::Result<SealedSpine> {
+    SealedSpine::reopen(Box::new(FileDevice::open(path, false)?), pool, Box::<Lru>::default())
 }
 
 /// The durable round-trip: seal onto a real file, drop everything, reopen
@@ -103,7 +104,7 @@ fn file_device_seal_reopen_round_trip() {
     let text = random_text(&a, 1200, 0xF11E);
     let dev_path = tmp("roundtrip.pages");
 
-    let sealed = DiskSpine::build_sealed(
+    let sealed = SealedSpine::build_sealed(
         a.clone(),
         &text,
         Box::new(FileDevice::create(&dev_path, false).unwrap()),
@@ -115,7 +116,6 @@ fn file_device_seal_reopen_round_trip() {
     drop(sealed);
 
     let reopened = reopen(&dev_path, 4).unwrap();
-    assert!(reopened.is_sealed());
     assert_eq!(reopened.backbone_packing(), Some(2), "packing survives the reopen");
     assert_eq!(reopened.sealed_census().unwrap(), census);
 
@@ -156,7 +156,7 @@ fn v1_artifact_reports_rebuild_required_then_rebuild_recovers() {
     // node page count.
     let v2_path = tmp("v2-engine.pages");
     let dev = Box::new(FileDevice::create(&v2_path, false).unwrap());
-    drop(DiskSpine::build_sealed(a.clone(), &text, dev, 8, Box::<Lru>::default()).unwrap());
+    drop(SealedSpine::build_sealed(a.clone(), &text, dev, 8, Box::<Lru>::default()).unwrap());
     let mut file = std::fs::read(&v2_path).unwrap();
     file[12..14].copy_from_slice(&2u16.to_le_bytes());
     file[33..PAGE_SIZE].fill(0);
@@ -176,7 +176,7 @@ fn v1_artifact_reports_rebuild_required_then_rebuild_recovers() {
 
     // The prescribed recovery: rebuild into a sealed file and reopen it.
     let rebuilt_path = tmp("rebuilt.pages");
-    let rebuilt = DiskSpine::build_sealed(
+    let rebuilt = SealedSpine::build_sealed(
         a.clone(),
         &text,
         Box::new(FileDevice::create(&rebuilt_path, false).unwrap()),
@@ -218,11 +218,11 @@ fn empty_and_len1_texts_seal_and_reopen() {
         let path = tmp(&format!("degenerate-{i}.pages"));
         let spine = Spine::build(a.clone(), &text).unwrap();
         let dev = Box::new(FileDevice::create(&path, false).unwrap());
-        drop(DiskSpine::seal(&spine, dev, 2, Box::<Lru>::default()).unwrap());
+        drop(SealedSpine::seal(&spine, dev, 2, Box::<Lru>::default()).unwrap());
         let sealed = reopen(&path, 2).unwrap();
         assert_eq!(sealed.sealed_census().unwrap().nodes, text.len() as u64 + 1);
         let want_pages = if text.is_empty() { 2 } else { 3 }; // header [+ labels] + nodes
-        assert_eq!(sealed.file_pages().unwrap(), want_pages);
+        assert_eq!(sealed.file_pages(), want_pages);
         for p in [&[][..], &[0], &text] {
             assert_eq!(sealed.find_all(p), scan_find_all(&text, p));
         }
@@ -246,7 +246,7 @@ fn v2_footprint_is_materially_smaller_than_v1() {
     // The mutable layout burns one 80-byte record per node.
     let v1_pages = (text.len() as u64 + 1).div_ceil(PAGE_SIZE as u64 / 80);
     let sealed = seal(&a, &text, 8);
-    let v2_pages = sealed.file_pages().unwrap();
+    let v2_pages = sealed.file_pages();
     assert!(
         v2_pages * 3 < v1_pages,
         "layout v2 must cut pages at least 3x: v1 {v1_pages} vs v2 {v2_pages}"
@@ -273,8 +273,8 @@ proptest! {
         };
         let text = random_text(&a, len, seed);
         let spine = Spine::build(a.clone(), &text).unwrap();
-        let sealed =
-            DiskSpine::seal(&spine, Box::new(MemDevice::new()), 2, Box::<Lru>::default()).unwrap();
+        let sealed = SealedSpine::seal(&spine, Box::new(MemDevice::new()), 2, Box::<Lru>::default())
+            .unwrap();
         prop_assert_eq!(sealed.sealed_census().unwrap().nodes, len as u64 + 1);
 
         let mut r = rng(seed ^ 0xACE);
@@ -367,10 +367,10 @@ const GOLDEN: [Golden; 5] = [
 ];
 
 /// Seal `text` onto a fresh file at `path`.
-fn seal_file(a: &Alphabet, text: &[Code], path: &std::path::Path) -> DiskSpine {
+fn seal_file(a: &Alphabet, text: &[Code], path: &std::path::Path) -> SealedSpine {
     let spine = Spine::build(a.clone(), text).unwrap();
     let dev = Box::new(FileDevice::create(path, false).unwrap());
-    DiskSpine::seal(&spine, dev, 4, Box::<Lru>::default()).unwrap()
+    SealedSpine::seal(&spine, dev, 4, Box::<Lru>::default()).unwrap()
 }
 
 /// The sealed page files are byte-for-byte the frozen ones, and the
@@ -383,7 +383,7 @@ fn sealed_pages_match_golden_digests() {
         let sealed = seal_file(&a, &text, &path);
         let (reads, writes) = sealed.io_counts();
         let syncs = sealed.io_syncs();
-        let pages = sealed.file_pages().unwrap();
+        let pages = sealed.file_pages();
         drop(sealed);
         let file = std::fs::read(&path).unwrap();
         std::fs::remove_file(&path).ok();

@@ -183,18 +183,26 @@ fn prefix_views_structurally_identical_under_concurrent_readers() {
             let alphabet = p.alphabet();
             s.spawn(move |_| {
                 let k = (t + 1) * text.len() / 7;
+                let codes = alphabet.code_space() as Code;
                 let fresh = Spine::build(alphabet, &text[..k]).unwrap();
                 let view = full.prefix(k);
                 assert_eq!(view.len(), fresh.len());
                 for n in 0..=k as u32 {
                     let fnode = &fresh.nodes()[n as usize];
                     if n > 0 {
-                        assert_eq!((fnode.link, fnode.lel), full.try_link_of(n).unwrap());
+                        assert_eq!((fnode.link, fnode.lel), view.try_link_of(n).unwrap());
                     }
-                    let view_ribs: Vec<_> = view.ribs(n).cloned().collect();
-                    assert_eq!(view_ribs[..], fnode.ribs[..], "ribs of node {n} at cut {k}");
-                    let view_ex: Vec<_> = view.extribs(n).cloned().collect();
-                    assert_eq!(view_ex[..], fnode.extribs[..], "extribs of node {n} at cut {k}");
+                    for c in 0..codes {
+                        let rib = (view.try_rib_of(n, c).unwrap(), fresh.try_rib_of(n, c).unwrap());
+                        assert_eq!(rib.0, rib.1, "rib {c} of node {n} at cut {k}");
+                    }
+                    // Every chain of the full index's node: the view must
+                    // drop exactly the ones the prefix lacks.
+                    for e in full.nodes()[n as usize].extribs.iter() {
+                        let got = view.try_extrib_of(n, e.prt).unwrap();
+                        let want = fresh.try_extrib_of(n, e.prt).unwrap();
+                        assert_eq!(got, want, "chain {} of node {n} at cut {k}", e.prt);
+                    }
                 }
                 // And behaviorally: the view answers like the fresh build.
                 for w in [1usize, 4, 9] {

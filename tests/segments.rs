@@ -475,7 +475,7 @@ fn merge_survives_a_failed_input_deletion() {
 #[test]
 fn a_memtable_seals_to_the_file_build_sealed_writes() {
     use pagestore::{FileDevice, Lru};
-    use spine::DiskSpine;
+    use spine::SealedSpine;
 
     for (i, a) in [Alphabet::dna(), Alphabet::protein()].into_iter().enumerate() {
         let dir = tmpdir(&format!("seal-bytes-{i}"));
@@ -492,7 +492,7 @@ fn a_memtable_seals_to_the_file_build_sealed_writes() {
 
         let reference = dir.join("reference.pages");
         let device = FileDevice::create(&reference, false).unwrap();
-        let built = DiskSpine::build_sealed(
+        let built = SealedSpine::build_sealed(
             a.clone(),
             &concatenation,
             Box::new(device),
@@ -584,4 +584,29 @@ fn retired_memtable_documents_seal_with_their_tombstone() {
         }
     }
     assert!(outcomes[0] > 1 && outcomes[1] > 1, "both outcomes reached: {outcomes:?}");
+}
+
+/// A segment's page 0 records the alphabet it was sealed under, and the
+/// store refuses to reopen it under another: read as ASCII, a DNA
+/// segment's codes would answer ASCII patterns, and the next merge would
+/// mix the two alphabets' codes in one segment.
+#[test]
+fn open_refuses_a_segment_sealed_under_another_alphabet() {
+    let dna = Alphabet::dna();
+    let dir = tmpdir("alphabet-mismatch");
+    let store = SegmentedSpine::create(dna.clone(), &dir, SegmentConfig::default()).unwrap();
+    store.add_document(&enc(&dna, b"ACGTACGTAC")).unwrap();
+    assert!(store.force_seal().unwrap());
+    drop(store);
+
+    let err = SegmentedSpine::open(Alphabet::ascii(), &dir, SegmentConfig::default())
+        .err()
+        .expect("a DNA segment must not open as ASCII");
+    let msg = err.to_string();
+    assert!(msg.contains("Dna") && msg.contains("Ascii"), "names both alphabets: {msg}");
+
+    let store = SegmentedSpine::open(dna.clone(), &dir, SegmentConfig::default()).unwrap();
+    assert_eq!(matches_of(&store, &enc(&dna, b"ACGT")), vec![(0, 0), (0, 4)]);
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
 }
